@@ -6,7 +6,7 @@ limit model for vanishing fixed costs, and provides seeded Monte Carlo and
 semi-analytic evaluators to cross-check every number.
 """
 
-from .market import (CostParams, MarketParams, ModelConfig, ParameterError,
+from .market import (CostParams, MarketParams, ParameterError,
                      apply_generator, apply_generator_transformed,
                      from_centered, from_centered_deriv, growth_integrand,
                      growth_integrand_transformed, merton_fraction,

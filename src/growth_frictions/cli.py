@@ -22,7 +22,7 @@ import numpy as np
 
 from . import lab, limit, qvi, simulate
 from ._slope import NonConvergence, ParameterDegeneracy
-from .market import CostParams, MarketParams, ModelConfig, ParameterError
+from .market import CostParams, MarketParams, ParameterError
 
 DEFAULT_SWEEP_DELTAS = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 1e-5, 1e-6)
 DEFAULT_COUPLE_DELTAS = (1e-2, 1e-3, 1e-4)
@@ -51,7 +51,20 @@ def _parse_bool(s: str) -> bool:
 
 
 def _parse_deltas(s: str) -> tuple:
-    return tuple(float(tok) for tok in s.split(",") if tok.strip())
+    deltas = tuple(float(tok) for tok in s.split(",") if tok.strip())
+    if any(d <= 0 for d in deltas) or any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
+        raise ValueError("deltas must be positive and sorted in decreasing order")
+    return deltas
+
+
+def _checked(caster, ok, rule: str):
+    """A caster that also rejects values failing ok(value), naming the rule."""
+    def cast(raw: str):
+        value = caster(raw)
+        if not ok(value):
+            raise ValueError(f"{rule}, got {value}")
+        return value
+    return cast
 
 
 # key -> (caster, default); None defaults mean "must be supplied where used"
@@ -62,7 +75,7 @@ _KEYS = {
     "delta": (float, None),
     "gamma": (float, None),
     "deltas": (_parse_deltas, None),
-    "grid_n": (int, 2001),
+    "grid_n": (_checked(int, lambda n: n >= 100, "grid_n must be at least 100"), 2001),
     "tol": (float, 1e-6),
     "horizon": (float, 200.0),
     "dt": (float, 1e-3),
@@ -72,8 +85,10 @@ _KEYS = {
     "seed": (int, None),
     "bridge_correction": (_parse_bool, False),
     "dump_paths": (_parse_bool, False),
-    "radius": (float, 0.02),
-    "step": (float, 2e-3),
+    # the four boundaries, each searched over +-radius, fit in order inside
+    # (0, 1) only if radius < 1/6; the box around the solution is checked later
+    "radius": (_checked(float, lambda v: 0 <= v < 1 / 6, "radius must lie in [0, 1/6)"), 0.02),
+    "step": (_checked(float, lambda v: v > 0, "step must be positive"), 2e-3),
     "solution": (str, None),
 }
 
@@ -96,9 +111,6 @@ class RunConfig:
         return MarketParams(r=self.require("r"), mu=self.require("mu"),
                             sigma=self.require("sigma"))
 
-    def model(self) -> ModelConfig:
-        return ModelConfig(market=self.market(), costs=self.costs())
-
     def costs(self, default_delta: float | None = None) -> CostParams:
         delta = self.values["delta"]
         if delta is None:
@@ -113,12 +125,15 @@ class RunConfig:
             v = int(os.environ.get("GF_SEED", "0"))
         return v
 
-    def sim(self, n_paths: int | None = None) -> simulate.SimConfig:
-        return simulate.SimConfig(
-            horizon=self.get("horizon"), dt=self.get("dt"), v0=self.get("v0"),
-            h0=self.get("h0"), n_paths=n_paths or self.get("n_paths"),
-            base_seed=self.seed(), bridge_correction=self.get("bridge_correction"),
-        )
+    def sim(self) -> simulate.SimConfig:
+        try:
+            return simulate.SimConfig(
+                horizon=self.get("horizon"), dt=self.get("dt"), v0=self.get("v0"),
+                h0=self.get("h0"), n_paths=self.get("n_paths"),
+                base_seed=self.seed(), bridge_correction=self.get("bridge_correction"),
+            )
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
 
 
 def parse_config(path: str | None = None, overrides: dict | None = None,
@@ -353,8 +368,8 @@ def _cmd_sweep(cfg: RunConfig) -> int:
 
 def _cmd_simulate(cfg: RunConfig) -> int:
     mp, cp = cfg.market(), cfg.costs()
-    sol = qvi.solve_boundaries(mp, cp)
     sim = cfg.sim()
+    sol = qvi.solve_boundaries(mp, cp)
     est = simulate.estimate_growth_impulse(mp, cp, sol.candidate, sim)
     _write(cfg.out_dir, "growth.csv", growth_csv(est))
     if cfg.get("dump_paths"):
@@ -369,9 +384,9 @@ def _cmd_simulate(cfg: RunConfig) -> int:
 def _cmd_reflect(cfg: RunConfig) -> int:
     mp = cfg.market()
     gamma = cfg.require("gamma")
+    sim = cfg.sim()
     sol = limit.solve_limit(mp, gamma)
     A, B = sol.candidate.A, sol.candidate.B
-    sim = cfg.sim()
     est = simulate.estimate_growth_reflected(mp, gamma, A, B, sim)
     _write(cfg.out_dir, "growth.csv", growth_csv(est))
     if cfg.get("dump_paths"):
@@ -403,8 +418,11 @@ def _cmd_couple(cfg: RunConfig) -> int:
 def _cmd_oracle(cfg: RunConfig) -> int:
     mp, cp = cfg.market(), cfg.costs()
     sol = qvi.solve_boundaries(mp, cp)
-    result = lab.brute_force_boundaries(mp, cp, sol.candidate,
-                                        radius=cfg.get("radius"), step=cfg.get("step"))
+    try:
+        result = lab.brute_force_boundaries(mp, cp, sol.candidate,
+                                            radius=cfg.get("radius"), step=cfg.get("step"))
+    except ValueError as err:
+        raise ConfigError(f"oracle box around the solution: {err}") from None
     _write(cfg.out_dir, "grid.csv", oracle_csv(result))
     best = result.best
     step = cfg.get("step")

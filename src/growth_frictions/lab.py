@@ -238,8 +238,8 @@ class SweepTable:
 def sweep_delta(mp: MarketParams, gamma: float, deltas) -> SweepTable:
     """Solve the boundary system along a decreasing delta grid.
 
-    Each row warm starts from the previous one (falling back to full
-    continuation if that stalls).  A failed row aborts the sweep; the
+    Each row warm starts from the previous one (the solver falls back to
+    its cold starts if that fails).  A failed row aborts the sweep; the
     raised NonConvergence carries the completed rows as .partial.
     """
     deltas = [float(d) for d in deltas]
@@ -256,12 +256,7 @@ def sweep_delta(mp: MarketParams, gamma: float, deltas) -> SweepTable:
     for delta in deltas:
         cp = CostParams(delta=delta, gamma=gamma)
         try:
-            try:
-                sol = _qvi.solve_boundaries(mp, cp, init=prev)
-            except NonConvergence:
-                if prev is None:
-                    raise
-                sol = _qvi.solve_boundaries(mp, cp)
+            sol = _qvi.solve_boundaries(mp, cp, init=prev)
         except NonConvergence as err:
             err.partial = SweepTable(market=mp, gamma=gamma, rows=tuple(rows), limit=lim)
             raise

@@ -74,12 +74,6 @@ class CostParams:
         _check(self.gamma >= 0.0, "gamma >= 0")
 
 
-@dataclass(frozen=True)
-class ModelConfig:
-    market: MarketParams
-    costs: CostParams
-
-
 def merton_fraction(mp: MarketParams) -> float:
     """Frictionless optimal risky fraction (mu - r)/sigma^2."""
     return (mp.mu - mp.r) / (mp.sigma * mp.sigma)
@@ -162,7 +156,9 @@ def wealth_factor(cp: CostParams, h, xi):
     Rebalancing from fraction h to xi buys stock when xi >= h/(1-delta)
     (the fixed cost alone pushes the fraction up to h/(1-delta)) and sells
     otherwise; both branches meet at the seam with common value 1 - delta.
-    Equals 1 only for delta = 0 and xi = h.
+    Exactly 1 only for delta = 0 and xi = h; in float64 it also rounds to
+    1.0 when delta = 0 and the proportional loss gamma |xi - h| is below
+    float64 resolution at 1 (about 1e-16).
     """
     h = np.asarray(h, dtype=float)
     xi = np.asarray(xi, dtype=float)

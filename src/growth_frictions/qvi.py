@@ -115,14 +115,6 @@ def residual_system(mp: MarketParams, cp: CostParams, cand: BoundaryCandidate) -
     ])
 
 
-def _newton_on_candidate(mp, cp, cand0):
-    def residual(v):
-        return residual_system(mp, cp, BoundaryCandidate.from_vector(v))
-
-    v, iters, norm = damped_newton(residual, cand0.as_vector(), tol=RESIDUAL_TOL)
-    return BoundaryCandidate.from_vector(v), iters, norm
-
-
 def _heuristic_initializer(mp, cp_delta, lim_cand):
     """Seed the delta-start solve from the pure-proportional limits.
 
@@ -154,7 +146,10 @@ def _oracle_seed(mp, cp, lim_cand):
     The plain heuristic assumes the no-trade region opens symmetrically,
     which fails badly for lopsided Merton fractions; searching the policy
     value directly (cheap: the evaluator is closed-form plus quadrature)
-    lands inside the Newton basin regardless of the region's shape.
+    lands inside the Newton basin regardless of the region's shape.  If no
+    searched policy beats the floor r + max{f(0), f(1)} of never trading
+    (or holding only stock), there is no interior optimum to seed and
+    ParameterDegeneracy is raised.
     """
     from .lab import _renewal_batch  # deferred: lab imports this module
 
@@ -193,80 +188,67 @@ def _oracle_seed(mp, cp, lim_cand):
             (to_centered(best[3]) - to_centered(best[2])) * np.geomspace(0.5, 2.0, 7)]))
     a, al, be, b, value = best
     floor = max(growth_integrand(mp, 0.0), growth_integrand(mp, 1.0))
+    if not value - mp.r > floor:
+        raise ParameterDegeneracy(
+            f"no interior optimum: best renewal growth {value:.10g} does not exceed "
+            f"r + max{{f(0), f(1)}} = {mp.r + floor:.10g}")
     l = max(value - mp.r, floor + 1e-3 * (lim_cand.l0 - floor))
     x0 = from_centered(0.5 * (to_centered(al) + to_centered(be)))
     x0 = min(max(x0, al + 1e-3 * (be - al)), be - 1e-3 * (be - al))
     return BoundaryCandidate(l=l, x0=x0, a=a, alpha=al, beta=be, b=b)
 
 
-def _perturbed(cand, k):
-    """Deterministic retry initializers: progressively widen the targets."""
-    shift = 0.2 * (k + 1)
-    al = cand.alpha - shift * (cand.alpha - cand.a) * 0.5
-    be = cand.beta + shift * (cand.b - cand.beta) * 0.5
-    x0 = 0.5 * (al + be)
-    return BoundaryCandidate(l=cand.l * (1.0 - 0.02 * (k + 1)), x0=x0,
-                             a=cand.a, alpha=al, beta=be, b=cand.b)
-
-
-def _solve_at_delta(mp, cp, init, trace):
-    last_err = None
-    cand0 = init
-    for attempt in range(4):
-        try:
-            cand, iters, norm = _newton_on_candidate(mp, cp, cand0)
-        except (ValueError, ParameterDegeneracy) as err:
-            last_err = err
-            cand0 = _perturbed(init, attempt)
-            continue
-        collapsed = cp.gamma > 0 and not cand.alpha < cand.beta
-        if norm <= RESIDUAL_TOL and not collapsed:
-            return cand, iters, norm
-        last_err = NonConvergence(
-            f"residual {norm:.3e} at delta={cp.delta:g}"
-            + (" (alpha = beta collapse)" if collapsed else ""), trace)
-        cand0 = _perturbed(init, attempt)
-    raise last_err if last_err is not None else NonConvergence("newton failed", trace)
-
-
 def _continuation_walk(mp, gamma, cand, d_from, d_to, trace):
-    """Track the root family from d_from to d_to along geometric legs
-    (factor 1/2 down, 2 up), bisecting a leg toward its warm start when it
-    fails to converge."""
+    """Solve at d_from from cand, then track the root family to d_to along
+    geometric legs (factor 1/2 down, 2 up).  Each leg is one damped Newton
+    run warm started from the last; the first run that misses RESIDUAL_TOL
+    or collapses alpha onto beta fails the walk with NonConvergence."""
     total = 0
     cur = d_from
-    norm = float("nan")
-    while cur != d_to:
-        nxt = max(cur / 2.0, d_to) if d_to < cur else min(cur * 2.0, d_to)
-        for _ in range(12):
-            try:
-                cand_new, iters, norm = _solve_at_delta(
-                    mp, CostParams(delta=nxt, gamma=gamma), cand, trace)
-                break
-            except (NonConvergence, ValueError):
-                nxt = float(np.sqrt(cur * nxt))
-                if abs(nxt / cur - 1.0) < 1e-3:
-                    raise
-        else:
-            raise NonConvergence(f"continuation stalled near delta={cur:g}", trace)
+    while True:
+        cp = CostParams(delta=cur, gamma=gamma)
+        v, iters, norm = damped_newton(
+            lambda v: residual_system(mp, cp, BoundaryCandidate.from_vector(v)),
+            cand.as_vector(), tol=RESIDUAL_TOL)
+        cand = BoundaryCandidate.from_vector(v)
+        collapsed = not cand.alpha < cand.beta
+        if norm > RESIDUAL_TOL or collapsed:
+            raise NonConvergence(f"residual {norm:.3e} at delta={cur:g}"
+                                 + (" (alpha = beta collapse)" if collapsed else ""), trace)
         total += iters
-        trace.append((nxt, cand_new))
-        cand, cur = cand_new, nxt
-    return cand, total, norm
+        trace.append((cur, cand))
+        if cur == d_to:
+            return cand, total, norm
+        cur = max(cur / 2.0, d_to) if d_to < cur else min(cur * 2.0, d_to)
+
+
+def _starts(mp, cp, init):
+    """The ordered (delta, seed) starts of solve_boundaries, built lazily so
+    the limit solve and the renewal search run only when they are reached."""
+    if init is not None:
+        yield cp.delta, init
+    lim = _limit.solve_limit(mp, cp.gamma).candidate
+    yield CONTINUATION_DELTA_START, _heuristic_initializer(mp, CONTINUATION_DELTA_START, lim)
+    yield cp.delta, _oracle_seed(mp, cp, lim)
 
 
 def solve_boundaries(mp: MarketParams, cp: CostParams,
                      init: BoundaryCandidate | None = None) -> BoundarySolution:
     """Solve the six-unknown system; requires delta > 0 and gamma > 0.
 
-    Without an initial guess the solver first computes the pure-proportional
-    limits, solves at delta = 1e-2 from a heuristic seed, then walks delta
-    geometrically (factor 1/2 down, factor 2 up) to the target, warm
-    starting each leg and bisecting legs that stall.  If the delta = 1e-2
-    start itself is out of reach (it can exceed the attainable excess
-    growth l0 for lopsided Merton fractions), the start is retried at
-    l0/4 and l0/16.  Raises NonConvergence (with the continuation trace)
-    or ParameterDegeneracy.
+    Tries up to three starts in order and returns the first that converges
+    to a valid candidate:
+
+    1. ``init``, when given: one damped Newton run at the target delta;
+    2. the heuristic seed around the pure-proportional limits: one run at
+       delta = 1e-2, then one per geometric leg (factor 1/2 down, factor 2
+       up) to the target, each warm started from the last;
+    3. the renewal-search seed: one run at the target delta.
+
+    A failed run fails its start; nothing is retried or perturbed.  Raises
+    ParameterDegeneracy ("no interior optimum") when start 3's renewal
+    search finds no policy beating the no-trade floor, and NonConvergence
+    (with the gathered continuation trace) when every start fails.
     """
     if cp.delta <= 0.0:
         raise ParameterDegeneracy("impulse boundary solver requires delta > 0")
@@ -274,56 +256,24 @@ def solve_boundaries(mp: MarketParams, cp: CostParams,
         raise ParameterDegeneracy("impulse boundary solver requires gamma > 0")
 
     trace: list = []
-    total_iters = 0
-    if init is not None:
-        cand, iters, norm = _solve_at_delta(mp, cp, init, trace)
-        total_iters += iters
-        trace.append((cp.delta, cand))
-    else:
-        lim = _limit.solve_limit(mp, cp.gamma)
-        floor = max(growth_integrand(mp, 0.0), growth_integrand(mp, 1.0))
-        headroom = lim.candidate.l0 - floor
-        starts = []
-        for d0 in (CONTINUATION_DELTA_START, headroom / 4.0, headroom / 16.0):
-            d0 = min(CONTINUATION_DELTA_START, d0)
-            if d0 > 0 and not any(abs(d0 / s0 - 1.0) < 1e-9 for s0, _ in starts):
-                starts.append((d0, _heuristic_initializer))
-        starts.append((cp.delta, _oracle_seed))
-        starts.append((CONTINUATION_DELTA_START, _oracle_seed))
-        last_err: Exception | None = None
-        for d0, seed_of in starts:
-            attempt_trace: list = []
-            try:
-                seed = seed_of(mp, CostParams(delta=d0, gamma=cp.gamma), lim.candidate) \
-                    if seed_of is _oracle_seed else seed_of(mp, d0, lim.candidate)
-                cand, iters, norm = _solve_at_delta(
-                    mp, CostParams(delta=d0, gamma=cp.gamma), seed, attempt_trace)
-                attempt_trace.append((d0, cand))
-                cand, walk_iters, walk_norm = _continuation_walk(
-                    mp, cp.gamma, cand, d0, cp.delta, attempt_trace)
-                total_iters += iters + walk_iters
-                if cp.delta != d0:
-                    norm = walk_norm
-                trace = attempt_trace
-                break
-            except (NonConvergence, ValueError) as err:
-                last_err = err
-                trace.extend(attempt_trace)
-        else:
-            raise NonConvergence(
-                f"continuation failed from every start: {last_err}", trace)
-
-    try:
-        cand.check_invariants(mp, cp)
-    except ParameterError as err:
-        raise NonConvergence(f"converged to an invalid candidate: {err}", trace) from err
-    return BoundarySolution(
-        candidate=cand,
-        residual_norm=norm,
-        newton_iters=total_iters,
-        continuation_trace=tuple(trace),
-        original_cost_optimal=bool(cand.a <= cand.alpha * (1.0 - cp.delta)),
-    )
+    last_err: Exception | None = None
+    for d0, seed in _starts(mp, cp, init):
+        attempt: list = []
+        try:
+            cand, iters, norm = _continuation_walk(mp, cp.gamma, seed, d0, cp.delta, attempt)
+            cand.check_invariants(mp, cp)
+        except (NonConvergence, ValueError) as err:
+            last_err = err
+            trace.extend(attempt)
+            continue
+        return BoundarySolution(
+            candidate=cand,
+            residual_norm=norm,
+            newton_iters=iters,
+            continuation_trace=tuple(attempt),
+            original_cost_optimal=bool(cand.a <= cand.alpha * (1.0 - cp.delta)),
+        )
+    raise NonConvergence(f"no start converged: {last_err}", trace)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 import pytest
 
-from growth_frictions import cli
+from growth_frictions import cli, limit, qvi
 
 FIG2 = "r = 0.0\nmu = 0.096\nsigma = 0.4\ngamma = 0.003\ndelta = 0.001\n"
 
@@ -185,3 +185,24 @@ def test_seventeen_digit_round_trip(config_file, tmp_path):
     mp, cp, sol = cli.read_solution_csv(str(out / "solution.csv"))
     text2 = cli.solution_csv(mp, cp, sol)
     assert text2 == (out / "solution.csv").read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n_paths", "0"],
+    ["simulate", "--dt", "10"],
+    ["couple", "--deltas", "1e-3,1e-2"],
+    ["oracle", "--radius", "0.5"],
+    ["solve", "--grid_n", "50"],
+])
+def test_bad_input_is_one_config_error_before_solving(argv, config_file, tmp_path,
+                                                      capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before validating the input")
+
+    monkeypatch.setattr(qvi, "solve_boundaries", no_solve)
+    monkeypatch.setattr(limit, "solve_limit", no_solve)
+    code = cli.main(argv + ["--config", config_file, "--out", str(tmp_path / "out")])
+    assert code != 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR: config: ")
+    assert not (tmp_path / "out").exists()

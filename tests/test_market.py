@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import growth_frictions as gf
@@ -182,6 +182,8 @@ def test_wealth_factor_frozen_value():
        delta=st.one_of(st.just(0.0), st.floats(1e-12, 0.5)),
        gamma=st.one_of(st.just(0.0), st.floats(1e-12, 0.4)))
 @settings(max_examples=300, deadline=None)
+# the exact loss here is about 6.6e-17, below float64 resolution at 1
+@example(h=0.43585223933583894, xi=0.43591842685882976, delta=0.0, gamma=1e-12)
 def test_wealth_factor_range(h, xi, delta, gamma):
     if gamma >= 1.0 - delta:
         return
@@ -190,7 +192,7 @@ def test_wealth_factor_range(h, xi, delta, gamma):
     assert 0.0 < w <= 1.0
     if delta > 0.0:
         assert w < 1.0
-    if delta == 0.0 and gamma > 0.0 and abs(xi - h) > 1e-6:
+    if delta == 0.0 and gamma * abs(xi - h) > 1e-15:
         assert w < 1.0
     if delta == 0.0 and xi == h:
         assert w == 1.0

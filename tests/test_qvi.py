@@ -121,11 +121,26 @@ def test_multi_start_agreement(mp, cp, sol):
     assert np.max(results.max(axis=0) - results.min(axis=0)) <= 1e-8
 
 
+def test_distant_warm_start_falls_back_to_cold_solution(mp, cp, sol):
+    init = gf.BoundaryCandidate(l=0.02, x0=0.6, a=0.05, alpha=0.1, beta=0.9, b=0.95)
+    warm = gf.solve_boundaries(mp, cp, init=init)
+    diff = warm.candidate.as_vector() - sol.candidate.as_vector()
+    assert np.max(np.abs(diff)) <= 1e-8
+
+
 def test_degenerate_inputs_rejected(mp):
     with pytest.raises(gf.ParameterDegeneracy):
         gf.solve_boundaries(mp, gf.CostParams(delta=0.0, gamma=0.003))
     with pytest.raises(gf.ParameterDegeneracy):
         gf.solve_boundaries(mp, gf.CostParams(delta=1e-3, gamma=0.0))
+
+
+def test_no_interior_optimum_rejected_by_name():
+    # hhat = 0.9 with gamma = 0.05, delta = 0.01: no constant-boundary policy
+    # beats holding only stock, so there is nothing for Newton to find.
+    mp = gf.MarketParams(r=0.0, mu=0.144, sigma=0.4)
+    with pytest.raises(gf.ParameterDegeneracy, match="no interior optimum"):
+        gf.solve_boundaries(mp, gf.CostParams(delta=0.01, gamma=0.05))
 
 
 def test_value_anchors(mp, cp, sol, vf):
