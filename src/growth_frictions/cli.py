@@ -366,11 +366,23 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     return 0
 
 
+def _walk(entry, *args):
+    """Call a Monte Carlo entry point.  Its own ValueError says that the start
+    fraction h0 lies outside a no-trade region, which is a config error; the
+    solver's named errors pass through."""
+    try:
+        return entry(*args)
+    except (ParameterError, ParameterDegeneracy):
+        raise
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
+
+
 def _cmd_simulate(cfg: RunConfig) -> int:
     mp, cp = cfg.market(), cfg.costs()
     sim = cfg.sim()
     sol = qvi.solve_boundaries(mp, cp)
-    est = simulate.estimate_growth_impulse(mp, cp, sol.candidate, sim)
+    est = _walk(simulate.estimate_growth_impulse, mp, cp, sol.candidate, sim)
     _write(cfg.out_dir, "growth.csv", growth_csv(est))
     if cfg.get("dump_paths"):
         rec = simulate.simulate_impulse_path(mp, cp, sol.candidate, sim, 0)
@@ -387,7 +399,7 @@ def _cmd_reflect(cfg: RunConfig) -> int:
     sim = cfg.sim()
     sol = limit.solve_limit(mp, gamma)
     A, B = sol.candidate.A, sol.candidate.B
-    est = simulate.estimate_growth_reflected(mp, gamma, A, B, sim)
+    est = _walk(simulate.estimate_growth_reflected, mp, gamma, A, B, sim)
     _write(cfg.out_dir, "growth.csv", growth_csv(est))
     if cfg.get("dump_paths"):
         rec = simulate.simulate_reflected_path(mp, gamma, A, B, sim, 0)
@@ -402,7 +414,7 @@ def _cmd_couple(cfg: RunConfig) -> int:
     mp = cfg.market()
     gamma = cfg.require("gamma")
     deltas = cfg.get("deltas") or DEFAULT_COUPLE_DELTAS
-    rows = simulate.couple_paths(mp, gamma, deltas, cfg.sim())
+    rows = _walk(simulate.couple_paths, mp, gamma, deltas, cfg.sim())
     _write(cfg.out_dir, "coupling.csv", coupling_csv(rows))
     _write(cfg.out_dir, "plot_coupling.py", COUPLING_PLOT)
     for row in rows:
@@ -507,6 +519,12 @@ def main(argv=None) -> int:
         return 1
     except NonConvergence as err:
         print(f"ERROR: non_convergence: {err}", file=sys.stderr)
+        return 1
+    except lab.DegenerateChain as err:
+        print(f"ERROR: degenerate_chain: {err}", file=sys.stderr)
+        return 1
+    except simulate.NumericalBlowup as err:
+        print(f"ERROR: numerical_blowup: {err}", file=sys.stderr)
         return 1
 
 

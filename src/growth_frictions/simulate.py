@@ -1,17 +1,20 @@
 """Seeded Monte Carlo of the controlled and reflected fraction processes.
 
-Holdings evolve exactly between trades: per step the bond grows by
-exp(r dt) and the stock by exp((mu - sigma^2/2) dt + sigma sqrt(dt) Z), so
-the only discretisation is that boundary crossings are detected at grid
-times and the overshoot is kept (the trade executes from the overshooting
-fraction).  An optional Brownian-bridge correction samples within-step
-crossings for the impulse simulator; it draws its uniforms from a separate
-stream so the normal sequence is unchanged.
+One time loop, ``_drive``, runs every simulation; the impulse, reflected
+and coupled simulators differ only in the control rule it calls
+at each step.  Holdings evolve exactly between trades: per step the bond
+grows by exp(r dt) and the stock by exp((mu - sigma^2/2) dt + sigma
+sqrt(dt) Z), so the only discretisation is that boundary crossings are
+detected at grid times and the overshoot is kept (the trade executes from
+the overshooting fraction).  An optional Brownian-bridge correction
+samples within-step crossings for the impulse simulator; it draws its
+uniforms from a separate stream so the normal sequence is unchanged.
 
 Randomness is counter-based: path i of a run seeded s reads an independent
 Philox stream keyed (s, i), so any subset of paths can be simulated
 concurrently or in blocks with identical results, and every output is a
-pure function of (inputs, base_seed, path_index).
+pure function of (inputs, base_seed, path_index).  Coupling stacks its
+deltas on one axis and so draws each path's noise once for all of them.
 """
 
 from __future__ import annotations
@@ -63,6 +66,9 @@ class SimConfig:
             raise ValueError("horizon must be positive")
         if not 0 < self.dt <= self.horizon / 100.0:
             raise ValueError("dt must satisfy 0 < dt <= horizon/100")
+        # growth is log-wealth over the horizon, so the steps must cover it exactly
+        if abs(self.n_steps * self.dt - self.horizon) > 1e-9 * self.horizon:
+            raise ValueError("horizon must be a whole number of steps")
         if not self.v0 > 0:
             raise ValueError("v0 must be positive")
         if self.n_paths < 1:
@@ -153,274 +159,233 @@ def _default_h0(mp: MarketParams, lo: float, hi: float) -> float:
     return min(max(merton_fraction(mp), lo + margin), hi - margin)
 
 
-def _impulse_engine(mp, cp, bounds, cfg: SimConfig, path_indices, record: bool):
-    """Vectorised impulse simulation over the given path indices.
-
-    Returns (growth, log_wT, trade_counts) arrays, plus per-step records
-    when record=True (only supported for a single path).
-    """
-    a, al, be, b = bounds
-    h0 = cfg.h0 if cfg.h0 is not None else _default_h0(mp, a, b)
-    if not a < h0 < b:
-        raise ValueError(f"h0={h0:g} must lie strictly inside the no-trade region ({a:g}, {b:g})")
-    n_paths = len(path_indices)
-    if record and n_paths != 1:
-        raise ValueError("record mode is single-path")
-    n_steps = cfg.n_steps
-    er = math.exp(mp.r * cfg.dt)
-    gd = (mp.mu - 0.5 * mp.sigma * mp.sigma) * cfg.dt
-    gv = mp.sigma * math.sqrt(cfg.dt)
-    X = np.full(n_paths, (1.0 - h0) * cfg.v0)
-    Y = np.full(n_paths, h0 * cfg.v0)
+def _drive(cfg: SimConfig, path_indices, step, positive, uniforms: bool = False) -> None:
+    """The one time loop: draw each path's normals (and, with uniforms, its
+    bridge pair per step) block by block, call step(n, z, u) for n = 1..n_steps,
+    and after each block check that positive() is positive and finite."""
     gens = [path_generator(cfg.base_seed, i) for i in path_indices]
-    ugens = ([path_generator(cfg.base_seed, i, stream=1) for i in path_indices]
-             if cfg.bridge_correction else None)
-    trade_counts = np.zeros(n_paths, dtype=np.int64)
-    step_log = np.zeros(n_paths)
-    trade_log = np.zeros(n_paths)
-    if cfg.bridge_correction:
-        y_lo, y_hi = to_centered(a), to_centered(b)
-        y_prev = np.full(n_paths, to_centered(h0))
-    if record:
-        h_rec = np.empty(n_steps + 1)
-        v_rec = np.empty(n_steps + 1)
-        h_rec[0], v_rec[0] = h0, cfg.v0
-        events = []
-
-    done = 0
-    while done < n_steps:
-        nb = min(_BLOCK, n_steps - done)
-        Z = np.empty((n_paths, nb))
+    ugens = [path_generator(cfg.base_seed, i, stream=1) for i in path_indices] if uniforms else []
+    for done in range(0, cfg.n_steps, _BLOCK):
+        nb = min(_BLOCK, cfg.n_steps - done)
+        Z = np.empty((len(gens), nb))
         for i, gen in enumerate(gens):
             Z[i] = gen.standard_normal(nb)
-        U = None
-        if cfg.bridge_correction:
-            U = np.empty((n_paths, 2 * nb))
-            for i, gen in enumerate(ugens):
-                U[i] = gen.random(2 * nb)
+        U = np.empty((len(ugens), 2 * nb))
+        for i, gen in enumerate(ugens):
+            U[i] = gen.random(2 * nb)
         for k in range(nb):
-            v_before = X + Y
-            X *= er
-            Y *= np.exp(gd + gv * Z[:, k])
-            V = X + Y
-            step_log += np.log(V / v_before)
-            h = Y / V
-            exit_lo = h <= a
-            exit_hi = h >= b
-            if cfg.bridge_correction:
-                y_new = np.log(Y / X)
-                inside = ~(exit_lo | exit_hi)
-                p_lo = bridge_crossing_prob(y_prev, y_new, y_lo, mp.sigma, cfg.dt)
-                p_hi = bridge_crossing_prob(y_prev, y_new, y_hi, mp.sigma, cfg.dt)
-                cross_lo = inside & (U[:, 2 * k] < p_lo)
-                cross_hi = inside & ~cross_lo & (U[:, 2 * k + 1] < p_hi)
-                # a sampled within-step touch trades from the boundary value
-                if cross_lo.any():
-                    V_at = V[cross_lo]
-                    h[cross_lo] = a
-                    Y[cross_lo] = a * V_at
-                    X[cross_lo] = (1.0 - a) * V_at
-                    exit_lo = exit_lo | cross_lo
-                if cross_hi.any():
-                    V_at = V[cross_hi]
-                    h[cross_hi] = b
-                    Y[cross_hi] = b * V_at
-                    X[cross_hi] = (1.0 - b) * V_at
-                    exit_hi = exit_hi | cross_hi
-            out = exit_lo | exit_hi
-            if out.any():
-                idx = np.nonzero(out)[0]
-                h_pre = h[idx]
-                xi = np.where(exit_lo[idx], al, be)
-                factor = wealth_factor(cp, h_pre, xi)
-                v_new = (X[idx] + Y[idx]) * factor
-                Y[idx] = xi * v_new
-                X[idx] = (1.0 - xi) * v_new
-                trade_counts[idx] += 1
-                trade_log[idx] += np.log(factor)
-                if record:
-                    events.append(TradeEvent(
-                        time=(done + k + 1) * cfg.dt,
-                        pre_fraction=float(h_pre[0]),
-                        target=float(xi[0]),
-                        factor=float(factor[0]),
-                        log_cost=float(np.log(factor[0])),
-                    ))
-            if cfg.bridge_correction:
-                y_prev = np.log(Y / X)
-            if record:
-                V = X + Y
-                h_rec[done + k + 1] = (Y / V)[0]
-                v_rec[done + k + 1] = V[0]
-        if np.any(X + Y <= 0.0) or not np.all(np.isfinite(X + Y)):
+            step(done + k + 1, Z[:, k], U[:, 2 * k:2 * k + 2] if uniforms else None)
+        held = positive()
+        if np.any(held <= 0.0) or not np.all(np.isfinite(held)):
             raise NumericalBlowup("wealth left the positive cone")
-        done += nb
-
-    log_wT = np.log(X + Y)
-    growth = (log_wT - math.log(cfg.v0)) / cfg.horizon
-    if record:
-        times = np.arange(n_steps + 1) * cfg.dt
-        rec = PathRecord(
-            times=times, fractions=h_rec, wealths=v_rec, trade_events=tuple(events),
-            log_wealth_final=float(log_wT[0]), growth=float(growth[0]),
-            step_log_total=float(step_log[0]), trade_log_total=float(trade_log[0]),
-        )
-        return growth, log_wT, trade_counts, rec
-    return growth, log_wT, trade_counts, None
 
 
-def simulate_impulse_path(mp: MarketParams, cp: CostParams, cand,
-                          cfg: SimConfig, path_index: int) -> PathRecord:
-    """One impulse-controlled path under the constant boundary strategy."""
-    bounds = (cand.a, cand.alpha, cand.beta, cand.b)
-    _, _, _, rec = _impulse_engine(mp, cp, bounds, cfg, [path_index], record=True)
-    return rec
+class _Holdings:
+    """Bond (X) and stock (Y) holdings of the given paths from h0 in (lo, hi),
+    or [lo, hi] when closed.  With record (one path), trace[:, n] holds the
+    fraction, the wealth and the rule's own totals after step n."""
+
+    def __init__(self, mp, cfg, path_indices, lo, hi, closed, record, rows=2):
+        h0 = cfg.h0 if cfg.h0 is not None else _default_h0(mp, lo, hi)
+        if not (lo <= h0 <= hi if closed else lo < h0 < hi):
+            region = f"[{lo:g}, {hi:g}]" if closed else f"({lo:g}, {hi:g})"
+            raise ValueError(f"h0={h0:g} must lie inside the no-trade region {region}")
+        self.cfg, self.h0, self.paths = cfg, h0, path_indices
+        self.er = math.exp(mp.r * cfg.dt)
+        self.gd = (mp.mu - 0.5 * mp.sigma * mp.sigma) * cfg.dt
+        self.gv = mp.sigma * math.sqrt(cfg.dt)
+        self.X = np.full(len(path_indices), (1.0 - h0) * cfg.v0)
+        self.Y = np.full(len(path_indices), h0 * cfg.v0)
+        self.trace = np.zeros((rows, cfg.n_steps + 1)) if record else None
+        if record:
+            self.trace[:2, 0] = h0, cfg.v0
+
+    def grow(self, z):
+        """One exact step of both holdings; returns the new wealth."""
+        self.X *= self.er
+        self.Y *= np.exp(self.gd + self.gv * z)
+        return self.X + self.Y
+
+    def record(self, n: int, *totals) -> None:
+        V = self.X + self.Y
+        self.trace[:, n] = (self.Y / V)[0], V[0], *totals
+
+    def run(self, uniforms: bool = False):
+        _drive(self.cfg, self.paths, self.step, lambda: self.X + self.Y, uniforms)
+        return self
+
+    def growth(self):
+        return (np.log(self.X + self.Y) - math.log(self.cfg.v0)) / self.cfg.horizon
+
+    def estimate(self) -> GrowthEstimate:
+        growth, n = self.growth(), self.cfg.n_paths
+        std_error = float(growth.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        return GrowthEstimate(mean_growth=float(growth.mean()), std_error=std_error,
+                              n_paths=n, horizon=self.cfg.horizon, dt=self.cfg.dt)
+
+    def path_fields(self) -> dict:
+        """The fields that every single-path record has."""
+        return dict(times=np.arange(self.cfg.n_steps + 1) * self.cfg.dt,
+                    fractions=self.trace[0], wealths=self.trace[1],
+                    log_wealth_final=float(np.log(self.X + self.Y)[0]),
+                    growth=float(self.growth()[0]))
 
 
-def estimate_growth_impulse(mp: MarketParams, cp: CostParams, cand,
-                            cfg: SimConfig) -> GrowthEstimate:
-    """Mean and standard error of per-path growth over cfg.n_paths paths."""
-    bounds = (cand.a, cand.alpha, cand.beta, cand.b)
-    growth, _, _, _ = _impulse_engine(mp, cp, bounds, cfg, range(cfg.n_paths), record=False)
-    return GrowthEstimate(
-        mean_growth=float(growth.mean()),
-        std_error=float(growth.std(ddof=1) / math.sqrt(cfg.n_paths)) if cfg.n_paths > 1 else 0.0,
-        n_paths=cfg.n_paths, horizon=cfg.horizon, dt=cfg.dt,
-    )
+class _Impulse(_Holdings):
+    """Impulse control: a step ending at or beyond a (b) trades to alpha
+    (beta) and multiplies wealth by the wealth factor."""
+
+    def __init__(self, mp, cp, cand, cfg, path_indices, record=False):
+        super().__init__(mp, cfg, path_indices, cand.a, cand.b, closed=False, record=record)
+        self.a, self.al, self.be, self.b = cand.a, cand.alpha, cand.beta, cand.b
+        self.cp, self.sigma = cp, mp.sigma
+        self.step_log = np.zeros_like(self.X)
+        self.trade_log = np.zeros_like(self.X)
+        self.events = []
+        if cfg.bridge_correction:
+            self.y_lo, self.y_hi = to_centered(self.a), to_centered(self.b)
+            self.y_prev = np.full_like(self.X, to_centered(self.h0))
+
+    def step(self, n: int, z, u) -> None:
+        X, Y = self.X, self.Y
+        v_before = X + Y
+        V = self.grow(z)
+        self.step_log += np.log(V / v_before)
+        h = Y / V
+        exit_lo = h <= self.a
+        exit_hi = h >= self.b
+        if u is not None:
+            y_new = np.log(Y / X)
+            inside = ~(exit_lo | exit_hi)
+            p_lo = bridge_crossing_prob(self.y_prev, y_new, self.y_lo, self.sigma, self.cfg.dt)
+            p_hi = bridge_crossing_prob(self.y_prev, y_new, self.y_hi, self.sigma, self.cfg.dt)
+            cross_lo = inside & (u[:, 0] < p_lo)
+            cross_hi = inside & ~cross_lo & (u[:, 1] < p_hi)
+            # a sampled within-step touch trades from the boundary value
+            for cross, level in ((cross_lo, self.a), (cross_hi, self.b)):
+                if cross.any():
+                    h[cross] = level
+                    Y[cross] = level * V[cross]
+                    X[cross] = (1.0 - level) * V[cross]
+            exit_lo, exit_hi = exit_lo | cross_lo, exit_hi | cross_hi
+        out = exit_lo | exit_hi
+        if out.any():
+            idx = np.nonzero(out)[0]
+            h_pre = h[idx]
+            xi = np.where(exit_lo[idx], self.al, self.be)
+            factor = wealth_factor(self.cp, h_pre, xi)
+            v_new = (X[idx] + Y[idx]) * factor
+            Y[idx] = xi * v_new
+            X[idx] = (1.0 - xi) * v_new
+            self.trade_log[idx] += np.log(factor)
+            if self.trace is not None:
+                self.events.append(TradeEvent(
+                    time=n * self.cfg.dt, pre_fraction=float(h_pre[0]), target=float(xi[0]),
+                    factor=float(factor[0]), log_cost=float(np.log(factor[0]))))
+        if u is not None:
+            self.y_prev = np.log(Y / X)
+        if self.trace is not None:
+            self.record(n)
 
 
-def _reflected_engine(mp, gamma, A, B, cfg: SimConfig, path_indices, record: bool):
-    """Vectorised reflected simulation: project back to [A, B] in monetary
-    terms whenever a step ends outside.
+class _Reflected(_Holdings):
+    """Reflection at [A, B]: a step ending outside is projected back in
+    monetary terms, with cumulative buy (L) and sell (M) volumes.
 
     Selling m = (Y - B V)/(1 - gamma B) restores h = B exactly and buying
     l = (A V - Y)/(1 + gamma A) restores h = A exactly under the
     self-financing accounting dX = rX dt + (1-gamma) dM - (1+gamma) dL.
     """
-    h0 = cfg.h0 if cfg.h0 is not None else _default_h0(mp, A, B)
-    if not A <= h0 <= B:
-        raise ValueError(f"h0={h0:g} must lie inside [{A:g}, {B:g}]")
-    n_paths = len(path_indices)
-    if record and n_paths != 1:
-        raise ValueError("record mode is single-path")
-    n_steps = cfg.n_steps
-    er = math.exp(mp.r * cfg.dt)
-    gd = (mp.mu - 0.5 * mp.sigma * mp.sigma) * cfg.dt
-    gv = mp.sigma * math.sqrt(cfg.dt)
-    X = np.full(n_paths, (1.0 - h0) * cfg.v0)
-    Y = np.full(n_paths, h0 * cfg.v0)
-    gens = [path_generator(cfg.base_seed, i) for i in path_indices]
-    L = np.zeros(n_paths)
-    M = np.zeros(n_paths)
-    if record:
-        h_rec = np.empty(n_steps + 1)
-        v_rec = np.empty(n_steps + 1)
-        l_rec = np.empty(n_steps + 1)
-        m_rec = np.empty(n_steps + 1)
-        h_rec[0], v_rec[0], l_rec[0], m_rec[0] = h0, cfg.v0, 0.0, 0.0
 
-    done = 0
-    while done < n_steps:
-        nb = min(_BLOCK, n_steps - done)
-        Z = np.empty((n_paths, nb))
-        for i, gen in enumerate(gens):
-            Z[i] = gen.standard_normal(nb)
-        for k in range(nb):
-            X *= er
-            Y *= np.exp(gd + gv * Z[:, k])
-            V = X + Y
-            h = Y / V
-            over = h > B
-            if over.any():
-                idx = np.nonzero(over)[0]
-                m = (Y[idx] - B * V[idx]) / (1.0 - gamma * B)
-                Y[idx] -= m
-                X[idx] += (1.0 - gamma) * m
-                M[idx] += m
-            under = h < A
-            if under.any():
-                idx = np.nonzero(under)[0]
-                buy = (A * V[idx] - Y[idx]) / (1.0 + gamma * A)
-                Y[idx] += buy
-                X[idx] -= (1.0 + gamma) * buy
-                L[idx] += buy
-            if record:
-                V = X + Y
-                h_rec[done + k + 1] = (Y / V)[0]
-                v_rec[done + k + 1] = V[0]
-                l_rec[done + k + 1] = L[0]
-                m_rec[done + k + 1] = M[0]
-        if np.any(X + Y <= 0.0) or not np.all(np.isfinite(X + Y)):
-            raise NumericalBlowup("wealth left the positive cone")
-        done += nb
+    def __init__(self, mp, gamma, A, B, cfg, path_indices, record=False):
+        super().__init__(mp, cfg, path_indices, A, B, closed=True, record=record, rows=4)
+        self.gamma, self.A, self.B = gamma, A, B
+        self.L = np.zeros_like(self.X)
+        self.M = np.zeros_like(self.X)
 
-    log_wT = np.log(X + Y)
-    growth = (log_wT - math.log(cfg.v0)) / cfg.horizon
-    if record:
-        times = np.arange(n_steps + 1) * cfg.dt
-        rec = ReflectedRecord(
-            times=times, fractions=h_rec, wealths=v_rec,
-            buy_volume=l_rec, sell_volume=m_rec,
-            log_wealth_final=float(log_wT[0]), growth=float(growth[0]),
-        )
-        return growth, L, M, rec
-    return growth, L, M, None
+    def step(self, n: int, z, u) -> None:
+        X, Y, gamma, A, B = self.X, self.Y, self.gamma, self.A, self.B
+        V = self.grow(z)
+        h = Y / V
+        over = h > B
+        if over.any():
+            idx = np.nonzero(over)[0]
+            m = (Y[idx] - B * V[idx]) / (1.0 - gamma * B)
+            Y[idx] -= m
+            X[idx] += (1.0 - gamma) * m
+            self.M[idx] += m
+        under = h < A
+        if under.any():
+            idx = np.nonzero(under)[0]
+            buy = (A * V[idx] - Y[idx]) / (1.0 + gamma * A)
+            Y[idx] += buy
+            X[idx] -= (1.0 + gamma) * buy
+            self.L[idx] += buy
+        if self.trace is not None:
+            self.record(n, self.L[0], self.M[0])
+
+
+def simulate_impulse_path(mp: MarketParams, cp: CostParams, cand,
+                          cfg: SimConfig, path_index: int) -> PathRecord:
+    """One impulse-controlled path under the constant boundary strategy."""
+    rule = _Impulse(mp, cp, cand, cfg, [path_index], record=True).run(cfg.bridge_correction)
+    return PathRecord(**rule.path_fields(), trade_events=tuple(rule.events),
+                      step_log_total=float(rule.step_log[0]),
+                      trade_log_total=float(rule.trade_log[0]))
+
+
+def estimate_growth_impulse(mp: MarketParams, cp: CostParams, cand,
+                            cfg: SimConfig) -> GrowthEstimate:
+    """Mean and standard error of per-path growth over cfg.n_paths paths."""
+    return _Impulse(mp, cp, cand, cfg, range(cfg.n_paths)).run(cfg.bridge_correction).estimate()
 
 
 def simulate_reflected_path(mp: MarketParams, gamma: float, A: float, B: float,
                             cfg: SimConfig, path_index: int) -> ReflectedRecord:
     """One reflected path under the control limit policy for (A, B)."""
-    _, _, _, rec = _reflected_engine(mp, gamma, A, B, cfg, [path_index], record=True)
-    return rec
+    rule = _Reflected(mp, gamma, A, B, cfg, [path_index], record=True).run()
+    return ReflectedRecord(**rule.path_fields(), buy_volume=rule.trace[2],
+                           sell_volume=rule.trace[3])
 
 
 def estimate_growth_reflected(mp: MarketParams, gamma: float, A: float, B: float,
                               cfg: SimConfig) -> GrowthEstimate:
-    growth, _, _, _ = _reflected_engine(mp, gamma, A, B, cfg, range(cfg.n_paths), record=False)
-    return GrowthEstimate(
-        mean_growth=float(growth.mean()),
-        std_error=float(growth.std(ddof=1) / math.sqrt(cfg.n_paths)) if cfg.n_paths > 1 else 0.0,
-        n_paths=cfg.n_paths, horizon=cfg.horizon, dt=cfg.dt,
-    )
+    return _Reflected(mp, gamma, A, B, cfg, range(cfg.n_paths)).run().estimate()
 
 
 def couple_at_boundaries(mp: MarketParams, impulse_bounds_y, limits_y,
                          cfg: SimConfig, y_start: float):
-    """Drive the transformed impulse process and the reflected one on the
-    same normal increments; returns per-path sup distances and trade counts.
+    """Drive the transformed impulse processes of k deltas and the reflected
+    one on the same normal increments, drawn once per path.
 
-    Both processes step by c dt + sigma sqrt(dt) Z first and are then
-    mapped back into their regions, the impulse one by jumping to its
-    restart target, the reflected one by clipping.
+    impulse_bounds_y is one (a, alpha, beta, b) in log coordinates or a
+    (k, 4) stack of them.  Every process steps by c dt + sigma sqrt(dt) Z
+    and is then mapped back into its region, an impulse one by jumping to
+    its restart target, the reflected one by clipping.  Returns per-path
+    sup distances and trade counts as (k, n_paths) arrays.
     """
-    a_y, al_y, be_y, b_y = impulse_bounds_y
-    lo_y, hi_y = limits_y
-    n_paths = cfg.n_paths
-    n_steps = cfg.n_steps
+    a_y, al_y, be_y, b_y = np.atleast_2d(impulse_bounds_y).T[..., None]
     c = (mp.mu - mp.r - 0.5 * mp.sigma * mp.sigma) * cfg.dt
     sq = mp.sigma * math.sqrt(cfg.dt)
-    Yi = np.full(n_paths, y_start)
-    Yr = np.full(n_paths, y_start)
-    sup = np.zeros(n_paths)
-    trades = np.zeros(n_paths, dtype=np.int64)
-    gens = [path_generator(cfg.base_seed, i) for i in range(n_paths)]
-    done = 0
-    while done < n_steps:
-        nb = min(_BLOCK, n_steps - done)
-        Z = np.empty((n_paths, nb))
-        for i, gen in enumerate(gens):
-            Z[i] = gen.standard_normal(nb)
-        for k in range(nb):
-            dw = c + sq * Z[:, k]
-            Yi = Yi + dw
-            out_lo = Yi <= a_y
-            out_hi = Yi >= b_y
-            if out_lo.any() or out_hi.any():
-                trades += out_lo | out_hi
-                Yi = np.where(out_lo, al_y, np.where(out_hi, be_y, Yi))
-            Yr = np.clip(Yr + dw, lo_y, hi_y)
-            np.maximum(sup, np.abs(Yi - Yr), out=sup)
-        done += nb
+    Yi = np.full((a_y.shape[0], cfg.n_paths), y_start)
+    Yr = np.full(cfg.n_paths, y_start)
+    sup = np.zeros(Yi.shape)
+    trades = np.zeros(Yi.shape, dtype=np.int64)
+
+    def step(n, z, u):
+        nonlocal Yi, Yr
+        dw = c + sq * z
+        Yi = Yi + dw
+        out_lo = Yi <= a_y
+        out_hi = Yi >= b_y
+        if out_lo.any() or out_hi.any():
+            np.add(trades, out_lo | out_hi, out=trades)
+            Yi = np.where(out_lo, al_y, np.where(out_hi, be_y, Yi))
+        Yr = np.clip(Yr + dw, *limits_y)
+        np.maximum(sup, np.abs(Yi - Yr), out=sup)
+
+    # Y/X of every path is positive and finite inside the cone
+    _drive(cfg, range(cfg.n_paths), step, lambda: np.exp(np.vstack((Yi, Yr))))
     return sup, trades
 
 
@@ -428,8 +393,10 @@ def couple_paths(mp: MarketParams, gamma: float, deltas, cfg: SimConfig) -> list
     """Common-noise coupling of impulse paths against the reflected limit.
 
     deltas must be sorted in decreasing order; each is solved by the
-    boundary solver (warm started along the list).  One CouplingRow per
-    delta, reporting the mean over paths of sup_t |Y_delta - Y|.
+    boundary solver (warm started along the list), and the start fraction
+    is checked against every no-trade region before any path is walked.
+    One CouplingRow per delta, reporting the mean over paths of
+    sup_t |Y_delta - Y|.
     """
     deltas = [float(d) for d in deltas]
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
@@ -437,22 +404,15 @@ def couple_paths(mp: MarketParams, gamma: float, deltas, cfg: SimConfig) -> list
     lim = _limit.solve_limit(mp, gamma)
     lo_y, hi_y = to_centered(lim.candidate.A), to_centered(lim.candidate.B)
     h_start = cfg.h0 if cfg.h0 is not None else _default_h0(mp, lim.candidate.A, lim.candidate.B)
-    y_start = to_centered(h_start)
-    rows = []
-    prev = None
+    bounds_y = []
+    cand = None
     for delta in deltas:
-        cp = CostParams(delta=delta, gamma=gamma)
-        sol = _qvi.solve_boundaries(mp, cp, init=prev)
-        prev = sol.candidate
-        cand = sol.candidate
+        cand = _qvi.solve_boundaries(mp, CostParams(delta=delta, gamma=gamma), init=cand).candidate
         if not cand.a < h_start < cand.b:
             raise ValueError(f"h0={h_start:g} outside the no-trade region at delta={delta:g}")
-        bounds_y = tuple(to_centered(v) for v in (cand.a, cand.alpha, cand.beta, cand.b))
-        sup, trades = couple_at_boundaries(mp, bounds_y, (lo_y, hi_y), cfg, y_start)
-        rows.append(CouplingRow(
-            delta=delta, mean_sup_distance=float(sup.mean()), n_paths=cfg.n_paths,
-            sup_distances=sup, trade_counts=trades,
-            jump_low=float(bounds_y[1] - bounds_y[0]),
-            jump_high=float(bounds_y[3] - bounds_y[2]),
-        ))
-    return rows
+        bounds_y.append([to_centered(v) for v in (cand.a, cand.alpha, cand.beta, cand.b)])
+    sup, trades = couple_at_boundaries(mp, bounds_y, (lo_y, hi_y), cfg, to_centered(h_start))
+    return [CouplingRow(delta=delta, mean_sup_distance=float(s.mean()), n_paths=cfg.n_paths,
+                        sup_distances=s, trade_counts=t,
+                        jump_low=float(by[1] - by[0]), jump_high=float(by[3] - by[2]))
+            for delta, by, s, t in zip(deltas, bounds_y, sup, trades)]

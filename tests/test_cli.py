@@ -1,6 +1,6 @@
 import pytest
 
-from growth_frictions import cli, limit, qvi
+from growth_frictions import cli, lab, limit, qvi, simulate
 
 FIG2 = "r = 0.0\nmu = 0.096\nsigma = 0.4\ngamma = 0.003\ndelta = 0.001\n"
 
@@ -206,3 +206,40 @@ def test_bad_input_is_one_config_error_before_solving(argv, config_file, tmp_pat
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("ERROR: config: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["reflect", "--h0", "0.01"],
+    ["simulate", "--h0", "0.99"],
+    ["couple", "--h0", "0.99"],
+    ["couple", "--h0", "0.8"],  # inside the delta=1e-2 region only
+])
+def test_start_outside_region_is_one_config_error(argv, config_file, tmp_path, capsys,
+                                                  monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked paths before checking h0 against every region")
+
+    monkeypatch.setattr(simulate, "couple_at_boundaries", no_walk)
+    code = cli.main(argv + ["--config", config_file, "--out", str(tmp_path / "out"),
+                            "--horizon", "1", "--dt", "0.01", "--n_paths", "4"])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR: config: h0=")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, module, name, error, reason", [
+    (["oracle"], lab, "brute_force_boundaries", lab.DegenerateChain, "degenerate_chain"),
+    (["simulate"], simulate, "estimate_growth_impulse", simulate.NumericalBlowup,
+     "numerical_blowup"),
+], ids=["degenerate_chain", "numerical_blowup"])
+def test_numerical_failure_is_one_named_error(argv, module, name, error, reason, config_file,
+                                              tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise error("injected failure")
+
+    monkeypatch.setattr(module, name, fail)
+    code = cli.main(argv + ["--config", config_file, "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"ERROR: {reason}: injected failure"]

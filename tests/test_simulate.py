@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import growth_frictions as gf
-from growth_frictions.simulate import _impulse_engine
+from growth_frictions import qvi
+from growth_frictions.simulate import _Impulse, _Reflected
 
 GAMMA = 0.003
 
@@ -125,6 +126,8 @@ def test_sim_config_validation():
         gf.SimConfig(horizon=1.0, dt=1e-3, v0=-1.0)
     with pytest.raises(ValueError):
         gf.SimConfig(horizon=1.0, dt=1e-3, n_paths=0)
+    with pytest.raises(ValueError, match="whole number of steps"):
+        gf.SimConfig(horizon=1.0, dt=0.0066)  # 152 steps would cover 1.0032
 
 
 def test_bridge_correction_adds_crossings(mp, cp, sol):
@@ -239,12 +242,41 @@ def test_couple_paths_requires_decreasing_deltas(mp):
         gf.couple_paths(mp, GAMMA, [1e-3, 1e-2], cfg)
 
 
-def test_engine_batch_equals_singletons(mp, cp, sol):
-    # the vectorised engine gives the same numbers for a path whether it is
+@pytest.mark.parametrize("rule", ["impulse", "bridge", "reflected"])
+def test_engine_batch_equals_singletons(rule, mp, cp, sol, lim):
+    # the vectorised time loop gives the same numbers for a path whether it is
     # simulated alone or inside a batch
-    bounds = (sol.candidate.a, sol.candidate.alpha, sol.candidate.beta, sol.candidate.b)
-    cfg = gf.SimConfig(horizon=2.0, dt=1e-2, n_paths=3, base_seed=61)
-    batch_growth, _, _, _ = _impulse_engine(mp, cp, bounds, cfg, range(3), record=False)
+    cfg = gf.SimConfig(horizon=2.0, dt=1e-2, n_paths=3, base_seed=61,
+                       bridge_correction=rule == "bridge")
+
+    def growth(paths):
+        if rule == "reflected":
+            A, B = lim.candidate.A, lim.candidate.B
+            return _Reflected(mp, GAMMA, A, B, cfg, paths).run().growth()
+        return _Impulse(mp, cp, sol.candidate, cfg, paths).run(cfg.bridge_correction).growth()
+
+    batch_growth = growth(range(3))
     for i in range(3):
-        g_single, _, _, _ = _impulse_engine(mp, cp, bounds, cfg, [i], record=False)
-        assert g_single[0] == batch_growth[i]
+        assert growth([i])[0] == batch_growth[i]
+
+
+def test_coupling_stack_equals_single_deltas(mp, monkeypatch):
+    # given the same boundaries, the stacked walk gives each delta exactly
+    # the numbers of a walk of that delta alone; the solve is pinned to its
+    # cold start so that warm starting cannot move the boundaries
+    solve, cold = qvi.solve_boundaries, {}
+
+    def solve_cold(mp_, cp_, init=None):
+        if cp_.delta not in cold:
+            cold[cp_.delta] = solve(mp_, cp_)
+        return cold[cp_.delta]
+
+    monkeypatch.setattr(qvi, "solve_boundaries", solve_cold)
+    cfg = gf.SimConfig(horizon=2.0, dt=1e-3, n_paths=16, base_seed=62)
+    rows = gf.couple_paths(mp, GAMMA, [1e-2, 1e-3, 1e-4], cfg)
+    assert sum(row.trade_counts.sum() for row in rows) > 0
+    for row in rows:
+        (alone,) = gf.couple_paths(mp, GAMMA, [row.delta], cfg)
+        assert np.array_equal(row.sup_distances, alone.sup_distances)
+        assert np.array_equal(row.trade_counts, alone.trade_counts)
+        assert row.mean_sup_distance == alone.mean_sup_distance
