@@ -26,11 +26,7 @@ class ParameterDegeneracy(ValueError):
 
 
 class NonConvergence(RuntimeError):
-    """Newton failed; carries the continuation trace gathered so far."""
-
-    def __init__(self, message: str, trace=()):
-        super().__init__(message)
-        self.trace = tuple(trace)
+    """Newton did not reach a valid root."""
 
 
 def _e1(z):

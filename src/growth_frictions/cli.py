@@ -243,8 +243,7 @@ def coupling_csv(rows) -> str:
 
 def oracle_csv(result: lab.BruteForceResult) -> str:
     lines = ["a,alpha,beta,b,growth"]
-    for row in result.values:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.extend("%.17g,%.17g,%.17g,%.17g,%.17g" % tuple(row) for row in result.values.tolist())
     return "\n".join(lines) + "\n"
 
 

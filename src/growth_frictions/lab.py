@@ -13,7 +13,9 @@ both edges.  Chaining the two restart states through their stationary law
 turns (reward per cycle)/(length per cycle) into the long-run growth rate.
 
 The brute-force search scans (a, alpha, beta, b) boxes with that evaluator,
-giving a noise-free oracle for the solver's output.
+giving a noise-free oracle for the solver's output.  A batch of candidates
+prices each distinct exit problem (a, b, restart point) once, so a box of
+k^4 candidates costs about 2 k^3 exit problems.
 """
 
 from __future__ import annotations
@@ -132,22 +134,38 @@ def expected_running_reward(fn, drift: float, vol: float, lo, hi, y, n_nodes: in
 
 def _renewal_batch(mp: MarketParams, cp: CostParams, a, al, be, b) -> np.ndarray:
     """Growth rates of constant boundary strategies, vectorised over
-    candidate arrays (all shape (n,))."""
-    a_y, al_y, be_y, b_y = (to_centered(v) for v in (a, al, be, b))
+    candidate arrays (all shape (n,)).
+
+    Candidate i restarts through two exit problems of (a_i, b_i), one from
+    alpha_i and one from beta_i.  Boxes and seed grids share most of them,
+    so each distinct (a, b, y) triple is priced once and gathered back.
+    """
+    n = np.size(a)
+    a_vals, a_code = np.unique(a, return_inverse=True)
+    b_vals, b_code = np.unique(b, return_inverse=True)
+    y_vals, y_code = np.unique(np.concatenate([al, be]), return_inverse=True)
+    dims = (a_vals.size, b_vals.size, y_vals.size)
+    triples, problem = np.unique(
+        np.ravel_multi_index((np.tile(a_code, 2), np.tile(b_code, 2), y_code), dims),
+        return_inverse=True)
+    i_a, i_b, i_y = np.unravel_index(triples, dims)
+    lo, hi, y = to_centered(a_vals)[i_a], to_centered(b_vals)[i_b], to_centered(y_vals)[i_y]
     c = mp.mu - mp.r - 0.5 * mp.sigma * mp.sigma
-    p_low = exit_prob_up(c, mp.sigma, a_y, b_y, al_y)
-    p_high = exit_prob_up(c, mp.sigma, a_y, b_y, be_y)
+
+    def per_candidate(per_problem):
+        out = per_problem[problem]
+        return out[:n], out[n:]
+
+    p_low, p_high = per_candidate(exit_prob_up(c, mp.sigma, lo, hi, y))
     bad = (p_low <= 1e-12) | (p_low >= 1.0 - 1e-12) | (p_high <= 1e-12) | (p_high >= 1.0 - 1e-12)
     if np.any(bad):
+        k = int(np.argmax(bad))
         raise DegenerateChain(
             "restart chain numerically absorbing: exit probabilities "
-            f"p(alpha)={np.atleast_1d(p_low)[np.argmax(np.atleast_1d(bad))]:.3e}, "
-            f"p(beta)={np.atleast_1d(p_high)[np.argmax(np.atleast_1d(bad))]:.3e}")
-    m_low = expected_exit_time(c, mp.sigma, a_y, b_y, al_y)
-    m_high = expected_exit_time(c, mp.sigma, a_y, b_y, be_y)
+            f"p(alpha)={p_low[k]:.3e}, p(beta)={p_high[k]:.3e}")
+    m_low, m_high = per_candidate(expected_exit_time(c, mp.sigma, lo, hi, y))
     fbar = lambda z: growth_integrand_transformed(mp, z)
-    w_low = expected_running_reward(fbar, c, mp.sigma, a_y, b_y, al_y)
-    w_high = expected_running_reward(fbar, c, mp.sigma, a_y, b_y, be_y)
+    w_low, w_high = per_candidate(expected_running_reward(fbar, c, mp.sigma, lo, hi, y))
     cost_low = np.log(wealth_factor(cp, a, al))
     cost_high = np.log(wealth_factor(cp, b, be))
     # stationary split of the restart chain on {alpha, beta}
@@ -179,8 +197,7 @@ class BruteForceResult:
 
 
 def brute_force_boundaries(mp: MarketParams, cp: CostParams, center,
-                           radius: float, step: float,
-                           chunk: int = 20000) -> BruteForceResult:
+                           radius: float, step: float) -> BruteForceResult:
     """Exhaustive renewal evaluation on a 4-d box around center.
 
     The grid must stay inside (0, 1) with the ordering preserved at the
@@ -198,10 +215,7 @@ def brute_force_boundaries(mp: MarketParams, cp: CostParams, center,
     aa, al, be, bb = np.meshgrid(center.a + offs, center.alpha + offs,
                                  center.beta + offs, center.b + offs, indexing="ij")
     aa, al, be, bb = (v.ravel() for v in (aa, al, be, bb))
-    growth = np.empty(aa.size)
-    for i in range(0, aa.size, chunk):
-        sl = slice(i, min(i + chunk, aa.size))
-        growth[sl] = _renewal_batch(mp, cp, aa[sl], al[sl], be[sl], bb[sl])
+    growth = _renewal_batch(mp, cp, aa, al, be, bb)
     kbest = int(np.argmax(growth))
     best = _qvi.BoundaryCandidate(
         l=center.l, x0=center.x0,
@@ -239,7 +253,7 @@ def sweep_delta(mp: MarketParams, gamma: float, deltas) -> SweepTable:
     """Solve the boundary system along a decreasing delta grid.
 
     Each row warm starts from the previous one (the solver falls back to
-    its cold starts if that fails).  A failed row aborts the sweep; the
+    its cold start if that fails).  A failed row aborts the sweep; the
     raised NonConvergence carries the completed rows as .partial.
     """
     deltas = [float(d) for d in deltas]

@@ -13,10 +13,11 @@ of smooth-pasting and value-matching equations:
     int_a^alpha g + cost(a, alpha) = 0           value matching across
     int_beta^b g - cost(b, beta)   = 0           the rebalancing jumps
 
-solved by damped Newton with numerical continuation in delta.  The value
-function u is then assembled piecewise from the trade cost outside [a, b]
-and the integral of g inside, and checked against the variational
-inequality max{Du + f - l, Mu - u} = 0 on a grid.
+solved by one damped Newton run from a warm start or, cold, from the
+constant boundary policy with the best exact renewal value near the
+reflecting limits.  The value function u is then assembled piecewise from
+the trade cost outside [a, b] and the integral of g inside, and checked
+against the variational inequality max{Du + f - l, Mu - u} = 0 on a grid.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "NonConvergence", "ParameterDegeneracy",
 ]
 
-CONTINUATION_DELTA_START = 1e-2
 RESIDUAL_TOL = 1e-10
 PASTING_TOL = 1e-8
 
@@ -115,41 +115,17 @@ def residual_system(mp: MarketParams, cp: CostParams, cand: BoundaryCandidate) -
     ])
 
 
-def _heuristic_initializer(mp, cp_delta, lim_cand):
-    """Seed the delta-start solve from the pure-proportional limits.
-
-    Boundary gaps open like a fractional power of delta; the 1/3 exponent
-    is only an initializer choice.  The seed growth excess l0 - delta is
-    clamped into the admissible band (max{f(0), f(1)}, l0), since it goes
-    below the floor whenever delta is comparable to the attainable excess.
-    """
-    A, B, l0 = lim_cand.A, lim_cand.B, lim_cand.l0
-    c = (B - A) / 4.0
-    off = c * cp_delta ** (1.0 / 3.0)
-    a, al = A - off, A + off
-    be, b = B - off, B + off
-    while not (EPS < a and b < 1.0 - EPS and al < be):
-        off *= 0.5
-        a, al, be, b = A - off, A + off, B - off, B + off
-    floor = max(growth_integrand(mp, 0.0), growth_integrand(mp, 1.0))
-    l = max(l0 - cp_delta, floor + 0.25 * (l0 - floor))
-    hhat = merton_fraction(mp)
-    span = be - al
-    x0 = min(max(hhat, al + 1e-3 * span), be - 1e-3 * span)
-    return BoundaryCandidate(l=l, x0=x0, a=a, alpha=al, beta=be, b=b)
-
-
 def _oracle_seed(mp, cp, lim_cand):
     """Seed Newton by maximising the exact renewal value of the policy over
     log-spaced widening/inset offsets around the reflecting limits.
 
-    The plain heuristic assumes the no-trade region opens symmetrically,
-    which fails badly for lopsided Merton fractions; searching the policy
-    value directly (cheap: the evaluator is closed-form plus quadrature)
-    lands inside the Newton basin regardless of the region's shape.  If no
-    searched policy beats the floor r + max{f(0), f(1)} of never trading
-    (or holding only stock), there is no interior optimum to seed and
-    ParameterDegeneracy is raised.
+    A seed that opens the no-trade region symmetrically fails badly for
+    lopsided Merton fractions; searching the policy value directly (cheap:
+    the evaluator is closed-form plus quadrature, and each exit problem is
+    priced once) lands inside the Newton basin regardless of the region's
+    shape.  If no searched policy beats the floor r + max{f(0), f(1)} of
+    never trading (or holding only stock), there is no interior optimum to
+    seed and ParameterDegeneracy is raised.
     """
     from .lab import _renewal_batch  # deferred: lab imports this module
 
@@ -170,14 +146,10 @@ def _oracle_seed(mp, cp, lim_cand):
         b = from_centered(b_y[keep])
         keep2 = (a > EPS) & (b < 1.0 - EPS)
         a, al, be, b = a[keep2], al[keep2], be[keep2], b[keep2]
-        values = np.full(a.shape, -np.inf)
-        chunk = 40000
-        for i in range(0, a.size, chunk):
-            sl = slice(i, min(i + chunk, a.size))
-            try:
-                values[sl] = _renewal_batch(mp, cp, a[sl], al[sl], be[sl], b[sl])
-            except (ValueError, RuntimeError):
-                pass
+        try:
+            values = _renewal_batch(mp, cp, a, al, be, b)
+        except (ValueError, RuntimeError):
+            values = np.full(a.shape, -np.inf)
         k = int(np.argmax(values))
         best = (float(a[k]), float(al[k]), float(be[k]), float(b[k]), float(values[k]))
         widen = np.unique(np.concatenate([
@@ -198,82 +170,67 @@ def _oracle_seed(mp, cp, lim_cand):
     return BoundaryCandidate(l=l, x0=x0, a=a, alpha=al, beta=be, b=b)
 
 
-def _continuation_walk(mp, gamma, cand, d_from, d_to, trace):
-    """Solve at d_from from cand, then track the root family to d_to along
-    geometric legs (factor 1/2 down, 2 up).  Each leg is one damped Newton
-    run warm started from the last; the first run that misses RESIDUAL_TOL
-    or collapses alpha onto beta fails the walk with NonConvergence."""
-    total = 0
-    cur = d_from
-    while True:
-        cp = CostParams(delta=cur, gamma=gamma)
-        v, iters, norm = damped_newton(
-            lambda v: residual_system(mp, cp, BoundaryCandidate.from_vector(v)),
-            cand.as_vector(), tol=RESIDUAL_TOL)
-        cand = BoundaryCandidate.from_vector(v)
-        collapsed = not cand.alpha < cand.beta
-        if norm > RESIDUAL_TOL or collapsed:
-            raise NonConvergence(f"residual {norm:.3e} at delta={cur:g}"
-                                 + (" (alpha = beta collapse)" if collapsed else ""), trace)
-        total += iters
-        trace.append((cur, cand))
-        if cur == d_to:
-            return cand, total, norm
-        cur = max(cur / 2.0, d_to) if d_to < cur else min(cur * 2.0, d_to)
+def _newton_run(mp, cp, cand):
+    """One damped Newton run at cp from cand.  A run that misses
+    RESIDUAL_TOL or collapses alpha onto beta raises NonConvergence."""
+    v, iters, norm = damped_newton(
+        lambda v: residual_system(mp, cp, BoundaryCandidate.from_vector(v)),
+        cand.as_vector(), tol=RESIDUAL_TOL)
+    cand = BoundaryCandidate.from_vector(v)
+    collapsed = not cand.alpha < cand.beta
+    if norm > RESIDUAL_TOL or collapsed:
+        raise NonConvergence(f"residual {norm:.3e} at delta={cp.delta:g}"
+                             + (" (alpha = beta collapse)" if collapsed else ""))
+    return cand, iters, norm
 
 
 def _starts(mp, cp, init):
-    """The ordered (delta, seed) starts of solve_boundaries, built lazily so
-    the limit solve and the renewal search run only when they are reached."""
+    """The seeds of solve_boundaries in order, built lazily so the limit
+    solve and the renewal search run only when the warm start fails."""
     if init is not None:
-        yield cp.delta, init
-    lim = _limit.solve_limit(mp, cp.gamma).candidate
-    yield CONTINUATION_DELTA_START, _heuristic_initializer(mp, CONTINUATION_DELTA_START, lim)
-    yield cp.delta, _oracle_seed(mp, cp, lim)
+        yield init
+    yield _oracle_seed(mp, cp, _limit.solve_limit(mp, cp.gamma).candidate)
 
 
 def solve_boundaries(mp: MarketParams, cp: CostParams,
                      init: BoundaryCandidate | None = None) -> BoundarySolution:
     """Solve the six-unknown system; requires delta > 0 and gamma > 0.
 
-    Tries up to three starts in order and returns the first that converges
-    to a valid candidate:
+    Tries up to two starts in order and returns the first that converges
+    to a valid candidate, each with one damped Newton run at the target
+    delta:
 
-    1. ``init``, when given: one damped Newton run at the target delta;
-    2. the heuristic seed around the pure-proportional limits: one run at
-       delta = 1e-2, then one per geometric leg (factor 1/2 down, factor 2
-       up) to the target, each warm started from the last;
-    3. the renewal-search seed: one run at the target delta.
+    1. ``init``, when given (the warm start);
+    2. the renewal-search seed around the pure-proportional limits (the
+       cold start).
 
     A failed run fails its start; nothing is retried or perturbed.  Raises
-    ParameterDegeneracy ("no interior optimum") when start 3's renewal
-    search finds no policy beating the no-trade floor, and NonConvergence
-    (with the gathered continuation trace) when every start fails.
+    ParameterDegeneracy ("no interior optimum") when the renewal search
+    finds no policy beating the no-trade floor, and NonConvergence when
+    every start fails.  ``continuation_trace`` holds the (delta, candidate)
+    of the run that converged.
     """
     if cp.delta <= 0.0:
         raise ParameterDegeneracy("impulse boundary solver requires delta > 0")
     if cp.gamma <= 0.0:
         raise ParameterDegeneracy("impulse boundary solver requires gamma > 0")
 
-    trace: list = []
     last_err: Exception | None = None
-    for d0, seed in _starts(mp, cp, init):
-        attempt: list = []
+    for seed in _starts(mp, cp, init):
         try:
-            cand, iters, norm = _continuation_walk(mp, cp.gamma, seed, d0, cp.delta, attempt)
+            cand, iters, norm = _newton_run(mp, cp, seed)
             cand.check_invariants(mp, cp)
         except (NonConvergence, ValueError) as err:
             last_err = err
-            trace.extend(attempt)
             continue
         return BoundarySolution(
             candidate=cand,
             residual_norm=norm,
             newton_iters=iters,
-            continuation_trace=tuple(attempt),
+            continuation_trace=((cp.delta, cand),),
             original_cost_optimal=bool(cand.a <= cand.alpha * (1.0 - cp.delta)),
         )
-    raise NonConvergence(f"no start converged: {last_err}", trace)
+    raise NonConvergence(f"no start converged: {last_err}")
 
 
 @dataclass(frozen=True)

@@ -393,8 +393,9 @@ def couple_paths(mp: MarketParams, gamma: float, deltas, cfg: SimConfig) -> list
     """Common-noise coupling of impulse paths against the reflected limit.
 
     deltas must be sorted in decreasing order; each is solved by the
-    boundary solver (warm started along the list), and the start fraction
-    is checked against every no-trade region before any path is walked.
+    boundary solver (warm started along the list).  The start fraction is
+    checked against the reflected band [A, B] before any delta is solved,
+    and against every no-trade region before any path is walked.
     One CouplingRow per delta, reporting the mean over paths of
     sup_t |Y_delta - Y|.
     """
@@ -402,8 +403,11 @@ def couple_paths(mp: MarketParams, gamma: float, deltas, cfg: SimConfig) -> list
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be sorted in decreasing order")
     lim = _limit.solve_limit(mp, gamma)
-    lo_y, hi_y = to_centered(lim.candidate.A), to_centered(lim.candidate.B)
-    h_start = cfg.h0 if cfg.h0 is not None else _default_h0(mp, lim.candidate.A, lim.candidate.B)
+    A, B = lim.candidate.A, lim.candidate.B
+    lo_y, hi_y = to_centered(A), to_centered(B)
+    h_start = cfg.h0 if cfg.h0 is not None else _default_h0(mp, A, B)
+    if not A <= h_start <= B:
+        raise ValueError(f"h0={h_start:g} must lie inside the reflected band [{A:g}, {B:g}]")
     bounds_y = []
     cand = None
     for delta in deltas:

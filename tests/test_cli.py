@@ -213,13 +213,19 @@ def test_bad_input_is_one_config_error_before_solving(argv, config_file, tmp_pat
     ["simulate", "--h0", "0.99"],
     ["couple", "--h0", "0.99"],
     ["couple", "--h0", "0.8"],  # inside the delta=1e-2 region only
+    ["couple", "--h0", "0.7"],  # inside every delta's region, above B = 0.664
 ])
 def test_start_outside_region_is_one_config_error(argv, config_file, tmp_path, capsys,
                                                   monkeypatch):
     def no_walk(*args, **kwargs):
         raise AssertionError("walked paths before checking h0 against every region")
 
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved the boundaries before checking h0 against [A, B]")
+
     monkeypatch.setattr(simulate, "couple_at_boundaries", no_walk)
+    if argv[0] != "simulate":  # only the impulse region needs the boundary solve
+        monkeypatch.setattr(qvi, "solve_boundaries", no_solve)
     code = cli.main(argv + ["--config", config_file, "--out", str(tmp_path / "out"),
                             "--horizon", "1", "--dt", "0.01", "--n_paths", "4"])
     assert code == 1

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 import growth_frictions as gf
+from growth_frictions import lab
 from mc_reference import exit_mc
 
 GAMMA = 0.003
@@ -95,6 +96,46 @@ def test_renewal_rejects_degenerate_chain(mp, cp):
                                 beta=0.3, b=0.9)
     with pytest.raises(gf.DegenerateChain):
         gf.evaluate_policy_renewal(mp, cp, cand)
+
+
+def _row_by_row(mp, cp, a, al, be, b):
+    return np.array([gf.evaluate_policy_renewal(mp, cp, gf.BoundaryCandidate(
+        l=0.02, x0=0.5 * (v[1] + v[2]), a=v[0], alpha=v[1], beta=v[2], b=v[3]))
+        for v in zip(a, al, be, b)])
+
+
+def test_renewal_batch_shares_exit_problems_exactly(mp, cp, sol):
+    # a shuffled batch whose candidates repeat (a, b, alpha) and (a, b, beta)
+    # triples, and some whole rows, prices each row as a batch of one does
+    c = sol.candidate
+    offs = np.array([-2e-3, 0.0, 3e-3])
+    grid = np.meshgrid(c.a + offs, c.alpha + offs, c.beta + offs, c.b + offs, indexing="ij")
+    a, al, be, b = (g.ravel() for g in grid)
+    rng = np.random.default_rng(7)
+    rows = rng.permutation(np.concatenate([np.arange(a.size), rng.integers(0, a.size, 20)]))
+    a, al, be, b = a[rows], al[rows], be[rows], b[rows]
+    batch = lab._renewal_batch(mp, cp, a, al, be, b)
+    assert np.array_equal(batch, _row_by_row(mp, cp, a, al, be, b))
+
+
+def test_brute_force_values_equal_row_by_row(mp, cp, sol):
+    values = gf.brute_force_boundaries(mp, cp, sol.candidate, radius=4e-3, step=2e-3).values
+    assert np.array_equal(values[:, 4], _row_by_row(mp, cp, *values[:, :4].T))
+
+
+def test_degenerate_chain_names_first_degenerate_candidate(mp, cp):
+    # rows 1 and 3 are absorbing; row 3 sorts first by a, row 1 comes first
+    a = np.array([0.3, 0.2, 0.3, 0.1, 0.3])
+    al = np.array([0.4, 0.2 + 1e-13, 0.4, 0.15, 0.4])
+    be = np.array([0.6, 0.3, 0.6, 0.9 - 1e-13, 0.6])
+    b = np.array([0.8, 0.9, 0.8, 0.9, 0.8])
+    c = mp.mu - mp.r - 0.5 * mp.sigma**2
+    lo, hi = gf.to_centered(a[1]), gf.to_centered(b[1])
+    p_low = gf.exit_prob_up(c, mp.sigma, lo, hi, gf.to_centered(al[1]))
+    p_high = gf.exit_prob_up(c, mp.sigma, lo, hi, gf.to_centered(be[1]))
+    with pytest.raises(gf.DegenerateChain) as err:
+        lab._renewal_batch(mp, cp, a, al, be, b)
+    assert f"p(alpha)={p_low:.3e}, p(beta)={p_high:.3e}" in str(err.value)
 
 
 def test_renewal_rejects_bad_ordering(mp, cp):

@@ -214,17 +214,16 @@ def test_strict_second_order_margins(mp, cp, sol):
 
 
 def test_continuation_trace_recorded(mp, cp, sol):
-    deltas = [d for d, _ in sol.continuation_trace]
-    assert deltas[0] == pytest.approx(1e-2)
-    assert deltas[-1] == pytest.approx(cp.delta)
-    assert all(d2 <= d1 for d1, d2 in zip(deltas, deltas[1:]))
+    # a cold solve is one Newton run at the target delta, from the renewal seed
+    assert sol.continuation_trace == ((cp.delta, sol.candidate),)
 
 
-def test_continuation_walks_upward_for_large_delta(mp):
-    sol = gf.solve_boundaries(mp, gf.CostParams(delta=0.05, gamma=0.003))
+def test_large_delta_cold_solve_verifies(mp):
+    cp_large = gf.CostParams(delta=0.05, gamma=0.003)
+    sol = gf.solve_boundaries(mp, cp_large)
     assert sol.residual_norm <= 1e-10
     c = sol.candidate
     assert 0 < c.a < c.alpha < c.x0 < c.beta < c.b < 1
-    deltas = [d for d, _ in sol.continuation_trace]
-    assert deltas[0] == pytest.approx(1e-2)
-    assert deltas[-1] == pytest.approx(0.05)
+    assert sol.continuation_trace[-1][0] == cp_large.delta
+    vf = gf.build_value(mp, cp_large, sol)
+    assert gf.verify_qvi(mp, cp_large, vf, 501).passed
