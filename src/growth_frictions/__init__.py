@@ -17,7 +17,7 @@ from .qvi import (BoundaryCandidate, BoundarySolution, ValueFunction,
                   VerificationReport, build_value, residual_system,
                   slope_g, slope_g_dx, slope_g_integral, solve_boundaries,
                   verify_qvi)
-from .limit import (HJBReport, LimitCandidate, LimitSolution, LimitValue,
+from .limit import (HJBReport, LimitCandidate, LimitSolution,
                     build_limit_value, residual_system_limit, solve_limit,
                     verify_hjb_limit)
 from .simulate import (CouplingRow, GrowthEstimate, PathRecord,

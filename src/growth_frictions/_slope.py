@@ -1,4 +1,5 @@
-"""Slope function of the continuation region and the damped Newton engine.
+"""Slope function of the continuation region, the value function built from
+it, and the damped Newton engine.
 
 Inside the no-trade region the value function's derivative is an explicit
 function g(x, x0, l) anchored so that g(x0, x0, l) = 0.  The textbook form
@@ -12,13 +13,21 @@ is needed anywhere in the solvers.
 Derivatives of g are evaluated through the continuation ODE rearranged,
 g'(x) = (l - f(x) - x(1-x)(mu - r - sigma^2 x) g(x)) / (sigma^2 x^2 (1-x)^2 / 2),
 which is exact because g solves that ODE identically in (x0, l).
+
+``ValueFunction`` is the piecewise value function of both models (the
+reflecting limit is its case delta = 0, a = alpha = A, beta = b = B), and
+``_grid_check`` is the grid pass that both verifications share.
 """
 
 from __future__ import annotations
 
+from dataclasses import astuple, dataclass, field
+
 import numpy as np
 
-from .market import MarketParams, growth_integrand, merton_fraction, to_centered
+from .market import (EPS, CostParams, MarketParams, apply_generator,
+                     growth_integrand, merton_fraction, to_centered,
+                     trade_cost_gamma)
 
 
 class ParameterDegeneracy(ValueError):
@@ -113,6 +122,104 @@ def slope_g_integral(mp: MarketParams, x_from, x_to, x0: float, l: float):
     piece_c = _softplus(t2) - _softplus(t1)
     out = -(2.0 * l / (mp.sigma * mp.sigma)) * piece_a + piece_b - piece_c
     return out if out.ndim else float(out)
+
+
+class NewtonUnknowns:
+    """Base of the frozen-dataclass unknowns that Newton iterates on as one
+    vector, in field order."""
+
+    def as_vector(self) -> np.ndarray:
+        return np.array(astuple(self))
+
+    @classmethod
+    def from_vector(cls, v):
+        return cls(*(float(c) for c in v))
+
+
+@dataclass(frozen=True)
+class ValueFunction:
+    """Piecewise variational-inequality solution with u, u', u''.
+
+    ``anchor`` is (l, x0, a, alpha, beta, b): u is the trade cost to alpha
+    below a, u(a) plus the integral of g from a on [a, b], and u(beta) plus
+    the trade cost to beta above b, so u is continuous.  The reflecting
+    limit is the case delta = 0, a = alpha = A, beta = b = B, where u(A) = 0
+    and the curve is C2.
+
+    Evaluation is anchored to the parameters captured at build time (the
+    spec of the candidate the function was built from); mutating or
+    replacing the ``candidate`` field afterwards does not re-derive the
+    curve, which is exactly what lets a verification pass detect an
+    inconsistent (u, l) pair.
+    """
+
+    market: MarketParams
+    costs: CostParams
+    candidate: object
+    anchor: tuple = field(repr=False, default=())
+
+    @property
+    def u_at_a(self) -> float:
+        _, _, a, al, _, _ = self.anchor
+        return float(trade_cost_gamma(self.costs, a, al))
+
+    @property
+    def u_at_beta(self) -> float:
+        l, x0, a, _, be, _ = self.anchor
+        return float(self.u_at_a + slope_g_integral(self.market, a, be, x0, l))
+
+    def _piecewise(self, x, low, mid, high):
+        """low(x) below a, mid(x) on [a, b] and high(x) above b, on [0, 1]."""
+        x = np.asarray(x, dtype=float)
+        if np.any(x < 0.0) or np.any(x > 1.0):
+            raise ValueError("value function is defined on [0, 1]")
+        _, _, a, _, _, b = self.anchor
+        below, above = x < a, x > b
+        out = np.empty_like(x)
+        for mask, piece in ((below, low), (~(below | above), mid), (above, high)):
+            if mask.any():
+                out[mask] = piece(x[mask])
+        return out if out.ndim else float(out)
+
+    def u(self, x):
+        l, x0, a, al, be, _ = self.anchor
+        return self._piecewise(x, lambda y: trade_cost_gamma(self.costs, y, al),
+                               lambda y: self.u_at_a + slope_g_integral(self.market, a, y, x0, l),
+                               lambda y: self.u_at_beta + trade_cost_gamma(self.costs, y, be))
+
+    def du(self, x):
+        l, x0 = self.anchor[:2]
+        gm, dl = self.costs.gamma, self.costs.delta
+        return self._piecewise(x, lambda y: gm / (1.0 - dl + gm * y),
+                               lambda y: slope_g(self.market, y, x0, l),
+                               lambda y: -gm / (1.0 - dl - gm * y))
+
+    def ddu(self, x):
+        l, x0 = self.anchor[:2]
+        gm, dl = self.costs.gamma, self.costs.delta
+        return self._piecewise(x, lambda y: -gm * gm / (1.0 - dl + gm * y) ** 2,
+                               lambda y: slope_g_dx(self.market, y, x0, l),
+                               lambda y: -gm * gm / (1.0 - dl - gm * y) ** 2)
+
+
+def _peak(values, xs):
+    """The largest of values and the x where it occurs."""
+    k = int(np.argmax(values))
+    return float(values[k]), float(xs[k])
+
+
+def _grid_check(mp: MarketParams, vf: ValueFunction, l: float, lo: float, hi: float,
+                grid_n: int, who: str):
+    """The grid pass shared by verify_qvi and verify_hjb_limit: the grid on
+    [EPS, 1 - EPS], u' on it, the residual Du + f - l, the mask of [lo, hi],
+    and the largest |residual| on that mask with its location."""
+    if grid_n < 100:
+        raise ValueError(f"{who} requires grid_n >= 100")
+    grid = np.linspace(EPS, 1.0 - EPS, grid_n)
+    du = vf.du(grid)
+    resid = apply_generator(mp, 0.0, du, vf.ddu(grid), grid) + growth_integrand(mp, grid) - l
+    interior = (grid >= lo) & (grid <= hi)
+    return (grid, du, resid, interior) + _peak(np.abs(resid[interior]), grid[interior])
 
 
 def damped_newton(residual, v0, *, tol=1e-10, max_iter=80, fd_step=1e-7,

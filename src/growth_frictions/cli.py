@@ -191,7 +191,10 @@ def solution_csv(mp: MarketParams, cp: CostParams, sol: qvi.BoundarySolution) ->
 
 
 def read_solution_csv(path: str):
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    except OSError as err:
+        raise ConfigError(f"cannot read solution file {path}: {err}") from None
     if len(lines) < 2 or tuple(lines[0].split(",")) != SOLUTION_COLUMNS:
         raise ConfigError(f"{path}: not a boundary solution file")
     vals = dict(zip(SOLUTION_COLUMNS, lines[1].split(",")))
@@ -457,6 +460,8 @@ def _cmd_verify(cfg: RunConfig) -> int:
             raise ParameterError(f"stored candidate has residual norm {res_norm:.3e}")
         vf = qvi.build_value(mp, cp, sol)
         report = qvi.verify_qvi(mp, cp, vf, cfg.get("grid_n"), tol=cfg.get("tol"))
+    except ConfigError:
+        raise
     except (ParameterError, ParameterDegeneracy, ValueError) as err:
         print(f"ERROR: qvi_violation: {err}", file=sys.stderr)
         return 1

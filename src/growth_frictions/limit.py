@@ -10,24 +10,27 @@ by the impulse solver:
     g'(A) = -gamma^2/(1 + gamma A)^2    g'(B) = -gamma^2/(1 - gamma B)^2
 
 i.e. the delta -> 0 limit of the six-equation system once a and alpha merge
-into A and beta and b merge into B.  The assembled value function is C2,
-which verify_hjb_limit checks on a grid together with the gradient
-constraints of the verification theorem.
+into A and beta and b merge into B.  The value function is therefore the
+impulse model's ValueFunction at delta = 0 with anchor (l0, x0, A, A, B, B);
+it is C2, which verify_hjb_limit checks on the grid shared with verify_qvi
+together with the gradient constraints of the verification theorem.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._slope import (NonConvergence, ParameterDegeneracy, damped_newton,
-                     slope_g, slope_g_dx, slope_g_integral)
-from .market import (EPS, MarketParams, ParameterError, apply_generator,
-                     growth_integrand, merton_fraction)
+from ._slope import (NewtonUnknowns, NonConvergence, ParameterDegeneracy,
+                     ValueFunction, _grid_check, damped_newton, slope_g, slope_g_dx)
+from .market import (CostParams, MarketParams, ParameterError,
+                     check_growth_excess, growth_integrand, merton_fraction,
+                     no_trade_floor)
 
 __all__ = [
-    "LimitCandidate", "LimitSolution", "LimitValue", "HJBReport",
+    "LimitCandidate", "LimitSolution", "HJBReport",
     "residual_system_limit", "solve_limit", "build_limit_value",
     "verify_hjb_limit", "NonConvergence", "ParameterDegeneracy",
 ]
@@ -37,7 +40,7 @@ SECOND_ORDER_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class LimitCandidate:
+class LimitCandidate(NewtonUnknowns):
     """Unknowns of the reflecting model: 0 < A < x0 < B < 1 at a solution."""
 
     l0: float
@@ -45,23 +48,13 @@ class LimitCandidate:
     A: float
     B: float
 
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.l0, self.x0, self.A, self.B])
-
-    @classmethod
-    def from_vector(cls, v) -> "LimitCandidate":
-        return cls(*(float(c) for c in v))
-
     def ordering_ok(self) -> bool:
         return 0.0 < self.A < self.B < 1.0 and 0.0 < self.x0 < 1.0
 
     def check_invariants(self, mp: MarketParams) -> None:
         if not (0.0 < self.A < self.x0 < self.B < 1.0):
             raise ParameterError("0 < A < x0 < B < 1")
-        lo = max(growth_integrand(mp, 0.0), growth_integrand(mp, 1.0))
-        hi = growth_integrand(mp, merton_fraction(mp))
-        if not lo < self.l0 < hi:
-            raise ParameterError("max{f(0), f(1)} < l0 < f(hhat)")
+        check_growth_excess(mp, self.l0, "l0")
 
 
 @dataclass(frozen=True)
@@ -84,21 +77,32 @@ def residual_system_limit(mp: MarketParams, gamma: float, cand: LimitCandidate) 
     ])
 
 
-def default_limit_initializer(mp: MarketParams) -> LimitCandidate:
-    """No-trade region straddling the Merton fraction, conservative width."""
+def default_limit_initializer(mp: MarketParams, gamma: float) -> LimitCandidate:
+    """The band where f exceeds a level l0 set by the small-cost loss.
+
+    l0 lies below f(hhat) by the loss sigma^2 w^2 / 2 of the leading-order
+    half-width w = (3/2 hhat^2 (1-hhat)^2 gamma)^(1/3) (Janecek-Shreve 2004),
+    saturated to stay above the no-trade floor.  A and B, where f equals l0,
+    then lie in (0, 1) however lopsided the Merton fraction is.
+    """
     hhat = merton_fraction(mp)
-    w = min(hhat, 1.0 - hhat) / 2.0
     fhat = growth_integrand(mp, hhat)
-    floor = max(growth_integrand(mp, 0.0), growth_integrand(mp, 1.0))
-    return LimitCandidate(l0=fhat - 0.25 * (fhat - floor), x0=hhat, A=hhat - w, B=hhat + w)
+    room = fhat - no_trade_floor(mp)
+    w = (1.5 * gamma * (hhat * (1.0 - hhat)) ** 2) ** (1.0 / 3.0)
+    l0 = fhat + room * math.expm1(-0.5 * (mp.sigma * w) ** 2 / room)
+    half = math.sqrt(2.0 * (fhat - l0)) / mp.sigma
+    return LimitCandidate(l0=l0, x0=hhat, A=hhat - half, B=hhat + half)
 
 
 def solve_limit(mp: MarketParams, gamma: float,
                 init: LimitCandidate | None = None) -> LimitSolution:
     """Solve the four-unknown reflecting-boundary system; gamma must be > 0.
 
-    At gamma = 0 the no-trade region collapses to the Merton point and the
-    system degenerates, so that input is rejected.
+    Tries ``init`` when given (the warm start), then the default band
+    start, with one damped Newton run each, and returns the first run that
+    reaches RESIDUAL_TOL at a valid candidate.  At gamma = 0 the no-trade
+    region collapses to the Merton point and the system degenerates, so
+    that input is rejected.
     """
     if gamma <= 0.0:
         raise ParameterDegeneracy("limit solver requires gamma > 0")
@@ -106,99 +110,31 @@ def solve_limit(mp: MarketParams, gamma: float,
     def residual(v):
         return residual_system_limit(mp, gamma, LimitCandidate.from_vector(v))
 
-    # Newton from a bad start can land on a spurious root of the algebraic
-    # system (ordering violated); fall back toward the default seed.
-    default = default_limit_initializer(mp)
-    attempts = [init] if init is not None else []
-    if init is not None:
-        blend = 0.5 * (init.as_vector() + default.as_vector())
-        attempts.append(LimitCandidate.from_vector(blend))
-    attempts.append(default)
-
-    last_err = None
-    for cand0 in attempts:
+    # Each run goes on until its step stalls, so a start that lands close
+    # still ends at rounding level; it passes if it reaches RESIDUAL_TOL.
+    starts = ([init] if init is not None else []) + [default_limit_initializer(mp, gamma)]
+    for cand0 in starts:
         try:
-            v, iters, norm = damped_newton(residual, cand0.as_vector(), tol=RESIDUAL_TOL)
-        except (ValueError, ParameterDegeneracy) as err:
-            last_err = err
-            continue
-        cand = LimitCandidate.from_vector(v)
-        if norm > RESIDUAL_TOL:
-            last_err = NonConvergence(f"limit system residual {norm:.3e} after {iters} iterations")
-            continue
-        try:
+            v, iters, norm = damped_newton(residual, cand0.as_vector(), tol=0.0)
+            cand = LimitCandidate.from_vector(v)
+            if norm > RESIDUAL_TOL:
+                raise NonConvergence(f"limit system residual {norm:.3e} after {iters} iterations")
             cand.check_invariants(mp)
         except ParameterError as err:
             last_err = NonConvergence(f"limit solve converged to an invalid candidate: {err}")
-            continue
-        return LimitSolution(candidate=cand, residual_norm=norm, newton_iters=iters)
-    raise last_err if last_err is not None else NonConvergence("limit solve failed")
+        except (ValueError, NonConvergence) as err:
+            last_err = err
+        else:
+            return LimitSolution(candidate=cand, residual_norm=norm, newton_iters=iters)
+    raise last_err
 
 
-@dataclass(frozen=True)
-class LimitValue:
-    """C2 value function of the reflecting model, anchored at build time.
-
-    Normalised so v(A) = 0; v' equals the binding gradient constraint
-    outside [A, B] and g inside.  As with the impulse-model value function,
-    replacing ``candidate`` after construction does not re-derive the
-    curve.
-    """
-
-    market: MarketParams
-    gamma: float
-    candidate: LimitCandidate
-    anchor: tuple = field(repr=False, default=())
-    v_at_B: float = 0.0
-
-    def _pieces(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0) or np.any(x > 1.0):
-            raise ValueError("limit value function is defined on [0, 1]")
-        _, _, A, B = self.anchor
-        low = x < A
-        high = x > B
-        return x, low, ~(low | high), high
-
-    def v(self, x):
-        l0, x0, A, B = self.anchor
-        gm = self.gamma
-        x, low, mid, high = self._pieces(x)
-        out = np.empty_like(x)
-        out[low] = np.log1p(gm * x[low]) - np.log1p(gm * A)
-        if mid.any():
-            out[mid] = slope_g_integral(self.market, A, x[mid], x0, l0)
-        out[high] = self.v_at_B + np.log1p(-gm * x[high]) - np.log1p(-gm * B)
-        return out if out.ndim else float(out)
-
-    def dv(self, x):
-        l0, x0, A, B = self.anchor
-        gm = self.gamma
-        x, low, mid, high = self._pieces(x)
-        out = np.empty_like(x)
-        out[low] = gm / (1.0 + gm * x[low])
-        if mid.any():
-            out[mid] = slope_g(self.market, x[mid], x0, l0)
-        out[high] = -gm / (1.0 - gm * x[high])
-        return out if out.ndim else float(out)
-
-    def ddv(self, x):
-        l0, x0, A, B = self.anchor
-        gm = self.gamma
-        x, low, mid, high = self._pieces(x)
-        out = np.empty_like(x)
-        out[low] = -gm * gm / (1.0 + gm * x[low]) ** 2
-        if mid.any():
-            out[mid] = slope_g_dx(self.market, x[mid], x0, l0)
-        out[high] = -gm * gm / (1.0 - gm * x[high]) ** 2
-        return out if out.ndim else float(out)
-
-
-def build_limit_value(mp: MarketParams, gamma: float, sol: LimitSolution) -> LimitValue:
-    cand = sol.candidate
-    v_at_B = slope_g_integral(mp, cand.A, cand.B, cand.x0, cand.l0)
-    return LimitValue(market=mp, gamma=gamma, candidate=cand,
-                      anchor=(cand.l0, cand.x0, cand.A, cand.B), v_at_B=float(v_at_B))
+def build_limit_value(mp: MarketParams, gamma: float, sol: LimitSolution) -> ValueFunction:
+    """The reflecting model's value function: the impulse ValueFunction at
+    delta = 0 with a = alpha = A and beta = b = B, so u(A) = 0 and
+    u(B) is the integral of g over [A, B]."""
+    c = sol.candidate
+    return ValueFunction(mp, CostParams(0.0, gamma), c, (c.l0, c.x0, c.A, c.A, c.B, c.B))
 
 
 @dataclass(frozen=True)
@@ -232,43 +168,32 @@ class HJBReport:
 
 def verify_hjb_limit(mp: MarketParams, gamma: float, sol: LimitSolution,
                      grid_n: int, tol: float = 1e-6,
-                     value: LimitValue | None = None) -> HJBReport:
-    """Check the reflecting-model HJB conditions for (v, l0) on a grid.
+                     value: ValueFunction | None = None) -> HJBReport:
+    """Check the reflecting-model HJB conditions for (u, l0) on a grid.
 
     The claimed l0 comes from ``sol.candidate``; the curve comes from the
-    anchored LimitValue (built fresh unless one is passed in, e.g. to test
-    an inconsistent pair).  Violations are reported, never raised.
+    anchored value function (built fresh unless one is passed in, e.g. to
+    test an inconsistent pair).  Violations are reported, never raised.
     """
-    if grid_n < 100:
-        raise ValueError("verify_hjb_limit requires grid_n >= 100")
     cand = sol.candidate
-    lv = value if value is not None else build_limit_value(mp, gamma, sol)
-    grid = np.linspace(EPS, 1.0 - EPS, grid_n)
-    dv = lv.dv(grid)
-    ddv = lv.ddv(grid)
-    resid = apply_generator(mp, 0.0, dv, ddv, grid) + growth_integrand(mp, grid) - cand.l0
-
-    interior = (grid >= cand.A) & (grid <= cand.B)
-    r_in = np.abs(resid[interior])
-    k_in = int(np.argmax(r_in))
-    max_interior = float(r_in[k_in])
-    interior_x = float(grid[interior][k_in])
+    vf = value if value is not None else build_limit_value(mp, gamma, sol)
+    grid, du, resid, _, max_interior, interior_x = _grid_check(
+        mp, vf, cand.l0, cand.A, cand.B, grid_n, "verify_hjb_limit")
     max_excess = float(max(np.max(resid), 0.0))
 
     upper = gamma / (1.0 + gamma * grid)
     lower = -gamma / (1.0 - gamma * grid)
-    up_excess = float(max(np.max(dv - upper), 0.0))
-    low_excess = float(max(np.max(lower - dv), 0.0))
+    up_excess = float(max(np.max(du - upper), 0.0))
+    low_excess = float(max(np.max(lower - du), 0.0))
     low_region = grid <= cand.A
     high_region = grid >= cand.B
-    gap_low = float(np.max(np.abs((dv - upper)[low_region]))) if low_region.any() else 0.0
-    gap_high = float(np.max(np.abs((dv - lower)[high_region]))) if high_region.any() else 0.0
+    gap_low = float(np.max(np.abs((du - upper)[low_region]))) if low_region.any() else 0.0
+    gap_high = float(np.max(np.abs((du - lower)[high_region]))) if high_region.any() else 0.0
 
     # C2 pasting: interior second derivative meets the exterior one at A, B.
-    l0a, x0a, Aa, Ba = lv.anchor
-    mism_A = abs(slope_g_dx(mp, Aa, x0a, l0a) + gamma * gamma / (1.0 + gamma * Aa) ** 2)
-    mism_B = abs(slope_g_dx(mp, Ba, x0a, l0a) + gamma * gamma / (1.0 - gamma * Ba) ** 2)
-    mism = float(max(mism_A, mism_B))
+    l0a, x0a, Aa, _, _, Ba = vf.anchor
+    anchored = LimitCandidate(l0=l0a, x0=x0a, A=Aa, B=Ba)
+    mism = float(np.max(np.abs(residual_system_limit(mp, gamma, anchored)[2:])))
 
     passed = bool(
         max_interior <= tol

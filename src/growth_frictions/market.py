@@ -92,6 +92,18 @@ def growth_integrand(mp: MarketParams, h):
     return out if out.ndim else float(out)
 
 
+def no_trade_floor(mp: MarketParams) -> float:
+    """max{f(0), f(1)}: the growth excess of holding only bond or only stock."""
+    return max(growth_integrand(mp, 0.0), growth_integrand(mp, 1.0))
+
+
+def check_growth_excess(mp: MarketParams, l: float, name: str) -> None:
+    """An interior optimum's growth excess lies strictly between the no-trade
+    floor and the Merton rate; raises ParameterError naming ``name``."""
+    _check(no_trade_floor(mp) < l < growth_integrand(mp, merton_fraction(mp)),
+           f"max{{f(0), f(1)}} < {name} < f(hhat)")
+
+
 def to_centered(h):
     """Logit transform log(h) - log(1-h); rejects h at or beyond {0, 1}."""
     h = np.asarray(h, dtype=float)

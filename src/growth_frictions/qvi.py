@@ -22,16 +22,17 @@ against the variational inequality max{Du + f - l, Mu - u} = 0 on a grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import limit as _limit
-from ._slope import (NonConvergence, ParameterDegeneracy, damped_newton,
-                     slope_g, slope_g_dx, slope_g_integral)
+from ._slope import (NewtonUnknowns, NonConvergence, ParameterDegeneracy,
+                     ValueFunction, _grid_check, _peak, damped_newton, slope_g,
+                     slope_g_dx, slope_g_integral)
 from .market import (EPS, CostParams, MarketParams, ParameterError,
-                     apply_generator, from_centered, growth_integrand,
-                     merton_fraction, to_centered, trade_cost_gamma)
+                     check_growth_excess, from_centered, no_trade_floor,
+                     to_centered, trade_cost_gamma)
 
 __all__ = [
     "BoundaryCandidate", "BoundarySolution", "ValueFunction", "VerificationReport",
@@ -45,7 +46,7 @@ PASTING_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class BoundaryCandidate:
+class BoundaryCandidate(NewtonUnknowns):
     """The six unknowns of the fixed-plus-proportional problem.
 
     At a solution: 0 < a < alpha <= x0 <= beta < b < 1 (strictly
@@ -60,13 +61,6 @@ class BoundaryCandidate:
     beta: float
     b: float
 
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.l, self.x0, self.a, self.alpha, self.beta, self.b])
-
-    @classmethod
-    def from_vector(cls, v) -> "BoundaryCandidate":
-        return cls(*(float(c) for c in v))
-
     def ordering_ok(self) -> bool:
         return (0.0 < self.a < self.alpha <= self.beta < self.b < 1.0
                 and 0.0 < self.x0 < 1.0)
@@ -79,10 +73,7 @@ class BoundaryCandidate:
             raise ParameterError("alpha <= x0 <= beta")
         if cp.gamma > 0 and not self.alpha < self.x0 < self.beta:
             raise ParameterError("alpha < x0 < beta for gamma > 0")
-        lo = max(growth_integrand(mp, 0.0), growth_integrand(mp, 1.0))
-        hi = growth_integrand(mp, merton_fraction(mp))
-        if not lo < self.l < hi:
-            raise ParameterError("max{f(0), f(1)} < l < f(hhat)")
+        check_growth_excess(mp, self.l, "l")
 
 
 @dataclass(frozen=True)
@@ -90,7 +81,6 @@ class BoundarySolution:
     candidate: BoundaryCandidate
     residual_norm: float
     newton_iters: int
-    continuation_trace: tuple = ()
     original_cost_optimal: bool = False
 
 
@@ -159,7 +149,7 @@ def _oracle_seed(mp, cp, lim_cand):
             (to_centered(best[1]) - to_centered(best[0])) * np.geomspace(0.5, 2.0, 7),
             (to_centered(best[3]) - to_centered(best[2])) * np.geomspace(0.5, 2.0, 7)]))
     a, al, be, b, value = best
-    floor = max(growth_integrand(mp, 0.0), growth_integrand(mp, 1.0))
+    floor = no_trade_floor(mp)
     if not value - mp.r > floor:
         raise ParameterDegeneracy(
             f"no interior optimum: best renewal growth {value:.10g} does not exceed "
@@ -207,8 +197,7 @@ def solve_boundaries(mp: MarketParams, cp: CostParams,
     A failed run fails its start; nothing is retried or perturbed.  Raises
     ParameterDegeneracy ("no interior optimum") when the renewal search
     finds no policy beating the no-trade floor, and NonConvergence when
-    every start fails.  ``continuation_trace`` holds the (delta, candidate)
-    of the run that converged.
+    every start fails.
     """
     if cp.delta <= 0.0:
         raise ParameterDegeneracy("impulse boundary solver requires delta > 0")
@@ -227,73 +216,9 @@ def solve_boundaries(mp: MarketParams, cp: CostParams,
             candidate=cand,
             residual_norm=norm,
             newton_iters=iters,
-            continuation_trace=((cp.delta, cand),),
             original_cost_optimal=bool(cand.a <= cand.alpha * (1.0 - cp.delta)),
         )
     raise NonConvergence(f"no start converged: {last_err}")
-
-
-@dataclass(frozen=True)
-class ValueFunction:
-    """Piecewise variational-inequality solution with u, u', u''.
-
-    Evaluation is anchored to the parameters captured at build time (the
-    spec of the candidate the function was built from); mutating or
-    replacing the ``candidate`` field afterwards does not re-derive the
-    curve, which is exactly what lets a verification pass detect an
-    inconsistent (u, l) pair.
-    """
-
-    market: MarketParams
-    costs: CostParams
-    candidate: BoundaryCandidate
-    anchor: tuple = field(repr=False, default=())
-    u_at_a: float = 0.0
-    u_at_beta: float = 0.0
-
-    def _pieces(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0) or np.any(x > 1.0):
-            raise ValueError("value function is defined on [0, 1]")
-        _, _, a, _, _, b = self.anchor
-        low = x < a
-        high = x > b
-        mid = ~(low | high)
-        return x, low, mid, high
-
-    def u(self, x):
-        l, x0, a, al, be, b = self.anchor
-        x, low, mid, high = self._pieces(x)
-        out = np.empty_like(x)
-        if low.any():
-            out[low] = trade_cost_gamma(self.costs, x[low], al)
-        if mid.any():
-            out[mid] = self.u_at_a + slope_g_integral(self.market, a, x[mid], x0, l)
-        if high.any():
-            out[high] = self.u_at_beta + trade_cost_gamma(self.costs, x[high], be)
-        return out if out.ndim else float(out)
-
-    def du(self, x):
-        l, x0, a, al, be, b = self.anchor
-        gm, dl = self.costs.gamma, self.costs.delta
-        x, low, mid, high = self._pieces(x)
-        out = np.empty_like(x)
-        out[low] = gm / (1.0 - dl + gm * x[low])
-        if mid.any():
-            out[mid] = slope_g(self.market, x[mid], x0, l)
-        out[high] = -gm / (1.0 - dl - gm * x[high])
-        return out if out.ndim else float(out)
-
-    def ddu(self, x):
-        l, x0, a, al, be, b = self.anchor
-        gm, dl = self.costs.gamma, self.costs.delta
-        x, low, mid, high = self._pieces(x)
-        out = np.empty_like(x)
-        out[low] = -gm * gm / (1.0 - dl + gm * x[low]) ** 2
-        if mid.any():
-            out[mid] = slope_g_dx(self.market, x[mid], x0, l)
-        out[high] = -gm * gm / (1.0 - dl - gm * x[high]) ** 2
-        return out if out.ndim else float(out)
 
 
 def build_value(mp: MarketParams, cp: CostParams, sol: BoundarySolution) -> ValueFunction:
@@ -308,13 +233,7 @@ def build_value(mp: MarketParams, cp: CostParams, sol: BoundarySolution) -> Valu
     if pasting > PASTING_TOL:
         raise ParameterError(
             f"candidate does not paste to C1: max boundary-slope residual {pasting:.3e}")
-    u_a = trade_cost_gamma(cp, cand.a, cand.alpha)
-    u_beta = u_a + slope_g_integral(mp, cand.a, cand.beta, cand.x0, cand.l)
-    return ValueFunction(
-        market=mp, costs=cp, candidate=cand,
-        anchor=(cand.l, cand.x0, cand.a, cand.alpha, cand.beta, cand.b),
-        u_at_a=float(u_a), u_at_beta=float(u_beta),
-    )
+    return ValueFunction(mp, cp, cand, (cand.l, cand.x0, cand.a, cand.alpha, cand.beta, cand.b))
 
 
 @dataclass(frozen=True)
@@ -357,24 +276,12 @@ def verify_qvi(mp: MarketParams, cp: CostParams, vf: ValueFunction,
     test) while u and its derivatives come from the curve anchored at
     build time.  Violations are reported, never raised.
     """
-    if grid_n < 100:
-        raise ValueError("verify_qvi requires grid_n >= 100")
     cand = vf.candidate
-    grid = np.linspace(EPS, 1.0 - EPS, grid_n)
-    du = vf.du(grid)
-    ddu = vf.ddu(grid)
-    resid = apply_generator(mp, 0.0, du, ddu, grid) + growth_integrand(mp, grid) - cand.l
+    grid, _, resid, interior, max_interior, interior_x = _grid_check(
+        mp, vf, cand.l, cand.a, cand.b, grid_n, "verify_qvi")
 
-    interior = (grid >= cand.a) & (grid <= cand.b)
-    r_in = np.abs(resid[interior])
-    k_in = int(np.argmax(r_in))
-    max_interior = float(r_in[k_in])
-    interior_x = float(grid[interior][k_in])
-
-    r_out = resid[~interior]
-    k_out = int(np.argmax(r_out))
-    max_exterior = float(max(r_out[k_out], 0.0))
-    exterior_x = float(grid[~interior][k_out])
+    max_exterior, exterior_x = _peak(resid[~interior], grid[~interior])
+    max_exterior = max(max_exterior, 0.0)
 
     # Obstacle side: Mu(x) = max_y u(y) + cost(x, y) over the target grid,
     # which always contains the restart points alpha and beta.
@@ -384,14 +291,12 @@ def verify_qvi(mp: MarketParams, cp: CostParams, vf: ValueFunction,
     gain = u_targets[None, :] + trade_cost_gamma(cp, grid[:, None], targets[None, :])
     mu = gain.max(axis=1)
     obstacle = mu - u_grid
-    k_ob = int(np.argmax(obstacle))
-    max_obstacle = float(obstacle[k_ob])
-    obstacle_x = float(grid[k_ob])
+    max_obstacle, obstacle_x = _peak(obstacle, grid)
 
     def equality_at(x):
         vals = u_targets + trade_cost_gamma(cp, x, targets)
-        k = int(np.argmax(vals))
-        return abs(float(vals[k]) - vf.u(x)), float(targets[k])
+        best, target = _peak(vals, targets)
+        return abs(best - vf.u(x)), target
 
     gap_low, target_low = equality_at(cand.a)
     gap_high, target_high = equality_at(cand.b)

@@ -193,6 +193,7 @@ def test_seventeen_digit_round_trip(config_file, tmp_path):
     ["couple", "--deltas", "1e-3,1e-2"],
     ["oracle", "--radius", "0.5"],
     ["solve", "--grid_n", "50"],
+    ["verify", "--solution", "no_such_dir/solution.csv"],
 ])
 def test_bad_input_is_one_config_error_before_solving(argv, config_file, tmp_path,
                                                       capsys, monkeypatch):

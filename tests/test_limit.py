@@ -80,7 +80,7 @@ def test_hjb_verification_passes(mp, lim):
 def test_hjb_gradient_strict_inside(mp, lim):
     value = gf.build_limit_value(mp, GAMMA, lim)
     xs = np.linspace(lim.candidate.A + 1e-6, 1 - EPS, 200)
-    margin = GAMMA / (1 + GAMMA * xs) - value.dv(xs)
+    margin = GAMMA / (1 + GAMMA * xs) - value.du(xs)
     assert np.all(margin > 0)
 
 
@@ -97,16 +97,27 @@ def test_limit_value_is_c2(mp, lim):
     value = gf.build_limit_value(mp, GAMMA, lim)
     eps = 1e-9
     for kink in (lim.candidate.A, lim.candidate.B):
-        assert value.ddv(kink - eps) == pytest.approx(value.ddv(kink + eps), abs=1e-6)
-    # v' continuous too
+        assert value.ddu(kink - eps) == pytest.approx(value.ddu(kink + eps), abs=1e-6)
+    # u' continuous too
     for kink in (lim.candidate.A, lim.candidate.B):
-        assert value.dv(kink - eps) == pytest.approx(value.dv(kink + eps), abs=1e-9)
+        assert value.du(kink - eps) == pytest.approx(value.du(kink + eps), abs=1e-9)
+
+
+def test_limit_value_is_continuous(mp, lim):
+    # the reflecting limit is the delta = 0 case of the impulse value function
+    value = gf.build_limit_value(mp, GAMMA, lim)
+    assert isinstance(value, gf.ValueFunction)
+    assert value.costs == gf.CostParams(delta=0.0, gamma=GAMMA)
+    assert value.u(lim.candidate.A) == pytest.approx(0.0, abs=1e-15)
+    eps = 1e-9
+    for kink in (lim.candidate.A, lim.candidate.B):
+        assert value.u(kink - eps) == pytest.approx(value.u(kink + eps), abs=1e-9)
 
 
 def test_limit_value_interior_ode(mp, lim):
     value = gf.build_limit_value(mp, GAMMA, lim)
     xs = np.linspace(lim.candidate.A, lim.candidate.B, 101)
-    resid = (gf.apply_generator(mp, 0.0, value.dv(xs), value.ddv(xs), xs)
+    resid = (gf.apply_generator(mp, 0.0, value.du(xs), value.ddu(xs), xs)
              + gf.growth_integrand(mp, xs) - lim.candidate.l0)
     assert np.max(np.abs(resid)) <= 1e-12
 
@@ -126,3 +137,13 @@ def test_limit_system_is_small_delta_limit_of_full_system(mp, lim):
     assert res[2] == pytest.approx(lim_res[0], abs=1e-6)
     assert res[1] == pytest.approx(lim_res[1], abs=1e-6)
     assert res[3] == pytest.approx(lim_res[1], abs=1e-6)
+
+
+@pytest.mark.parametrize("hhat", [0.02, 0.98])
+def test_lopsided_heavy_cost_solves_cold(hhat):
+    # the no-trade band squeezes against 0 (or 1) on the logit scale
+    mp = gf.MarketParams(r=0.0, mu=hhat * 0.16, sigma=0.4)
+    lim = gf.solve_limit(mp, 0.05)
+    c = lim.candidate
+    assert 0 < c.A < hhat < c.B < 1
+    assert gf.verify_hjb_limit(mp, 0.05, lim, 501).passed

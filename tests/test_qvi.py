@@ -213,17 +213,11 @@ def test_strict_second_order_margins(mp, cp, sol):
     assert gf.slope_g_dx(mp, c.a, c.x0, c.l) > -gm**2 / (1 - dl + gm * c.a) ** 2 + margin
 
 
-def test_continuation_trace_recorded(mp, cp, sol):
-    # a cold solve is one Newton run at the target delta, from the renewal seed
-    assert sol.continuation_trace == ((cp.delta, sol.candidate),)
-
-
 def test_large_delta_cold_solve_verifies(mp):
     cp_large = gf.CostParams(delta=0.05, gamma=0.003)
     sol = gf.solve_boundaries(mp, cp_large)
     assert sol.residual_norm <= 1e-10
     c = sol.candidate
     assert 0 < c.a < c.alpha < c.x0 < c.beta < c.b < 1
-    assert sol.continuation_trace[-1][0] == cp_large.delta
     vf = gf.build_value(mp, cp_large, sol)
     assert gf.verify_qvi(mp, cp_large, vf, 501).passed
