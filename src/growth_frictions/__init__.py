@@ -8,7 +8,7 @@ semi-analytic evaluators to cross-check every number.
 
 from .market import (CostParams, MarketParams, ParameterError,
                      apply_generator, apply_generator_transformed,
-                     from_centered, from_centered_deriv, growth_integrand,
+                     from_centered, growth_integrand,
                      growth_integrand_transformed, merton_fraction,
                      to_centered, trade_cost_gamma, trade_cost_transformed,
                      wealth_factor)

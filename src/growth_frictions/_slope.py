@@ -212,14 +212,20 @@ def _grid_check(mp: MarketParams, vf: ValueFunction, l: float, lo: float, hi: fl
                 grid_n: int, who: str):
     """The grid pass shared by verify_qvi and verify_hjb_limit: the grid on
     [EPS, 1 - EPS], u' on it, the residual Du + f - l, the mask of [lo, hi],
-    and the largest |residual| on that mask with its location."""
+    and the largest |residual| on that mask with its location.  A band that
+    holds no grid point is measured at its midpoint, and the verifiers fail
+    it: the grid does not resolve it."""
     if grid_n < 100:
         raise ValueError(f"{who} requires grid_n >= 100")
     grid = np.linspace(EPS, 1.0 - EPS, grid_n)
     du = vf.du(grid)
     resid = apply_generator(mp, 0.0, du, vf.ddu(grid), grid) + growth_integrand(mp, grid) - l
     interior = (grid >= lo) & (grid <= hi)
-    return (grid, du, resid, interior) + _peak(np.abs(resid[interior]), grid[interior])
+    if interior.any():
+        return (grid, du, resid, interior) + _peak(np.abs(resid[interior]), grid[interior])
+    mid = 0.5 * (lo + hi)
+    at_mid = apply_generator(mp, 0.0, vf.du(mid), vf.ddu(mid), mid) + growth_integrand(mp, mid) - l
+    return grid, du, resid, interior, abs(float(at_mid)), mid
 
 
 def damped_newton(residual, v0, *, tol=1e-10, max_iter=80, fd_step=1e-7,

@@ -387,8 +387,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     est = _walk(simulate.estimate_growth_impulse, mp, cp, sol.candidate, sim)
     _write(cfg.out_dir, "growth.csv", growth_csv(est))
     if cfg.get("dump_paths"):
-        rec = simulate.simulate_impulse_path(mp, cp, sol.candidate, sim, 0)
-        _write(cfg.out_dir, "paths.csv", impulse_paths_csv(rec))
+        _write(cfg.out_dir, "paths.csv", impulse_paths_csv(est.first_path))
     rho = mp.r + sol.candidate.l
     print(f"impulse growth: {est.mean_growth:.8f} +- {est.std_error:.2e} "
           f"(solver rho {rho:.8f})")
@@ -404,8 +403,7 @@ def _cmd_reflect(cfg: RunConfig) -> int:
     est = _walk(simulate.estimate_growth_reflected, mp, gamma, A, B, sim)
     _write(cfg.out_dir, "growth.csv", growth_csv(est))
     if cfg.get("dump_paths"):
-        rec = simulate.simulate_reflected_path(mp, gamma, A, B, sim, 0)
-        _write(cfg.out_dir, "paths.csv", reflected_paths_csv(rec))
+        _write(cfg.out_dir, "paths.csv", reflected_paths_csv(est.first_path))
     rho = mp.r + sol.candidate.l0
     print(f"reflected growth: {est.mean_growth:.8f} +- {est.std_error:.2e} "
           f"(limit rho {rho:.8f})")

@@ -177,7 +177,7 @@ def verify_hjb_limit(mp: MarketParams, gamma: float, sol: LimitSolution,
     """
     cand = sol.candidate
     vf = value if value is not None else build_limit_value(mp, gamma, sol)
-    grid, du, resid, _, max_interior, interior_x = _grid_check(
+    grid, du, resid, interior, max_interior, interior_x = _grid_check(
         mp, vf, cand.l0, cand.A, cand.B, grid_n, "verify_hjb_limit")
     max_excess = float(max(np.max(resid), 0.0))
 
@@ -196,7 +196,8 @@ def verify_hjb_limit(mp: MarketParams, gamma: float, sol: LimitSolution,
     mism = float(np.max(np.abs(residual_system_limit(mp, gamma, anchored)[2:])))
 
     passed = bool(
-        max_interior <= tol
+        interior.any()
+        and max_interior <= tol
         and max_excess <= tol
         and up_excess <= tol
         and low_excess <= tol

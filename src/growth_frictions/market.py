@@ -130,13 +130,6 @@ def from_centered(y):
     return out if out.ndim else float(out)
 
 
-def from_centered_deriv(y):
-    """Slope of the logistic map: phi'(y) = phi(y) * (1 - phi(y))."""
-    p = np.asarray(from_centered(y))
-    out = p * (1.0 - p)
-    return out if out.ndim else float(out)
-
-
 def growth_integrand_transformed(mp: MarketParams, y):
     """Growth integrand composed with the logistic map."""
     return growth_integrand(mp, from_centered(y))

@@ -306,7 +306,8 @@ def verify_qvi(mp: MarketParams, cp: CostParams, vf: ValueFunction,
 
     spacing = float(grid[1] - grid[0])
     passed = bool(
-        max_interior <= tol
+        interior.any()
+        and max_interior <= tol
         and max_exterior <= tol
         and max_obstacle <= tol
         and gap_low <= tol and gap_high <= tol

@@ -1,32 +1,39 @@
 """Seeded Monte Carlo of the controlled and reflected fraction processes.
 
-One time loop, ``_drive``, runs every simulation; the impulse, reflected
-and coupled simulators differ only in the control rule it calls
-at each step.  Holdings evolve exactly between trades: per step the bond
-grows by exp(r dt) and the stock by exp((mu - sigma^2/2) dt + sigma
-sqrt(dt) Z), so the only discretisation is that boundary crossings are
-detected at grid times and the overshoot is kept (the trade executes from
-the overshooting fraction).  An optional Brownian-bridge correction
-samples within-step crossings for the impulse simulator; it draws its
-uniforms from a separate stream so the normal sequence is unchanged.
+Every simulation walks one band rule in logit coordinates y = log(Y/X) with
+the bond as numeraire.  Between trades y steps by (mu - r - sigma^2/2) dt +
+sigma sqrt(dt) Z and the bond grows by r dt, both exactly, so the only
+discretisation is that boundary crossings are detected at grid times and
+the overshoot is kept (the trade executes from the overshooting fraction).
+A band row (lo, lo_target, hi_target, hi) sends y <= lo to lo_target and
+y >= hi to hi_target.  The impulse rule is the row (a, alpha, beta, b); the
+reflected rule is its delta = 0 case (A, A, B, B), a clip whose wealth
+factor under CostParams(0, gamma) is the monetary projection onto the band;
+coupling stacks the impulse rows of several deltas over the reflected row
+and so draws each path's noise once for all of them.
+The step loop only adds, compares and copies; once per block the trades
+are priced from the buffered pre-jump y, the bond jumping by log1p(e^y) +
+log wealth factor + log(1 - target).  An optional Brownian-bridge
+correction samples within-step crossings for the impulse simulator from a
+separate uniform stream, so the normal sequence is unchanged.
 
 Randomness is counter-based: path i of a run seeded s reads an independent
 Philox stream keyed (s, i), so any subset of paths can be simulated
 concurrently or in blocks with identical results, and every output is a
-pure function of (inputs, base_seed, path_index).  Coupling stacks its
-deltas on one axis and so draws each path's noise once for all of them.
+pure function of (inputs, base_seed, path_index).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import limit as _limit
 from . import qvi as _qvi
-from .market import CostParams, MarketParams, merton_fraction, to_centered, wealth_factor
+from .market import (CostParams, MarketParams, from_centered, merton_fraction, to_centered,
+                     trade_cost_transformed)
 
 __all__ = [
     "SimConfig", "TradeEvent", "PathRecord", "ReflectedRecord", "GrowthEstimate",
@@ -36,7 +43,7 @@ __all__ = [
     "couple_at_boundaries", "couple_paths",
 ]
 
-_BLOCK = 8192
+_BLOCK = 1024
 _BRIDGE_STREAM_SALT = 0x9E3779B97F4A7C15  # golden-ratio word, keys the uniform stream
 
 
@@ -119,11 +126,15 @@ class ReflectedRecord:
 
 @dataclass(frozen=True)
 class GrowthEstimate:
+    """Mean and standard error of per-path growth; first_path is path 0's record."""
+
     mean_growth: float
     std_error: float
     n_paths: int
     horizon: float
     dt: float
+    first_path: PathRecord | ReflectedRecord | None = field(default=None, compare=False,
+                                                           repr=False)
 
 
 @dataclass(frozen=True)
@@ -148,209 +159,187 @@ def bridge_crossing_prob(y0, y1, level, sigma: float, dt: float):
     """P(a Brownian bridge from y0 to y1 over dt touches level).
 
     Valid when y0 and y1 are on the same side of the level; the drift does
-    not enter the bridge law.
+    not enter the bridge law.  The walker tests u < P in log form.
     """
     expo = -2.0 * (level - np.asarray(y0)) * (level - np.asarray(y1)) / (sigma * sigma * dt)
     return np.exp(np.minimum(expo, 0.0))
 
 
-def _default_h0(mp: MarketParams, lo: float, hi: float) -> float:
+def _start(mp, cfg, lo, hi, closed, region="no-trade region"):
+    """h0, which must lie in (lo, hi), or [lo, hi] when closed; h0 = None
+    picks the Merton fraction clipped just inside."""
     margin = 1e-3 * (hi - lo)
-    return min(max(merton_fraction(mp), lo + margin), hi - margin)
+    h0 = cfg.h0 if cfg.h0 is not None else min(max(merton_fraction(mp), lo + margin), hi - margin)
+    if not (lo <= h0 <= hi if closed else lo < h0 < hi):
+        bounds = f"[{lo:g}, {hi:g}]" if closed else f"({lo:g}, {hi:g})"
+        raise ValueError(f"h0={h0:g} must lie inside the {region} {bounds}")
+    return h0
 
 
-def _drive(cfg: SimConfig, path_indices, step, positive, uniforms: bool = False) -> None:
-    """The one time loop: draw each path's normals (and, with uniforms, its
-    bridge pair per step) block by block, call step(n, z, u) for n = 1..n_steps,
-    and after each block check that positive() is positive and finite."""
-    gens = [path_generator(cfg.base_seed, i) for i in path_indices]
-    ugens = [path_generator(cfg.base_seed, i, stream=1) for i in path_indices] if uniforms else []
-    for done in range(0, cfg.n_steps, _BLOCK):
-        nb = min(_BLOCK, cfg.n_steps - done)
-        Z = np.empty((len(gens), nb))
-        for i, gen in enumerate(gens):
-            Z[i] = gen.standard_normal(nb)
-        U = np.empty((len(ugens), 2 * nb))
-        for i, gen in enumerate(ugens):
-            U[i] = gen.random(2 * nb)
-        for k in range(nb):
-            step(done + k + 1, Z[:, k], U[:, 2 * k:2 * k + 2] if uniforms else None)
-        held = positive()
-        if np.any(held <= 0.0) or not np.all(np.isfinite(held)):
-            raise NumericalBlowup("wealth left the positive cone")
+class _Band:
+    """Paths of y = log(Y/X) from y0 under a (k, 4) stack of logit band rows,
+    every row driven by its path's normals.  With cp, each trade moves the
+    log bond holding (kept less its interest r t) and the log-cost total,
+    and the first path of row 0 is recorded.  With couple, the last row is
+    the reference and sup |y - y_last| of the other rows is tracked."""
 
+    def __init__(self, mp, cfg, paths, rows, y0, cp=None, couple=False):
+        self.mp, self.cfg, self.paths, self.cp = mp, cfg, list(paths), cp
+        self.lo, self.lo_to, self.hi_to, self.hi = np.atleast_2d(rows).astype(float).T[..., None]
+        shape = (self.lo.shape[0], len(self.paths))
+        self.y = np.full(shape, float(y0))
+        self.bond = np.full(shape, math.log(cfg.v0) - np.logaddexp(0.0, y0))
+        self.trade_log = np.zeros(shape)
+        self.trades = np.zeros(shape, dtype=np.int64)
+        self.sup = np.zeros((shape[0] - 1, shape[1])) if couple else None
+        # the first path's post-jump y and bond jump at every step, and its
+        # trades as (step, y traded from, target y, log wealth factor)
+        self.trace = np.zeros((2, cfg.n_steps + 1))
+        self.trace[:, 0] = y0, self.bond[0, 0]
+        self.trace_trades = []
 
-class _Holdings:
-    """Bond (X) and stock (Y) holdings of the given paths from h0 in (lo, hi),
-    or [lo, hi] when closed.  With record (one path), trace[:, n] holds the
-    fraction, the wealth and the rule's own totals after step n."""
-
-    def __init__(self, mp, cfg, path_indices, lo, hi, closed, record, rows=2):
-        h0 = cfg.h0 if cfg.h0 is not None else _default_h0(mp, lo, hi)
-        if not (lo <= h0 <= hi if closed else lo < h0 < hi):
-            region = f"[{lo:g}, {hi:g}]" if closed else f"({lo:g}, {hi:g})"
-            raise ValueError(f"h0={h0:g} must lie inside the no-trade region {region}")
-        self.cfg, self.h0, self.paths = cfg, h0, path_indices
-        self.er = math.exp(mp.r * cfg.dt)
-        self.gd = (mp.mu - 0.5 * mp.sigma * mp.sigma) * cfg.dt
-        self.gv = mp.sigma * math.sqrt(cfg.dt)
-        self.X = np.full(len(path_indices), (1.0 - h0) * cfg.v0)
-        self.Y = np.full(len(path_indices), h0 * cfg.v0)
-        self.trace = np.zeros((rows, cfg.n_steps + 1)) if record else None
-        if record:
-            self.trace[:2, 0] = h0, cfg.v0
-
-    def grow(self, z):
-        """One exact step of both holdings; returns the new wealth."""
-        self.X *= self.er
-        self.Y *= np.exp(self.gd + self.gv * z)
-        return self.X + self.Y
-
-    def record(self, n: int, *totals) -> None:
-        V = self.X + self.Y
-        self.trace[:, n] = (self.Y / V)[0], V[0], *totals
-
-    def run(self, uniforms: bool = False):
-        _drive(self.cfg, self.paths, self.step, lambda: self.X + self.Y, uniforms)
+    def run(self, bridge: bool = False) -> _Band:
+        mp, cfg, y, lo, hi = self.mp, self.cfg, self.y, self.lo, self.hi
+        c, sq = (mp.mu - mp.r - 0.5 * mp.sigma * mp.sigma) * cfg.dt, mp.sigma * math.sqrt(cfg.dt)
+        gens = [path_generator(cfg.base_seed, i) for i in self.paths]
+        ugens = [path_generator(cfg.base_seed, i, stream=1) for i in self.paths] if bridge else []
+        pre = np.empty((min(_BLOCK, cfg.n_steps),) + y.shape)
+        low, high = np.empty(pre.shape, dtype=bool), np.empty(pre.shape, dtype=bool)
+        dw = np.empty(pre.shape[:1] + pre.shape[2:])
+        gap = None if self.sup is None else np.empty_like(self.sup)
+        for done in range(0, cfg.n_steps, _BLOCK):
+            nb = min(_BLOCK, cfg.n_steps - done)
+            for i, gen in enumerate(gens):
+                dw[:nb, i] = gen.standard_normal(nb)
+            dw[:nb] *= sq
+            dw[:nb] += c
+            if bridge:  # u < P(touch) in log form, per step and side
+                u = np.stack([gen.random(2 * nb).reshape(nb, 2) for gen in ugens], axis=2)
+                touch = (-0.5 * mp.sigma * mp.sigma * cfg.dt) * np.log(u)
+            for j in range(nb):
+                yj = pre[j]
+                np.add(y, dw[j], out=yj)
+                np.less_equal(yj, lo, out=low[j])
+                np.greater_equal(yj, hi, out=high[j])
+                if bridge:  # a sampled within-step touch trades from the boundary value
+                    inside = ~(low[j] | high[j])
+                    cross_lo = inside & ((y - lo) * (yj - lo) < touch[j, 0])
+                    low[j] |= cross_lo
+                    high[j] |= inside & ~cross_lo & ((y - hi) * (yj - hi) < touch[j, 1])
+                np.copyto(y, yj)
+                np.copyto(y, self.lo_to, where=low[j])
+                np.copyto(y, self.hi_to, where=high[j])
+                if gap is not None:
+                    np.abs(np.subtract(y[:-1], y[-1], out=gap), out=gap)
+                    np.maximum(self.sup, gap, out=self.sup)
+            self._settle(done, pre[:nb], low[:nb], high[:nb])
+            if not (np.isfinite(y).all() and np.isfinite(self.bond).all()):
+                raise NumericalBlowup("wealth left the positive cone")
         return self
 
-    def growth(self):
-        return (np.log(self.X + self.Y) - math.log(self.cfg.v0)) / self.cfg.horizon
+    def _settle(self, done: int, pre, low, high) -> None:
+        """Count and price the trades of the block after step done (in high)."""
+        hit = np.logical_or(low, high, out=high)
+        self.trades += hit.sum(axis=0)
+        if self.cp is None:
+            return
+        t, row, path = np.unravel_index(np.flatnonzero(hit), hit.shape)
+        y_pre, side = pre[t, row, path], low[t, row, path]
+        # the trade leaves from the boundary when the bridge saw a touch inside it
+        y_from = np.where(side, np.minimum(y_pre, self.lo[row, 0]),
+                          np.maximum(y_pre, self.hi[row, 0]))
+        y_to = np.where(side, self.lo_to[row, 0], self.hi_to[row, 0])
+        log_factor = trade_cost_transformed(self.cp, y_from, y_to - y_from)
+        jump = np.logaddexp(0.0, y_pre) + log_factor - np.logaddexp(0.0, y_to)
+        # unbuffered and in time order, so a path's sums do not depend on its batch
+        np.add.at(self.trade_log, (row, path), log_factor)
+        np.add.at(self.bond, (row, path), jump)
+        first = (row == 0) & (path == 0)
+        steps = done + 1 + t[first]
+        self.trace[0, done + 1:done + 1 + len(pre)] = pre[:, 0, 0]
+        self.trace[:, steps] = y_to[first], jump[first]
+        self.trace_trades.append((steps, y_from[first], y_to[first], log_factor[first]))
 
-    def estimate(self) -> GrowthEstimate:
-        growth, n = self.growth(), self.cfg.n_paths
+    def log_wealth(self):
+        return self.bond + self.mp.r * self.cfg.dt * self.cfg.n_steps + np.logaddexp(0.0, self.y)
+
+    def growth(self):
+        return (self.log_wealth()[0] - math.log(self.cfg.v0)) / self.cfg.horizon
+
+    def estimate(self, first_path) -> GrowthEstimate:
+        growth, n = self.growth(), len(self.paths)
         std_error = float(growth.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         return GrowthEstimate(mean_growth=float(growth.mean()), std_error=std_error,
-                              n_paths=n, horizon=self.cfg.horizon, dt=self.cfg.dt)
+                              n_paths=n, horizon=self.cfg.horizon, dt=self.cfg.dt,
+                              first_path=first_path)
 
-    def path_fields(self) -> dict:
-        """The fields that every single-path record has."""
-        return dict(times=np.arange(self.cfg.n_steps + 1) * self.cfg.dt,
-                    fractions=self.trace[0], wealths=self.trace[1],
-                    log_wealth_final=float(np.log(self.X + self.Y)[0]),
-                    growth=float(self.growth()[0]))
-
-
-class _Impulse(_Holdings):
-    """Impulse control: a step ending at or beyond a (b) trades to alpha
-    (beta) and multiplies wealth by the wealth factor."""
-
-    def __init__(self, mp, cp, cand, cfg, path_indices, record=False):
-        super().__init__(mp, cfg, path_indices, cand.a, cand.b, closed=False, record=record)
-        self.a, self.al, self.be, self.b = cand.a, cand.alpha, cand.beta, cand.b
-        self.cp, self.sigma = cp, mp.sigma
-        self.step_log = np.zeros_like(self.X)
-        self.trade_log = np.zeros_like(self.X)
-        self.events = []
-        if cfg.bridge_correction:
-            self.y_lo, self.y_hi = to_centered(self.a), to_centered(self.b)
-            self.y_prev = np.full_like(self.X, to_centered(self.h0))
-
-    def step(self, n: int, z, u) -> None:
-        X, Y = self.X, self.Y
-        v_before = X + Y
-        V = self.grow(z)
-        self.step_log += np.log(V / v_before)
-        h = Y / V
-        exit_lo = h <= self.a
-        exit_hi = h >= self.b
-        if u is not None:
-            y_new = np.log(Y / X)
-            inside = ~(exit_lo | exit_hi)
-            p_lo = bridge_crossing_prob(self.y_prev, y_new, self.y_lo, self.sigma, self.cfg.dt)
-            p_hi = bridge_crossing_prob(self.y_prev, y_new, self.y_hi, self.sigma, self.cfg.dt)
-            cross_lo = inside & (u[:, 0] < p_lo)
-            cross_hi = inside & ~cross_lo & (u[:, 1] < p_hi)
-            # a sampled within-step touch trades from the boundary value
-            for cross, level in ((cross_lo, self.a), (cross_hi, self.b)):
-                if cross.any():
-                    h[cross] = level
-                    Y[cross] = level * V[cross]
-                    X[cross] = (1.0 - level) * V[cross]
-            exit_lo, exit_hi = exit_lo | cross_lo, exit_hi | cross_hi
-        out = exit_lo | exit_hi
-        if out.any():
-            idx = np.nonzero(out)[0]
-            h_pre = h[idx]
-            xi = np.where(exit_lo[idx], self.al, self.be)
-            factor = wealth_factor(self.cp, h_pre, xi)
-            v_new = (X[idx] + Y[idx]) * factor
-            Y[idx] = xi * v_new
-            X[idx] = (1.0 - xi) * v_new
-            self.trade_log[idx] += np.log(factor)
-            if self.trace is not None:
-                self.events.append(TradeEvent(
-                    time=n * self.cfg.dt, pre_fraction=float(h_pre[0]), target=float(xi[0]),
-                    factor=float(factor[0]), log_cost=float(np.log(factor[0]))))
-        if u is not None:
-            self.y_prev = np.log(Y / X)
-        if self.trace is not None:
-            self.record(n)
+    def first(self):
+        """The first path's common record fields and its trades as arrays
+        (step, pre-trade fraction, target fraction, log factor, wealth before)."""
+        steps = np.arange(self.cfg.n_steps + 1)
+        wealths = np.exp(np.cumsum(self.trace[1]) + self.mp.r * self.cfg.dt * steps
+                         + np.logaddexp(0.0, self.trace[0]))
+        at, y_from, y_to, log_factor = (np.concatenate(col) for col in zip(*self.trace_trades))
+        fields = dict(times=steps * self.cfg.dt, fractions=from_centered(self.trace[0]),
+                      wealths=wealths, log_wealth_final=float(self.log_wealth()[0, 0]),
+                      growth=float(self.growth()[0]))
+        return fields, (at, from_centered(y_from), from_centered(y_to), log_factor,
+                        wealths[at] / np.exp(log_factor))
 
 
-class _Reflected(_Holdings):
-    """Reflection at [A, B]: a step ending outside is projected back in
-    monetary terms, with cumulative buy (L) and sell (M) volumes.
+def _impulse(mp, cp, cand, cfg, paths):
+    """The impulse walk of the given paths and the record of the first."""
+    y0 = to_centered(_start(mp, cfg, cand.a, cand.b, closed=False))
+    rows = to_centered([cand.a, cand.alpha, cand.beta, cand.b])
+    band = _Band(mp, cfg, paths, rows, y0, cp).run(cfg.bridge_correction)
+    fields, (at, h, xi, log_factor, _) = band.first()
+    events = tuple(TradeEvent(time=float(n * cfg.dt), pre_fraction=float(p), target=float(x),
+                              factor=float(math.exp(c)), log_cost=float(c))
+                   for n, p, x, c in zip(at, h, xi, log_factor))
+    trade_log = float(band.trade_log[0, 0])
+    step_log = fields["log_wealth_final"] - math.log(cfg.v0) - trade_log
+    return band, PathRecord(**fields, trade_events=events, trade_log_total=trade_log,
+                            step_log_total=step_log)
 
-    Selling m = (Y - B V)/(1 - gamma B) restores h = B exactly and buying
-    l = (A V - Y)/(1 + gamma A) restores h = A exactly under the
-    self-financing accounting dX = rX dt + (1-gamma) dM - (1+gamma) dL.
-    """
 
-    def __init__(self, mp, gamma, A, B, cfg, path_indices, record=False):
-        super().__init__(mp, cfg, path_indices, A, B, closed=True, record=record, rows=4)
-        self.gamma, self.A, self.B = gamma, A, B
-        self.L = np.zeros_like(self.X)
-        self.M = np.zeros_like(self.X)
-
-    def step(self, n: int, z, u) -> None:
-        X, Y, gamma, A, B = self.X, self.Y, self.gamma, self.A, self.B
-        V = self.grow(z)
-        h = Y / V
-        over = h > B
-        if over.any():
-            idx = np.nonzero(over)[0]
-            m = (Y[idx] - B * V[idx]) / (1.0 - gamma * B)
-            Y[idx] -= m
-            X[idx] += (1.0 - gamma) * m
-            self.M[idx] += m
-        under = h < A
-        if under.any():
-            idx = np.nonzero(under)[0]
-            buy = (A * V[idx] - Y[idx]) / (1.0 + gamma * A)
-            Y[idx] += buy
-            X[idx] -= (1.0 + gamma) * buy
-            self.L[idx] += buy
-        if self.trace is not None:
-            self.record(n, self.L[0], self.M[0])
+def _reflected(mp, gamma, A, B, cfg, paths):
+    """The reflected walk of the given paths and the record of the first.
+    Buying l = V (A - h)/(1 + gamma A) restores h = A, selling m = V (h - B)/
+    (1 - gamma B) restores h = B: dX = rX dt + (1-gamma) dM - (1+gamma) dL."""
+    y0 = to_centered(_start(mp, cfg, A, B, closed=True))
+    lo, hi = to_centered(A), to_centered(B)
+    band = _Band(mp, cfg, paths, (lo, lo, hi, hi), y0, CostParams(0.0, gamma)).run()
+    fields, (at, h, xi, _, v_pre) = band.first()
+    sell = (xi <= h).astype(int)
+    volumes = np.zeros((2, cfg.n_steps + 1))  # bought (L) and sold (M) at each step
+    volumes[sell, at] = v_pre * np.abs(xi - h) / (1.0 + np.where(sell, -gamma, gamma) * xi)
+    buy_volume, sell_volume = np.cumsum(volumes, axis=1)
+    return band, ReflectedRecord(**fields, buy_volume=buy_volume, sell_volume=sell_volume)
 
 
 def simulate_impulse_path(mp: MarketParams, cp: CostParams, cand,
                           cfg: SimConfig, path_index: int) -> PathRecord:
     """One impulse-controlled path under the constant boundary strategy."""
-    rule = _Impulse(mp, cp, cand, cfg, [path_index], record=True).run(cfg.bridge_correction)
-    return PathRecord(**rule.path_fields(), trade_events=tuple(rule.events),
-                      step_log_total=float(rule.step_log[0]),
-                      trade_log_total=float(rule.trade_log[0]))
+    return _impulse(mp, cp, cand, cfg, [path_index])[1]
 
 
 def estimate_growth_impulse(mp: MarketParams, cp: CostParams, cand,
                             cfg: SimConfig) -> GrowthEstimate:
     """Mean and standard error of per-path growth over cfg.n_paths paths."""
-    return _Impulse(mp, cp, cand, cfg, range(cfg.n_paths)).run(cfg.bridge_correction).estimate()
+    band, first_path = _impulse(mp, cp, cand, cfg, range(cfg.n_paths))
+    return band.estimate(first_path)
 
 
 def simulate_reflected_path(mp: MarketParams, gamma: float, A: float, B: float,
                             cfg: SimConfig, path_index: int) -> ReflectedRecord:
     """One reflected path under the control limit policy for (A, B)."""
-    rule = _Reflected(mp, gamma, A, B, cfg, [path_index], record=True).run()
-    return ReflectedRecord(**rule.path_fields(), buy_volume=rule.trace[2],
-                           sell_volume=rule.trace[3])
+    return _reflected(mp, gamma, A, B, cfg, [path_index])[1]
 
 
 def estimate_growth_reflected(mp: MarketParams, gamma: float, A: float, B: float,
                               cfg: SimConfig) -> GrowthEstimate:
-    return _Reflected(mp, gamma, A, B, cfg, range(cfg.n_paths)).run().estimate()
+    band, first_path = _reflected(mp, gamma, A, B, cfg, range(cfg.n_paths))
+    return band.estimate(first_path)
 
 
 def couple_at_boundaries(mp: MarketParams, impulse_bounds_y, limits_y,
@@ -359,34 +348,15 @@ def couple_at_boundaries(mp: MarketParams, impulse_bounds_y, limits_y,
     one on the same normal increments, drawn once per path.
 
     impulse_bounds_y is one (a, alpha, beta, b) in log coordinates or a
-    (k, 4) stack of them.  Every process steps by c dt + sigma sqrt(dt) Z
-    and is then mapped back into its region, an impulse one by jumping to
-    its restart target, the reflected one by clipping.  Returns per-path
-    sup distances and trade counts as (k, n_paths) arrays.
+    (k, 4) stack of them, walked over the reflected row (lo, lo, hi, hi) of
+    limits_y: an impulse process jumps to its restart target, the reflected
+    one is clipped.  Returns per-path sup distances and trade counts as
+    (k, n_paths) arrays.
     """
-    a_y, al_y, be_y, b_y = np.atleast_2d(impulse_bounds_y).T[..., None]
-    c = (mp.mu - mp.r - 0.5 * mp.sigma * mp.sigma) * cfg.dt
-    sq = mp.sigma * math.sqrt(cfg.dt)
-    Yi = np.full((a_y.shape[0], cfg.n_paths), y_start)
-    Yr = np.full(cfg.n_paths, y_start)
-    sup = np.zeros(Yi.shape)
-    trades = np.zeros(Yi.shape, dtype=np.int64)
-
-    def step(n, z, u):
-        nonlocal Yi, Yr
-        dw = c + sq * z
-        Yi = Yi + dw
-        out_lo = Yi <= a_y
-        out_hi = Yi >= b_y
-        if out_lo.any() or out_hi.any():
-            np.add(trades, out_lo | out_hi, out=trades)
-            Yi = np.where(out_lo, al_y, np.where(out_hi, be_y, Yi))
-        Yr = np.clip(Yr + dw, *limits_y)
-        np.maximum(sup, np.abs(Yi - Yr), out=sup)
-
-    # Y/X of every path is positive and finite inside the cone
-    _drive(cfg, range(cfg.n_paths), step, lambda: np.exp(np.vstack((Yi, Yr))))
-    return sup, trades
+    lo, hi = limits_y
+    rows = np.vstack((np.atleast_2d(impulse_bounds_y), [(lo, lo, hi, hi)]))
+    band = _Band(mp, cfg, range(cfg.n_paths), rows, y_start, couple=True).run()
+    return band.sup, band.trades[:-1]
 
 
 def couple_paths(mp: MarketParams, gamma: float, deltas, cfg: SimConfig) -> list:
@@ -405,9 +375,7 @@ def couple_paths(mp: MarketParams, gamma: float, deltas, cfg: SimConfig) -> list
     lim = _limit.solve_limit(mp, gamma)
     A, B = lim.candidate.A, lim.candidate.B
     lo_y, hi_y = to_centered(A), to_centered(B)
-    h_start = cfg.h0 if cfg.h0 is not None else _default_h0(mp, A, B)
-    if not A <= h_start <= B:
-        raise ValueError(f"h0={h_start:g} must lie inside the reflected band [{A:g}, {B:g}]")
+    h_start = _start(mp, cfg, A, B, closed=True, region="reflected band")
     bounds_y = []
     cand = None
     for delta in deltas:

@@ -101,6 +101,16 @@ def test_limit_subcommand(config_file, tmp_path):
     assert "passed=True" in (out / "hjb_report.txt").read_text()
 
 
+def test_limit_band_between_grid_points_is_one_error(tmp_path, capsys):
+    path = tmp_path / "narrow.conf"
+    path.write_text("r = 0.0\nmu = 0.0008\nsigma = 0.4\ngamma = 1e-5\n")
+    code = cli.main(["limit", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--grid_n", "501"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["ERROR: hjb_violation"]
+    assert "passed=False" in (tmp_path / "out" / "hjb_report.txt").read_text()
+
+
 def test_sweep_csv_schema(config_file, tmp_path):
     out = tmp_path / "sweep"
     code = cli.main(["sweep", "--config", config_file, "--out", str(out),
@@ -135,6 +145,35 @@ def test_simulate_and_reflect(config_file, tmp_path):
     assert (out2 / "growth.csv").exists()
     events = {line.rsplit(",", 1)[-1] for line in (out2 / "paths.csv").read_text().splitlines()[1:]}
     assert events <= {"", "reflect_lo", "reflect_hi"}
+
+
+@pytest.mark.parametrize("command", ["simulate", "reflect"])
+def test_dump_paths_records_path_zero_in_the_batch_walk(command, config_file, tmp_path,
+                                                        monkeypatch):
+    walks, run = [], simulate._Band.run
+
+    def counted_run(self, *args, **kwargs):
+        walks.append(len(self.paths))
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(simulate._Band, "run", counted_run)
+    flags = {"horizon": "2", "dt": "1e-3", "n_paths": "8"}
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", config_file, "--out", str(out), "--dump_paths", "true"]
+                    + [arg for key, value in flags.items() for arg in (f"--{key}", value)])
+    assert code == 0
+    assert walks == [8]
+    # the recorded path is the one a separate single-path walk gives, byte for byte
+    cfg = cli.parse_config(config_file, flags)
+    mp, sim = cfg.market(), cfg.sim()
+    if command == "simulate":
+        cand = qvi.solve_boundaries(mp, cfg.costs()).candidate
+        alone = cli.impulse_paths_csv(simulate.simulate_impulse_path(mp, cfg.costs(), cand, sim, 0))
+    else:
+        c = limit.solve_limit(mp, cfg.require("gamma")).candidate
+        alone = cli.reflected_paths_csv(
+            simulate.simulate_reflected_path(mp, cfg.require("gamma"), c.A, c.B, sim, 0))
+    assert (out / "paths.csv").read_text() == alone
 
 
 def test_couple_csv(config_file, tmp_path):

@@ -147,3 +147,16 @@ def test_lopsided_heavy_cost_solves_cold(hhat):
     c = lim.candidate
     assert 0 < c.A < hhat < c.B < 1
     assert gf.verify_hjb_limit(mp, 0.05, lim, 501).passed
+
+
+def test_band_between_grid_points_is_reported_not_raised():
+    # at hhat = 0.005 and gamma = 1e-5 the band is about 1.4e-3 wide and
+    # holds no point of the 0.002-spaced grid: the check fails, by report
+    mp = gf.MarketParams(r=0.0, mu=0.0008, sigma=0.4)
+    sol = gf.solve_limit(mp, 1e-5)
+    grid = np.linspace(EPS, 1 - EPS, 501)
+    assert not np.any((grid >= sol.candidate.A) & (grid <= sol.candidate.B))
+    rep = gf.verify_hjb_limit(mp, 1e-5, sol, 501)
+    assert rep.passed is False
+    values = dataclasses.astuple(rep)
+    assert all(np.isfinite(v) for v in values if isinstance(v, float))

@@ -103,13 +103,6 @@ def test_round_trip_centered_side():
     assert np.all(err <= np.maximum(1e-14, cond))
 
 
-def test_from_centered_deriv_matches_finite_difference():
-    for y in (-3.0, -0.2, 0.0, 1.7):
-        h = 1e-6
-        fd = (gf.from_centered(y + h) - gf.from_centered(y - h)) / (2 * h)
-        assert gf.from_centered_deriv(y) == pytest.approx(fd, abs=1e-9)
-
-
 def test_growth_integrand_transformed(mp):
     y_hat = gf.to_centered(0.6)
     assert gf.growth_integrand_transformed(mp, y_hat) == pytest.approx(0.0288, abs=1e-15)

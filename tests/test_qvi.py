@@ -221,3 +221,17 @@ def test_large_delta_cold_solve_verifies(mp):
     assert 0 < c.a < c.alpha < c.x0 < c.beta < c.b < 1
     vf = gf.build_value(mp, cp_large, sol)
     assert gf.verify_qvi(mp, cp_large, vf, 501).passed
+
+
+def test_band_between_grid_points_is_reported_not_raised():
+    # at hhat = 0.005 with delta = 1e-10 and gamma = 1e-5 the no-trade
+    # region (a, b) holds no point of the 0.002-spaced grid
+    mp = gf.MarketParams(r=0.0, mu=0.0008, sigma=0.4)
+    cp = gf.CostParams(delta=1e-10, gamma=1e-5)
+    sol = gf.solve_boundaries(mp, cp)
+    grid = np.linspace(EPS, 1 - EPS, 501)
+    assert not np.any((grid >= sol.candidate.a) & (grid <= sol.candidate.b))
+    rep = gf.verify_qvi(mp, cp, gf.build_value(mp, cp, sol), 501)
+    assert rep.passed is False
+    values = dataclasses.astuple(rep)
+    assert all(np.isfinite(v) for v in values if isinstance(v, float))

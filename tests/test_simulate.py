@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import growth_frictions as gf
-from growth_frictions import qvi
-from growth_frictions.simulate import _Impulse, _Reflected
+from growth_frictions import qvi, simulate
+from holdings_reference import holdings_growth
 
 GAMMA = 0.003
 
@@ -252,12 +252,30 @@ def test_engine_batch_equals_singletons(rule, mp, cp, sol, lim):
     def growth(paths):
         if rule == "reflected":
             A, B = lim.candidate.A, lim.candidate.B
-            return _Reflected(mp, GAMMA, A, B, cfg, paths).run().growth()
-        return _Impulse(mp, cp, sol.candidate, cfg, paths).run(cfg.bridge_correction).growth()
+            return simulate._reflected(mp, GAMMA, A, B, cfg, paths)[0].growth()
+        return simulate._impulse(mp, cp, sol.candidate, cfg, paths)[0].growth()
 
     batch_growth = growth(range(3))
     for i in range(3):
         assert growth([i])[0] == batch_growth[i]
+
+
+@pytest.mark.parametrize("rule", ["impulse", "bridge", "reflected"])
+def test_band_walk_matches_holdings_reference(rule, mp, cp, sol, lim):
+    # the logit walk with the bond as numeraire gives the exact (X, Y)
+    # holdings step with its monetary jump and projection, up to rounding,
+    # over more than one draw block (3,000 steps)
+    cfg = gf.SimConfig(horizon=3.0, dt=1e-3, n_paths=6, base_seed=63, h0=0.6,
+                       bridge_correction=rule == "bridge")
+    if rule == "reflected":
+        A, B = lim.candidate.A, lim.candidate.B
+        band, _ = simulate._reflected(mp, GAMMA, A, B, cfg, range(6))
+        reference = holdings_growth(mp, cfg, range(6), reflect=(GAMMA, A, B))
+    else:
+        band, _ = simulate._impulse(mp, cp, sol.candidate, cfg, range(6))
+        reference = holdings_growth(mp, cfg, range(6), impulse=(cp, sol.candidate))
+    assert band.trades.sum() > 0
+    assert np.max(np.abs(band.growth() - reference)) <= 1e-12
 
 
 def test_coupling_stack_equals_single_deltas(mp, monkeypatch):
