@@ -1,5 +1,5 @@
 """Slope function of the continuation region, the value function built from
-it, and the damped Newton engine.
+it, and the damped Newton engine with the start loop of both solvers.
 
 Inside the no-trade region the value function's derivative is an explicit
 function g(x, x0, l) anchored so that g(x0, x0, l) = 0.  The textbook form
@@ -28,6 +28,13 @@ import numpy as np
 from .market import (EPS, CostParams, MarketParams, apply_generator,
                      growth_integrand, merton_fraction, to_centered,
                      trade_cost_gamma)
+
+
+# A solve is accepted when the residual max-norm is at most RESIDUAL_TOL.
+RESIDUAL_TOL = 1e-10
+# Damped Newton: iteration cap, forward-difference step (relative to
+# max(1, |v_j|)), smallest damped step, step halvings per iteration.
+_MAX_ITER, _FD_STEP, _MIN_STEP, _MAX_HALVINGS = 80, 1e-7, 1e-14, 50
 
 
 class ParameterDegeneracy(ValueError):
@@ -212,9 +219,10 @@ def _grid_check(mp: MarketParams, vf: ValueFunction, l: float, lo: float, hi: fl
                 grid_n: int, who: str):
     """The grid pass shared by verify_qvi and verify_hjb_limit: the grid on
     [EPS, 1 - EPS], u' on it, the residual Du + f - l, the mask of [lo, hi],
-    and the largest |residual| on that mask with its location.  A band that
-    holds no grid point is measured at its midpoint, and the verifiers fail
-    it: the grid does not resolve it."""
+    the largest |residual| on that mask with its location, and a note that
+    is empty unless the band holds no grid point.  Such a band is measured
+    at its midpoint, and the verifiers fail it: the grid does not resolve
+    it, which the note says."""
     if grid_n < 100:
         raise ValueError(f"{who} requires grid_n >= 100")
     grid = np.linspace(EPS, 1.0 - EPS, grid_n)
@@ -222,33 +230,34 @@ def _grid_check(mp: MarketParams, vf: ValueFunction, l: float, lo: float, hi: fl
     resid = apply_generator(mp, 0.0, du, vf.ddu(grid), grid) + growth_integrand(mp, grid) - l
     interior = (grid >= lo) & (grid <= hi)
     if interior.any():
-        return (grid, du, resid, interior) + _peak(np.abs(resid[interior]), grid[interior])
+        return (grid, du, resid, interior) + _peak(np.abs(resid[interior]), grid[interior]) + ("",)
     mid = 0.5 * (lo + hi)
     at_mid = apply_generator(mp, 0.0, vf.du(mid), vf.ddu(mid), mid) + growth_integrand(mp, mid) - l
-    return grid, du, resid, interior, abs(float(at_mid)), mid
+    note = (f"unresolved band [{lo:.6f}, {hi:.6f}] holds no grid point "
+            f"(spacing {grid[1] - grid[0]:.3e})")
+    return grid, du, resid, interior, abs(float(at_mid)), mid, note
 
 
-def damped_newton(residual, v0, *, tol=1e-10, max_iter=80, fd_step=1e-7,
-                  min_step=1e-14, max_halvings=50):
+def damped_newton(residual, v0, *, tol=RESIDUAL_TOL):
     """Damped Newton on a square system with forward-difference Jacobian.
 
     residual(v) -> ndarray may raise ValueError (and subclasses) on
     out-of-domain iterates; failed trial steps are halved, up to
-    max_halvings times.  Stops when the residual max-norm reaches tol or
-    the damped step shrinks below min_step.  Returns (v, iterations,
+    _MAX_HALVINGS times.  Stops when the residual max-norm reaches tol or
+    the damped step shrinks below _MIN_STEP.  Returns (v, iterations,
     residual_norm); the caller decides whether the final norm is good
     enough.
     """
     v = np.array(v0, dtype=float)
     fv = np.asarray(residual(v), dtype=float)
     n = v.size
-    for it in range(max_iter):
+    for it in range(_MAX_ITER):
         norm0 = float(np.max(np.abs(fv)))
         if norm0 <= tol:
             return v, it, norm0
         jac = np.empty((n, n))
         for j in range(n):
-            h = fd_step * max(1.0, abs(v[j]))
+            h = _FD_STEP * max(1.0, abs(v[j]))
             vp = v.copy()
             vp[j] += h
             try:
@@ -261,19 +270,43 @@ def damped_newton(residual, v0, *, tol=1e-10, max_iter=80, fd_step=1e-7,
         except np.linalg.LinAlgError:
             return v, it, norm0
         scale = 1.0
-        for _ in range(max_halvings):
+        for _ in range(_MAX_HALVINGS):
             try:
                 trial = v + scale * dv
                 ft = np.asarray(residual(trial), dtype=float)
             except ValueError:
                 scale *= 0.5
                 continue
-            if float(np.max(np.abs(ft))) < norm0 or float(np.max(np.abs(scale * dv))) <= min_step:
+            if float(np.max(np.abs(ft))) < norm0 or float(np.max(np.abs(scale * dv))) <= _MIN_STEP:
                 v, fv = trial, ft
                 break
             scale *= 0.5
         else:
             return v, it + 1, norm0
-        if float(np.max(np.abs(scale * dv))) <= min_step:
+        if float(np.max(np.abs(scale * dv))) <= _MIN_STEP:
             return v, it + 1, float(np.max(np.abs(fv)))
-    return v, max_iter, float(np.max(np.abs(fv)))
+    return v, _MAX_ITER, float(np.max(np.abs(fv)))
+
+
+def newton_from_starts(cls, residual, starts, check, *, tol=RESIDUAL_TOL):
+    """The start loop of both solvers: one damped Newton run on
+    residual(cls.from_vector(v)), stopping at tol, from each start in turn.
+
+    Returns (candidate, iterations, norm) of the first run that ends within
+    RESIDUAL_TOL at a candidate check accepts (check raises ValueError).
+    ``starts`` may be a lazy generator; an error raised while building a
+    start propagates unchanged.  NonConvergence when every run fails.
+    """
+    last_err = None
+    for start in starts:
+        try:
+            v, iters, norm = damped_newton(lambda v: residual(cls.from_vector(v)),
+                                           start.as_vector(), tol=tol)
+            cand = cls.from_vector(v)
+            if norm > RESIDUAL_TOL:
+                raise NonConvergence(f"residual {norm:.3e} after {iters} iterations")
+            check(cand)
+            return cand, iters, norm
+        except (NonConvergence, ValueError) as err:
+            last_err = err
+    raise NonConvergence(f"no start converged: {last_err}")

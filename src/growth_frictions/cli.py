@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -111,13 +111,8 @@ class RunConfig:
         return MarketParams(r=self.require("r"), mu=self.require("mu"),
                             sigma=self.require("sigma"))
 
-    def costs(self, default_delta: float | None = None) -> CostParams:
-        delta = self.values["delta"]
-        if delta is None:
-            if default_delta is None:
-                raise ConfigError("missing key 'delta' (set it in the config file or pass --delta)")
-            delta = default_delta
-        return CostParams(delta=delta, gamma=self.require("gamma"))
+    def costs(self) -> CostParams:
+        return CostParams(delta=self.require("delta"), gamma=self.require("gamma"))
 
     def seed(self) -> int:
         v = self.values["seed"]
@@ -344,12 +339,28 @@ def _cmd_limit(cfg: RunConfig) -> int:
     return 0
 
 
+def _checked_call(entry, *args):
+    """Call a library entry point whose own ValueError rejects its input
+    before any expensive work (a start fraction h0 outside a no-trade
+    region, a delta at or above 1 - gamma), which is a config error; the
+    solver's named errors pass through."""
+    try:
+        return entry(*args)
+    except (ParameterError, ParameterDegeneracy):
+        raise
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
+
+
 def _cmd_sweep(cfg: RunConfig) -> int:
     mp = cfg.market()
     gamma = cfg.require("gamma")
     deltas = cfg.get("deltas") or DEFAULT_SWEEP_DELTAS
+    if len(deltas) < lab.REPORT_MIN_ROWS:
+        raise ConfigError(f"sweep needs at least {lab.REPORT_MIN_ROWS} deltas for its "
+                          f"convergence report, got {len(deltas)}")
     try:
-        table = lab.sweep_delta(mp, gamma, deltas)
+        table = _checked_call(lab.sweep_delta, mp, gamma, deltas)
     except NonConvergence as err:
         partial = getattr(err, "partial", None)
         if partial is not None and partial.rows:
@@ -368,23 +379,11 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     return 0
 
 
-def _walk(entry, *args):
-    """Call a Monte Carlo entry point.  Its own ValueError says that the start
-    fraction h0 lies outside a no-trade region, which is a config error; the
-    solver's named errors pass through."""
-    try:
-        return entry(*args)
-    except (ParameterError, ParameterDegeneracy):
-        raise
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-
-
 def _cmd_simulate(cfg: RunConfig) -> int:
     mp, cp = cfg.market(), cfg.costs()
     sim = cfg.sim()
     sol = qvi.solve_boundaries(mp, cp)
-    est = _walk(simulate.estimate_growth_impulse, mp, cp, sol.candidate, sim)
+    est = _checked_call(simulate.estimate_growth_impulse, mp, cp, sol.candidate, sim)
     _write(cfg.out_dir, "growth.csv", growth_csv(est))
     if cfg.get("dump_paths"):
         _write(cfg.out_dir, "paths.csv", impulse_paths_csv(est.first_path))
@@ -400,7 +399,7 @@ def _cmd_reflect(cfg: RunConfig) -> int:
     sim = cfg.sim()
     sol = limit.solve_limit(mp, gamma)
     A, B = sol.candidate.A, sol.candidate.B
-    est = _walk(simulate.estimate_growth_reflected, mp, gamma, A, B, sim)
+    est = _checked_call(simulate.estimate_growth_reflected, mp, gamma, A, B, sim)
     _write(cfg.out_dir, "growth.csv", growth_csv(est))
     if cfg.get("dump_paths"):
         _write(cfg.out_dir, "paths.csv", reflected_paths_csv(est.first_path))
@@ -414,7 +413,7 @@ def _cmd_couple(cfg: RunConfig) -> int:
     mp = cfg.market()
     gamma = cfg.require("gamma")
     deltas = cfg.get("deltas") or DEFAULT_COUPLE_DELTAS
-    rows = _walk(simulate.couple_paths, mp, gamma, deltas, cfg.sim())
+    rows = _checked_call(simulate.couple_paths, mp, gamma, deltas, cfg.sim())
     _write(cfg.out_dir, "coupling.csv", coupling_csv(rows))
     _write(cfg.out_dir, "plot_coupling.py", COUPLING_PLOT)
     for row in rows:

@@ -1,21 +1,7 @@
-"""Experiment layer: semi-analytic policy evaluation, brute-force search,
-the delta sweep and its convergence report.
-
-``evaluate_policy_renewal`` prices a constant boundary strategy exactly and
-independently of the boundary solver.  In transformed coordinates the
-fraction process is a Brownian motion with drift c = mu - r - sigma^2/2
-between trades, so each excursion from a restart point to the region edge
-is a classical two-boundary exit problem: the exit split comes from the
-scale function, the mean duration from the usual closed form, and the
-accumulated growth integrand from a Green-function quadrature for the
-two-point boundary value problem sigma^2 w''/2 + c w' = -fbar, w = 0 at
-both edges.  Chaining the two restart states through their stationary law
-turns (reward per cycle)/(length per cycle) into the long-run growth rate.
-
-The brute-force search scans (a, alpha, beta, b) boxes with that evaluator,
-giving a noise-free oracle for the solver's output.  A batch of candidates
-prices each distinct exit problem (a, b, restart point) once, so a box of
-k^4 candidates costs about 2 k^3 exit problems.
+"""Experiment layer: the brute-force search, the delta sweep and its
+convergence report.  The search scans (a, alpha, beta, b) boxes with the
+exact renewal evaluator of ``_policy`` (re-exported here), a noise-free
+oracle for the solver's output.
 """
 
 from __future__ import annotations
@@ -26,9 +12,10 @@ import numpy as np
 
 from . import limit as _limit
 from . import qvi as _qvi
+from ._policy import (DegenerateChain, _renewal_batch, evaluate_policy_renewal,
+                      exit_prob_up, expected_exit_time, expected_running_reward)
 from ._slope import NonConvergence
-from .market import (CostParams, MarketParams, growth_integrand_transformed,
-                     to_centered, wealth_factor)
+from .market import CostParams, MarketParams
 
 __all__ = [
     "DegenerateChain", "SweepRow", "SweepTable", "BruteForceResult",
@@ -37,156 +24,7 @@ __all__ = [
     "brute_force_boundaries", "sweep_delta", "convergence_report",
 ]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
-
-
-class DegenerateChain(RuntimeError):
-    """The two-state restart chain has a numerically absorbing state."""
-
-
-def _scale_increment(u, theta):
-    """(1 - exp(-theta u))/theta, the scale-function increment; -> u as
-    theta -> 0."""
-    u = np.asarray(u, dtype=float)
-    if theta == 0.0:
-        return u.copy()
-    return -np.expm1(-theta * u) / theta
-
-
-def exit_prob_up(drift: float, vol: float, lo, hi, y):
-    """P(Brownian motion with the given drift hits hi before lo | start y)."""
-    theta = 2.0 * drift / (vol * vol)
-    out = _scale_increment(np.asarray(y) - lo, theta) / _scale_increment(hi - lo, theta)
-    return out if out.ndim else float(out)
-
-
-def expected_exit_time(drift: float, vol: float, lo, hi, y):
-    """Mean exit time of (lo, hi); series branch when theta*(hi-lo) is tiny.
-
-    The direct formula (p (hi-lo) - (y-lo))/drift cancels badly as the
-    drift vanishes, so below |theta (hi-lo)| = 1e-3 a five-term expansion
-    around the driftless parabola is used; both branches agree to about
-    1e-12 relative at the switch.
-    """
-    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0 and np.ndim(y) == 0
-    lo, hi, y = np.broadcast_arrays(np.atleast_1d(np.asarray(lo, dtype=float)),
-                                    np.asarray(hi, dtype=float),
-                                    np.asarray(y, dtype=float))
-    s2 = vol * vol
-    theta = 2.0 * drift / s2
-    width = hi - lo
-    dy = y - lo
-    out = np.empty_like(dy)
-    big = np.abs(theta * width) >= 1e-3
-    if big.any():
-        p = _scale_increment(dy[big], theta) / _scale_increment(width[big], theta)
-        out[big] = (p * width[big] - dy[big]) / drift
-    small = ~big
-    if small.any():
-        w_s, dy_s = width[small], dy[small]
-        series = np.zeros_like(dy_s)
-        coeff = (0.5, -1.0 / 6.0, 1.0 / 24.0, -1.0 / 120.0, 1.0 / 720.0)
-        for k, ck in enumerate(coeff):
-            series += ck * theta ** k * (w_s ** (k + 1) - dy_s ** (k + 1))
-        out[small] = 2.0 * w_s * dy_s * series / (s2 * _scale_increment(w_s, theta))
-    return float(out[0]) if scalar else out
-
-
-def expected_running_reward(fn, drift: float, vol: float, lo, hi, y, n_nodes: int = 96):
-    """E[ integral of fn(path) until exit of (lo, hi) ], start y.
-
-    Green-function solution of sigma^2 w''/2 + drift w' = -fn with
-    w(lo) = w(hi) = 0, by Gauss-Legendre quadrature on each side of y.
-    Exact to quadrature accuracy (far below 1e-10 for smooth fn on the
-    region widths that arise here).  lo, hi, y may be arrays of equal
-    shape; fn must accept arrays.
-    """
-    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0 and np.ndim(y) == 0
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    lo, hi, y = np.broadcast_arrays(lo, hi, y)
-    if n_nodes == _GL_NODES.size:
-        nodes, weights = _GL_NODES, _GL_WEIGHTS
-    else:
-        nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-    theta = 2.0 * drift / (vol * vol)
-
-    def half_integral(za, zb, transform):
-        mid = 0.5 * (za + zb)[:, None]
-        hw = 0.5 * (zb - za)[:, None]
-        z = mid + hw * nodes[None, :]
-        return hw[:, 0] * np.sum(weights[None, :] * transform(z), axis=1)
-
-    low_part = half_integral(
-        lo, y,
-        lambda z: _scale_increment(z - lo[:, None], theta)
-        * np.exp(theta * (z - y[:, None])) * fn(z))
-    high_part = half_integral(
-        y, hi,
-        lambda z: _scale_increment(hi[:, None] - z, theta) * fn(z))
-    out = (2.0 / (vol * vol)) * (
-        low_part * _scale_increment(hi - y, theta)
-        + high_part * _scale_increment(y - lo, theta)
-    ) / _scale_increment(hi - lo, theta)
-    return float(out[0]) if scalar else out
-
-
-def _renewal_batch(mp: MarketParams, cp: CostParams, a, al, be, b) -> np.ndarray:
-    """Growth rates of constant boundary strategies, vectorised over
-    candidate arrays (all shape (n,)).
-
-    Candidate i restarts through two exit problems of (a_i, b_i), one from
-    alpha_i and one from beta_i.  Boxes and seed grids share most of them,
-    so each distinct (a, b, y) triple is priced once and gathered back.
-    """
-    n = np.size(a)
-    a_vals, a_code = np.unique(a, return_inverse=True)
-    b_vals, b_code = np.unique(b, return_inverse=True)
-    y_vals, y_code = np.unique(np.concatenate([al, be]), return_inverse=True)
-    dims = (a_vals.size, b_vals.size, y_vals.size)
-    triples, problem = np.unique(
-        np.ravel_multi_index((np.tile(a_code, 2), np.tile(b_code, 2), y_code), dims),
-        return_inverse=True)
-    i_a, i_b, i_y = np.unravel_index(triples, dims)
-    lo, hi, y = to_centered(a_vals)[i_a], to_centered(b_vals)[i_b], to_centered(y_vals)[i_y]
-    c = mp.mu - mp.r - 0.5 * mp.sigma * mp.sigma
-
-    def per_candidate(per_problem):
-        out = per_problem[problem]
-        return out[:n], out[n:]
-
-    p_low, p_high = per_candidate(exit_prob_up(c, mp.sigma, lo, hi, y))
-    bad = (p_low <= 1e-12) | (p_low >= 1.0 - 1e-12) | (p_high <= 1e-12) | (p_high >= 1.0 - 1e-12)
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise DegenerateChain(
-            "restart chain numerically absorbing: exit probabilities "
-            f"p(alpha)={p_low[k]:.3e}, p(beta)={p_high[k]:.3e}")
-    m_low, m_high = per_candidate(expected_exit_time(c, mp.sigma, lo, hi, y))
-    fbar = lambda z: growth_integrand_transformed(mp, z)
-    w_low, w_high = per_candidate(expected_running_reward(fbar, c, mp.sigma, lo, hi, y))
-    cost_low = np.log(wealth_factor(cp, a, al))
-    cost_high = np.log(wealth_factor(cp, b, be))
-    # stationary split of the restart chain on {alpha, beta}
-    pi_low = (1.0 - p_high) / (1.0 - p_high + p_low)
-    pi_high = p_low / (1.0 - p_high + p_low)
-    reward = (pi_low * (w_low + p_low * cost_high + (1.0 - p_low) * cost_low)
-              + pi_high * (w_high + p_high * cost_high + (1.0 - p_high) * cost_low))
-    length = pi_low * m_low + pi_high * m_high
-    return mp.r + reward / length
-
-
-def evaluate_policy_renewal(mp: MarketParams, cp: CostParams, cand) -> float:
-    """Exact long-run growth of the constant boundary strategy given by
-    cand's (a, alpha, beta, b), under the original cost convention."""
-    if not cand.ordering_ok():
-        raise ValueError("candidate ordering a < alpha <= beta < b violated")
-    out = _renewal_batch(
-        mp, cp,
-        np.array([cand.a]), np.array([cand.alpha]),
-        np.array([cand.beta]), np.array([cand.b]))
-    return float(out[0])
+REPORT_MIN_ROWS = 3  # rows the convergence report's slope fits need
 
 
 @dataclass(frozen=True)
@@ -321,8 +159,8 @@ def convergence_report(table: SweepTable) -> ConvergenceReport:
     """Descriptive log-log slopes plus monotonicity flags, one per bad
     adjacent pair of rows."""
     rows = table.rows
-    if len(rows) < 3:
-        raise ValueError("report needs at least 3 sweep rows")
+    if len(rows) < REPORT_MIN_ROWS:
+        raise ValueError(f"report needs at least {REPORT_MIN_ROWS} sweep rows")
     l0 = table.limit.candidate.l0
     flags = []
     for i, (r1, r2) in enumerate(zip(rows, rows[1:])):

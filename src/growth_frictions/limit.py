@@ -13,7 +13,9 @@ i.e. the delta -> 0 limit of the six-equation system once a and alpha merge
 into A and beta and b merge into B.  The value function is therefore the
 impulse model's ValueFunction at delta = 0 with anchor (l0, x0, A, A, B, B);
 it is C2, which verify_hjb_limit checks on the grid shared with verify_qvi
-together with the gradient constraints of the verification theorem.
+together with the gradient constraints of the verification theorem.  The
+solve runs through the impulse solver's start loop,
+``_slope.newton_from_starts``; only the residual and the starts differ.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._slope import (NewtonUnknowns, NonConvergence, ParameterDegeneracy,
-                     ValueFunction, _grid_check, damped_newton, slope_g, slope_g_dx)
+from ._slope import (RESIDUAL_TOL, NewtonUnknowns, NonConvergence, ParameterDegeneracy,
+                     ValueFunction, _grid_check, newton_from_starts, slope_g, slope_g_dx)
 from .market import (CostParams, MarketParams, ParameterError,
                      check_growth_excess, growth_integrand, merton_fraction,
                      no_trade_floor)
@@ -35,7 +37,6 @@ __all__ = [
     "verify_hjb_limit", "NonConvergence", "ParameterDegeneracy",
 ]
 
-RESIDUAL_TOL = 1e-10
 SECOND_ORDER_TOL = 1e-6
 
 
@@ -96,37 +97,23 @@ def default_limit_initializer(mp: MarketParams, gamma: float) -> LimitCandidate:
 
 def solve_limit(mp: MarketParams, gamma: float,
                 init: LimitCandidate | None = None) -> LimitSolution:
-    """Solve the four-unknown reflecting-boundary system; gamma must be > 0.
+    """Solve the four-unknown reflecting-boundary system; 0 < gamma < 1.
 
-    Tries ``init`` when given (the warm start), then the default band
-    start, with one damped Newton run each, and returns the first run that
-    reaches RESIDUAL_TOL at a valid candidate.  At gamma = 0 the no-trade
-    region collapses to the Merton point and the system degenerates, so
-    that input is rejected.
+    One damped Newton run from ``init`` when given (the warm start), then
+    from the default band start; the first valid root wins, and
+    NonConvergence is raised when none is found.  At gamma = 0 the no-trade
+    region collapses to the Merton point and the system degenerates.
     """
     if gamma <= 0.0:
         raise ParameterDegeneracy("limit solver requires gamma > 0")
-
-    def residual(v):
-        return residual_system_limit(mp, gamma, LimitCandidate.from_vector(v))
-
-    # Each run goes on until its step stalls, so a start that lands close
-    # still ends at rounding level; it passes if it reaches RESIDUAL_TOL.
+    CostParams(0.0, gamma)  # an inadmissible gamma is named before any Newton work
     starts = ([init] if init is not None else []) + [default_limit_initializer(mp, gamma)]
-    for cand0 in starts:
-        try:
-            v, iters, norm = damped_newton(residual, cand0.as_vector(), tol=0.0)
-            cand = LimitCandidate.from_vector(v)
-            if norm > RESIDUAL_TOL:
-                raise NonConvergence(f"limit system residual {norm:.3e} after {iters} iterations")
-            cand.check_invariants(mp)
-        except ParameterError as err:
-            last_err = NonConvergence(f"limit solve converged to an invalid candidate: {err}")
-        except (ValueError, NonConvergence) as err:
-            last_err = err
-        else:
-            return LimitSolution(candidate=cand, residual_norm=norm, newton_iters=iters)
-    raise last_err
+    # Each run goes on until its step stalls (tol 0), so a start that lands
+    # close still ends at rounding level.
+    cand, iters, norm = newton_from_starts(
+        LimitCandidate, lambda c: residual_system_limit(mp, gamma, c), starts,
+        lambda c: c.check_invariants(mp), tol=0.0)
+    return LimitSolution(candidate=cand, residual_norm=norm, newton_iters=iters)
 
 
 def build_limit_value(mp: MarketParams, gamma: float, sol: LimitSolution) -> ValueFunction:
@@ -139,7 +126,8 @@ def build_limit_value(mp: MarketParams, gamma: float, sol: LimitSolution) -> Val
 
 @dataclass(frozen=True)
 class HJBReport:
-    """Grid check of the verification-theorem conditions."""
+    """Grid check of the verification-theorem conditions; unresolved_band is
+    empty unless [A, B] holds no grid point."""
 
     grid_n: int
     tol: float
@@ -151,6 +139,7 @@ class HJBReport:
     equality_gap_low_region: float
     equality_gap_high_region: float
     second_deriv_mismatch: float
+    unresolved_band: str
     passed: bool
 
     def summary(self) -> str:
@@ -163,6 +152,8 @@ class HJBReport:
             f"  gradient equality gaps      {self.equality_gap_low_region:.3e}, {self.equality_gap_high_region:.3e}",
             f"  C2 mismatch at A, B         {self.second_deriv_mismatch:.3e}",
         ]
+        if self.unresolved_band:
+            lines.append(f"  {self.unresolved_band}")
         return "\n".join(lines)
 
 
@@ -177,7 +168,7 @@ def verify_hjb_limit(mp: MarketParams, gamma: float, sol: LimitSolution,
     """
     cand = sol.candidate
     vf = value if value is not None else build_limit_value(mp, gamma, sol)
-    grid, du, resid, interior, max_interior, interior_x = _grid_check(
+    grid, du, resid, interior, max_interior, interior_x, unresolved = _grid_check(
         mp, vf, cand.l0, cand.A, cand.B, grid_n, "verify_hjb_limit")
     max_excess = float(max(np.max(resid), 0.0))
 
@@ -196,7 +187,7 @@ def verify_hjb_limit(mp: MarketParams, gamma: float, sol: LimitSolution,
     mism = float(np.max(np.abs(residual_system_limit(mp, gamma, anchored)[2:])))
 
     passed = bool(
-        interior.any()
+        not unresolved
         and max_interior <= tol
         and max_excess <= tol
         and up_excess <= tol
@@ -212,5 +203,5 @@ def verify_hjb_limit(mp: MarketParams, gamma: float, sol: LimitSolution,
         max_lower_gradient_excess=low_excess,
         equality_gap_low_region=gap_low,
         equality_gap_high_region=gap_high,
-        second_deriv_mismatch=mism, passed=passed,
+        second_deriv_mismatch=mism, unresolved_band=unresolved, passed=passed,
     )

@@ -14,10 +14,11 @@ of smooth-pasting and value-matching equations:
     int_beta^b g - cost(b, beta)   = 0           the rebalancing jumps
 
 solved by one damped Newton run from a warm start or, cold, from the
-constant boundary policy with the best exact renewal value near the
-reflecting limits.  The value function u is then assembled piecewise from
-the trade cost outside [a, b] and the integral of g inside, and checked
-against the variational inequality max{Du + f - l, Mu - u} = 0 on a grid.
+constant boundary policy with the best exact renewal value (``_policy``)
+near the reflecting limits, through the start loop shared with the limit
+solver.  The value function u is then assembled piecewise from the trade
+cost outside [a, b] and the integral of g inside, and checked against the
+variational inequality max{Du + f - l, Mu - u} = 0 on a grid.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import limit as _limit
-from ._slope import (NewtonUnknowns, NonConvergence, ParameterDegeneracy,
-                     ValueFunction, _grid_check, _peak, damped_newton, slope_g,
+from ._policy import _renewal_batch
+from ._slope import (RESIDUAL_TOL, NewtonUnknowns, NonConvergence, ParameterDegeneracy,
+                     ValueFunction, _grid_check, _peak, newton_from_starts, slope_g,
                      slope_g_dx, slope_g_integral)
 from .market import (EPS, CostParams, MarketParams, ParameterError,
                      check_growth_excess, from_centered, no_trade_floor,
@@ -41,7 +43,6 @@ __all__ = [
     "NonConvergence", "ParameterDegeneracy",
 ]
 
-RESIDUAL_TOL = 1e-10
 PASTING_TOL = 1e-8
 
 
@@ -117,8 +118,6 @@ def _oracle_seed(mp, cp, lim_cand):
     never trading (or holding only stock), there is no interior optimum to
     seed and ParameterDegeneracy is raised.
     """
-    from .lab import _renewal_batch  # deferred: lab imports this module
-
     a_lim = to_centered(lim_cand.A)
     b_lim = to_centered(lim_cand.B)
     widen = np.geomspace(5e-3, 4.0, 14)
@@ -160,20 +159,6 @@ def _oracle_seed(mp, cp, lim_cand):
     return BoundaryCandidate(l=l, x0=x0, a=a, alpha=al, beta=be, b=b)
 
 
-def _newton_run(mp, cp, cand):
-    """One damped Newton run at cp from cand.  A run that misses
-    RESIDUAL_TOL or collapses alpha onto beta raises NonConvergence."""
-    v, iters, norm = damped_newton(
-        lambda v: residual_system(mp, cp, BoundaryCandidate.from_vector(v)),
-        cand.as_vector(), tol=RESIDUAL_TOL)
-    cand = BoundaryCandidate.from_vector(v)
-    collapsed = not cand.alpha < cand.beta
-    if norm > RESIDUAL_TOL or collapsed:
-        raise NonConvergence(f"residual {norm:.3e} at delta={cp.delta:g}"
-                             + (" (alpha = beta collapse)" if collapsed else ""))
-    return cand, iters, norm
-
-
 def _starts(mp, cp, init):
     """The seeds of solve_boundaries in order, built lazily so the limit
     solve and the renewal search run only when the warm start fails."""
@@ -186,39 +171,26 @@ def solve_boundaries(mp: MarketParams, cp: CostParams,
                      init: BoundaryCandidate | None = None) -> BoundarySolution:
     """Solve the six-unknown system; requires delta > 0 and gamma > 0.
 
-    Tries up to two starts in order and returns the first that converges
-    to a valid candidate, each with one damped Newton run at the target
-    delta:
-
-    1. ``init``, when given (the warm start);
-    2. the renewal-search seed around the pure-proportional limits (the
-       cold start).
-
-    A failed run fails its start; nothing is retried or perturbed.  Raises
-    ParameterDegeneracy ("no interior optimum") when the renewal search
-    finds no policy beating the no-trade floor, and NonConvergence when
-    every start fails.
+    One damped Newton run from ``init`` when given (the warm start), then
+    from the renewal-search seed around the pure-proportional limits (the
+    cold start); the first valid root wins, and nothing is retried or
+    perturbed.  Raises ParameterDegeneracy ("no interior optimum") when the
+    renewal search finds no policy beating the no-trade floor, and
+    NonConvergence when every start fails.
     """
     if cp.delta <= 0.0:
         raise ParameterDegeneracy("impulse boundary solver requires delta > 0")
     if cp.gamma <= 0.0:
         raise ParameterDegeneracy("impulse boundary solver requires gamma > 0")
-
-    last_err: Exception | None = None
-    for seed in _starts(mp, cp, init):
-        try:
-            cand, iters, norm = _newton_run(mp, cp, seed)
-            cand.check_invariants(mp, cp)
-        except (NonConvergence, ValueError) as err:
-            last_err = err
-            continue
-        return BoundarySolution(
-            candidate=cand,
-            residual_norm=norm,
-            newton_iters=iters,
-            original_cost_optimal=bool(cand.a <= cand.alpha * (1.0 - cp.delta)),
-        )
-    raise NonConvergence(f"no start converged: {last_err}")
+    cand, iters, norm = newton_from_starts(
+        BoundaryCandidate, lambda c: residual_system(mp, cp, c), _starts(mp, cp, init),
+        lambda c: c.check_invariants(mp, cp))
+    return BoundarySolution(
+        candidate=cand,
+        residual_norm=norm,
+        newton_iters=iters,
+        original_cost_optimal=bool(cand.a <= cand.alpha * (1.0 - cp.delta)),
+    )
 
 
 def build_value(mp: MarketParams, cp: CostParams, sol: BoundarySolution) -> ValueFunction:
@@ -238,7 +210,8 @@ def build_value(mp: MarketParams, cp: CostParams, sol: BoundarySolution) -> Valu
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Grid check of the variational inequality; all fields finite."""
+    """Grid check of the variational inequality; all numeric fields finite,
+    and unresolved_band empty unless (a, b) holds no grid point."""
 
     grid_n: int
     tol: float
@@ -253,6 +226,7 @@ class VerificationReport:
     equality_target_low: float
     equality_target_high: float
     pasting_mismatch: float
+    unresolved_band: str
     passed: bool
 
     def summary(self) -> str:
@@ -265,6 +239,8 @@ class VerificationReport:
             f"  argmax targets at a,b  {self.equality_target_low:.6f}, {self.equality_target_high:.6f}",
             f"  C1 pasting mismatch    {self.pasting_mismatch:.3e}",
         ]
+        if self.unresolved_band:
+            lines.append(f"  {self.unresolved_band}")
         return "\n".join(lines)
 
 
@@ -277,7 +253,7 @@ def verify_qvi(mp: MarketParams, cp: CostParams, vf: ValueFunction,
     build time.  Violations are reported, never raised.
     """
     cand = vf.candidate
-    grid, _, resid, interior, max_interior, interior_x = _grid_check(
+    grid, _, resid, interior, max_interior, interior_x, unresolved = _grid_check(
         mp, vf, cand.l, cand.a, cand.b, grid_n, "verify_qvi")
 
     max_exterior, exterior_x = _peak(resid[~interior], grid[~interior])
@@ -306,7 +282,7 @@ def verify_qvi(mp: MarketParams, cp: CostParams, vf: ValueFunction,
 
     spacing = float(grid[1] - grid[0])
     passed = bool(
-        interior.any()
+        not unresolved
         and max_interior <= tol
         and max_exterior <= tol
         and max_obstacle <= tol
@@ -322,5 +298,5 @@ def verify_qvi(mp: MarketParams, cp: CostParams, vf: ValueFunction,
         max_obstacle_excess=max_obstacle, obstacle_worst_x=obstacle_x,
         equality_gap_low=gap_low, equality_gap_high=gap_high,
         equality_target_low=target_low, equality_target_high=target_high,
-        pasting_mismatch=pasting, passed=passed,
+        pasting_mismatch=pasting, unresolved_band=unresolved, passed=passed,
     )

@@ -37,7 +37,7 @@ from .market import (CostParams, MarketParams, from_centered, merton_fraction, t
 
 __all__ = [
     "SimConfig", "TradeEvent", "PathRecord", "ReflectedRecord", "GrowthEstimate",
-    "CouplingRow", "NumericalBlowup", "path_generator", "bridge_crossing_prob",
+    "CouplingRow", "NumericalBlowup", "path_generator",
     "simulate_impulse_path", "estimate_growth_impulse",
     "simulate_reflected_path", "estimate_growth_reflected",
     "couple_at_boundaries", "couple_paths",
@@ -153,16 +153,6 @@ def path_generator(base_seed: int, path_index: int, stream: int = 0) -> np.rando
     uniform side-channel used by the bridge correction."""
     word = base_seed ^ (_BRIDGE_STREAM_SALT if stream else 0)
     return np.random.Generator(np.random.Philox(key=[word, path_index]))
-
-
-def bridge_crossing_prob(y0, y1, level, sigma: float, dt: float):
-    """P(a Brownian bridge from y0 to y1 over dt touches level).
-
-    Valid when y0 and y1 are on the same side of the level; the drift does
-    not enter the bridge law.  The walker tests u < P in log form.
-    """
-    expo = -2.0 * (level - np.asarray(y0)) * (level - np.asarray(y1)) / (sigma * sigma * dt)
-    return np.exp(np.minimum(expo, 0.0))
 
 
 def _start(mp, cfg, lo, hi, closed, region="no-trade region"):

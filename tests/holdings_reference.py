@@ -15,7 +15,14 @@ import math
 import numpy as np
 
 from growth_frictions import to_centered, wealth_factor
-from growth_frictions.simulate import bridge_crossing_prob, path_generator
+from growth_frictions.simulate import path_generator
+
+
+def bridge_crossing_prob(y0, y1, level, sigma, dt):
+    """P(a Brownian bridge from y0 to y1 over dt touches level), for y0 and
+    y1 on the same side of the level; the drift does not enter the law."""
+    expo = -2.0 * (level - np.asarray(y0)) * (level - np.asarray(y1)) / (sigma * sigma * dt)
+    return np.exp(np.minimum(expo, 0.0))
 
 
 def holdings_growth(mp, cfg, paths, impulse=None, reflect=None):

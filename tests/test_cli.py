@@ -233,6 +233,8 @@ def test_seventeen_digit_round_trip(config_file, tmp_path):
     ["oracle", "--radius", "0.5"],
     ["solve", "--grid_n", "50"],
     ["verify", "--solution", "no_such_dir/solution.csv"],
+    ["sweep", "--deltas", "0.999,0.5,0.1"],  # gamma = 0.003: delta must stay below 1 - gamma
+    ["sweep", "--deltas", "1e-2,1e-3"],  # the convergence report needs three rows
 ])
 def test_bad_input_is_one_config_error_before_solving(argv, config_file, tmp_path,
                                                       capsys, monkeypatch):

@@ -69,6 +69,9 @@ def test_multi_start_agreement(mp, lim):
 def test_gamma_zero_rejected(mp):
     with pytest.raises(gf.ParameterDegeneracy):
         gf.solve_limit(mp, 0.0)
+    # an inadmissible gamma is named before any Newton work
+    with pytest.raises(gf.ParameterError, match="gamma < 1 - delta"):
+        gf.solve_limit(mp, 1.5)
 
 
 def test_hjb_verification_passes(mp, lim):
@@ -160,3 +163,9 @@ def test_band_between_grid_points_is_reported_not_raised():
     assert rep.passed is False
     values = dataclasses.astuple(rep)
     assert all(np.isfinite(v) for v in values if isinstance(v, float))
+    c = sol.candidate
+    assert rep.summary().splitlines()[-1] == (
+        f"  unresolved band [{c.A:.6f}, {c.B:.6f}] holds no grid point (spacing 2.000e-03)")
+    # a resolved band adds no line
+    passing = gf.verify_hjb_limit(mp, 1e-5, sol, 2001)
+    assert passing.unresolved_band == "" and "unresolved" not in passing.summary()

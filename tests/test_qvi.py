@@ -231,7 +231,13 @@ def test_band_between_grid_points_is_reported_not_raised():
     sol = gf.solve_boundaries(mp, cp)
     grid = np.linspace(EPS, 1 - EPS, 501)
     assert not np.any((grid >= sol.candidate.a) & (grid <= sol.candidate.b))
-    rep = gf.verify_qvi(mp, cp, gf.build_value(mp, cp, sol), 501)
+    vf = gf.build_value(mp, cp, sol)
+    rep = gf.verify_qvi(mp, cp, vf, 501)
     assert rep.passed is False
     values = dataclasses.astuple(rep)
     assert all(np.isfinite(v) for v in values if isinstance(v, float))
+    c = sol.candidate
+    assert rep.summary().splitlines()[-1] == (
+        f"  unresolved band [{c.a:.6f}, {c.b:.6f}] holds no grid point (spacing 2.000e-03)")
+    # a resolved band adds no line
+    assert gf.verify_qvi(mp, cp, vf, 2001).unresolved_band == ""
