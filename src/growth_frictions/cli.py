@@ -26,6 +26,8 @@ from .market import CostParams, MarketParams, ParameterError
 
 DEFAULT_SWEEP_DELTAS = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 1e-5, 1e-6)
 DEFAULT_COUPLE_DELTAS = (1e-2, 1e-3, 1e-4)
+# grid.csv rows per written chunk: the oracle box never exists as one string
+_CSV_ROWS = 4096
 SUBCOMMANDS = ("solve", "limit", "sweep", "simulate", "reflect", "couple", "oracle", "verify")
 
 
@@ -167,10 +169,12 @@ def parse_config(path: str | None = None, overrides: dict | None = None,
     return RunConfig(values=values, out_dir=Path(out_dir))
 
 
-def _write(out_dir: Path, name: str, text: str) -> Path:
+def _write(out_dir: Path, name: str, text) -> Path:
+    """Write text, a string or an iterable of string chunks, to out_dir/name."""
     out_dir.mkdir(parents=True, exist_ok=True)
     target = out_dir / name
-    target.write_text(text, encoding="utf-8")
+    with open(target, "w", encoding="utf-8") as fh:
+        fh.writelines([text] if isinstance(text, str) else text)
     return target
 
 
@@ -239,10 +243,14 @@ def coupling_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def oracle_csv(result: lab.BruteForceResult) -> str:
-    lines = ["a,alpha,beta,b,growth"]
-    lines.extend("%.17g,%.17g,%.17g,%.17g,%.17g" % tuple(row) for row in result.values.tolist())
-    return "\n".join(lines) + "\n"
+def oracle_csv(result: lab.BruteForceResult):
+    """grid.csv as text chunks of _CSV_ROWS rows each, so that a large box
+    is never held as one string."""
+    yield "a,alpha,beta,b,growth\n"
+    values = result.values
+    for k in range(0, len(values), _CSV_ROWS):
+        yield "".join("%.17g,%.17g,%.17g,%.17g,%.17g\n" % tuple(row)
+                      for row in values[k:k + _CSV_ROWS].tolist())
 
 
 def impulse_paths_csv(rec: simulate.PathRecord) -> str:

@@ -15,7 +15,7 @@ from . import qvi as _qvi
 from ._policy import (DegenerateChain, _renewal_batch, evaluate_policy_renewal,
                       exit_prob_up, expected_exit_time, expected_running_reward)
 from ._slope import NonConvergence
-from .market import CostParams, MarketParams
+from .market import CostParams, MarketParams, check_deltas
 
 __all__ = [
     "DegenerateChain", "SweepRow", "SweepTable", "BruteForceResult",
@@ -94,13 +94,7 @@ def sweep_delta(mp: MarketParams, gamma: float, deltas) -> SweepTable:
     its cold start if that fails).  A failed row aborts the sweep; the
     raised NonConvergence carries the completed rows as .partial.
     """
-    deltas = [float(d) for d in deltas]
-    if not deltas or any(d <= 0 for d in deltas):
-        raise ValueError("deltas must be positive")
-    if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
-        raise ValueError("deltas must be sorted in decreasing order")
-    if any(d >= 1.0 - gamma for d in deltas):
-        raise ValueError("every delta must stay below 1 - gamma")
+    deltas = check_deltas(deltas, gamma)
     lim = _limit.solve_limit(mp, gamma)
     A, B, l0 = lim.candidate.A, lim.candidate.B, lim.candidate.l0
     rows = []

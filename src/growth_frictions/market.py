@@ -70,8 +70,22 @@ class CostParams:
 
     def __post_init__(self) -> None:
         _check(0.0 <= self.delta < 1.0, "0 <= delta < 1")
-        _check(0.0 <= self.gamma < 1.0 - self.delta, "gamma < 1 - delta")
         _check(self.gamma >= 0.0, "gamma >= 0")
+        _check(self.gamma < 1.0 - self.delta, "gamma < 1 - delta")
+
+
+def check_deltas(deltas, gamma: float) -> list:
+    """A grid of fixed costs as floats, checked before any solve: positive,
+    strictly decreasing and below 1 - gamma.  Raises ValueError, since a
+    bad grid is bad input rather than a broken model invariant."""
+    deltas = [float(d) for d in deltas]
+    if not deltas or any(d <= 0 for d in deltas):
+        raise ValueError("deltas must be positive")
+    if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
+        raise ValueError("deltas must be sorted in decreasing order")
+    if any(d >= 1.0 - gamma for d in deltas):
+        raise ValueError("every delta must stay below 1 - gamma")
+    return deltas
 
 
 def merton_fraction(mp: MarketParams) -> float:

@@ -19,6 +19,10 @@ near the reflecting limits, through the start loop shared with the limit
 solver.  The value function u is then assembled piecewise from the trade
 cost outside [a, b] and the integral of g inside, and checked against the
 variational inequality max{Du + f - l, Mu - u} = 0 on a grid.
+
+The check is O(n) in time and memory: the trade cost is separable,
+log num(x) - log den(y) with the branch set by y > x, so the intervention
+operator Mu is a suffix and a prefix scan over the sorted trade targets.
 """
 
 from __future__ import annotations
@@ -244,13 +248,40 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _best_so_far(values):
+    """For each j, the index of a largest entry of values[:j + 1]."""
+    is_record = values == np.maximum.accumulate(values)
+    return np.maximum.accumulate(np.where(is_record, np.arange(values.size), 0))
+
+
+def _intervention(cp: CostParams, grid, targets, u_targets):
+    """Mu(x) = max over the sorted targets y of u(y) + trade_cost_gamma(x, y)
+    at each x of the grid, a subset of the targets.  Per branch the best y
+    is a running argmax of u(y) - log den(y): a suffix one over y > x for
+    buying, a prefix one over y <= x for selling.  Both gains are then
+    computed as a full search computes them, so Mu agrees with it to
+    rounding."""
+    above = np.searchsorted(targets, grid, side="right")  # first target > x
+    sell = _best_so_far(u_targets - np.log(1.0 - cp.gamma * targets))[above - 1]
+    buy_from = targets.size - 1 - _best_so_far(
+        (u_targets - np.log(1.0 + cp.gamma * targets))[::-1])[::-1]
+    # no target above the top grid point: its buying gain repeats selling
+    buy = np.append(buy_from, -1)[above]
+    buy = np.where(buy < 0, sell, buy)
+    return np.maximum(u_targets[buy] + trade_cost_gamma(cp, grid, targets[buy]),
+                      u_targets[sell] + trade_cost_gamma(cp, grid, targets[sell]))
+
+
 def verify_qvi(mp: MarketParams, cp: CostParams, vf: ValueFunction,
                grid_n: int, tol: float = 1e-6) -> VerificationReport:
     """Check the variational inequality for (u, l) on a uniform grid.
 
     The growth excess l is read from ``vf.candidate`` (the claim under
     test) while u and its derivatives come from the curve anchored at
-    build time.  Violations are reported, never raised.
+    build time.  Mu takes every grid point and both restart points as
+    trade targets, in O(n) time and memory (``_intervention``).  Both
+    one-sided excesses are positive parts.  Violations are reported, never
+    raised.
     """
     cand = vf.candidate
     grid, _, resid, interior, max_interior, interior_x, unresolved = _grid_check(
@@ -259,15 +290,12 @@ def verify_qvi(mp: MarketParams, cp: CostParams, vf: ValueFunction,
     max_exterior, exterior_x = _peak(resid[~interior], grid[~interior])
     max_exterior = max(max_exterior, 0.0)
 
-    # Obstacle side: Mu(x) = max_y u(y) + cost(x, y) over the target grid,
-    # which always contains the restart points alpha and beta.
+    # The target grid always contains the restart points alpha and beta.
     targets = np.unique(np.concatenate([grid, [cand.alpha, cand.beta]]))
-    u_grid = vf.u(grid)
     u_targets = vf.u(targets)
-    gain = u_targets[None, :] + trade_cost_gamma(cp, grid[:, None], targets[None, :])
-    mu = gain.max(axis=1)
-    obstacle = mu - u_grid
+    obstacle = _intervention(cp, grid, targets, u_targets) - vf.u(grid)
     max_obstacle, obstacle_x = _peak(obstacle, grid)
+    max_obstacle = max(max_obstacle, 0.0)
 
     def equality_at(x):
         vals = u_targets + trade_cost_gamma(cp, x, targets)

@@ -32,8 +32,8 @@ import numpy as np
 
 from . import limit as _limit
 from . import qvi as _qvi
-from .market import (CostParams, MarketParams, from_centered, merton_fraction, to_centered,
-                     trade_cost_transformed)
+from .market import (CostParams, MarketParams, check_deltas, from_centered, merton_fraction,
+                     to_centered, trade_cost_transformed)
 
 __all__ = [
     "SimConfig", "TradeEvent", "PathRecord", "ReflectedRecord", "GrowthEstimate",
@@ -352,16 +352,15 @@ def couple_at_boundaries(mp: MarketParams, impulse_bounds_y, limits_y,
 def couple_paths(mp: MarketParams, gamma: float, deltas, cfg: SimConfig) -> list:
     """Common-noise coupling of impulse paths against the reflected limit.
 
-    deltas must be sorted in decreasing order; each is solved by the
-    boundary solver (warm started along the list).  The start fraction is
-    checked against the reflected band [A, B] before any delta is solved,
-    and against every no-trade region before any path is walked.
+    deltas must be positive, decreasing and below 1 - gamma, which is
+    checked before anything is solved; each is solved by the boundary
+    solver (warm started along the list).  The start fraction is checked
+    against the reflected band [A, B] before any delta is solved, and
+    against every no-trade region before any path is walked.
     One CouplingRow per delta, reporting the mean over paths of
     sup_t |Y_delta - Y|.
     """
-    deltas = [float(d) for d in deltas]
-    if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
-        raise ValueError("deltas must be sorted in decreasing order")
+    deltas = check_deltas(deltas, gamma)
     lim = _limit.solve_limit(mp, gamma)
     A, B = lim.candidate.A, lim.candidate.B
     lo_y, hi_y = to_centered(A), to_centered(B)

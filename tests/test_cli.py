@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from growth_frictions import cli, lab, limit, qvi, simulate
@@ -198,6 +203,16 @@ def test_oracle_small_grid(config_file, tmp_path):
     assert len(lines) == 1 + 5**4
 
 
+def test_oracle_csv_in_chunks_is_the_one_string_form(mp, cp, sol, tmp_path, monkeypatch):
+    result = lab.brute_force_boundaries(mp, cp, sol.candidate, 0.004, 0.002)
+    one = "\n".join(["a,alpha,beta,b,growth"] + [
+        "%.17g,%.17g,%.17g,%.17g,%.17g" % tuple(row) for row in result.values.tolist()]) + "\n"
+    monkeypatch.setattr(cli, "_CSV_ROWS", 7)  # 625 rows: 89 full chunks and a short one
+    assert "".join(cli.oracle_csv(result)) == one
+    written = cli._write(tmp_path, "grid.csv", cli.oracle_csv(result))
+    assert written.read_bytes() == one.encode()
+
+
 def test_byte_identical_reruns(config_file, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     args = ["simulate", "--config", config_file, "--horizon", "2", "--dt", "0.02",
@@ -235,6 +250,7 @@ def test_seventeen_digit_round_trip(config_file, tmp_path):
     ["verify", "--solution", "no_such_dir/solution.csv"],
     ["sweep", "--deltas", "0.999,0.5,0.1"],  # gamma = 0.003: delta must stay below 1 - gamma
     ["sweep", "--deltas", "1e-2,1e-3"],  # the convergence report needs three rows
+    ["couple", "--deltas", "0.999,0.5,0.1"],
 ])
 def test_bad_input_is_one_config_error_before_solving(argv, config_file, tmp_path,
                                                       capsys, monkeypatch):
@@ -291,3 +307,31 @@ def test_numerical_failure_is_one_named_error(argv, module, name, error, reason,
     assert code == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"ERROR: {reason}: injected failure"]
+
+
+CHILD_RSS_MB = 150  # the dense obstacle search took verify to 537 MB
+# Linux carries the high-water RSS of the process a child is spawned from
+# into the child's ru_maxrss, so the CLI is spawned from this small launcher
+# and not from the test process, whose own peak would otherwise count.
+RSS_LAUNCHER = (
+    "import os, sys; "
+    "pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ, "
+    "file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]); "
+    "_, status, usage = os.wait4(pid, 0); "
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+
+
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+def test_child_peak_memory_is_bounded(command, config_file, tmp_path):
+    argv = [command, "--config", config_file, "--out", str(tmp_path / command)]
+    if command == "verify":
+        assert cli.main(["solve", "--config", config_file, "--out", str(tmp_path / "solve")]) == 0
+        argv += ["--solution", str(tmp_path / "solve" / "solution.csv"), "--grid_n", "4001"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    launched = subprocess.run(
+        [sys.executable, "-c", RSS_LAUNCHER, sys.executable, "-m", "growth_frictions.cli", *argv],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    status, max_rss_kb = map(int, launched.stdout.split())
+    assert status == 0
+    assert max_rss_kb / 1024 < CHILD_RSS_MB

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 import growth_frictions as gf
-from growth_frictions import lab
+from growth_frictions import _policy, lab
 from mc_reference import exit_mc
 
 GAMMA = 0.003
@@ -70,6 +70,24 @@ def test_running_reward_against_quadrature_reference(mp):
     reference = (2 / s2) * (low * ee(hi - y) + high * ee(y - lo)) / ee(hi - lo)
     w = gf.expected_running_reward(fbar, c, mp.sigma, lo, hi, y)
     assert w == pytest.approx(reference, abs=1e-10)
+
+
+def test_running_reward_blocks_are_exact(mp):
+    # the quadrature runs in blocks of rows; no row may move by one bit,
+    # whether it is priced in a long call, a short one or alone
+    c = mp.mu - mp.r - 0.5 * mp.sigma**2
+    fbar = lambda z: gf.growth_integrand_transformed(mp, z)
+    n = 2 * _policy._QUAD_ROWS + 1
+    rng = np.random.default_rng(8)
+    lo, hi = rng.uniform(-2.0, -0.1, n), rng.uniform(0.1, 2.0, n)
+    y = lo + rng.uniform(0.01, 0.99, n) * (hi - lo)
+    whole = gf.expected_running_reward(fbar, c, mp.sigma, lo, hi, y)
+    cuts = [0, 1000, 1001, 3000, n]
+    parts = np.concatenate([gf.expected_running_reward(fbar, c, mp.sigma, lo[i:j], hi[i:j], y[i:j])
+                            for i, j in zip(cuts, cuts[1:])])
+    assert np.array_equal(whole, parts)
+    for k in (0, _policy._QUAD_ROWS, n - 1):
+        assert gf.expected_running_reward(fbar, c, mp.sigma, lo[k], hi[k], y[k]) == whole[k]
 
 
 def test_renewal_matches_solver_value(mp, cp, sol):

@@ -39,6 +39,11 @@ def test_cost_params_invariants():
         gf.CostParams(delta=0.1, gamma=-0.01)
 
 
+def test_negative_gamma_is_named():
+    with pytest.raises(gf.ParameterError, match="^gamma >= 0$"):
+        gf.CostParams(delta=0.0, gamma=-0.1)
+
+
 def test_growth_integrand_fig2_values(mp):
     assert gf.growth_integrand(mp, 0.0) == 0.0
     assert gf.growth_integrand(mp, 1.0) == pytest.approx(0.016, abs=1e-15)

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import growth_frictions as gf
+from growth_frictions import qvi
 from growth_frictions.market import EPS
 
 FIG2_L_LOW = 0.016    # f(1): lower bound on the growth excess
@@ -241,3 +242,68 @@ def test_band_between_grid_points_is_reported_not_raised():
         f"  unresolved band [{c.a:.6f}, {c.b:.6f}] holds no grid point (spacing 2.000e-03)")
     # a resolved band adds no line
     assert gf.verify_qvi(mp, cp, vf, 2001).unresolved_band == ""
+
+
+# The six solve_domain anchors that solve: the reference market at two fixed
+# costs, lopsided Merton fractions, the knife edge and heavy costs.
+SCAN_MARKETS = {
+    "reference_delta1e-3": ((0.0, 0.096, 0.4), (1e-3, 0.003)),
+    "reference_delta1e-6": ((0.0, 0.096, 0.4), (1e-6, 0.003)),
+    "hhat0.25": ((0.0, 0.040, 0.4), (1e-3, 0.003)),
+    "hhat0.9": ((0.01, 0.154, 0.4), (1e-3, 0.003)),
+    "knife_edge": ((0.02, 0.1, 0.4), (1e-2, 0.02)),
+    "heavy_costs": ((0.03, 0.09, 0.3), (5e-3, 0.05)),
+}
+
+
+def dense_intervention(cp, grid, targets, u_targets):
+    """Reference Mu: the full n x (n + 2) gain matrix, maximised row by row."""
+    gain = u_targets[None, :] + gf.trade_cost_gamma(cp, grid[:, None], targets[None, :])
+    return gain.max(axis=1)
+
+
+@pytest.fixture(scope="module", params=list(SCAN_MARKETS))
+def scan_market(request):
+    mp = gf.MarketParams(*SCAN_MARKETS[request.param][0])
+    cp = gf.CostParams(*SCAN_MARKETS[request.param][1])
+    return mp, cp, gf.build_value(mp, cp, gf.solve_boundaries(mp, cp))
+
+
+@pytest.mark.parametrize("n", [501, 2001])
+def test_obstacle_scan_matches_dense_search(scan_market, n, monkeypatch):
+    mp, cp, vf = scan_market
+    c = vf.candidate
+    grid = np.linspace(EPS, 1 - EPS, n)
+    targets = np.unique(np.concatenate([grid, [c.alpha, c.beta]]))
+    u_targets = vf.u(targets)
+    scan = qvi._intervention(cp, grid, targets, u_targets)
+    dense = dense_intervention(cp, grid, targets, u_targets)
+    assert np.max(np.abs(scan - dense)) <= 1e-15
+    report = gf.verify_qvi(mp, cp, vf, n)
+    monkeypatch.setattr(qvi, "_intervention", dense_intervention)
+    assert report == gf.verify_qvi(mp, cp, vf, n)
+    assert report.passed
+
+
+def test_obstacle_scan_keeps_the_cost_checks(cp):
+    grid = np.linspace(EPS, 1 - EPS, 101)
+    targets = np.append(grid, 1.5)
+    with pytest.raises(ValueError, match="fractions in"):
+        qvi._intervention(cp, grid, targets, np.where(targets > 1, 1.0, 0.0))
+
+
+def test_obstacle_excess_is_a_positive_part(mp, cp, vf, monkeypatch):
+    # with Mu below u on the whole grid the (Mu-u)+ field reads 0, as the
+    # exterior (Du+f-l)+ one does, and still names where Mu - u peaks
+    exact = gf.verify_qvi(mp, cp, vf, 2001)
+    scan = qvi._intervention
+    monkeypatch.setattr(qvi, "_intervention", lambda *args: scan(*args) - 1e-3)
+    lowered = gf.verify_qvi(mp, cp, vf, 2001)
+    assert lowered.max_obstacle_excess == 0.0
+    assert lowered.obstacle_worst_x == exact.obstacle_worst_x
+
+
+def test_fine_grid_verification_stays_linear(mp, cp, vf):
+    # a dense gain matrix at this size would need 320 GB
+    report = gf.verify_qvi(mp, cp, vf, 200_001)
+    assert report.passed
