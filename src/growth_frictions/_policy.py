@@ -8,8 +8,9 @@ is a classical two-boundary exit problem: the exit split comes from the
 scale function, the mean duration from the usual closed form, and the
 accumulated growth integrand from a Green-function quadrature for the
 two-point boundary value problem sigma^2 w''/2 + c w' = -fbar, w = 0 at
-both edges.  Chaining the two restart states through their stationary law
-turns (reward per cycle)/(length per cycle) into the long-run growth rate.
+both edges, whose Gauss-Legendre order follows each side's width.
+Chaining the two restart states through their stationary law turns
+(reward per cycle)/(length per cycle) into the long-run growth rate.
 
 It sits below both solvers and imports only ``market``.  A batch prices
 each distinct exit problem (a, b, restart point) once, so a box of k^4
@@ -18,15 +19,32 @@ candidates costs about 2 k^3 exit problems.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
+# loaded with the package: numpy loads it lazily, and loading it in the middle
+# of a seed search left about 1 MB of heap pinned under the Monte Carlo peak
+from numpy.polynomial.legendre import leggauss
 
 from .market import (CostParams, MarketParams, growth_integrand_transformed,
                      to_centered, wealth_factor)
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
-# Exit problems per quadrature block: a block's (rows, 96) temporaries stay
-# near 1.5 MB each, where one pass over the 18,522 rows of a 21^4 oracle
-# box took 14 MB each.
+# The width rule.  The growth integrand's only singularities are the
+# logistic poles at distance pi from the real axis, so Gauss-Legendre with n
+# nodes on an interval of half-width r errs by about rho^(-2n), where
+# rho = beta + sqrt(beta^2 + 1) = exp(asinh(beta)) and beta = pi/r (the
+# Bernstein-ellipse bound).  Each side of the restart point gets the fewest
+# nodes of _GL_ORDERS that reach _GL_TARGET with beta halved for safety,
+# i.e. n is allowed up to the half-width _GL_MAX_HALF_WIDTH; wider sides
+# get 96 nodes.
+_GL_ORDERS = (8, 12, 16, 24, 32, 48, 64, 96)
+_GL_SAFETY = 0.5
+_GL_TARGET = 1e-18
+_GL_MAX_HALF_WIDTH = np.array([
+    _GL_SAFETY * np.pi / np.sinh(-np.log(_GL_TARGET) / (2 * n)) for n in _GL_ORDERS[:-1]])
+# Exit problems per quadrature block: a block's (rows, nodes) temporaries
+# stay near 1.5 MB each at 96 nodes, where one pass over the 18,522 rows of a
+# 21^4 oracle box took 14 MB each.
 _QUAD_ROWS = 2048
 
 
@@ -86,11 +104,15 @@ def expected_running_reward(fn, drift: float, vol: float, lo, hi, y):
     """E[ integral of fn(path) until exit of (lo, hi) ], start y.
 
     Green-function solution of sigma^2 w''/2 + drift w' = -fn with
-    w(lo) = w(hi) = 0, by 96-node Gauss-Legendre quadrature on each side
-    of y.  Exact to quadrature accuracy (far below 1e-10 for smooth fn on
-    the region widths that arise here).  lo, hi, y may be 1-d arrays of
-    equal shape; fn must accept arrays.  Rows are integrated in blocks of
-    _QUAD_ROWS, which bounds memory and leaves every row's bits unchanged.
+    w(lo) = w(hi) = 0, by Gauss-Legendre quadrature on each side of y with
+    the width rule's order: the fewest nodes of _GL_ORDERS whose
+    Bernstein-ellipse bound rho^(-2n) for the logistic poles at distance pi
+    reaches _GL_TARGET, and 96 beyond the 64-node width.  Exact to
+    quadrature accuracy (far below 1e-10 for the growth integrand on the
+    region widths that arise here).  lo, hi, y may be 1-d arrays of equal shape; fn must accept
+    arrays.  Rows are integrated in blocks of _QUAD_ROWS; a row's order
+    depends only on its own widths, so its bits do not depend on the block
+    or the batch it is priced in.
     """
     scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0 and np.ndim(y) == 0
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
@@ -105,22 +127,39 @@ def expected_running_reward(fn, drift: float, vol: float, lo, hi, y):
     return float(out[0]) if scalar else out
 
 
+@cache
+def _gauss_legendre(n: int):
+    """The n-node Gauss-Legendre rule on [-1, 1], built on first use."""
+    return leggauss(n)
+
+
+def _gl_order(half_width):
+    """The width rule: the Gauss-Legendre order for each half-width."""
+    return np.take(_GL_ORDERS, np.searchsorted(_GL_MAX_HALF_WIDTH, half_width))
+
+
 def _green_quadrature(fn, theta, vol, lo, hi, y):
     """expected_running_reward on one block of rows."""
 
-    def half_integral(za, zb, transform):
-        mid = 0.5 * (za + zb)[:, None]
-        hw = 0.5 * (zb - za)[:, None]
-        z = mid + hw * _GL_NODES[None, :]
-        return hw[:, 0] * np.sum(_GL_WEIGHTS[None, :] * transform(z), axis=1)
+    def half_integral(za, zb, kernel):
+        # rows of one order are integrated together, over contiguous nodes
+        hw = 0.5 * (zb - za)
+        order = _gl_order(hw)
+        out = np.empty(hw.shape)
+        for n in np.unique(order):
+            i = np.flatnonzero(order == n)
+            nodes, weights = _gauss_legendre(int(n))
+            z = 0.5 * (za[i] + zb[i])[:, None] + hw[i, None] * nodes[None, :]
+            out[i] = hw[i] * np.sum(weights[None, :] * kernel(z, i), axis=1)
+        return out
 
     low_part = half_integral(
         lo, y,
-        lambda z: _scale_increment(z - lo[:, None], theta)
-        * np.exp(theta * (z - y[:, None])) * fn(z))
+        lambda z, i: _scale_increment(z - lo[i, None], theta)
+        * np.exp(theta * (z - y[i, None])) * fn(z))
     high_part = half_integral(
         y, hi,
-        lambda z: _scale_increment(hi[:, None] - z, theta) * fn(z))
+        lambda z, i: _scale_increment(hi[i, None] - z, theta) * fn(z))
     return (2.0 / (vol * vol)) * (
         low_part * _scale_increment(hi - y, theta)
         + high_part * _scale_increment(y - lo, theta)

@@ -245,12 +245,21 @@ def coupling_csv(rows) -> str:
 
 def oracle_csv(result: lab.BruteForceResult):
     """grid.csv as text chunks of _CSV_ROWS rows each, so that a large box
-    is never held as one string."""
+    is never held as one string.
+
+    A box repeats few coordinate values, so a chunk formats each distinct
+    one once, keyed by its float64 bits (-0.0 and nan payloads stay exact);
+    only the growth column is formatted per row."""
     yield "a,alpha,beta,b,growth\n"
     values = result.values
     for k in range(0, len(values), _CSV_ROWS):
-        yield "".join("%.17g,%.17g,%.17g,%.17g,%.17g\n" % tuple(row)
-                      for row in values[k:k + _CSV_ROWS].tolist())
+        chunk = values[k:k + _CSV_ROWS]
+        bits, code = np.unique(np.ascontiguousarray(chunk[:, :4]).view(np.uint64),
+                               return_inverse=True)
+        text = ["%.17g" % v for v in bits.view(np.float64).tolist()]
+        rows = zip(code.reshape(-1, 4).tolist(), chunk[:, 4].tolist())
+        yield "".join("%s,%s,%s,%s,%.17g\n" % (text[i], text[j], text[m], text[n], g)
+                      for (i, j, m, n), g in rows)
 
 
 def impulse_paths_csv(rec: simulate.PathRecord) -> str:
@@ -519,7 +528,16 @@ def main(argv=None) -> int:
                  for key in _KEYS if getattr(args, f"key_{key}") is not None}
     try:
         cfg = parse_config(args.config, overrides, out_dir=args.out)
-        return run(args.subcommand, cfg)
+        status = run(args.subcommand, cfg)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # the reader left: point stdout at devnull so the exit flush is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("ERROR: broken_pipe", file=sys.stderr)
+        return 1
     except ConfigError as err:
         print(f"ERROR: config: {err}", file=sys.stderr)
         return 1

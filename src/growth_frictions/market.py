@@ -136,11 +136,10 @@ def from_centered(y):
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
         raise ValueError("from_centered requires finite y")
-    out = np.empty_like(y)
-    pos = y >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-y[pos]))
-    e = np.exp(y[~pos])
-    out[~pos] = e / (1.0 + e)
+    # exp(-|y|) never overflows; the quotient is 1/(1 + exp(-y)) for y >= 0
+    # and exp(y)/(1 + exp(y)) below, bit for bit
+    e = np.exp(-np.abs(y))
+    out = np.where(y >= 0.0, 1.0, e) / (1.0 + e)
     return out if out.ndim else float(out)
 
 

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from growth_frictions import cli, lab, limit, qvi, simulate
@@ -211,6 +212,41 @@ def test_oracle_csv_in_chunks_is_the_one_string_form(mp, cp, sol, tmp_path, monk
     assert "".join(cli.oracle_csv(result)) == one
     written = cli._write(tmp_path, "grid.csv", cli.oracle_csv(result))
     assert written.read_bytes() == one.encode()
+
+
+def test_oracle_csv_formats_each_coordinate_as_per_row_form(monkeypatch):
+    # the coordinate columns are formatted once per distinct float64 bit
+    # pattern; every special value must still print as "%.17g" prints it
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                2.2250738585072009e-308, 1e-310, 0.1, 0.1 + 2**-56, 1.0 / 3.0]
+    rng = np.random.default_rng(3)
+    values = rng.choice(np.array(specials), size=(200, 5))
+    values[::3, 4] = rng.normal(size=values[::3].shape[0])
+    result = lab.BruteForceResult(best=None, best_value=0.0, values=values)
+    per_row = "".join(["a,alpha,beta,b,growth\n"] + [
+        "%.17g,%.17g,%.17g,%.17g,%.17g\n" % tuple(row) for row in values.tolist()])
+    monkeypatch.setattr(cli, "_CSV_ROWS", 16)
+    assert "".join(cli.oracle_csv(result)) == per_row
+    assert "-0," in per_row and "nan," in per_row and "4.9406564584124654e-324" in per_row
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_stdout_is_one_broken_pipe_error(unbuffered, config_file, tmp_path):
+    # the pipe's reader is gone before the child starts, so its first write fails
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "growth_frictions.cli", "limit", "--config", config_file,
+             "--out", str(tmp_path / "limit")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert child.returncode == 1
+    assert child.stderr == "ERROR: broken_pipe\n"
 
 
 def test_byte_identical_reruns(config_file, tmp_path):

@@ -55,21 +55,74 @@ def test_running_reward_of_one_is_exit_time(mp):
         assert w == pytest.approx(gf.expected_exit_time(c, mp.sigma, lo, hi, y), abs=1e-12)
 
 
-def test_running_reward_against_quadrature_reference(mp):
+def _adaptive_reference(mp, lo, hi, y):
     # independent reference: integrate the Green kernel with adaptive
-    # quadrature instead of fixed Gauss-Legendre
+    # quadrature instead of Gauss-Legendre
     c = mp.mu - mp.r - 0.5 * mp.sigma**2
     s2 = mp.sigma**2
     theta = 2 * c / s2
-    lo, hi, y = -0.6, 1.1, 0.2
     fbar = lambda z: gf.growth_integrand_transformed(mp, z)
     ee = lambda u: -math.expm1(-theta * u) / theta
     low, _ = quad(lambda z: ee(z - lo) * math.exp(theta * (z - y)) * fbar(z),
                   lo, y, epsabs=1e-13, epsrel=1e-13)
     high, _ = quad(lambda z: ee(hi - z) * fbar(z), y, hi, epsabs=1e-13, epsrel=1e-13)
     reference = (2 / s2) * (low * ee(hi - y) + high * ee(y - lo)) / ee(hi - lo)
-    w = gf.expected_running_reward(fbar, c, mp.sigma, lo, hi, y)
+    return reference, gf.expected_running_reward(fbar, c, mp.sigma, lo, hi, y)
+
+
+def test_running_reward_against_quadrature_reference(mp):
+    reference, w = _adaptive_reference(mp, -0.6, 1.1, 0.2)
     assert w == pytest.approx(reference, abs=1e-10)
+
+
+@pytest.mark.parametrize("width", [0.05, 4.0, 20.0])
+def test_width_rule_against_quadrature_reference(mp, width):
+    # narrow and wide regions, whose sides get 8 to 96 nodes
+    lo = -0.3 * width
+    reference, w = _adaptive_reference(mp, lo, lo + width, lo + 0.4 * width)
+    assert w == pytest.approx(reference, abs=1e-10)
+
+
+def _green_96(fn, theta, vol, lo, hi, y):
+    # the fixed 96-node rule on every row, the reference for the width rule
+    nodes, weights = np.polynomial.legendre.leggauss(96)
+
+    def half_integral(za, zb, kernel):
+        mid = 0.5 * (za + zb)[:, None]
+        hw = 0.5 * (zb - za)[:, None]
+        return hw[:, 0] * np.sum(weights[None, :] * kernel(mid + hw * nodes[None, :]), axis=1)
+
+    ee = lambda u: _policy._scale_increment(u, theta)
+    low = half_integral(lo, y, lambda z: ee(z - lo[:, None]) * np.exp(theta * (z - y[:, None])) * fn(z))
+    high = half_integral(y, hi, lambda z: ee(hi[:, None] - z) * fn(z))
+    return (2.0 / vol**2) * (low * ee(hi - y) + high * ee(y - lo)) / ee(hi - lo)
+
+
+@pytest.mark.parametrize("market", [(0.0, 0.096, 0.4), (0.02, 0.1, 0.4), (0.0, 0.0081, 0.4),
+                                    (0.0, 0.1576, 0.4), (0.03, 0.09, 0.3)],
+                         ids=["theta>0", "knife_edge", "theta<<0", "theta>>0", "heavy"])
+def test_width_rule_matches_96_node_rule(market):
+    # half-intervals from 1e-3 to 60 logit wide, at drifts of both signs and zero
+    mp = gf.MarketParams(*market)
+    c = mp.mu - mp.r - 0.5 * mp.sigma**2
+    fbar = lambda z: gf.growth_integrand_transformed(mp, z)
+    rng = np.random.default_rng(9)
+    n = 3000
+    width = np.exp(rng.uniform(math.log(1e-3), math.log(60.0), n))
+    lo = rng.uniform(-30.0, 10.0, n)
+    hi = lo + width
+    y = lo + rng.uniform(0.0, 1.0, n) * width
+    reference = _green_96(fbar, 2 * c / mp.sigma**2, mp.sigma, lo, hi, y)
+    w = gf.expected_running_reward(fbar, c, mp.sigma, lo, hi, y)
+    assert np.max(np.abs(w - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+def test_width_rule_order_grows_with_width():
+    half_width = np.concatenate([[0.0], np.geomspace(1e-6, 1e4, 2001), [np.inf]])
+    order = _policy._gl_order(half_width)
+    assert np.all(np.diff(order) >= 0)
+    assert order.max() == 96 and order.min() == _policy._GL_ORDERS[0]
+    assert set(order.tolist()) == set(_policy._GL_ORDERS)
 
 
 def test_running_reward_blocks_are_exact(mp):

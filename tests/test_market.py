@@ -87,6 +87,35 @@ def test_transform_rejects_endpoints():
         gf.from_centered(float("inf"))
 
 
+def _logistic_two_branch(y):
+    # the branch-by-mask form: 1/(1 + exp(-y)) for y >= 0, exp(y)/(1 + exp(y)) below
+    y = np.asarray(y, dtype=float)
+    out = np.empty_like(y)
+    pos = y >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-y[pos]))
+    e = np.exp(y[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def test_logistic_equals_two_branch_form_at_edges():
+    y = np.array([0.0, -0.0, 745.0, -745.0, 40.0, -40.0, 745.2, -745.2, 709.8, -709.8,
+                  37.0, -37.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e308, -1e308])
+    assert np.array_equal(gf.from_centered(y).view(np.uint64),
+                          _logistic_two_branch(y).view(np.uint64))
+    for v in y:
+        assert np.array_equal(np.float64(gf.from_centered(float(v))).view(np.uint64),
+                              _logistic_two_branch(v).view(np.uint64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_logistic_equals_two_branch_form(values):
+    y = np.array(values)
+    assert np.array_equal(gf.from_centered(y).view(np.uint64),
+                          _logistic_two_branch(y).view(np.uint64))
+
+
 def test_round_trip_fraction_side():
     h = np.concatenate([
         np.geomspace(1e-9, 0.5, 400),

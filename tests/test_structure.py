@@ -1,7 +1,11 @@
 """Structure of the solver core: an acyclic import graph with every import at
-module level, and one Newton start loop shared by both solvers."""
+module level, one Newton start loop shared by both solvers, and quadrature
+rules built on first use."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +27,20 @@ def test_no_import_inside_a_function(path):
                 for node in ast.walk(fn)
                 if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert deferred == []
+
+
+def test_import_builds_no_gauss_legendre_rule():
+    # each rule is built on first use; a fresh import builds none
+    probe = ("import numpy.polynomial.legendre as leg\n"
+             "built = []\n"
+             "leggauss = leg.leggauss\n"
+             "leg.leggauss = lambda n: built.append(n) or leggauss(n)\n"
+             "import growth_frictions.cli\n"
+             "from growth_frictions import _policy\n"
+             "assert built == [] and _policy._gauss_legendre.cache_info().currsize == 0, built\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH")))))
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True, timeout=60)
 
 
 @pytest.mark.parametrize("solver", ["boundaries", "limit"])
