@@ -5,10 +5,11 @@ independently of the boundary solver.  In transformed coordinates the
 fraction process is a Brownian motion with drift c = mu - r - sigma^2/2
 between trades, so each excursion from a restart point to the region edge
 is a classical two-boundary exit problem: the exit split comes from the
-scale function, the mean duration from the usual closed form, and the
-accumulated growth integrand from a Green-function quadrature for the
-two-point boundary value problem sigma^2 w''/2 + c w' = -fbar, w = 0 at
-both edges, whose Gauss-Legendre order follows each side's width.
+scale function, and the mean duration and the accumulated growth
+integrand from one Green-function quadrature for the two-point boundary
+value problem sigma^2 w''/2 + c w' = -fbar, w = 0 at both edges (the
+duration is the case fbar = 1), whose Gauss-Legendre order follows each
+side's width.
 Chaining the two restart states through their stationary law turns
 (reward per cycle)/(length per cycle) into the long-run growth rate.
 
@@ -69,35 +70,9 @@ def exit_prob_up(drift: float, vol: float, lo, hi, y):
 
 
 def expected_exit_time(drift: float, vol: float, lo, hi, y):
-    """Mean exit time of (lo, hi); series branch when theta*(hi-lo) is tiny.
-
-    The direct formula (p (hi-lo) - (y-lo))/drift cancels badly as the
-    drift vanishes, so below |theta (hi-lo)| = 1e-3 a five-term expansion
-    around the driftless parabola is used; both branches agree to about
-    1e-12 relative at the switch.
-    """
-    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0 and np.ndim(y) == 0
-    lo, hi, y = np.broadcast_arrays(np.atleast_1d(np.asarray(lo, dtype=float)),
-                                    np.asarray(hi, dtype=float),
-                                    np.asarray(y, dtype=float))
-    s2 = vol * vol
-    theta = 2.0 * drift / s2
-    width = hi - lo
-    dy = y - lo
-    out = np.empty_like(dy)
-    big = np.abs(theta * width) >= 1e-3
-    if big.any():
-        p = _scale_increment(dy[big], theta) / _scale_increment(width[big], theta)
-        out[big] = (p * width[big] - dy[big]) / drift
-    small = ~big
-    if small.any():
-        w_s, dy_s = width[small], dy[small]
-        series = np.zeros_like(dy_s)
-        coeff = (0.5, -1.0 / 6.0, 1.0 / 24.0, -1.0 / 120.0, 1.0 / 720.0)
-        for k, ck in enumerate(coeff):
-            series += ck * theta ** k * (w_s ** (k + 1) - dy_s ** (k + 1))
-        out[small] = 2.0 * w_s * dy_s * series / (s2 * _scale_increment(w_s, theta))
-    return float(out[0]) if scalar else out
+    """Mean exit time of (lo, hi) from y: the running reward of 1, from
+    the Green-function pass of ``expected_running_reward``."""
+    return _exit_problems(np.ones_like, drift, vol, lo, hi, y)[0]
 
 
 def expected_running_reward(fn, drift: float, vol: float, lo, hi, y):
@@ -114,17 +89,23 @@ def expected_running_reward(fn, drift: float, vol: float, lo, hi, y):
     depends only on its own widths, so its bits do not depend on the block
     or the batch it is priced in.
     """
+    return _exit_problems(fn, drift, vol, lo, hi, y)[1]
+
+
+def _exit_problems(fn, drift, vol, lo, hi, y):
+    """(mean exit time, running reward of fn) of each exit problem, both
+    from one Green-function pass over the same nodes."""
     scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0 and np.ndim(y) == 0
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     lo, hi, y = np.broadcast_arrays(lo, hi, y)
     theta = 2.0 * drift / (vol * vol)
-    out = np.empty(lo.shape)
+    out = np.empty((2,) + lo.shape)
     for k in range(0, lo.size, _QUAD_ROWS):
         rows = slice(k, k + _QUAD_ROWS)
-        out[rows] = _green_quadrature(fn, theta, vol, lo[rows], hi[rows], y[rows])
-    return float(out[0]) if scalar else out
+        out[:, rows] = _green_quadrature(fn, theta, vol, lo[rows], hi[rows], y[rows])
+    return (float(out[0, 0]), float(out[1, 0])) if scalar else out
 
 
 @cache
@@ -139,27 +120,31 @@ def _gl_order(half_width):
 
 
 def _green_quadrature(fn, theta, vol, lo, hi, y):
-    """expected_running_reward on one block of rows."""
+    """Mean exit times and running rewards of one block of rows, stacked:
+    each side's Green kernel is integrated alone (the duration) and times
+    fn (the reward) over the same nodes."""
 
     def half_integral(za, zb, kernel):
         # rows of one order are integrated together, over contiguous nodes
         hw = 0.5 * (zb - za)
         order = _gl_order(hw)
-        out = np.empty(hw.shape)
+        out = np.empty((2,) + hw.shape)
         for n in np.unique(order):
             i = np.flatnonzero(order == n)
             nodes, weights = _gauss_legendre(int(n))
             z = 0.5 * (za[i] + zb[i])[:, None] + hw[i, None] * nodes[None, :]
-            out[i] = hw[i] * np.sum(weights[None, :] * kernel(z, i), axis=1)
+            k = kernel(z, i)
+            out[0, i] = hw[i] * np.sum(weights[None, :] * k, axis=1)
+            out[1, i] = hw[i] * np.sum(weights[None, :] * (k * fn(z)), axis=1)
         return out
 
     low_part = half_integral(
         lo, y,
         lambda z, i: _scale_increment(z - lo[i, None], theta)
-        * np.exp(theta * (z - y[i, None])) * fn(z))
+        * np.exp(theta * (z - y[i, None])))
     high_part = half_integral(
         y, hi,
-        lambda z, i: _scale_increment(hi[i, None] - z, theta) * fn(z))
+        lambda z, i: _scale_increment(hi[i, None] - z, theta))
     return (2.0 / (vol * vol)) * (
         low_part * _scale_increment(hi - y, theta)
         + high_part * _scale_increment(y - lo, theta)
@@ -197,9 +182,9 @@ def _renewal_batch(mp: MarketParams, cp: CostParams, a, al, be, b) -> np.ndarray
         raise DegenerateChain(
             "restart chain numerically absorbing: exit probabilities "
             f"p(alpha)={p_low[k]:.3e}, p(beta)={p_high[k]:.3e}")
-    m_low, m_high = per_candidate(expected_exit_time(c, mp.sigma, lo, hi, y))
-    fbar = lambda z: growth_integrand_transformed(mp, z)
-    w_low, w_high = per_candidate(expected_running_reward(fbar, c, mp.sigma, lo, hi, y))
+    m, w = _exit_problems(lambda z: growth_integrand_transformed(mp, z), c, mp.sigma, lo, hi, y)
+    m_low, m_high = per_candidate(m)
+    w_low, w_high = per_candidate(w)
     cost_low = np.log(wealth_factor(cp, a, al))
     cost_high = np.log(wealth_factor(cp, b, be))
     # stationary split of the restart chain on {alpha, beta}

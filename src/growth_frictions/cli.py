@@ -90,7 +90,8 @@ _KEYS = {
     # the four boundaries, each searched over +-radius, fit in order inside
     # (0, 1) only if radius < 1/6; the box around the solution is checked later
     "radius": (_checked(float, lambda v: 0 <= v < 1 / 6, "radius must lie in [0, 1/6)"), 0.02),
-    "step": (_checked(float, lambda v: v > 0, "step must be positive"), 2e-3),
+    "step": (_checked(float, lambda v: 0 < v < np.inf, "step must be positive and finite"),
+             2e-3),
     "solution": (str, None),
 }
 
@@ -178,15 +179,23 @@ def _write(out_dir: Path, name: str, text) -> Path:
     return target
 
 
+def _csv_table(header: str, rows) -> str:
+    """CSV text: the header line, then one line per row of values; strings
+    pass through and numbers are formatted by _fmt."""
+    lines = [header]
+    lines.extend(",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 SOLUTION_COLUMNS = ("r", "mu", "sigma", "delta", "gamma", "l", "x0", "a", "alpha",
                     "beta", "b", "residual_norm", "newton_iters", "original_cost_optimal")
 
 
 def solution_csv(mp: MarketParams, cp: CostParams, sol: qvi.BoundarySolution) -> str:
     c = sol.candidate
-    row = (mp.r, mp.mu, mp.sigma, cp.delta, cp.gamma, c.l, c.x0, c.a, c.alpha,
-           c.beta, c.b, sol.residual_norm, sol.newton_iters, sol.original_cost_optimal)
-    return ",".join(SOLUTION_COLUMNS) + "\n" + ",".join(_fmt(v) for v in row) + "\n"
+    return _csv_table(",".join(SOLUTION_COLUMNS), [(
+        mp.r, mp.mu, mp.sigma, cp.delta, cp.gamma, c.l, c.x0, c.a, c.alpha,
+        c.beta, c.b, sol.residual_norm, sol.newton_iters, sol.original_cost_optimal)])
 
 
 def read_solution_csv(path: str):
@@ -194,53 +203,43 @@ def read_solution_csv(path: str):
         lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
     except OSError as err:
         raise ConfigError(f"cannot read solution file {path}: {err}") from None
-    if len(lines) < 2 or tuple(lines[0].split(",")) != SOLUTION_COLUMNS:
-        raise ConfigError(f"{path}: not a boundary solution file")
-    vals = dict(zip(SOLUTION_COLUMNS, lines[1].split(",")))
-    mp = MarketParams(r=float(vals["r"]), mu=float(vals["mu"]), sigma=float(vals["sigma"]))
-    cp = CostParams(delta=float(vals["delta"]), gamma=float(vals["gamma"]))
-    cand = qvi.BoundaryCandidate(l=float(vals["l"]), x0=float(vals["x0"]),
-                                 a=float(vals["a"]), alpha=float(vals["alpha"]),
-                                 beta=float(vals["beta"]), b=float(vals["b"]))
-    sol = qvi.BoundarySolution(candidate=cand, residual_norm=float(vals["residual_norm"]),
-                               newton_iters=int(vals["newton_iters"]),
-                               original_cost_optimal=vals["original_cost_optimal"] == "1")
-    return mp, cp, sol
+    try:
+        header, row = (line.split(",") for line in lines[:2])
+        if tuple(header) != SOLUTION_COLUMNS or len(row) != len(SOLUTION_COLUMNS):
+            raise ValueError
+        r, mu, sigma, delta, gamma, l, x0, a, al, be, b, norm = map(float, row[:12])
+        iters, optimal = int(row[12]), ("0", "1").index(row[13]) == 1
+    except ValueError:
+        raise ConfigError(f"{path}: not a boundary solution file") from None
+    cand = qvi.BoundaryCandidate(l=l, x0=x0, a=a, alpha=al, beta=be, b=b)
+    return (MarketParams(r=r, mu=mu, sigma=sigma), CostParams(delta=delta, gamma=gamma),
+            qvi.BoundarySolution(candidate=cand, residual_norm=norm, newton_iters=iters,
+                                 original_cost_optimal=optimal))
 
 
 def limit_csv(mp: MarketParams, gamma: float, sol: limit.LimitSolution) -> str:
     c = sol.candidate
-    header = "r,mu,sigma,gamma,l0,x0,A,B,residual_norm,newton_iters"
-    row = (mp.r, mp.mu, mp.sigma, gamma, c.l0, c.x0, c.A, c.B,
-           sol.residual_norm, sol.newton_iters)
-    return header + "\n" + ",".join(_fmt(v) for v in row) + "\n"
+    return _csv_table("r,mu,sigma,gamma,l0,x0,A,B,residual_norm,newton_iters", [(
+        mp.r, mp.mu, mp.sigma, gamma, c.l0, c.x0, c.A, c.B, sol.residual_norm,
+        sol.newton_iters)])
 
 
 def growth_csv(est: simulate.GrowthEstimate) -> str:
-    header = "mean_growth,std_error,n_paths,horizon,dt"
-    row = (est.mean_growth, est.std_error, est.n_paths, est.horizon, est.dt)
-    return header + "\n" + ",".join(_fmt(v) for v in row) + "\n"
+    return _csv_table("mean_growth,std_error,n_paths,horizon,dt", [
+        (est.mean_growth, est.std_error, est.n_paths, est.horizon, est.dt)])
 
 
 def sweep_csv(table: lab.SweepTable) -> str:
-    header = "delta,a,alpha,beta,b,l,rho,gap_lo,gap_hi,dist_A,dist_B"
-    lines = [header]
-    for row in table.rows:
-        lines.append(",".join(_fmt(v) for v in (
-            row.delta, row.a, row.alpha, row.beta, row.b, row.l, row.rho,
-            row.gap_lo, row.gap_hi, row.dist_A, row.dist_B)))
+    rows = [(row.delta, row.a, row.alpha, row.beta, row.b, row.l, row.rho,
+             row.gap_lo, row.gap_hi, row.dist_A, row.dist_B) for row in table.rows]
     c = table.limit.candidate
-    lines.append(",".join((
-        _fmt(0.0), _fmt(c.A), "", "", _fmt(c.B), _fmt(c.l0),
-        _fmt(table.market.r + c.l0), _fmt(0.0), _fmt(0.0), _fmt(0.0), _fmt(0.0))))
-    return "\n".join(lines) + "\n"
+    rows.append((0.0, c.A, "", "", c.B, c.l0, table.market.r + c.l0, 0.0, 0.0, 0.0, 0.0))
+    return _csv_table("delta,a,alpha,beta,b,l,rho,gap_lo,gap_hi,dist_A,dist_B", rows)
 
 
 def coupling_csv(rows) -> str:
-    lines = ["delta,mean_sup_distance,n_paths"]
-    for row in rows:
-        lines.append(",".join((_fmt(row.delta), _fmt(row.mean_sup_distance), _fmt(row.n_paths))))
-    return "\n".join(lines) + "\n"
+    return _csv_table("delta,mean_sup_distance,n_paths",
+                      [(row.delta, row.mean_sup_distance, row.n_paths) for row in rows])
 
 
 def oracle_csv(result: lab.BruteForceResult):
@@ -266,20 +265,17 @@ def impulse_paths_csv(rec: simulate.PathRecord) -> str:
     events = {int(round(ev.time / (rec.times[1] - rec.times[0]))):
               ("trade_lo" if ev.target < ev.pre_fraction else "trade_hi")
               for ev in rec.trade_events}
-    lines = ["t,h,V,event"]
-    for k, (t, h, v) in enumerate(zip(rec.times, rec.fractions, rec.wealths)):
-        lines.append(f"{_fmt(t)},{_fmt(h)},{_fmt(v)},{events.get(k, '')}")
-    return "\n".join(lines) + "\n"
+    return _csv_table("t,h,V,event", (
+        (t, h, v, events.get(k, ""))
+        for k, (t, h, v) in enumerate(zip(rec.times, rec.fractions, rec.wealths))))
 
 
 def reflected_paths_csv(rec: simulate.ReflectedRecord) -> str:
-    lines = ["t,h,V,event"]
     dl = np.diff(rec.buy_volume, prepend=0.0)
     dm = np.diff(rec.sell_volume, prepend=0.0)
-    for k, (t, h, v) in enumerate(zip(rec.times, rec.fractions, rec.wealths)):
-        event = "reflect_lo" if dl[k] > 0 else ("reflect_hi" if dm[k] > 0 else "")
-        lines.append(f"{_fmt(t)},{_fmt(h)},{_fmt(v)},{event}")
-    return "\n".join(lines) + "\n"
+    return _csv_table("t,h,V,event", (
+        (t, h, v, "reflect_lo" if dl[k] > 0 else ("reflect_hi" if dm[k] > 0 else ""))
+        for k, (t, h, v) in enumerate(zip(rec.times, rec.fractions, rec.wealths))))
 
 
 SWEEP_PLOT = """\

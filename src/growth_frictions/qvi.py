@@ -116,20 +116,21 @@ def _oracle_seed(mp, cp, lim_cand):
 
     A seed that opens the no-trade region symmetrically fails badly for
     lopsided Merton fractions; searching the policy value directly (cheap:
-    the evaluator is closed-form plus quadrature, and each exit problem is
-    priced once) lands inside the Newton basin regardless of the region's
-    shape.  If no searched policy beats the floor r + max{f(0), f(1)} of
-    never trading (or holding only stock), there is no interior optimum to
-    seed and ParameterDegeneracy is raised.
+    one Green-function pass per distinct exit problem) lands inside the
+    Newton basin regardless of the region's shape.  Round 2 refines each
+    of the four offsets by geomspace(0.5, 2, 7) times its own round-1 best.
+    If no searched policy beats the floor r + max{f(0), f(1)} of never
+    trading (or holding only stock), there is no interior optimum to seed
+    and ParameterDegeneracy is raised.
     """
     a_lim = to_centered(lim_cand.A)
     b_lim = to_centered(lim_cand.B)
     widen = np.geomspace(5e-3, 4.0, 14)
     inset = np.geomspace(2e-3, 2.0, 12)
+    offsets = (widen, widen, inset, inset)
     best = None
     for _ in range(2):
-        u1, u2, v1, v2 = (g.ravel() for g in np.meshgrid(widen, widen, inset, inset,
-                                                         indexing="ij"))
+        u1, u2, v1, v2 = (g.ravel() for g in np.meshgrid(*offsets, indexing="ij"))
         a_y, b_y = a_lim - u1, b_lim + u2
         al_y, be_y = a_y + v1, b_y - v2
         keep = al_y < be_y
@@ -145,12 +146,9 @@ def _oracle_seed(mp, cp, lim_cand):
             values = np.full(a.shape, -np.inf)
         k = int(np.argmax(values))
         best = (float(a[k]), float(al[k]), float(be[k]), float(b[k]), float(values[k]))
-        widen = np.unique(np.concatenate([
-            (a_lim - to_centered(best[0])) * np.geomspace(0.5, 2.0, 7),
-            (to_centered(best[3]) - b_lim) * np.geomspace(0.5, 2.0, 7)]))
-        inset = np.unique(np.concatenate([
-            (to_centered(best[1]) - to_centered(best[0])) * np.geomspace(0.5, 2.0, 7),
-            (to_centered(best[3]) - to_centered(best[2])) * np.geomspace(0.5, 2.0, 7)]))
+        a_k, al_k, be_k, b_k = (to_centered(v) for v in best[:4])
+        offsets = tuple(gap * np.geomspace(0.5, 2.0, 7) for gap in
+                        (a_lim - a_k, b_k - b_lim, al_k - a_k, b_k - be_k))
     a, al, be, b, value = best
     floor = no_trade_floor(mp)
     if not value - mp.r > floor:

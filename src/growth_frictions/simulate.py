@@ -69,15 +69,15 @@ class SimConfig:
     bridge_correction: bool = False
 
     def __post_init__(self) -> None:
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.horizon < np.inf:
+            raise ValueError("horizon must be positive and finite")
         if not 0 < self.dt <= self.horizon / 100.0:
             raise ValueError("dt must satisfy 0 < dt <= horizon/100")
         # growth is log-wealth over the horizon, so the steps must cover it exactly
         if abs(self.n_steps * self.dt - self.horizon) > 1e-9 * self.horizon:
             raise ValueError("horizon must be a whole number of steps")
-        if not self.v0 > 0:
-            raise ValueError("v0 must be positive")
+        if not 0 < self.v0 < np.inf:
+            raise ValueError("v0 must be positive and finite")
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
         if self.base_seed < 0:

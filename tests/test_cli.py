@@ -94,6 +94,18 @@ def test_verify_round_trip_and_corruption(config_file, tmp_path, capsys):
     assert "ERROR: qvi_violation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row", ["0.0,0.096", "abc" + ",0.5" * 13],
+                         ids=["short_row", "non_numeric"])
+def test_malformed_solution_row_is_one_config_error(row, config_file, tmp_path, capsys):
+    solution = tmp_path / "solution.csv"
+    solution.write_text(",".join(cli.SOLUTION_COLUMNS) + "\n" + row + "\n")
+    code = cli.main(["verify", "--config", config_file, "--solution", str(solution),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"ERROR: config: {solution}: not a boundary solution file"]
+
+
 def test_limit_subcommand(config_file, tmp_path):
     out = tmp_path / "lim"
     code = cli.main(["limit", "--config", config_file, "--out", str(out),
@@ -287,6 +299,10 @@ def test_seventeen_digit_round_trip(config_file, tmp_path):
     ["sweep", "--deltas", "0.999,0.5,0.1"],  # gamma = 0.003: delta must stay below 1 - gamma
     ["sweep", "--deltas", "1e-2,1e-3"],  # the convergence report needs three rows
     ["couple", "--deltas", "0.999,0.5,0.1"],
+    ["simulate", "--horizon", "inf"],
+    ["simulate", "--horizon", "1e400"],
+    ["simulate", "--v0", "inf"],
+    ["oracle", "--step", "inf"],
 ])
 def test_bad_input_is_one_config_error_before_solving(argv, config_file, tmp_path,
                                                       capsys, monkeypatch):

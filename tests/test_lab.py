@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 
 import numpy as np
@@ -47,12 +48,39 @@ def test_exit_helpers_vs_monte_carlo(mp):
     assert abs(m_hat - gf.expected_exit_time(c, mp.sigma, lo, hi, y0)) <= 3 * se_m + 1e-3
 
 
+def _exit_time_decimal(drift, vol, lo, hi, y):
+    # the classical closed form in 40-digit decimal arithmetic
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        drift, vol, lo, hi, y = (decimal.Decimal(float(v)) for v in (drift, vol, lo, hi, y))
+        if drift == 0:
+            return float((y - lo) * (hi - y) / (vol * vol))
+        theta = 2 * drift / (vol * vol)
+        scale = lambda u: (1 - (-theta * u).exp()) / theta
+        return float((scale(y - lo) / scale(hi - lo) * (hi - lo) - (y - lo)) / drift)
+
+
 def test_running_reward_of_one_is_exit_time(mp):
     c = mp.mu - mp.r - 0.5 * mp.sigma**2
     lo, hi = -0.5, 0.9
     for y in (-0.3, 0.0, 0.6):
         w = gf.expected_running_reward(lambda z: np.ones_like(z), c, mp.sigma, lo, hi, y)
-        assert w == pytest.approx(gf.expected_exit_time(c, mp.sigma, lo, hi, y), abs=1e-12)
+        assert w == pytest.approx(_exit_time_decimal(c, mp.sigma, lo, hi, y), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("theta", [0.2, -0.875, 0.0])
+def test_exit_time_on_narrow_intervals(theta):
+    # widths 0.005-0.09 logit and starts near either edge, where the closed
+    # form in floats cancels
+    vol = 0.4
+    drift = 0.5 * theta * vol**2
+    for width in np.geomspace(0.005, 0.09, 7):
+        for lo in (-2.0, 0.3):
+            for frac in (0.002, 0.05, 0.5, 0.95, 0.998):
+                y = lo + frac * width
+                m = gf.expected_exit_time(drift, vol, lo, lo + width, y)
+                assert m == pytest.approx(_exit_time_decimal(drift, vol, lo, lo + width, y),
+                                          rel=1e-11, abs=0.0)
 
 
 def _adaptive_reference(mp, lo, hi, y):

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import growth_frictions as gf
-from growth_frictions import qvi
+from growth_frictions import _policy, qvi
 from growth_frictions.market import EPS
 
 FIG2_L_LOW = 0.016    # f(1): lower bound on the growth excess
@@ -307,3 +307,53 @@ def test_fine_grid_verification_stays_linear(mp, cp, vf):
     # a dense gain matrix at this size would need 320 GB
     report = gf.verify_qvi(mp, cp, vf, 200_001)
     assert report.passed
+
+
+def _seed_batches(hhat, gamma, delta, monkeypatch, perturb=None):
+    """The cold seed at r=0, sigma=0.4, its limit candidate and the
+    candidate batches it priced, with perturb applied to each batch's
+    renewal values."""
+    mp = gf.MarketParams(r=0.0, mu=hhat * 0.16, sigma=0.4)
+    cp = gf.CostParams(delta=delta, gamma=gamma)
+    batches = []
+    price = _policy._renewal_batch
+
+    def spy(mp, cp, *cand):
+        batches.append(cand)
+        values = price(mp, cp, *cand)
+        return values if perturb is None else perturb(values)
+
+    monkeypatch.setattr(qvi, "_renewal_batch", spy)
+    lim = gf.solve_limit(mp, gamma).candidate
+    return qvi._oracle_seed(mp, cp, lim), lim, batches
+
+
+def test_seed_refines_each_offset_on_its_own_grid(monkeypatch):
+    # hhat 0.5, gamma = delta = 1e-2: the a-side and b-side gaps nearly
+    # agree, so offset lists pooled across the sides repeat to ulps
+    _, lim, batches = _seed_batches(0.5, 1e-2, 1e-2, monkeypatch)
+    assert len(batches) == 2 and batches[1][0].size <= 7 ** 4
+
+    def spaced(offsets):
+        offsets = np.unique(offsets)
+        return offsets.size < 2 or np.min(offsets[1:] / offsets[:-1]) >= 1.2
+
+    for a, al, be, b in batches:
+        a_y, al_y, be_y, b_y = (gf.to_centered(v) for v in (a, al, be, b))
+        assert spaced(gf.to_centered(lim.A) - a_y) and spaced(b_y - gf.to_centered(lim.B))
+        for v in np.unique(a_y):
+            assert spaced(al_y[a_y == v] - v)
+        for v in np.unique(b_y):
+            assert spaced(v - be_y[b_y == v])
+
+
+@pytest.mark.parametrize("hhat, gamma, delta", [(0.5, 1e-2, 1e-2), (0.4, 1e-3, 1e-3),
+                                                (0.75, 1e-2, 1e-3)])
+def test_seed_is_stable_under_rounding_of_renewal_values(hhat, gamma, delta, monkeypatch):
+    # renewal values moved by a fixed pattern of rounding size (2.5e-13)
+    # leave the seed's boundaries bit for bit where they were
+    seed, _, _ = _seed_batches(hhat, gamma, delta, monkeypatch)
+    moved, _, _ = _seed_batches(
+        hhat, gamma, delta, monkeypatch,
+        lambda v: v + 2.5e-13 * np.sin(np.arange(v.size) * 7 * 1.618033988749895))
+    assert moved.as_vector()[1:].tolist() == seed.as_vector()[1:].tolist()
