@@ -28,7 +28,6 @@ DEFAULT_SWEEP_DELTAS = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 1e-5, 1e-6)
 DEFAULT_COUPLE_DELTAS = (1e-2, 1e-3, 1e-4)
 # grid.csv rows per written chunk: the oracle box never exists as one string
 _CSV_ROWS = 4096
-SUBCOMMANDS = ("solve", "limit", "sweep", "simulate", "reflect", "couple", "oracle", "verify")
 
 
 class ConfigError(ValueError):
@@ -77,8 +76,10 @@ _KEYS = {
     "delta": (float, None),
     "gamma": (float, None),
     "deltas": (_parse_deltas, None),
-    "grid_n": (_checked(int, lambda n: n >= 100, "grid_n must be at least 100"), 2001),
-    "tol": (float, 1e-6),
+    # the verifiers hold about 130 B per grid point: 10**7 points is 1.3 GB
+    "grid_n": (_checked(int, lambda n: 100 <= n <= 10**7, "grid_n must lie in [100, 10000000]"),
+               2001),
+    "tol": (_checked(float, lambda v: 0 < v < np.inf, "tol must be positive and finite"), 1e-6),
     "horizon": (float, 200.0),
     "dt": (float, 1e-3),
     "v0": (float, 1.0),
@@ -124,14 +125,11 @@ class RunConfig:
         return v
 
     def sim(self) -> simulate.SimConfig:
-        try:
-            return simulate.SimConfig(
-                horizon=self.get("horizon"), dt=self.get("dt"), v0=self.get("v0"),
-                h0=self.get("h0"), n_paths=self.get("n_paths"),
-                base_seed=self.seed(), bridge_correction=self.get("bridge_correction"),
-            )
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
+        return simulate.SimConfig(
+            horizon=self.get("horizon"), dt=self.get("dt"), v0=self.get("v0"),
+            h0=self.get("h0"), n_paths=self.get("n_paths"),
+            base_seed=self.seed(), bridge_correction=self.get("bridge_correction"),
+        )
 
 
 def parse_config(path: str | None = None, overrides: dict | None = None,
@@ -320,6 +318,14 @@ print("wrote coupling.png")
 """
 
 
+def _verdict(ok: bool, failure: str) -> int:
+    """Exit status of a subcommand whose final check passed (ok) or failed;
+    a failure is named by one ERROR line."""
+    if not ok:
+        print(f"ERROR: {failure}", file=sys.stderr)
+    return 0 if ok else 1
+
+
 def _cmd_solve(cfg: RunConfig) -> int:
     mp, cp = cfg.market(), cfg.costs()
     sol = qvi.solve_boundaries(mp, cp)
@@ -330,10 +336,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
     print(f"solved: l={sol.candidate.l:.12g} residual={sol.residual_norm:.3e} "
           f"rho={mp.r + sol.candidate.l:.12g}")
     print(report.summary())
-    if not report.passed:
-        print("ERROR: qvi_violation", file=sys.stderr)
-        return 1
-    return 0
+    return _verdict(report.passed, "qvi_violation")
 
 
 def _cmd_limit(cfg: RunConfig) -> int:
@@ -346,23 +349,7 @@ def _cmd_limit(cfg: RunConfig) -> int:
     print(f"limit model: l0={sol.candidate.l0:.12g} A={sol.candidate.A:.8f} "
           f"B={sol.candidate.B:.8f}")
     print(report.summary())
-    if not report.passed:
-        print("ERROR: hjb_violation", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _checked_call(entry, *args):
-    """Call a library entry point whose own ValueError rejects its input
-    before any expensive work (a start fraction h0 outside a no-trade
-    region, a delta at or above 1 - gamma), which is a config error; the
-    solver's named errors pass through."""
-    try:
-        return entry(*args)
-    except (ParameterError, ParameterDegeneracy):
-        raise
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    return _verdict(report.passed, "hjb_violation")
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:
@@ -373,30 +360,26 @@ def _cmd_sweep(cfg: RunConfig) -> int:
         raise ConfigError(f"sweep needs at least {lab.REPORT_MIN_ROWS} deltas for its "
                           f"convergence report, got {len(deltas)}")
     try:
-        table = _checked_call(lab.sweep_delta, mp, gamma, deltas)
+        table = lab.sweep_delta(mp, gamma, deltas)
     except NonConvergence as err:
         partial = getattr(err, "partial", None)
         if partial is not None and partial.rows:
             _write(cfg.out_dir, "sweep.csv", sweep_csv(partial))
-        print(f"ERROR: non_convergence: {err}", file=sys.stderr)
-        return 1
+        raise
     report = lab.convergence_report(table)
     _write(cfg.out_dir, "sweep.csv", sweep_csv(table))
     _write(cfg.out_dir, "convergence_report.txt", report.text() + "\n")
     _write(cfg.out_dir, "convergence_report.csv", report.csv_text())
     _write(cfg.out_dir, "plot_sweep.py", SWEEP_PLOT)
     print(report.text())
-    if report.flags:
-        print("ERROR: monotonicity_violation", file=sys.stderr)
-        return 1
-    return 0
+    return _verdict(not report.flags, "monotonicity_violation")
 
 
 def _cmd_simulate(cfg: RunConfig) -> int:
     mp, cp = cfg.market(), cfg.costs()
     sim = cfg.sim()
     sol = qvi.solve_boundaries(mp, cp)
-    est = _checked_call(simulate.estimate_growth_impulse, mp, cp, sol.candidate, sim)
+    est = simulate.estimate_growth_impulse(mp, cp, sol.candidate, sim)
     _write(cfg.out_dir, "growth.csv", growth_csv(est))
     if cfg.get("dump_paths"):
         _write(cfg.out_dir, "paths.csv", impulse_paths_csv(est.first_path))
@@ -412,7 +395,7 @@ def _cmd_reflect(cfg: RunConfig) -> int:
     sim = cfg.sim()
     sol = limit.solve_limit(mp, gamma)
     A, B = sol.candidate.A, sol.candidate.B
-    est = _checked_call(simulate.estimate_growth_reflected, mp, gamma, A, B, sim)
+    est = simulate.estimate_growth_reflected(mp, gamma, A, B, sim)
     _write(cfg.out_dir, "growth.csv", growth_csv(est))
     if cfg.get("dump_paths"):
         _write(cfg.out_dir, "paths.csv", reflected_paths_csv(est.first_path))
@@ -426,27 +409,21 @@ def _cmd_couple(cfg: RunConfig) -> int:
     mp = cfg.market()
     gamma = cfg.require("gamma")
     deltas = cfg.get("deltas") or DEFAULT_COUPLE_DELTAS
-    rows = _checked_call(simulate.couple_paths, mp, gamma, deltas, cfg.sim())
+    rows = simulate.couple_paths(mp, gamma, deltas, cfg.sim())
     _write(cfg.out_dir, "coupling.csv", coupling_csv(rows))
     _write(cfg.out_dir, "plot_coupling.py", COUPLING_PLOT)
     for row in rows:
         print(f"delta={row.delta:g}: mean sup distance {row.mean_sup_distance:.6f}")
     decreasing = all(r2.mean_sup_distance < r1.mean_sup_distance
                      for r1, r2 in zip(rows, rows[1:]))
-    if not decreasing:
-        print("ERROR: coupling_not_decreasing", file=sys.stderr)
-        return 1
-    return 0
+    return _verdict(decreasing, "coupling_not_decreasing")
 
 
 def _cmd_oracle(cfg: RunConfig) -> int:
     mp, cp = cfg.market(), cfg.costs()
     sol = qvi.solve_boundaries(mp, cp)
-    try:
-        result = lab.brute_force_boundaries(mp, cp, sol.candidate,
-                                            radius=cfg.get("radius"), step=cfg.get("step"))
-    except ValueError as err:
-        raise ConfigError(f"oracle box around the solution: {err}") from None
+    result = lab.brute_force_boundaries(mp, cp, sol.candidate,
+                                        radius=cfg.get("radius"), step=cfg.get("step"))
     _write(cfg.out_dir, "grid.csv", oracle_csv(result))
     best = result.best
     step = cfg.get("step")
@@ -455,10 +432,7 @@ def _cmd_oracle(cfg: RunConfig) -> int:
     within = all(abs(u - v) <= step * (1 + 1e-9) for u, v in (
         (best.a, sol.candidate.a), (best.alpha, sol.candidate.alpha),
         (best.beta, sol.candidate.beta), (best.b, sol.candidate.b)))
-    if not within:
-        print("ERROR: oracle_mismatch", file=sys.stderr)
-        return 1
-    return 0
+    return _verdict(within, "oracle_mismatch")
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
@@ -476,11 +450,9 @@ def _cmd_verify(cfg: RunConfig) -> int:
         print(f"ERROR: qvi_violation: {err}", file=sys.stderr)
         return 1
     print(report.summary())
-    if not report.passed:
-        print("ERROR: qvi_violation", file=sys.stderr)
-        return 1
-    print(f"verified: residual_norm={res_norm:.3e}")
-    return 0
+    if report.passed:
+        print(f"verified: residual_norm={res_norm:.3e}")
+    return _verdict(report.passed, "qvi_violation")
 
 
 _COMMANDS = {
@@ -495,11 +467,19 @@ _COMMANDS = {
 }
 
 
-def run(subcommand: str, cfg: RunConfig) -> int:
-    """Dispatch a subcommand; returns the process exit status."""
-    if subcommand not in _COMMANDS:
-        raise ConfigError(f"unknown subcommand '{subcommand}'")
-    return _COMMANDS[subcommand](cfg)
+# failure -> ERROR tag, first match wins, so the named ValueErrors come
+# before the bare one: a ValueError the model does not name (a ConfigError,
+# an h0 outside a no-trade region, an oracle box leaving (0, 1)) is input
+# the library rejected before any expensive work
+_FAILURES = (
+    (ParameterError, "invariant_violation"),
+    (ParameterDegeneracy, "invariant_violation"),
+    (NonConvergence, "non_convergence"),
+    (lab.DegenerateChain, "degenerate_chain"),
+    (simulate.NumericalBlowup, "numerical_blowup"),
+    (MemoryError, "out_of_memory"),
+    (ValueError, "config"),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -509,7 +489,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "proportional transaction costs",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key = value file")
         p.add_argument("--out", default=".", help="output directory")
@@ -524,7 +504,7 @@ def main(argv=None) -> int:
                  for key in _KEYS if getattr(args, f"key_{key}") is not None}
     try:
         cfg = parse_config(args.config, overrides, out_dir=args.out)
-        status = run(args.subcommand, cfg)
+        status = _COMMANDS[args.subcommand](cfg)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
         return status
     except BrokenPipeError:
@@ -534,20 +514,9 @@ def main(argv=None) -> int:
         os.close(devnull)
         print("ERROR: broken_pipe", file=sys.stderr)
         return 1
-    except ConfigError as err:
-        print(f"ERROR: config: {err}", file=sys.stderr)
-        return 1
-    except (ParameterError, ParameterDegeneracy) as err:
-        print(f"ERROR: invariant_violation: {err}", file=sys.stderr)
-        return 1
-    except NonConvergence as err:
-        print(f"ERROR: non_convergence: {err}", file=sys.stderr)
-        return 1
-    except lab.DegenerateChain as err:
-        print(f"ERROR: degenerate_chain: {err}", file=sys.stderr)
-        return 1
-    except simulate.NumericalBlowup as err:
-        print(f"ERROR: numerical_blowup: {err}", file=sys.stderr)
+    except tuple(kind for kind, _ in _FAILURES) as err:
+        tag = next(tag for kind, tag in _FAILURES if isinstance(err, kind))
+        print(f"ERROR: {tag}: {err}", file=sys.stderr)
         return 1
 
 

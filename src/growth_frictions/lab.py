@@ -44,12 +44,13 @@ def brute_force_boundaries(mp: MarketParams, cp: CostParams, center,
     """
     k = int(round(radius / step))
     offs = np.arange(-k, k + 1) * step
+    box = f"the search box of radius {radius:g} around the candidate"
     if center.a - radius <= 0 or center.b + radius >= 1:
-        raise ValueError("grid leaves (0, 1)")
+        raise ValueError(f"{box} leaves (0, 1)")
     if (center.alpha - radius <= center.a + radius
             or center.beta - radius < center.alpha - radius
             or center.b - radius <= center.beta + radius):
-        raise ValueError("grid breaks the ordering a < alpha <= beta < b")
+        raise ValueError(f"{box} breaks the ordering a < alpha <= beta < b")
     aa, al, be, bb = np.meshgrid(center.a + offs, center.alpha + offs,
                                  center.beta + offs, center.b + offs, indexing="ij")
     aa, al, be, bb = (v.ravel() for v in (aa, al, be, bb))

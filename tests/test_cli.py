@@ -1,4 +1,5 @@
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from growth_frictions import cli, lab, limit, qvi, simulate
+from growth_frictions import NonConvergence, ParameterDegeneracy, cli, lab, limit, qvi, simulate
 
 FIG2 = "r = 0.0\nmu = 0.096\nsigma = 0.4\ngamma = 0.003\ndelta = 0.001\n"
 
@@ -303,6 +304,10 @@ def test_seventeen_digit_round_trip(config_file, tmp_path):
     ["simulate", "--horizon", "1e400"],
     ["simulate", "--v0", "inf"],
     ["oracle", "--step", "inf"],
+    ["solve", "--tol", "inf"],
+    ["solve", "--tol", "nan"],
+    ["solve", "--tol", "-1"],
+    ["solve", "--grid_n", "100000000000"],  # a 745 GiB verification grid
 ])
 def test_bad_input_is_one_config_error_before_solving(argv, config_file, tmp_path,
                                                       capsys, monkeypatch):
@@ -344,11 +349,27 @@ def test_start_outside_region_is_one_config_error(argv, config_file, tmp_path, c
     assert not (tmp_path / "out").exists()
 
 
+def test_oracle_box_outside_the_ordering_is_one_config_error(config_file, tmp_path, capsys):
+    # the box is checked around the solved boundaries, so the solve runs first
+    code = cli.main(["oracle", "--config", config_file, "--out", str(tmp_path / "out"),
+                     "--radius", "0.1"])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR: config: ")
+    assert "radius 0.1" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv, module, name, error, reason", [
     (["oracle"], lab, "brute_force_boundaries", lab.DegenerateChain, "degenerate_chain"),
     (["simulate"], simulate, "estimate_growth_impulse", simulate.NumericalBlowup,
      "numerical_blowup"),
-], ids=["degenerate_chain", "numerical_blowup"])
+    (["solve"], qvi, "solve_boundaries", NonConvergence, "non_convergence"),
+    (["limit"], limit, "solve_limit", ParameterDegeneracy, "invariant_violation"),
+    (["simulate"], simulate, "estimate_growth_impulse", ValueError, "config"),
+    (["solve"], qvi, "verify_qvi", MemoryError, "out_of_memory"),
+], ids=["degenerate_chain", "numerical_blowup", "non_convergence", "invariant_violation",
+        "config", "out_of_memory"])
 def test_numerical_failure_is_one_named_error(argv, module, name, error, reason, config_file,
                                               tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
@@ -359,6 +380,44 @@ def test_numerical_failure_is_one_named_error(argv, module, name, error, reason,
     assert code == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"ERROR: {reason}: injected failure"]
+
+
+def test_sweep_failure_keeps_the_solved_rows(config_file, tmp_path, capsys, monkeypatch):
+    solve_boundaries = qvi.solve_boundaries
+    calls = []
+
+    def third_fails(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 3:
+            raise NonConvergence("injected failure")
+        return solve_boundaries(*args, **kwargs)
+
+    monkeypatch.setattr(qvi, "solve_boundaries", third_fails)
+    out = tmp_path / "out"
+    code = cli.main(["sweep", "--config", config_file, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["ERROR: non_convergence: injected failure"]
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    deltas = [float(row.split(",")[0]) for row in rows]
+    assert deltas == [*cli.DEFAULT_SWEEP_DELTAS[:2], 0.0]  # two solved rows, then the limit
+    assert sorted(p.name for p in out.iterdir()) == ["sweep.csv"]
+
+
+def test_out_of_memory_is_one_error_line(config_file, tmp_path):
+    # the address-space cap applies to the child only, set between fork and exec
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",  # one BLAS thread: import fits the cap
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    child = subprocess.run(
+        [sys.executable, "-m", "growth_frictions.cli", "simulate", "--config", config_file,
+         "--out", str(tmp_path / "out"), "--n_paths", "100000", "--horizon", "1"],
+        env=env, capture_output=True, text=True, preexec_fn=cap_address_space, timeout=120)
+    assert child.returncode == 1
+    err = child.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR: out_of_memory: ")
 
 
 CHILD_RSS_MB = 150  # the dense obstacle search took verify to 537 MB
