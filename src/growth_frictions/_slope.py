@@ -1,5 +1,6 @@
 """Slope function of the continuation region, the value function built from
-it, and the damped Newton engine with the start loop of both solvers.
+it, and the damped Newton engine, each of whose Jacobians is one residual
+call on a stack of candidates, with the start loop of both solvers.
 
 Inside the no-trade region the value function's derivative is an explicit
 function g(x, x0, l) anchored so that g(x0, x0, l) = 0.  The textbook form
@@ -79,11 +80,11 @@ def _power(mp: MarketParams) -> float:
 def slope_g(mp: MarketParams, x, x0: float, l: float):
     """Derivative of the value function on the no-trade region.
 
-    Vanishes at x = x0 by construction; x and x0 must be strictly inside
-    (0, 1).
+    Vanishes at x = x0 by construction; x and x0 (a scalar, or one value
+    per x) must be strictly inside (0, 1).
     """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0) or np.any(x >= 1.0) or not 0.0 < x0 < 1.0:
+    x, x0 = np.asarray(x, dtype=float), np.asarray(x0, dtype=float)
+    if ((x <= 0.0) | (x >= 1.0) | ~((x0 > 0.0) & (x0 < 1.0))).any():
         raise ValueError("slope_g requires x and x0 strictly inside (0, 1)")
     p = _power(mp)
     f1 = growth_integrand(mp, 1.0)
@@ -113,10 +114,8 @@ def slope_g_integral(mp: MarketParams, x_from, x_to, x0: float, l: float):
     which integrates in closed form; the expm1-style helpers keep the
     p -> 0 limit exact.
     """
-    x_from = np.asarray(x_from, dtype=float)
-    x_to = np.asarray(x_to, dtype=float)
-    if (np.any(x_from <= 0.0) or np.any(x_from >= 1.0)
-            or np.any(x_to <= 0.0) or np.any(x_to >= 1.0)):
+    x_from, x_to = np.asarray(x_from, dtype=float), np.asarray(x_to, dtype=float)
+    if ((x_from <= 0.0) | (x_from >= 1.0) | (x_to <= 0.0) | (x_to >= 1.0)).any():
         raise ValueError("slope_g_integral requires endpoints strictly inside (0, 1)")
     p = _power(mp)
     t0 = to_centered(x0)
@@ -133,14 +132,17 @@ def slope_g_integral(mp: MarketParams, x_from, x_to, x0: float, l: float):
 
 class NewtonUnknowns:
     """Base of the frozen-dataclass unknowns that Newton iterates on as one
-    vector, in field order."""
+    vector, in field order.  An (n, k) block of k vectors, one per column,
+    stacks k candidates into one whose fields are 1-D arrays; ordering_ok
+    then holds if it holds for each."""
 
     def as_vector(self) -> np.ndarray:
         return np.array(astuple(self))
 
     @classmethod
     def from_vector(cls, v):
-        return cls(*(float(c) for c in v))
+        v = np.asarray(v, dtype=float)
+        return cls(*(v.tolist() if v.ndim == 1 else v))
 
 
 @dataclass(frozen=True)
@@ -178,7 +180,7 @@ class ValueFunction:
     def _piecewise(self, x, low, mid, high):
         """low(x) below a, mid(x) on [a, b] and high(x) above b, on [0, 1]."""
         x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0) or np.any(x > 1.0):
+        if ((x < 0.0) | (x > 1.0)).any():
             raise ValueError("value function is defined on [0, 1]")
         _, _, a, _, _, b = self.anchor
         below, above = x < a, x > b
@@ -238,33 +240,43 @@ def _grid_check(mp: MarketParams, vf: ValueFunction, l: float, lo: float, hi: fl
     return grid, du, resid, interior, abs(float(at_mid)), mid, note
 
 
+def _jacobian(residual, v, fv):
+    """Forward-difference Jacobian at v from one residual call on the block
+    whose column j is v + h_j e_j.  If that call raises, each column runs
+    alone, and one whose forward point raises takes v - h_j e_j instead."""
+    h = _FD_STEP * np.fmax(1.0, np.abs(v))
+    cols = np.where(np.eye(v.size, dtype=bool), v + h, v[:, None])
+    try:
+        return (np.asarray(residual(cols), dtype=float) - fv[:, None]) / h
+    except ValueError:  # some column leaves the domain
+        jac = np.empty_like(cols)
+    for j, vp in enumerate(cols.T.copy()):
+        try:
+            jac[:, j] = (np.asarray(residual(vp)) - fv) / h[j]
+        except ValueError:
+            vp[j] = v[j] - h[j]
+            jac[:, j] = (fv - np.asarray(residual(vp))) / h[j]
+    return jac
+
+
 def damped_newton(residual, v0, *, tol=RESIDUAL_TOL):
     """Damped Newton on a square system with forward-difference Jacobian.
 
     residual(v) -> ndarray may raise ValueError (and subclasses) on
     out-of-domain iterates; failed trial steps are halved, up to
-    _MAX_HALVINGS times.  Stops when the residual max-norm reaches tol or
+    _MAX_HALVINGS times.  Each Jacobian is one call of residual on an (n, n)
+    block of points, one per column, whose residuals it returns column by
+    column (``_jacobian``).  Stops when the residual max-norm reaches tol or
     the damped step shrinks below _MIN_STEP.  Returns (v, iterations,
-    residual_norm); the caller decides whether the final norm is good
-    enough.
+    residual_norm); the caller decides whether the final norm is good enough.
     """
     v = np.array(v0, dtype=float)
     fv = np.asarray(residual(v), dtype=float)
-    n = v.size
     for it in range(_MAX_ITER):
         norm0 = float(np.max(np.abs(fv)))
         if norm0 <= tol:
             return v, it, norm0
-        jac = np.empty((n, n))
-        for j in range(n):
-            h = _FD_STEP * max(1.0, abs(v[j]))
-            vp = v.copy()
-            vp[j] += h
-            try:
-                jac[:, j] = (np.asarray(residual(vp)) - fv) / h
-            except ValueError:
-                vp[j] = v[j] - h
-                jac[:, j] = (fv - np.asarray(residual(vp))) / h
+        jac = _jacobian(residual, v, fv)
         try:
             dv = np.linalg.solve(jac, -fv)
         except np.linalg.LinAlgError:
@@ -303,7 +315,7 @@ def newton_from_starts(cls, residual, starts, check, *, tol=RESIDUAL_TOL):
             v, iters, norm = damped_newton(lambda v: residual(cls.from_vector(v)),
                                            start.as_vector(), tol=tol)
             cand = cls.from_vector(v)
-            if norm > RESIDUAL_TOL:
+            if not norm <= RESIDUAL_TOL:
                 raise NonConvergence(f"residual {norm:.3e} after {iters} iterations")
             check(cand)
             return cand, iters, norm

@@ -205,7 +205,10 @@ def read_solution_csv(path: str):
         header, row = (line.split(",") for line in lines[:2])
         if tuple(header) != SOLUTION_COLUMNS or len(row) != len(SOLUTION_COLUMNS):
             raise ValueError
-        r, mu, sigma, delta, gamma, l, x0, a, al, be, b, norm = map(float, row[:12])
+        fields = [float(c) for c in row[:12]]
+        if not np.isfinite(fields).all():
+            raise ValueError
+        r, mu, sigma, delta, gamma, l, x0, a, al, be, b, norm = fields
         iters, optimal = int(row[12]), ("0", "1").index(row[13]) == 1
     except ValueError:
         raise ConfigError(f"{path}: not a boundary solution file") from None
@@ -440,7 +443,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
     try:
         mp, cp, sol = read_solution_csv(path)
         res_norm = float(np.max(np.abs(qvi.residual_system(mp, cp, sol.candidate))))
-        if res_norm > qvi.RESIDUAL_TOL:
+        if not res_norm <= qvi.RESIDUAL_TOL:
             raise ParameterError(f"stored candidate has residual norm {res_norm:.3e}")
         vf = qvi.build_value(mp, cp, sol)
         report = qvi.verify_qvi(mp, cp, vf, cfg.get("grid_n"), tol=cfg.get("tol"))

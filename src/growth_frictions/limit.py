@@ -50,7 +50,8 @@ class LimitCandidate(NewtonUnknowns):
     B: float
 
     def ordering_ok(self) -> bool:
-        return 0.0 < self.A < self.B < 1.0 and 0.0 < self.x0 < 1.0
+        return bool(np.all((0.0 < self.A) & (self.A < self.B) & (self.B < 1.0)
+                           & (0.0 < self.x0) & (self.x0 < 1.0)))
 
     def check_invariants(self, mp: MarketParams) -> None:
         if not (0.0 < self.A < self.x0 < self.B < 1.0):
@@ -66,7 +67,8 @@ class LimitSolution:
 
 
 def residual_system_limit(mp: MarketParams, gamma: float, cand: LimitCandidate) -> np.ndarray:
-    """First- and second-order pasting residuals at a limit candidate."""
+    """First- and second-order pasting residuals at a limit candidate, or
+    their (4, k) block, one column each, at a stack of k candidates."""
     if not cand.ordering_ok():
         raise ParameterDegeneracy("candidate ordering 0 < A < B < 1 violated")
     l0, x0, A, B = cand.l0, cand.x0, cand.A, cand.B

@@ -100,7 +100,7 @@ def growth_integrand(mp: MarketParams, h):
     Merton fraction hhat.
     """
     h = np.asarray(h, dtype=float)
-    if np.any(h < 0.0) or np.any(h > 1.0):
+    if ((h < 0.0) | (h > 1.0)).any():
         raise ValueError("growth_integrand requires h in [0, 1]")
     out = -0.5 * mp.sigma * mp.sigma * h * h + (mp.mu - mp.r) * h
     return out if out.ndim else float(out)
@@ -121,7 +121,7 @@ def check_growth_excess(mp: MarketParams, l: float, name: str) -> None:
 def to_centered(h):
     """Logit transform log(h) - log(1-h); rejects h at or beyond {0, 1}."""
     h = np.asarray(h, dtype=float)
-    if np.any(h <= 0.0) or np.any(h >= 1.0):
+    if ((h <= 0.0) | (h >= 1.0)).any():
         raise ValueError("to_centered requires h strictly inside (0, 1)")
     out = np.log(h) - np.log1p(-h)
     return out if out.ndim else float(out)
@@ -134,7 +134,7 @@ def from_centered(y):
     0.0 or 1.0 once |y| exceeds about 37.
     """
     y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise ValueError("from_centered requires finite y")
     # exp(-|y|) never overflows; the quotient is 1/(1 + exp(-y)) for y >= 0
     # and exp(y)/(1 + exp(y)) below, bit for bit
@@ -156,13 +156,12 @@ def trade_cost_gamma(cp: CostParams, x, y):
     every trade with y >= x/(1-delta) or y <= x.  Always <= 0 when
     delta > 0 or x != y.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 1.0) or np.any(y < 0.0) or np.any(y > 1.0):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if ((x < 0.0) | (x > 1.0) | (y < 0.0) | (y > 1.0)).any():
         raise ValueError("trade_cost_gamma requires fractions in [0, 1]")
     num = np.where(y > x, 1.0 - cp.delta + cp.gamma * x, 1.0 - cp.delta - cp.gamma * x)
     den = np.where(y > x, 1.0 + cp.gamma * y, 1.0 - cp.gamma * y)
-    if np.any(num <= 0.0) or np.any(den <= 0.0):
+    if ((num <= 0.0) | (den <= 0.0)).any():
         raise ValueError("trade_cost_gamma: logarithm argument not positive")
     out = np.log(num) - np.log(den)
     return out if out.ndim else float(out)
@@ -178,9 +177,8 @@ def wealth_factor(cp: CostParams, h, xi):
     1.0 when delta = 0 and the proportional loss gamma |xi - h| is below
     float64 resolution at 1 (about 1e-16).
     """
-    h = np.asarray(h, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    if np.any(h < 0.0) or np.any(h > 1.0) or np.any(xi < 0.0) or np.any(xi > 1.0):
+    h, xi = np.asarray(h, dtype=float), np.asarray(xi, dtype=float)
+    if ((h < 0.0) | (h > 1.0) | (xi < 0.0) | (xi > 1.0)).any():
         raise ValueError("wealth_factor requires fractions in [0, 1]")
     buy = xi * (1.0 - cp.delta) >= h
     out = np.where(
@@ -210,10 +208,8 @@ def apply_generator(mp: MarketParams, u_val, du, ddu, x):
     obstacle side of the variational inequality.
     """
     del u_val
-    x = np.asarray(x, dtype=float)
-    du = np.asarray(du, dtype=float)
-    ddu = np.asarray(ddu, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 1.0):
+    x, du, ddu = (np.asarray(a, dtype=float) for a in (x, du, ddu))
+    if ((x < 0.0) | (x > 1.0)).any():
         raise ValueError("apply_generator requires x in [0, 1]")
     s2 = mp.sigma * mp.sigma
     out = x * (1.0 - x) * (mp.mu - mp.r - s2 * x) * du + 0.5 * s2 * x * x * (1.0 - x) ** 2 * ddu

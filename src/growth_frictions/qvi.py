@@ -67,8 +67,9 @@ class BoundaryCandidate(NewtonUnknowns):
     b: float
 
     def ordering_ok(self) -> bool:
-        return (0.0 < self.a < self.alpha <= self.beta < self.b < 1.0
-                and 0.0 < self.x0 < 1.0)
+        return bool(np.all((0.0 < self.a) & (self.a < self.alpha) & (self.alpha <= self.beta)
+                           & (self.beta < self.b) & (self.b < 1.0)
+                           & (0.0 < self.x0) & (self.x0 < 1.0)))
 
     def check_invariants(self, mp: MarketParams, cp: CostParams) -> None:
         """Full solution invariants; raises ParameterError naming the breach."""
@@ -90,7 +91,8 @@ class BoundarySolution:
 
 
 def residual_system(mp: MarketParams, cp: CostParams, cand: BoundaryCandidate) -> np.ndarray:
-    """The six smooth-pasting/value-matching residuals at a candidate.
+    """The six smooth-pasting/value-matching residuals at a candidate, or
+    their (6, k) block, one column each, at a stack of k candidates.
 
     Only the ordering a < alpha <= beta < b inside (0, 1) is required;
     x0 may sit anywhere inside (0, 1) while the solver iterates.
@@ -204,7 +206,7 @@ def build_value(mp: MarketParams, cp: CostParams, sol: BoundarySolution) -> Valu
     cand = sol.candidate
     res = residual_system(mp, cp, cand)
     pasting = float(np.max(np.abs(res[:4])))
-    if pasting > PASTING_TOL:
+    if not pasting <= PASTING_TOL:
         raise ParameterError(
             f"candidate does not paste to C1: max boundary-slope residual {pasting:.3e}")
     return ValueFunction(mp, cp, cand, (cand.l, cand.x0, cand.a, cand.alpha, cand.beta, cand.b))

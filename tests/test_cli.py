@@ -95,8 +95,13 @@ def test_verify_round_trip_and_corruption(config_file, tmp_path, capsys):
     assert "ERROR: qvi_violation" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("row", ["0.0,0.096", "abc" + ",0.5" * 13],
-                         ids=["short_row", "non_numeric"])
+WELL_FORMED_ROW = "0.0,0.096,0.4,0.001,0.003,0.027,0.6,0.45,0.55,0.65,0.75,1e-12,5,0"
+
+
+@pytest.mark.parametrize("row", ["0.0,0.096", "abc" + ",0.5" * 13,
+                                 WELL_FORMED_ROW.replace("0.027", "nan"),
+                                 WELL_FORMED_ROW.replace("0.75", "inf")],
+                         ids=["short_row", "non_numeric", "nan_field", "inf_field"])
 def test_malformed_solution_row_is_one_config_error(row, config_file, tmp_path, capsys):
     solution = tmp_path / "solution.csv"
     solution.write_text(",".join(cli.SOLUTION_COLUMNS) + "\n" + row + "\n")

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import growth_frictions as gf
+from growth_frictions import _slope, limit
 from growth_frictions.market import EPS
+from newton_reference import column_jacobian, is_stacked, record_residual
 
 GAMMA = 0.003
 
@@ -19,6 +21,31 @@ def test_residuals_react_to_perturbation(mp, lim):
     cand = dataclasses.replace(lim.candidate, B=lim.candidate.B + 1e-3)
     res = gf.residual_system_limit(mp, GAMMA, cand)
     assert abs(res[1]) + abs(res[3]) > 1e-6
+
+
+@pytest.fixture(scope="module")
+def cold_points(mp):
+    """The fig2 limit root and every point a cold solve evaluates one at a time."""
+    sol, accepted = record_residual(limit, "residual_system_limit",
+                                    lambda: gf.solve_limit(mp, GAMMA))
+    return [sol.candidate] + [c for c in accepted if not is_stacked(c)]
+
+
+def test_stacked_residuals_equal_single_calls(mp, cold_points):
+    block = np.column_stack([c.as_vector() for c in cold_points])
+    stacked = gf.residual_system_limit(mp, GAMMA, gf.LimitCandidate.from_vector(block))
+    single = np.column_stack([gf.residual_system_limit(mp, GAMMA, c) for c in cold_points])
+    assert np.array_equal(stacked, single)
+
+
+def test_newton_jacobian_equals_column_by_column(mp, cold_points):
+    def residual(v):
+        return gf.residual_system_limit(mp, GAMMA, gf.LimitCandidate.from_vector(v))
+
+    for cand in cold_points:
+        v = cand.as_vector()
+        fv = residual(v)
+        assert np.array_equal(_slope._jacobian(residual, v, fv), column_jacobian(residual, v, fv))
 
 
 def test_delta_limit_consistency(mp, sweep, lim):

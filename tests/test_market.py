@@ -87,6 +87,41 @@ def test_transform_rejects_endpoints():
         gf.from_centered(float("inf"))
 
 
+def _accepts(call):
+    try:
+        call()
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("x", [np.nan, -np.inf, -1.0, -0.0, 0.0, 1e-9, 0.5, 1.0 - 2 ** -53,
+                               1.0, 1.0 + 2 ** -52, np.inf])
+def test_domain_checks_reject_exactly_their_comparisons(mp, vf, x):
+    # NaN fails every comparison, so it passes each check written as
+    # "reject x <= 0 or x >= 1"; only slope_g's x0 must lie inside (0, 1)
+    cp = gf.CostParams(delta=1e-3, gamma=3e-3)
+    inside = not (x <= 0.0 or x >= 1.0)
+    on_unit = not (x < 0.0 or x > 1.0)
+    checks = [
+        (lambda v: gf.to_centered(v), inside),
+        (lambda v: gf.growth_integrand(mp, v), on_unit),
+        (lambda v: gf.trade_cost_gamma(cp, v, 0.5), on_unit),
+        (lambda v: gf.trade_cost_gamma(cp, 0.5, v), on_unit),
+        (lambda v: gf.wealth_factor(cp, v, 0.5), on_unit),
+        (lambda v: gf.wealth_factor(cp, 0.5, v), on_unit),
+        (lambda v: gf.apply_generator(mp, 0.0, 0.1, 0.1, v), on_unit),
+        (lambda v: gf.slope_g(mp, v, 0.5, 0.02), inside),
+        (lambda v: gf.slope_g(mp, 0.5, v, 0.02), 0.0 < x < 1.0),
+        (lambda v: gf.slope_g_integral(mp, v, 0.5, 0.5, 0.02), inside),
+        (lambda v: gf.slope_g_integral(mp, 0.5, v, 0.5, 0.02), inside),
+        (lambda v: vf.u(v), on_unit),
+    ]
+    for k, (check, accepted) in enumerate(checks):
+        assert _accepts(lambda: check(x)) == accepted, k
+        assert _accepts(lambda: check(np.array([0.5, x]))) == accepted, k
+
+
 def _logistic_two_branch(y):
     # the branch-by-mask form: 1/(1 + exp(-y)) for y >= 0, exp(y)/(1 + exp(y)) below
     y = np.asarray(y, dtype=float)

@@ -5,8 +5,9 @@ import pytest
 from scipy.integrate import quad
 
 import growth_frictions as gf
-from growth_frictions import _policy, qvi
+from growth_frictions import _policy, _slope, qvi
 from growth_frictions.market import EPS
+from newton_reference import column_jacobian, is_stacked, record_residual
 
 FIG2_L_LOW = 0.016    # f(1): lower bound on the growth excess
 FIG2_L_HIGH = 0.0288  # f(hhat): upper bound
@@ -82,6 +83,38 @@ def test_residuals_reject_bad_ordering(mp, cp, sol):
     cand = dataclasses.replace(sol.candidate, alpha=sol.candidate.beta + 0.01)
     with pytest.raises(gf.ParameterDegeneracy):
         gf.residual_system(mp, cp, cand)
+
+
+@pytest.fixture(scope="module")
+def cold_points(mp, cp):
+    """The fig2 root and every point a cold solve evaluates one at a time."""
+    sol, accepted = record_residual(qvi, "residual_system", lambda: gf.solve_boundaries(mp, cp))
+    return [sol.candidate] + [c for c in accepted if not is_stacked(c)]
+
+
+def test_stacked_residuals_equal_single_calls(mp, cp, cold_points):
+    block = np.column_stack([c.as_vector() for c in cold_points])
+    stacked = gf.residual_system(mp, cp, gf.BoundaryCandidate.from_vector(block))
+    single = np.column_stack([gf.residual_system(mp, cp, c) for c in cold_points])
+    assert np.array_equal(stacked, single)
+
+
+def test_newton_jacobian_equals_column_by_column(mp, cp, cold_points):
+    def residual(v):
+        return gf.residual_system(mp, cp, gf.BoundaryCandidate.from_vector(v))
+
+    for cand in cold_points:
+        v = cand.as_vector()
+        fv = residual(v)
+        assert np.array_equal(_slope._jacobian(residual, v, fv), column_jacobian(residual, v, fv))
+
+
+@pytest.mark.parametrize("miss", [1e-6, np.nan], ids=["off", "nan"])
+def test_build_value_requires_c1_pasting(mp, cp, sol, miss, monkeypatch):
+    exact = qvi.residual_system
+    monkeypatch.setattr(qvi, "residual_system", lambda mp, cp, c: exact(mp, cp, c) + miss)
+    with pytest.raises(gf.ParameterError, match="does not paste to C1"):
+        gf.build_value(mp, cp, sol)
 
 
 def test_tiny_gamma_closes_target_gap(mp):

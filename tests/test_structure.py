@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import growth_frictions as gf
-from growth_frictions import _slope, qvi
+from growth_frictions import _slope, limit, qvi
+from newton_reference import column_jacobian, is_stacked, record_residual
 
 PACKAGE = Path(gf.__file__).parent
 GAMMA = 0.003
@@ -43,13 +44,17 @@ def test_import_builds_no_gauss_legendre_rule():
     subprocess.run([sys.executable, "-c", probe], env=env, check=True, timeout=60)
 
 
-@pytest.mark.parametrize("solver", ["boundaries", "limit"])
-def test_every_start_failing_is_one_non_convergence(solver, mp, cp, sol, lim, monkeypatch):
+@pytest.mark.parametrize("solver, norm, shown", [
+    ("boundaries", 1.0, r"1\.000e\+00"), ("limit", 1.0, r"1\.000e\+00"),
+    ("boundaries", np.nan, "nan"), ("limit", np.nan, "nan"),  # a NaN norm is no convergence
+], ids=["boundaries", "limit", "boundaries-nan", "limit-nan"])
+def test_every_start_failing_is_one_non_convergence(solver, norm, shown, mp, cp, sol, lim,
+                                                    monkeypatch):
     stops = []
 
     def stalled(residual, v0, *, tol):
         stops.append(tol)
-        return np.asarray(v0), 0, 1.0
+        return np.asarray(v0), 0, norm
 
     monkeypatch.setattr(_slope, "damped_newton", stalled)
     if solver == "boundaries":
@@ -61,6 +66,46 @@ def test_every_start_failing_is_one_non_convergence(solver, mp, cp, sol, lim, mo
         solve = lambda: gf.solve_limit(mp, GAMMA, init=lim.candidate)
         stop = 0.0  # the limit runs until its step stalls
     with pytest.raises(gf.NonConvergence,
-                       match=r"^no start converged: residual 1\.000e\+00 after 0 iterations$"):
+                       match=rf"^no start converged: residual {shown} after 0 iterations$"):
         solve()
     assert stops == [stop, stop]
+
+
+@pytest.mark.parametrize("solver", ["boundaries", "limit"])
+def test_each_jacobian_is_one_stacked_residual_call(solver, mp, cp):
+    # a cold fig2 solve is one Newton run; its Jacobians stack all columns
+    if solver == "boundaries":
+        result, calls = record_residual(qvi, "residual_system",
+                                        lambda: gf.solve_boundaries(mp, cp))
+    else:
+        result, calls = record_residual(limit, "residual_system_limit",
+                                        lambda: gf.solve_limit(mp, GAMMA))
+    width = result.candidate.as_vector().size
+    stacked = [np.size(c.x0) for c in calls if is_stacked(c)]
+    assert result.newton_iters > 0
+    assert stacked == [width] * result.newton_iters
+
+
+def test_only_the_column_leaving_the_domain_takes_the_backward_point():
+    # the domain v[1] <= 1 ends at the start point in the second coordinate
+    single = []
+
+    def residual(v):
+        v = np.asarray(v)
+        if np.any(v[1] > 1.0):
+            raise ValueError("outside the domain")
+        if v.ndim == 1:
+            single.append(v.tolist())
+        return np.array([v[0] ** 2 - 2.0, v[1] ** 3 - 0.125])
+
+    v0 = np.array([1.0, 1.0])
+    fv = residual(v0)
+    jac = _slope._jacobian(residual, v0, fv)
+    h = _slope._FD_STEP
+    # the stacked call raised, so each column ran alone: forward, then backward
+    assert single == [[1.0, 1.0], [1.0 + h, 1.0], [1.0, 1.0 - h]]
+    assert np.array_equal(jac, column_jacobian(residual, v0, fv))
+    assert jac == pytest.approx(np.diag([2.0, 3.0]), abs=1e-6)
+    v, _, norm = _slope.damped_newton(residual, v0, tol=1e-12)
+    assert norm <= 1e-12
+    assert v == pytest.approx([np.sqrt(2.0), 0.5], abs=1e-12)
