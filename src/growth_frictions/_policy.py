@@ -13,9 +13,11 @@ side's width.
 Chaining the two restart states through their stationary law turns
 (reward per cycle)/(length per cycle) into the long-run growth rate.
 
-It sits below both solvers and imports only ``market``.  A batch prices
-each distinct exit problem (a, b, restart point) once, so a box of k^4
-candidates costs about 2 k^3 exit problems.
+It sits below both solvers and imports only ``market``.  A batch is priced
+on the axes of its candidate arrays, each one-sided Green integral once per
+pair of its ends: the seed's k^4 grid, whose restart points move with
+their edges, costs 2 k^2 + 2 k^3 one-sided integrals, and a box of four
+independent axes 4 k^2.
 """
 
 from __future__ import annotations
@@ -84,28 +86,28 @@ def expected_running_reward(fn, drift: float, vol: float, lo, hi, y):
     Bernstein-ellipse bound rho^(-2n) for the logistic poles at distance pi
     reaches _GL_TARGET, and 96 beyond the 64-node width.  Exact to
     quadrature accuracy (far below 1e-10 for the growth integrand on the
-    region widths that arise here).  lo, hi, y may be 1-d arrays of equal shape; fn must accept
-    arrays.  Rows are integrated in blocks of _QUAD_ROWS; a row's order
-    depends only on its own widths, so its bits do not depend on the block
-    or the batch it is priced in.
+    region widths that arise here).  lo, hi, y may be broadcastable arrays;
+    fn must accept arrays.  Rows are integrated in blocks of _QUAD_ROWS; a
+    row's order depends only on its own widths, so its bits do not depend
+    on the block or the batch it is priced in.
     """
     return _exit_problems(fn, drift, vol, lo, hi, y)[1]
 
 
 def _exit_problems(fn, drift, vol, lo, hi, y):
-    """(mean exit time, running reward of fn) of each exit problem, both
-    from one Green-function pass over the same nodes."""
-    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0 and np.ndim(y) == 0
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    lo, hi, y = np.broadcast_arrays(lo, hi, y)
+    """(mean exit time, running reward of fn) of the exit problems of (lo, hi)
+    from y, on their broadcast shape, both from one Green-function pass over
+    the same nodes.  Each side is integrated on the axes it depends on:
+    [lo, y] on those of lo and y, [y, hi] on those of y and hi."""
     theta = 2.0 * drift / (vol * vol)
-    out = np.empty((2,) + lo.shape)
-    for k in range(0, lo.size, _QUAD_ROWS):
-        rows = slice(k, k + _QUAD_ROWS)
-        out[:, rows] = _green_quadrature(fn, theta, vol, lo[rows], hi[rows], y[rows])
-    return (float(out[0, 0]), float(out[1, 0])) if scalar else out
+    lo, hi, y = (np.asarray(v, dtype=float) for v in (lo, hi, y))
+    low = _green_side(fn, lo, y, lambda z, za, zb:
+                      _scale_increment(z - za, theta) * np.exp(theta * (z - zb)))
+    high = _green_side(fn, y, hi, lambda z, za, zb: _scale_increment(zb - z, theta))
+    s_high, s_low, s_all = (_scale_increment(u, theta) for u in (hi - y, y - lo, hi - lo))
+    out = [(2.0 / (vol * vol)) * (w_lo * s_high + w_hi * s_low) / s_all
+           for w_lo, w_hi in zip(low, high)]
+    return out if out[0].ndim else [float(v) for v in out]
 
 
 @cache
@@ -119,72 +121,72 @@ def _gl_order(half_width):
     return np.take(_GL_ORDERS, np.searchsorted(_GL_MAX_HALF_WIDTH, half_width))
 
 
-def _green_quadrature(fn, theta, vol, lo, hi, y):
-    """Mean exit times and running rewards of one block of rows, stacked:
-    each side's Green kernel is integrated alone (the duration) and times
-    fn (the reward) over the same nodes."""
+def _green_side(fn, za, zb, kernel):
+    """Integrals over [za, zb] of kernel(z, za, zb) alone (the duration) and
+    times fn (the reward), stacked, on the broadcast shape of za and zb.
+    Rows with za <= zb go to _green_block in blocks of _QUAD_ROWS; the
+    others are not integrated and read NaN."""
+    za, zb = np.broadcast_arrays(za, zb)
+    out = np.full((2,) + za.shape, np.nan)
+    rows = np.flatnonzero(za <= zb)
+    za, zb = za.ravel()[rows], zb.ravel()[rows]
+    for k in range(0, rows.size, _QUAD_ROWS):
+        block = slice(k, k + _QUAD_ROWS)
+        out.reshape(2, -1)[:, rows[block]] = _green_block(fn, kernel, za[block], zb[block])
+    return out
 
-    def half_integral(za, zb, kernel):
-        # rows of one order are integrated together, over contiguous nodes
-        hw = 0.5 * (zb - za)
-        order = _gl_order(hw)
-        out = np.empty((2,) + hw.shape)
-        for n in np.unique(order):
-            i = np.flatnonzero(order == n)
-            nodes, weights = _gauss_legendre(int(n))
-            z = 0.5 * (za[i] + zb[i])[:, None] + hw[i, None] * nodes[None, :]
-            k = kernel(z, i)
-            out[0, i] = hw[i] * np.sum(weights[None, :] * k, axis=1)
-            out[1, i] = hw[i] * np.sum(weights[None, :] * (k * fn(z)), axis=1)
-        return out
 
-    low_part = half_integral(
-        lo, y,
-        lambda z, i: _scale_increment(z - lo[i, None], theta)
-        * np.exp(theta * (z - y[i, None])))
-    high_part = half_integral(
-        y, hi,
-        lambda z, i: _scale_increment(hi[i, None] - z, theta))
-    return (2.0 / (vol * vol)) * (
-        low_part * _scale_increment(hi - y, theta)
-        + high_part * _scale_increment(y - lo, theta)
-    ) / _scale_increment(hi - lo, theta)
+def _green_block(fn, kernel, za, zb):
+    """One block of rows of _green_side: rows of one order are integrated
+    together, over contiguous nodes, so a row's bits depend only on its own
+    width."""
+    hw = 0.5 * (zb - za)
+    order = _gl_order(hw)
+    out = np.empty((2,) + hw.shape)
+    for n in np.unique(order):
+        i = np.flatnonzero(order == n)
+        nodes, weights = _gauss_legendre(int(n))
+        z = 0.5 * (za[i] + zb[i])[:, None] + hw[i, None] * nodes[None, :]
+        k = kernel(z, za[i, None], zb[i, None])
+        out[0, i] = hw[i] * np.sum(weights[None, :] * k, axis=1)
+        out[1, i] = hw[i] * np.sum(weights[None, :] * (k * fn(z)), axis=1)
+    return out
+
+
+def _own_axes(v):
+    """v as a float array without the axes a broadcast view repeats it along."""
+    v = np.asarray(v, dtype=float)
+    return v[tuple(slice(None, 1) if s == 0 else slice(None) for s in v.strides)]
 
 
 def _renewal_batch(mp: MarketParams, cp: CostParams, a, al, be, b) -> np.ndarray:
-    """Growth rates of constant boundary strategies, vectorised over
-    candidate arrays (all shape (n,)).
+    """Growth rates of constant boundary strategies on the broadcast shape of
+    the candidate arrays (a, alpha, beta, b), which may be broadcast views.
 
-    Candidate i restarts through two exit problems of (a_i, b_i), one from
-    alpha_i and one from beta_i.  Boxes and seed grids share most of them,
-    so each distinct (a, b, y) triple is priced once and gathered back.
+    A candidate restarts through two exit problems of (a, b), one from
+    alpha and one from beta.  Each one-sided Green integral is priced once
+    on the axes of its own two ends: [a, alpha], [alpha, b], [a, beta] and
+    [beta, b]; the exit split, the costs and the growth rate are then
+    formed by broadcasting.  A candidate whose restart points do not both
+    lie strictly inside (a, b) is not priced and reads -inf.
     """
-    n = np.size(a)
-    a_vals, a_code = np.unique(a, return_inverse=True)
-    b_vals, b_code = np.unique(b, return_inverse=True)
-    y_vals, y_code = np.unique(np.concatenate([al, be]), return_inverse=True)
-    dims = (a_vals.size, b_vals.size, y_vals.size)
-    triples, problem = np.unique(
-        np.ravel_multi_index((np.tile(a_code, 2), np.tile(b_code, 2), y_code), dims),
-        return_inverse=True)
-    i_a, i_b, i_y = np.unravel_index(triples, dims)
-    lo, hi, y = to_centered(a_vals)[i_a], to_centered(b_vals)[i_b], to_centered(y_vals)[i_y]
+    a, al, be, b = (_own_axes(v) for v in (a, al, be, b))
+    lo, y_low, y_high, hi = (np.asarray(to_centered(v)) for v in (a, al, be, b))
+    valid = (lo < y_low) & (y_low < hi) & (lo < y_high) & (y_high < hi)
     c = mp.mu - mp.r - 0.5 * mp.sigma * mp.sigma
-
-    def per_candidate(per_problem):
-        out = per_problem[problem]
-        return out[:n], out[n:]
-
-    p_low, p_high = per_candidate(exit_prob_up(c, mp.sigma, lo, hi, y))
-    bad = (p_low <= 1e-12) | (p_low >= 1.0 - 1e-12) | (p_high <= 1e-12) | (p_high >= 1.0 - 1e-12)
-    if np.any(bad):
-        k = int(np.argmax(bad))
+    p_low = exit_prob_up(c, mp.sigma, lo, hi, y_low)
+    p_high = exit_prob_up(c, mp.sigma, lo, hi, y_high)
+    bad = valid & ((p_low <= 1e-12) | (p_low >= 1.0 - 1e-12)
+                   | (p_high <= 1e-12) | (p_high >= 1.0 - 1e-12))
+    if bad.any():
+        k = np.unravel_index(np.argmax(bad), bad.shape)
         raise DegenerateChain(
             "restart chain numerically absorbing: exit probabilities "
-            f"p(alpha)={p_low[k]:.3e}, p(beta)={p_high[k]:.3e}")
-    m, w = _exit_problems(lambda z: growth_integrand_transformed(mp, z), c, mp.sigma, lo, hi, y)
-    m_low, m_high = per_candidate(m)
-    w_low, w_high = per_candidate(w)
+            f"p(alpha)={np.broadcast_to(p_low, bad.shape)[k]:.3e}, "
+            f"p(beta)={np.broadcast_to(p_high, bad.shape)[k]:.3e}")
+    fbar = lambda z: growth_integrand_transformed(mp, z)
+    m_low, w_low = _exit_problems(fbar, c, mp.sigma, lo, hi, y_low)
+    m_high, w_high = _exit_problems(fbar, c, mp.sigma, lo, hi, y_high)
     cost_low = np.log(wealth_factor(cp, a, al))
     cost_high = np.log(wealth_factor(cp, b, be))
     # stationary split of the restart chain on {alpha, beta}
@@ -193,7 +195,7 @@ def _renewal_batch(mp: MarketParams, cp: CostParams, a, al, be, b) -> np.ndarray
     reward = (pi_low * (w_low + p_low * cost_high + (1.0 - p_low) * cost_low)
               + pi_high * (w_high + p_high * cost_high + (1.0 - p_high) * cost_low))
     length = pi_low * m_low + pi_high * m_high
-    return mp.r + reward / length
+    return np.where(valid, mp.r + reward / length, -np.inf)
 
 
 def evaluate_policy_renewal(mp: MarketParams, cp: CostParams, cand) -> float:
@@ -201,8 +203,4 @@ def evaluate_policy_renewal(mp: MarketParams, cp: CostParams, cand) -> float:
     cand's (a, alpha, beta, b), under the original cost convention."""
     if not cand.ordering_ok():
         raise ValueError("candidate ordering a < alpha <= beta < b violated")
-    out = _renewal_batch(
-        mp, cp,
-        np.array([cand.a]), np.array([cand.alpha]),
-        np.array([cand.beta]), np.array([cand.b]))
-    return float(out[0])
+    return float(_renewal_batch(mp, cp, cand.a, cand.alpha, cand.beta, cand.b))

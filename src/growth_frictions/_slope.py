@@ -98,12 +98,16 @@ def slope_g(mp: MarketParams, x, x0: float, l: float):
 def slope_g_dx(mp: MarketParams, x, x0: float, l: float):
     """x-derivative of slope_g, via the continuation ODE rearranged."""
     x = np.asarray(x, dtype=float)
-    g = np.asarray(slope_g(mp, x, x0, l))
+    out = _slope_dx(mp, x, np.asarray(slope_g(mp, x, x0, l)), l)
+    return out if out.ndim else float(out)
+
+
+def _slope_dx(mp: MarketParams, x, g, l):
+    """g'(x) from g = slope_g(x) at the same x, via the continuation ODE."""
     s2 = mp.sigma * mp.sigma
     drift = x * (1.0 - x) * (mp.mu - mp.r - s2 * x)
     half = 0.5 * s2 * (x * (1.0 - x)) ** 2
-    out = (l - growth_integrand(mp, x) - drift * g) / half
-    return out if out.ndim else float(out)
+    return (l - growth_integrand(mp, x) - drift * g) / half
 
 
 def slope_g_integral(mp: MarketParams, x_from, x_to, x0: float, l: float):

@@ -51,10 +51,10 @@ def brute_force_boundaries(mp: MarketParams, cp: CostParams, center,
             or center.beta - radius < center.alpha - radius
             or center.b - radius <= center.beta + radius):
         raise ValueError(f"{box} breaks the ordering a < alpha <= beta < b")
-    aa, al, be, bb = np.meshgrid(center.a + offs, center.alpha + offs,
-                                 center.beta + offs, center.b + offs, indexing="ij")
-    aa, al, be, bb = (v.ravel() for v in (aa, al, be, bb))
-    growth = _renewal_batch(mp, cp, aa, al, be, bb)
+    cand = np.broadcast_arrays(*np.ix_(center.a + offs, center.alpha + offs,
+                                       center.beta + offs, center.b + offs))
+    growth = _renewal_batch(mp, cp, *cand).ravel()
+    aa, al, be, bb = (v.ravel() for v in cand)
     kbest = int(np.argmax(growth))
     best = _qvi.BoundaryCandidate(
         l=center.l, x0=center.x0,

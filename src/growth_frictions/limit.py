@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._slope import (RESIDUAL_TOL, NewtonUnknowns, NonConvergence, ParameterDegeneracy,
-                     ValueFunction, _grid_check, newton_from_starts, slope_g, slope_g_dx)
+                     ValueFunction, _grid_check, _slope_dx, newton_from_starts, slope_g)
 from .market import (CostParams, MarketParams, ParameterError,
                      check_growth_excess, growth_integrand, merton_fraction,
                      no_trade_floor)
@@ -72,11 +72,14 @@ def residual_system_limit(mp: MarketParams, gamma: float, cand: LimitCandidate) 
     if not cand.ordering_ok():
         raise ParameterDegeneracy("candidate ordering 0 < A < B < 1 violated")
     l0, x0, A, B = cand.l0, cand.x0, cand.A, cand.B
+    edges = np.array([A, B])
+    g = slope_g(mp, edges, x0, l0)
+    dg = _slope_dx(mp, edges, g, l0)
     return np.array([
-        slope_g(mp, A, x0, l0) - gamma / (1.0 + gamma * A),
-        slope_g(mp, B, x0, l0) + gamma / (1.0 - gamma * B),
-        slope_g_dx(mp, A, x0, l0) + gamma * gamma / (1.0 + gamma * A) ** 2,
-        slope_g_dx(mp, B, x0, l0) + gamma * gamma / (1.0 - gamma * B) ** 2,
+        g[0] - gamma / (1.0 + gamma * A),
+        g[1] + gamma / (1.0 - gamma * B),
+        dg[0] + gamma * gamma / (1.0 + gamma * A) ** 2,
+        dg[1] + gamma * gamma / (1.0 - gamma * B) ** 2,
     ])
 
 

@@ -102,13 +102,16 @@ def residual_system(mp: MarketParams, cp: CostParams, cand: BoundaryCandidate) -
     l, x0 = cand.l, cand.x0
     a, al, be, b = cand.a, cand.alpha, cand.beta, cand.b
     gm, dl = cp.gamma, cp.delta
+    g = slope_g(mp, np.array([al, be, a, b]), x0, l)
+    integral = slope_g_integral(mp, np.array([a, be]), np.array([al, b]), x0, l)
+    cost = trade_cost_gamma(cp, np.array([a, b]), np.array([al, be]))
     return np.array([
-        slope_g(mp, al, x0, l) - gm / (1.0 + gm * al),
-        slope_g(mp, be, x0, l) + gm / (1.0 - gm * be),
-        slope_g(mp, a, x0, l) - gm / (1.0 - dl + gm * a),
-        slope_g(mp, b, x0, l) + gm / (1.0 - dl - gm * b),
-        slope_g_integral(mp, a, al, x0, l) + trade_cost_gamma(cp, a, al),
-        slope_g_integral(mp, be, b, x0, l) - trade_cost_gamma(cp, b, be),
+        g[0] - gm / (1.0 + gm * al),
+        g[1] + gm / (1.0 - gm * be),
+        g[2] - gm / (1.0 - dl + gm * a),
+        g[3] + gm / (1.0 - dl - gm * b),
+        integral[0] + cost[0],
+        integral[1] - cost[1],
     ])
 
 
@@ -118,9 +121,9 @@ def _oracle_seed(mp, cp, lim_cand):
 
     A seed that opens the no-trade region symmetrically fails badly for
     lopsided Merton fractions; searching the policy value directly (cheap:
-    one Green-function pass per distinct exit problem) lands inside the
-    Newton basin regardless of the region's shape.  Round 2 refines each
-    of the four offsets by geomspace(0.5, 2, 7) times its own round-1 best.
+    the grid is priced on its four offset axes) lands inside the Newton
+    basin regardless of the region's shape.  Round 2 refines each of the
+    four offsets by geomspace(0.5, 2, 7) times its own round-1 best.
     If no searched policy beats the floor r + max{f(0), f(1)} of never
     trading (or holding only stock), there is no interior optimum to seed
     and ParameterDegeneracy is raised.
@@ -132,22 +135,20 @@ def _oracle_seed(mp, cp, lim_cand):
     offsets = (widen, widen, inset, inset)
     best = None
     for _ in range(2):
-        u1, u2, v1, v2 = (g.ravel() for g in np.meshgrid(*offsets, indexing="ij"))
+        u1, u2, v1, v2 = offsets
         a_y, b_y = a_lim - u1, b_lim + u2
-        al_y, be_y = a_y + v1, b_y - v2
-        keep = al_y < be_y
-        a = from_centered(a_y[keep])
-        al = from_centered(al_y[keep])
-        be = from_centered(be_y[keep])
-        b = from_centered(b_y[keep])
-        keep2 = (a > EPS) & (b < 1.0 - EPS)
-        a, al, be, b = a[keep2], al[keep2], be[keep2], b[keep2]
+        a_y = a_y[from_centered(a_y) > EPS][:, None, None, None]
+        b_y = b_y[from_centered(b_y) < 1.0 - EPS][:, None, None]
+        # axes (a widening, b widening, a inset, b inset), the meshgrid order
+        al_y, be_y = a_y + v1[:, None], b_y - v2
+        cand = np.broadcast_arrays(*(from_centered(y) for y in (a_y, al_y, be_y, b_y)))
         try:
-            values = _renewal_batch(mp, cp, a, al, be, b)
+            values = np.where(al_y < be_y, _renewal_batch(mp, cp, *cand), -np.inf)
         except (ValueError, RuntimeError):
-            values = np.full(a.shape, -np.inf)
+            # the first candidate, the smallest offsets, is always ordered
+            values = np.full(cand[0].shape, -np.inf)
         k = int(np.argmax(values))
-        best = (float(a[k]), float(al[k]), float(be[k]), float(b[k]), float(values[k]))
+        best = tuple(float(v.flat[k]) for v in cand) + (float(values.flat[k]),)
         a_k, al_k, be_k, b_k = (to_centered(v) for v in best[:4])
         offsets = tuple(gap * np.geomspace(0.5, 2.0, 7) for gap in
                         (a_lim - a_k, b_k - b_lim, al_k - a_k, b_k - be_k))

@@ -12,6 +12,8 @@ import itertools
 import pytest
 
 import growth_frictions as gf
+from growth_frictions import qvi
+from renewal_reference import oracle_seed, seed_outcome
 
 SIGMA = 0.4
 HHATS = (0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9)
@@ -31,3 +33,13 @@ def test_cold_solve_verifies_or_is_rejected_by_name(hhat, gamma, delta):
     sol = gf.solve_boundaries(mp, cp)
     vf = gf.build_value(mp, cp, sol)
     assert gf.verify_qvi(mp, cp, vf, 501).passed
+
+
+@pytest.mark.parametrize("hhat, gamma, delta", itertools.product(HHATS, GAMMAS, DELTAS))
+def test_seed_matches_the_flat_reference_seed(hhat, gamma, delta):
+    # the axis-wise renewal search picks the seed, or names the failure,
+    # exactly as the flattened candidate list did
+    mp = gf.MarketParams(r=0.0, mu=hhat * SIGMA * SIGMA, sigma=SIGMA)
+    cp = gf.CostParams(delta=delta, gamma=gamma)
+    lim = gf.solve_limit(mp, gamma).candidate
+    assert seed_outcome(qvi._oracle_seed, mp, cp, lim) == seed_outcome(oracle_seed, mp, cp, lim)

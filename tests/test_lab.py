@@ -7,8 +7,9 @@ import pytest
 from scipy.integrate import quad
 
 import growth_frictions as gf
-from growth_frictions import _policy, lab
+from growth_frictions import _policy, lab, qvi
 from mc_reference import exit_mc
+from renewal_reference import renewal_batch
 
 GAMMA = 0.003
 
@@ -215,6 +216,34 @@ def test_renewal_batch_shares_exit_problems_exactly(mp, cp, sol):
     a, al, be, b = a[rows], al[rows], be[rows], b[rows]
     batch = lab._renewal_batch(mp, cp, a, al, be, b)
     assert np.array_equal(batch, _row_by_row(mp, cp, a, al, be, b))
+    assert np.array_equal(batch, renewal_batch(mp, cp, a, al, be, b))
+
+
+def test_oracle_box_equals_the_flat_reference(mp, cp, sol):
+    # fig2's 21^4 oracle box, candidates with alpha > beta included, in
+    # meshgrid order
+    c = sol.candidate
+    values = gf.brute_force_boundaries(mp, cp, c, radius=0.02, step=2e-3).values
+    offs = np.arange(-10, 11) * 2e-3
+    grid = np.meshgrid(c.a + offs, c.alpha + offs, c.beta + offs, c.b + offs, indexing="ij")
+    assert np.array_equal(values[:, :4], np.column_stack([g.ravel() for g in grid]))
+    assert np.array_equal(values[:, 4], renewal_batch(mp, cp, *values[:, :4].T))
+
+
+def test_oracle_quadrature_stays_in_row_blocks(mp, cp, sol, lim, monkeypatch):
+    # what the oracle subcommand prices on fig2: the cold seed, whose widest
+    # sides have up to 14 * 14 * 12 rows, then the 21^4 box, each of whose
+    # one-sided Green integrals is priced once on its own two axes
+    # (4 x 21^2 rows); no quadrature call sees more than _QUAD_ROWS rows
+    rows = []
+    block = _policy._green_block
+    monkeypatch.setattr(_policy, "_green_block",
+                        lambda fn, kernel, za, zb: rows.append(za.size) or block(fn, kernel, za, zb))
+    qvi._oracle_seed(mp, cp, lim.candidate)
+    assert max(rows) == _policy._QUAD_ROWS
+    rows.clear()
+    gf.brute_force_boundaries(mp, cp, sol.candidate, radius=0.02, step=2e-3)
+    assert max(rows) <= _policy._QUAD_ROWS and sum(rows) == 4 * 21 ** 2
 
 
 def test_brute_force_values_equal_row_by_row(mp, cp, sol):

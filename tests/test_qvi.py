@@ -8,6 +8,7 @@ import growth_frictions as gf
 from growth_frictions import _policy, _slope, qvi
 from growth_frictions.market import EPS
 from newton_reference import column_jacobian, is_stacked, record_residual
+from renewal_reference import oracle_seed, renewal_batch, seed_outcome
 
 FIG2_L_LOW = 0.016    # f(1): lower bound on the growth excess
 FIG2_L_HIGH = 0.0288  # f(hhat): upper bound
@@ -344,17 +345,21 @@ def test_fine_grid_verification_stays_linear(mp, cp, vf):
 
 def _seed_batches(hhat, gamma, delta, monkeypatch, perturb=None):
     """The cold seed at r=0, sigma=0.4, its limit candidate and the
-    candidate batches it priced, with perturb applied to each batch's
-    renewal values."""
+    candidate grids it priced, each as (a, alpha, beta, b, values), with
+    perturb applied to the renewal values of the ordered candidates
+    (alpha < beta, the ones the seed compares) in C order."""
     mp = gf.MarketParams(r=0.0, mu=hhat * 0.16, sigma=0.4)
     cp = gf.CostParams(delta=delta, gamma=gamma)
     batches = []
     price = _policy._renewal_batch
 
     def spy(mp, cp, *cand):
-        batches.append(cand)
         values = price(mp, cp, *cand)
-        return values if perturb is None else perturb(values)
+        batches.append(cand + (values,))
+        if perturb is not None:
+            ordered = cand[1] < cand[2]
+            values[ordered] = perturb(values[ordered])
+        return values
 
     monkeypatch.setattr(qvi, "_renewal_batch", spy)
     lim = gf.solve_limit(mp, gamma).candidate
@@ -365,13 +370,16 @@ def test_seed_refines_each_offset_on_its_own_grid(monkeypatch):
     # hhat 0.5, gamma = delta = 1e-2: the a-side and b-side gaps nearly
     # agree, so offset lists pooled across the sides repeat to ulps
     _, lim, batches = _seed_batches(0.5, 1e-2, 1e-2, monkeypatch)
-    assert len(batches) == 2 and batches[1][0].size <= 7 ** 4
+    assert len(batches) == 2
+    # round 2 prices at most 7^4 ordered candidates
+    _, al, be, _, values = batches[1]
+    assert np.count_nonzero(np.isfinite(values) & (al < be)) <= 7 ** 4
 
     def spaced(offsets):
         offsets = np.unique(offsets)
         return offsets.size < 2 or np.min(offsets[1:] / offsets[:-1]) >= 1.2
 
-    for a, al, be, b in batches:
+    for a, al, be, b, _ in batches:
         a_y, al_y, be_y, b_y = (gf.to_centered(v) for v in (a, al, be, b))
         assert spaced(gf.to_centered(lim.A) - a_y) and spaced(b_y - gf.to_centered(lim.B))
         for v in np.unique(a_y):
@@ -380,8 +388,38 @@ def test_seed_refines_each_offset_on_its_own_grid(monkeypatch):
             assert spaced(v - be_y[b_y == v])
 
 
-@pytest.mark.parametrize("hhat, gamma, delta", [(0.5, 1e-2, 1e-2), (0.4, 1e-3, 1e-3),
-                                                (0.75, 1e-2, 1e-3)])
+SEED_MARKETS = [(0.5, 1e-2, 1e-2), (0.4, 1e-3, 1e-3), (0.75, 1e-2, 1e-3)]
+
+
+@pytest.mark.parametrize("hhat, gamma, delta", SEED_MARKETS)
+def test_seed_rounds_price_as_the_flat_reference(hhat, gamma, delta, monkeypatch):
+    # each round's grid, priced on its axes, gives every ordered candidate
+    # the value the deduplicating flat evaluator gives it
+    mp = gf.MarketParams(r=0.0, mu=hhat * 0.16, sigma=0.4)
+    cp = gf.CostParams(delta=delta, gamma=gamma)
+    _, _, batches = _seed_batches(hhat, gamma, delta, monkeypatch)
+    for a, al, be, b, values in batches:
+        ordered = al < be
+        assert np.array_equal(values[ordered],
+                              renewal_batch(mp, cp, *(v[ordered] for v in (a, al, be, b))))
+
+
+# the seven solve_domain anchors of the benchmark: r, mu, sigma, gamma, delta
+ANCHORS = [(0.0, 0.096, 0.4, 0.003, 1e-3), (0.0, 0.096, 0.4, 0.003, 1e-6),
+           (0.0, 0.040, 0.4, 0.003, 1e-3), (0.01, 0.154, 0.4, 0.003, 1e-3),
+           (0.02, 0.1, 0.4, 0.02, 1e-2), (0.03, 0.09, 0.3, 0.05, 5e-3),
+           (0.0, 0.144, 0.4, 0.05, 1e-2)]
+
+
+@pytest.mark.parametrize("r, mu, sigma, gamma, delta", ANCHORS)
+def test_seed_matches_the_flat_reference_seed(r, mu, sigma, gamma, delta):
+    mp = gf.MarketParams(r=r, mu=mu, sigma=sigma)
+    cp = gf.CostParams(delta=delta, gamma=gamma)
+    lim = gf.solve_limit(mp, gamma).candidate
+    assert seed_outcome(qvi._oracle_seed, mp, cp, lim) == seed_outcome(oracle_seed, mp, cp, lim)
+
+
+@pytest.mark.parametrize("hhat, gamma, delta", SEED_MARKETS)
 def test_seed_is_stable_under_rounding_of_renewal_values(hhat, gamma, delta, monkeypatch):
     # renewal values moved by a fixed pattern of rounding size (2.5e-13)
     # leave the seed's boundaries bit for bit where they were
