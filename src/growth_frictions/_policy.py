@@ -45,10 +45,6 @@ _GL_SAFETY = 0.5
 _GL_TARGET = 1e-18
 _GL_MAX_HALF_WIDTH = np.array([
     _GL_SAFETY * np.pi / np.sinh(-np.log(_GL_TARGET) / (2 * n)) for n in _GL_ORDERS[:-1]])
-# Exit problems per quadrature block: a block's (rows, nodes) temporaries
-# stay near 1.5 MB each at 96 nodes, where one pass over the 18,522 rows of a
-# 21^4 oracle box took 14 MB each.
-_QUAD_ROWS = 2048
 
 
 class DegenerateChain(RuntimeError):
@@ -87,9 +83,8 @@ def expected_running_reward(fn, drift: float, vol: float, lo, hi, y):
     reaches _GL_TARGET, and 96 beyond the 64-node width.  Exact to
     quadrature accuracy (far below 1e-10 for the growth integrand on the
     region widths that arise here).  lo, hi, y may be broadcastable arrays;
-    fn must accept arrays.  Rows are integrated in blocks of _QUAD_ROWS; a
-    row's order depends only on its own widths, so its bits do not depend
-    on the block or the batch it is priced in.
+    fn must accept arrays.  A row's order depends only on its own widths,
+    so its bits do not depend on the batch it is priced in.
     """
     return _exit_problems(fn, drift, vol, lo, hi, y)[1]
 
@@ -124,32 +119,22 @@ def _gl_order(half_width):
 def _green_side(fn, za, zb, kernel):
     """Integrals over [za, zb] of kernel(z, za, zb) alone (the duration) and
     times fn (the reward), stacked, on the broadcast shape of za and zb.
-    Rows with za <= zb go to _green_block in blocks of _QUAD_ROWS; the
+    Rows with za <= zb are integrated in one pass per Gauss-Legendre order,
+    over contiguous nodes, so a row's bits depend only on its own width; the
     others are not integrated and read NaN."""
     za, zb = np.broadcast_arrays(za, zb)
     out = np.full((2,) + za.shape, np.nan)
     rows = np.flatnonzero(za <= zb)
     za, zb = za.ravel()[rows], zb.ravel()[rows]
-    for k in range(0, rows.size, _QUAD_ROWS):
-        block = slice(k, k + _QUAD_ROWS)
-        out.reshape(2, -1)[:, rows[block]] = _green_block(fn, kernel, za[block], zb[block])
-    return out
-
-
-def _green_block(fn, kernel, za, zb):
-    """One block of rows of _green_side: rows of one order are integrated
-    together, over contiguous nodes, so a row's bits depend only on its own
-    width."""
     hw = 0.5 * (zb - za)
     order = _gl_order(hw)
-    out = np.empty((2,) + hw.shape)
     for n in np.unique(order):
         i = np.flatnonzero(order == n)
         nodes, weights = _gauss_legendre(int(n))
         z = 0.5 * (za[i] + zb[i])[:, None] + hw[i, None] * nodes[None, :]
         k = kernel(z, za[i, None], zb[i, None])
-        out[0, i] = hw[i] * np.sum(weights[None, :] * k, axis=1)
-        out[1, i] = hw[i] * np.sum(weights[None, :] * (k * fn(z)), axis=1)
+        out.reshape(2, -1)[:, rows[i]] = (hw[i] * np.sum(weights[None, :] * k, axis=1),
+                                          hw[i] * np.sum(weights[None, :] * (k * fn(z)), axis=1))
     return out
 
 
@@ -167,12 +152,13 @@ def _renewal_batch(mp: MarketParams, cp: CostParams, a, al, be, b) -> np.ndarray
     alpha and one from beta.  Each one-sided Green integral is priced once
     on the axes of its own two ends: [a, alpha], [alpha, b], [a, beta] and
     [beta, b]; the exit split, the costs and the growth rate are then
-    formed by broadcasting.  A candidate whose restart points do not both
-    lie strictly inside (a, b) is not priced and reads -inf.
+    formed by broadcasting.  A candidate outside a < alpha <= beta < b
+    (compared in logit coordinates) is not priced and reads -inf, so no
+    caller needs an ordering rule of its own.
     """
     a, al, be, b = (_own_axes(v) for v in (a, al, be, b))
     lo, y_low, y_high, hi = (np.asarray(to_centered(v)) for v in (a, al, be, b))
-    valid = (lo < y_low) & (y_low < hi) & (lo < y_high) & (y_high < hi)
+    valid = (lo < y_low) & (y_low <= y_high) & (y_high < hi)
     c = mp.mu - mp.r - 0.5 * mp.sigma * mp.sigma
     p_low = exit_prob_up(c, mp.sigma, lo, hi, y_low)
     p_high = exit_prob_up(c, mp.sigma, lo, hi, y_high)
@@ -189,13 +175,15 @@ def _renewal_batch(mp: MarketParams, cp: CostParams, a, al, be, b) -> np.ndarray
     m_high, w_high = _exit_problems(fbar, c, mp.sigma, lo, hi, y_high)
     cost_low = np.log(wealth_factor(cp, a, al))
     cost_high = np.log(wealth_factor(cp, b, be))
-    # stationary split of the restart chain on {alpha, beta}
-    pi_low = (1.0 - p_high) / (1.0 - p_high + p_low)
-    pi_high = p_low / (1.0 - p_high + p_low)
-    reward = (pi_low * (w_low + p_low * cost_high + (1.0 - p_low) * cost_low)
-              + pi_high * (w_high + p_high * cost_high + (1.0 - p_high) * cost_low))
-    length = pi_low * m_low + pi_high * m_high
-    return np.where(valid, mp.r + reward / length, -np.inf)
+    # stationary split of the restart chain on {alpha, beta}; a candidate
+    # outside the ordering may split 0/0 here, and only it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pi_low = (1.0 - p_high) / (1.0 - p_high + p_low)
+        pi_high = p_low / (1.0 - p_high + p_low)
+        reward = (pi_low * (w_low + p_low * cost_high + (1.0 - p_low) * cost_low)
+                  + pi_high * (w_high + p_high * cost_high + (1.0 - p_high) * cost_low))
+        length = pi_low * m_low + pi_high * m_high
+        return np.where(valid, mp.r + reward / length, -np.inf)
 
 
 def evaluate_policy_renewal(mp: MarketParams, cp: CostParams, cand) -> float:

@@ -169,7 +169,7 @@ class ValueFunction:
     market: MarketParams
     costs: CostParams
     candidate: object
-    anchor: tuple = field(repr=False, default=())
+    anchor: tuple = field(repr=False)
 
     @property
     def u_at_a(self) -> float:

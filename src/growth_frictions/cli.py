@@ -53,8 +53,9 @@ def _parse_bool(s: str) -> bool:
 
 def _parse_deltas(s: str) -> tuple:
     deltas = tuple(float(tok) for tok in s.split(",") if tok.strip())
-    if any(d <= 0 for d in deltas) or any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
-        raise ValueError("deltas must be positive and sorted in decreasing order")
+    if (not deltas or any(d <= 0 for d in deltas)
+            or any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:]))):
+        raise ValueError("deltas must be one or more positive values in decreasing order")
     return deltas
 
 

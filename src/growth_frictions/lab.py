@@ -38,18 +38,21 @@ def brute_force_boundaries(mp: MarketParams, cp: CostParams, center,
                            radius: float, step: float) -> BruteForceResult:
     """Exhaustive renewal evaluation on a 4-d box around center.
 
-    The grid must stay inside (0, 1) with the ordering preserved at the
-    extreme corners; l and x0 are not searched (the evaluator does not
-    need them) and are copied from center into the reported argmax.
+    The box, k = round(radius/step) steps on each side of an ordered
+    center, must stay inside (0, 1) with every a below every alpha and every
+    beta below every b; its candidates with alpha > beta read -inf.  l and
+    x0 are not searched (the evaluator does not need them) and are copied
+    from center into the reported argmax.
     """
     k = int(round(radius / step))
+    half = k * step
     offs = np.arange(-k, k + 1) * step
-    box = f"the search box of radius {radius:g} around the candidate"
-    if center.a - radius <= 0 or center.b + radius >= 1:
+    box = f"the search box of radius {radius:g} (half-width {half:g}) around the candidate"
+    if center.a - half <= 0 or center.b + half >= 1:
         raise ValueError(f"{box} leaves (0, 1)")
-    if (center.alpha - radius <= center.a + radius
-            or center.beta - radius < center.alpha - radius
-            or center.b - radius <= center.beta + radius):
+    if (center.alpha - half <= center.a + half
+            or center.beta < center.alpha
+            or center.b - half <= center.beta + half):
         raise ValueError(f"{box} breaks the ordering a < alpha <= beta < b")
     cand = np.broadcast_arrays(*np.ix_(center.a + offs, center.alpha + offs,
                                        center.beta + offs, center.b + offs))

@@ -22,7 +22,8 @@ variational inequality max{Du + f - l, Mu - u} = 0 on a grid.
 
 The check is O(n) in time and memory: the trade cost is separable,
 log num(x) - log den(y) with the branch set by y > x, so the intervention
-operator Mu is a suffix and a prefix scan over the sorted trade targets.
+operator Mu and its argmax target are a suffix and a prefix scan over the
+sorted trade targets.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ class BoundarySolution:
     candidate: BoundaryCandidate
     residual_norm: float
     newton_iters: int
-    original_cost_optimal: bool = False
+    original_cost_optimal: bool
 
 
 def residual_system(mp: MarketParams, cp: CostParams, cand: BoundaryCandidate) -> np.ndarray:
@@ -122,8 +123,9 @@ def _oracle_seed(mp, cp, lim_cand):
     A seed that opens the no-trade region symmetrically fails badly for
     lopsided Merton fractions; searching the policy value directly (cheap:
     the grid is priced on its four offset axes) lands inside the Newton
-    basin regardless of the region's shape.  Round 2 refines each of the
-    four offsets by geomspace(0.5, 2, 7) times its own round-1 best.
+    basin regardless of the region's shape; insets that cross (alpha > beta)
+    read -inf from the evaluator.  Round 2 refines each of the four offsets
+    by geomspace(0.5, 2, 7) times its own round-1 best.
     If no searched policy beats the floor r + max{f(0), f(1)} of never
     trading (or holding only stock), there is no interior optimum to seed
     and ParameterDegeneracy is raised.
@@ -143,7 +145,7 @@ def _oracle_seed(mp, cp, lim_cand):
         al_y, be_y = a_y + v1[:, None], b_y - v2
         cand = np.broadcast_arrays(*(from_centered(y) for y in (a_y, al_y, be_y, b_y)))
         try:
-            values = np.where(al_y < be_y, _renewal_batch(mp, cp, *cand), -np.inf)
+            values = _renewal_batch(mp, cp, *cand)
         except (ValueError, RuntimeError):
             # the first candidate, the smallest offsets, is always ordered
             values = np.full(cand[0].shape, -np.inf)
@@ -255,22 +257,23 @@ def _best_so_far(values):
     return np.maximum.accumulate(np.where(is_record, np.arange(values.size), 0))
 
 
-def _intervention(cp: CostParams, grid, targets, u_targets):
+def _intervention(cp: CostParams, x, targets, u_targets):
     """Mu(x) = max over the sorted targets y of u(y) + trade_cost_gamma(x, y)
-    at each x of the grid, a subset of the targets.  Per branch the best y
-    is a running argmax of u(y) - log den(y): a suffix one over y > x for
-    buying, a prefix one over y <= x for selling.  Both gains are then
-    computed as a full search computes them, so Mu agrees with it to
-    rounding."""
-    above = np.searchsorted(targets, grid, side="right")  # first target > x
+    at each query point x, and the target where it is reached.  Per branch
+    the best y is a running argmax of u(y) - log den(y): a suffix one over
+    y > x for buying, a prefix one over y <= x for selling.  Both gains are
+    then computed as a full search computes them, so Mu agrees with it to
+    rounding; a tie goes to the selling target, the smaller one."""
+    above = np.searchsorted(targets, x, side="right")  # first target > x
     sell = _best_so_far(u_targets - np.log(1.0 - cp.gamma * targets))[above - 1]
     buy_from = targets.size - 1 - _best_so_far(
         (u_targets - np.log(1.0 + cp.gamma * targets))[::-1])[::-1]
-    # no target above the top grid point: its buying gain repeats selling
+    # no target above x: its buying gain repeats selling
     buy = np.append(buy_from, -1)[above]
     buy = np.where(buy < 0, sell, buy)
-    return np.maximum(u_targets[buy] + trade_cost_gamma(cp, grid, targets[buy]),
-                      u_targets[sell] + trade_cost_gamma(cp, grid, targets[sell]))
+    gain_buy = u_targets[buy] + trade_cost_gamma(cp, x, targets[buy])
+    gain_sell = u_targets[sell] + trade_cost_gamma(cp, x, targets[sell])
+    return np.maximum(gain_buy, gain_sell), targets[np.where(gain_buy > gain_sell, buy, sell)]
 
 
 def verify_qvi(mp: MarketParams, cp: CostParams, vf: ValueFunction,
@@ -280,9 +283,10 @@ def verify_qvi(mp: MarketParams, cp: CostParams, vf: ValueFunction,
     The growth excess l is read from ``vf.candidate`` (the claim under
     test) while u and its derivatives come from the curve anchored at
     build time.  Mu takes every grid point and both restart points as
-    trade targets, in O(n) time and memory (``_intervention``).  Both
-    one-sided excesses are positive parts.  Violations are reported, never
-    raised.
+    trade targets; one O(n) search (``_intervention``) gives it on the
+    grid and, with its argmax targets, at the trade triggers a and b.
+    Both one-sided excesses are positive parts.  Violations are reported,
+    never raised.
     """
     cand = vf.candidate
     grid, _, resid, interior, max_interior, interior_x, unresolved = _grid_check(
@@ -293,18 +297,13 @@ def verify_qvi(mp: MarketParams, cp: CostParams, vf: ValueFunction,
 
     # The target grid always contains the restart points alpha and beta.
     targets = np.unique(np.concatenate([grid, [cand.alpha, cand.beta]]))
-    u_targets = vf.u(targets)
-    obstacle = _intervention(cp, grid, targets, u_targets) - vf.u(grid)
-    max_obstacle, obstacle_x = _peak(obstacle, grid)
+    query = np.append(grid, [cand.a, cand.b])
+    mu, target = _intervention(cp, query, targets, vf.u(targets))
+    excess = mu - vf.u(query)
+    max_obstacle, obstacle_x = _peak(excess[:-2], grid)
     max_obstacle = max(max_obstacle, 0.0)
-
-    def equality_at(x):
-        vals = u_targets + trade_cost_gamma(cp, x, targets)
-        best, target = _peak(vals, targets)
-        return abs(best - vf.u(x)), target
-
-    gap_low, target_low = equality_at(cand.a)
-    gap_high, target_high = equality_at(cand.b)
+    gap_low, gap_high = np.abs(excess[-2:]).tolist()
+    target_low, target_high = target[-2:].tolist()
 
     res = residual_system(mp, cp, cand)
     pasting = float(np.max(np.abs(res[:4])))

@@ -133,8 +133,7 @@ class GrowthEstimate:
     n_paths: int
     horizon: float
     dt: float
-    first_path: PathRecord | ReflectedRecord | None = field(default=None, compare=False,
-                                                           repr=False)
+    first_path: PathRecord | ReflectedRecord = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)

@@ -313,6 +313,9 @@ def test_seventeen_digit_round_trip(config_file, tmp_path):
     ["solve", "--tol", "nan"],
     ["solve", "--tol", "-1"],
     ["solve", "--grid_n", "100000000000"],  # a 745 GiB verification grid
+    ["sweep", "--deltas", ","],  # no delta at all, not the default grid
+    ["couple", "--deltas", ","],
+    ["sweep", "--deltas", ""],
 ])
 def test_bad_input_is_one_config_error_before_solving(argv, config_file, tmp_path,
                                                       capsys, monkeypatch):
@@ -351,6 +354,36 @@ def test_start_outside_region_is_one_config_error(argv, config_file, tmp_path, c
     assert code == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("ERROR: config: h0=")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "couple"])
+def test_empty_deltas_in_a_file_is_one_config_error(command, tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before validating the input")
+
+    monkeypatch.setattr(qvi, "solve_boundaries", no_solve)
+    monkeypatch.setattr(limit, "solve_limit", no_solve)
+    path = tmp_path / "empty.conf"
+    path.write_text(FIG2 + "deltas =\n")
+    code = cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"ERROR: config: {path}:6: bad value for 'deltas'")
+    assert not (tmp_path / "out").exists()
+
+
+def test_oracle_box_past_the_radius_is_one_config_error(tmp_path, capsys):
+    # hhat = 0.9: b = 0.9769, and radius/step = 1.6 rounds to k = 2 steps,
+    # so the priced box reaches b + 0.026 > 1 although b + radius < 1
+    path = tmp_path / "hhat09.conf"
+    path.write_text("r = 0.01\nmu = 0.154\nsigma = 0.4\ngamma = 0.003\ndelta = 0.001\n")
+    code = cli.main(["oracle", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--radius", "0.0208", "--step", "0.013"])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR: config: the search box of radius 0.0208 ")
+    assert err[0].endswith("leaves (0, 1)")
     assert not (tmp_path / "out").exists()
 
 

@@ -155,11 +155,11 @@ def test_width_rule_order_grows_with_width():
 
 
 def test_running_reward_blocks_are_exact(mp):
-    # the quadrature runs in blocks of rows; no row may move by one bit,
-    # whether it is priced in a long call, a short one or alone
+    # no row may move by one bit, whether it is priced in a long call, a
+    # short one or alone
     c = mp.mu - mp.r - 0.5 * mp.sigma**2
     fbar = lambda z: gf.growth_integrand_transformed(mp, z)
-    n = 2 * _policy._QUAD_ROWS + 1
+    n = 4097
     rng = np.random.default_rng(8)
     lo, hi = rng.uniform(-2.0, -0.1, n), rng.uniform(0.1, 2.0, n)
     y = lo + rng.uniform(0.01, 0.99, n) * (hi - lo)
@@ -168,7 +168,7 @@ def test_running_reward_blocks_are_exact(mp):
     parts = np.concatenate([gf.expected_running_reward(fbar, c, mp.sigma, lo[i:j], hi[i:j], y[i:j])
                             for i, j in zip(cuts, cuts[1:])])
     assert np.array_equal(whole, parts)
-    for k in (0, _policy._QUAD_ROWS, n - 1):
+    for k in (0, 2048, n - 1):
         assert gf.expected_running_reward(fbar, c, mp.sigma, lo[k], hi[k], y[k]) == whole[k]
 
 
@@ -219,31 +219,51 @@ def test_renewal_batch_shares_exit_problems_exactly(mp, cp, sol):
     assert np.array_equal(batch, renewal_batch(mp, cp, a, al, be, b))
 
 
+def test_renewal_batch_prices_exactly_the_ordered_candidates(mp, cp, sol):
+    # axes that cross one another: a candidate reads -inf exactly when it
+    # breaks a < alpha <= beta < b, and alpha = beta (one restart point) is
+    # priced
+    c = sol.candidate
+    a = np.array([c.a, c.alpha, c.alpha + 1e-2])
+    al = np.array([c.alpha, c.beta, c.beta + 1e-2])
+    be = np.array([c.alpha - 1e-2, c.alpha, c.beta])
+    b = np.array([c.beta, c.b])
+    cand = np.broadcast_arrays(*np.ix_(a, al, be, b))
+    values = lab._renewal_batch(mp, cp, *cand)
+    ordered = (cand[0] < cand[1]) & (cand[1] <= cand[2]) & (cand[2] < cand[3])
+    assert np.any(ordered & (cand[1] == cand[2])) and np.any(~ordered)
+    assert np.all(values[~ordered] == -np.inf)
+    assert np.array_equal(values[ordered], _row_by_row(mp, cp, *(v[ordered] for v in cand)))
+
+
 def test_oracle_box_equals_the_flat_reference(mp, cp, sol):
-    # fig2's 21^4 oracle box, candidates with alpha > beta included, in
-    # meshgrid order
+    # fig2's 21^4 oracle box in meshgrid order: its 4,410 candidates with
+    # alpha > beta read -inf, every other one the flat evaluator's value
     c = sol.candidate
     values = gf.brute_force_boundaries(mp, cp, c, radius=0.02, step=2e-3).values
     offs = np.arange(-10, 11) * 2e-3
     grid = np.meshgrid(c.a + offs, c.alpha + offs, c.beta + offs, c.b + offs, indexing="ij")
     assert np.array_equal(values[:, :4], np.column_stack([g.ravel() for g in grid]))
-    assert np.array_equal(values[:, 4], renewal_batch(mp, cp, *values[:, :4].T))
+    crossed = values[:, 1] > values[:, 2]
+    assert np.count_nonzero(crossed) == 4410
+    assert np.all(values[crossed, 4] == -np.inf)
+    assert np.array_equal(values[~crossed, 4], renewal_batch(mp, cp, *values[~crossed, :4].T))
 
 
-def test_oracle_quadrature_stays_in_row_blocks(mp, cp, sol, lim, monkeypatch):
+def test_oracle_quadrature_prices_each_side_on_its_own_axes(mp, cp, sol, lim, monkeypatch):
     # what the oracle subcommand prices on fig2: the cold seed, whose widest
-    # sides have up to 14 * 14 * 12 rows, then the 21^4 box, each of whose
+    # sides have 14 * 14 * 12 rows, then the 21^4 box, each of whose
     # one-sided Green integrals is priced once on its own two axes
-    # (4 x 21^2 rows); no quadrature call sees more than _QUAD_ROWS rows
+    # (4 x 21^2 rows)
     rows = []
-    block = _policy._green_block
-    monkeypatch.setattr(_policy, "_green_block",
-                        lambda fn, kernel, za, zb: rows.append(za.size) or block(fn, kernel, za, zb))
+    side = _policy._green_side
+    monkeypatch.setattr(_policy, "_green_side", lambda fn, za, zb, kernel: rows.append(
+        np.broadcast(za, zb).size) or side(fn, za, zb, kernel))
     qvi._oracle_seed(mp, cp, lim.candidate)
-    assert max(rows) == _policy._QUAD_ROWS
+    assert max(rows) == 14 * 14 * 12
     rows.clear()
     gf.brute_force_boundaries(mp, cp, sol.candidate, radius=0.02, step=2e-3)
-    assert max(rows) <= _policy._QUAD_ROWS and sum(rows) == 4 * 21 ** 2
+    assert sum(rows) == 4 * 21 ** 2
 
 
 def test_brute_force_values_equal_row_by_row(mp, cp, sol):
@@ -292,6 +312,18 @@ def test_brute_force_grid_refinement_stable(mp, cp, sol):
 def test_brute_force_rejects_bad_grid(mp, cp, sol):
     with pytest.raises(ValueError):
         gf.brute_force_boundaries(mp, cp, sol.candidate, radius=0.2, step=0.05)
+
+
+def test_brute_force_checks_the_box_it_prices():
+    # at the hhat = 0.9 anchor, radius/step = 1.6 rounds to k = 2 steps, so
+    # the priced box reaches 1.25 radius past b and leaves (0, 1) although
+    # the radius alone does not
+    mp = gf.MarketParams(r=0.01, mu=0.154, sigma=0.4)
+    cp = gf.CostParams(delta=1e-3, gamma=GAMMA)
+    c = gf.solve_boundaries(mp, cp).candidate
+    radius = 0.9 * (1 - c.b)
+    with pytest.raises(ValueError, match=r"search box of radius .* leaves \(0, 1\)"):
+        gf.brute_force_boundaries(mp, cp, c, radius=radius, step=radius / 1.6)
 
 
 def test_sweep_monotone(sweep, mp):

@@ -290,10 +290,12 @@ SCAN_MARKETS = {
 }
 
 
-def dense_intervention(cp, grid, targets, u_targets):
-    """Reference Mu: the full n x (n + 2) gain matrix, maximised row by row."""
-    gain = u_targets[None, :] + gf.trade_cost_gamma(cp, grid[:, None], targets[None, :])
-    return gain.max(axis=1)
+def dense_intervention(cp, x, targets, u_targets):
+    """Reference Mu and argmax target: the full gain matrix of the query
+    points against the targets, maximised row by row (the first target of
+    a tie)."""
+    gain = u_targets[None, :] + gf.trade_cost_gamma(cp, x[:, None], targets[None, :])
+    return gain.max(axis=1), targets[gain.argmax(axis=1)]
 
 
 @pytest.fixture(scope="module", params=list(SCAN_MARKETS))
@@ -310,9 +312,13 @@ def test_obstacle_scan_matches_dense_search(scan_market, n, monkeypatch):
     grid = np.linspace(EPS, 1 - EPS, n)
     targets = np.unique(np.concatenate([grid, [c.alpha, c.beta]]))
     u_targets = vf.u(targets)
-    scan = qvi._intervention(cp, grid, targets, u_targets)
-    dense = dense_intervention(cp, grid, targets, u_targets)
+    query = np.append(grid, [c.a, c.b])
+    scan, scan_target = qvi._intervention(cp, query, targets, u_targets)
+    dense, dense_target = dense_intervention(cp, query, targets, u_targets)
     assert np.max(np.abs(scan - dense)) <= 1e-15
+    assert np.array_equal(scan_target[-2:], dense_target[-2:])
+    # the reports equal those whose Mu and trigger targets come from the
+    # full search
     report = gf.verify_qvi(mp, cp, vf, n)
     monkeypatch.setattr(qvi, "_intervention", dense_intervention)
     assert report == gf.verify_qvi(mp, cp, vf, n)
@@ -331,7 +337,12 @@ def test_obstacle_excess_is_a_positive_part(mp, cp, vf, monkeypatch):
     # exterior (Du+f-l)+ one does, and still names where Mu - u peaks
     exact = gf.verify_qvi(mp, cp, vf, 2001)
     scan = qvi._intervention
-    monkeypatch.setattr(qvi, "_intervention", lambda *args: scan(*args) - 1e-3)
+
+    def lowered_scan(*args):
+        mu, target = scan(*args)
+        return mu - 1e-3, target
+
+    monkeypatch.setattr(qvi, "_intervention", lowered_scan)
     lowered = gf.verify_qvi(mp, cp, vf, 2001)
     assert lowered.max_obstacle_excess == 0.0
     assert lowered.obstacle_worst_x == exact.obstacle_worst_x
