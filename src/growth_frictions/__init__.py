@@ -21,7 +21,7 @@ from .limit import (HJBReport, LimitCandidate, LimitSolution,
                     build_limit_value, residual_system_limit, solve_limit,
                     verify_hjb_limit)
 from .simulate import (CouplingRow, GrowthEstimate, PathRecord,
-                       ReflectedRecord, SimConfig, TradeEvent,
+                       SimConfig, TradeEvent,
                        couple_at_boundaries, couple_paths,
                        estimate_growth_impulse, estimate_growth_reflected,
                        path_generator, simulate_impulse_path,

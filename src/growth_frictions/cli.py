@@ -263,20 +263,14 @@ def oracle_csv(result: lab.BruteForceResult):
                       for (i, j, m, n), g in rows)
 
 
-def impulse_paths_csv(rec: simulate.PathRecord) -> str:
+def paths_csv(rec: simulate.PathRecord, kind: str) -> str:
+    """paths.csv of one recorded path; a trade's event names the band edge
+    the path left: <kind>_lo when it bought up to its target, else <kind>_hi."""
     events = {int(round(ev.time / (rec.times[1] - rec.times[0]))):
-              ("trade_lo" if ev.target < ev.pre_fraction else "trade_hi")
+              f"{kind}_lo" if ev.target > ev.pre_fraction else f"{kind}_hi"
               for ev in rec.trade_events}
     return _csv_table("t,h,V,event", (
         (t, h, v, events.get(k, ""))
-        for k, (t, h, v) in enumerate(zip(rec.times, rec.fractions, rec.wealths))))
-
-
-def reflected_paths_csv(rec: simulate.ReflectedRecord) -> str:
-    dl = np.diff(rec.buy_volume, prepend=0.0)
-    dm = np.diff(rec.sell_volume, prepend=0.0)
-    return _csv_table("t,h,V,event", (
-        (t, h, v, "reflect_lo" if dl[k] > 0 else ("reflect_hi" if dm[k] > 0 else ""))
         for k, (t, h, v) in enumerate(zip(rec.times, rec.fractions, rec.wealths))))
 
 
@@ -386,7 +380,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     est = simulate.estimate_growth_impulse(mp, cp, sol.candidate, sim)
     _write(cfg.out_dir, "growth.csv", growth_csv(est))
     if cfg.get("dump_paths"):
-        _write(cfg.out_dir, "paths.csv", impulse_paths_csv(est.first_path))
+        _write(cfg.out_dir, "paths.csv", paths_csv(est.first_path, "trade"))
     rho = mp.r + sol.candidate.l
     print(f"impulse growth: {est.mean_growth:.8f} +- {est.std_error:.2e} "
           f"(solver rho {rho:.8f})")
@@ -402,7 +396,7 @@ def _cmd_reflect(cfg: RunConfig) -> int:
     est = simulate.estimate_growth_reflected(mp, gamma, A, B, sim)
     _write(cfg.out_dir, "growth.csv", growth_csv(est))
     if cfg.get("dump_paths"):
-        _write(cfg.out_dir, "paths.csv", reflected_paths_csv(est.first_path))
+        _write(cfg.out_dir, "paths.csv", paths_csv(est.first_path, "reflect"))
     rho = mp.r + sol.candidate.l0
     print(f"reflected growth: {est.mean_growth:.8f} +- {est.std_error:.2e} "
           f"(limit rho {rho:.8f})")

@@ -163,16 +163,15 @@ class HJBReport:
 
 
 def verify_hjb_limit(mp: MarketParams, gamma: float, sol: LimitSolution,
-                     grid_n: int, tol: float = 1e-6,
-                     value: ValueFunction | None = None) -> HJBReport:
+                     grid_n: int, tol: float = 1e-6) -> HJBReport:
     """Check the reflecting-model HJB conditions for (u, l0) on a grid.
 
     The claimed l0 comes from ``sol.candidate``; the curve comes from the
-    anchored value function (built fresh unless one is passed in, e.g. to
-    test an inconsistent pair).  Violations are reported, never raised.
+    anchored value function built from it.  Violations are reported, never
+    raised.
     """
     cand = sol.candidate
-    vf = value if value is not None else build_limit_value(mp, gamma, sol)
+    vf = build_limit_value(mp, gamma, sol)
     grid, du, resid, interior, max_interior, interior_x, unresolved = _grid_check(
         mp, vf, cand.l0, cand.A, cand.B, grid_n, "verify_hjb_limit")
     max_excess = float(max(np.max(resid), 0.0))

@@ -128,7 +128,8 @@ def _oracle_seed(mp, cp, lim_cand):
     by geomspace(0.5, 2, 7) times its own round-1 best.
     If no searched policy beats the floor r + max{f(0), f(1)} of never
     trading (or holding only stock), there is no interior optimum to seed
-    and ParameterDegeneracy is raised.
+    and ParameterDegeneracy is raised; a DegenerateChain of the pricer
+    propagates as itself.
     """
     a_lim = to_centered(lim_cand.A)
     b_lim = to_centered(lim_cand.B)
@@ -144,11 +145,7 @@ def _oracle_seed(mp, cp, lim_cand):
         # axes (a widening, b widening, a inset, b inset), the meshgrid order
         al_y, be_y = a_y + v1[:, None], b_y - v2
         cand = np.broadcast_arrays(*(from_centered(y) for y in (a_y, al_y, be_y, b_y)))
-        try:
-            values = _renewal_batch(mp, cp, *cand)
-        except (ValueError, RuntimeError):
-            # the first candidate, the smallest offsets, is always ordered
-            values = np.full(cand[0].shape, -np.inf)
+        values = _renewal_batch(mp, cp, *cand)
         k = int(np.argmax(values))
         best = tuple(float(v.flat[k]) for v in cand) + (float(values.flat[k]),)
         a_k, al_k, be_k, b_k = (to_centered(v) for v in best[:4])

@@ -10,7 +10,9 @@ y >= hi to hi_target.  The impulse rule is the row (a, alpha, beta, b); the
 reflected rule is its delta = 0 case (A, A, B, B), a clip whose wealth
 factor under CostParams(0, gamma) is the monetary projection onto the band;
 coupling stacks the impulse rows of several deltas over the reflected row
-and so draws each path's noise once for all of them.
+and so draws each path's noise once for all of them.  Both rules record
+their first path as one PathRecord, whose trades also carry the monetary
+volumes bought and sold.
 The step loop only adds, compares and copies; once per block the trades
 are priced from the buffered pre-jump y, the bond jumping by log1p(e^y) +
 log wealth factor + log(1 - target).  An optional Brownian-bridge
@@ -36,7 +38,7 @@ from .market import (CostParams, MarketParams, check_deltas, from_centered, mert
                      to_centered, trade_cost_transformed)
 
 __all__ = [
-    "SimConfig", "TradeEvent", "PathRecord", "ReflectedRecord", "GrowthEstimate",
+    "SimConfig", "TradeEvent", "PathRecord", "GrowthEstimate",
     "CouplingRow", "NumericalBlowup", "path_generator",
     "simulate_impulse_path", "estimate_growth_impulse",
     "simulate_reflected_path", "estimate_growth_reflected",
@@ -99,29 +101,20 @@ class TradeEvent:
 
 @dataclass(frozen=True)
 class PathRecord:
-    """One impulse-controlled path sampled at every grid time."""
-
-    times: np.ndarray
-    fractions: np.ndarray
-    wealths: np.ndarray
-    trade_events: tuple
-    log_wealth_final: float
-    growth: float
-    step_log_total: float
-    trade_log_total: float
-
-
-@dataclass(frozen=True)
-class ReflectedRecord:
-    """One reflected path with cumulative buy (L) and sell (M) volumes."""
+    """One band-rule path sampled at every grid time, impulse or reflected
+    (its delta = 0 case), with its trades and cumulative buy (L) and sell
+    (M) volumes."""
 
     times: np.ndarray
     fractions: np.ndarray
     wealths: np.ndarray
     buy_volume: np.ndarray
     sell_volume: np.ndarray
+    trade_events: tuple
     log_wealth_final: float
     growth: float
+    step_log_total: float
+    trade_log_total: float
 
 
 @dataclass(frozen=True)
@@ -133,7 +126,7 @@ class GrowthEstimate:
     n_paths: int
     horizon: float
     dt: float
-    first_path: PathRecord | ReflectedRecord = field(compare=False, repr=False)
+    first_path: PathRecord = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -255,80 +248,75 @@ class _Band:
     def growth(self):
         return (self.log_wealth()[0] - math.log(self.cfg.v0)) / self.cfg.horizon
 
-    def estimate(self, first_path) -> GrowthEstimate:
+    def estimate(self) -> GrowthEstimate:
         growth, n = self.growth(), len(self.paths)
         std_error = float(growth.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         return GrowthEstimate(mean_growth=float(growth.mean()), std_error=std_error,
                               n_paths=n, horizon=self.cfg.horizon, dt=self.cfg.dt,
-                              first_path=first_path)
+                              first_path=self.first())
 
-    def first(self):
-        """The first path's common record fields and its trades as arrays
-        (step, pre-trade fraction, target fraction, log factor, wealth before)."""
-        steps = np.arange(self.cfg.n_steps + 1)
-        wealths = np.exp(np.cumsum(self.trace[1]) + self.mp.r * self.cfg.dt * steps
+    def first(self) -> PathRecord:
+        """The record of the first path of row 0.  A trade from h to xi out
+        of wealth V moves eta = V (xi (1 - delta) - h)/(1 +- gamma xi) into
+        stock, + when buying: the monetary rebalance identity that
+        wealth_factor's branches encode, so that dX = rX dt - delta V dN
+        + (1 - gamma) dM - (1 + gamma) dL."""
+        cfg, cp = self.cfg, self.cp
+        steps = np.arange(cfg.n_steps + 1)
+        wealths = np.exp(np.cumsum(self.trace[1]) + self.mp.r * cfg.dt * steps
                          + np.logaddexp(0.0, self.trace[0]))
         at, y_from, y_to, log_factor = (np.concatenate(col) for col in zip(*self.trace_trades))
-        fields = dict(times=steps * self.cfg.dt, fractions=from_centered(self.trace[0]),
-                      wealths=wealths, log_wealth_final=float(self.log_wealth()[0, 0]),
-                      growth=float(self.growth()[0]))
-        return fields, (at, from_centered(y_from), from_centered(y_to), log_factor,
-                        wealths[at] / np.exp(log_factor))
+        h, xi = from_centered(y_from), from_centered(y_to)
+        move = xi * (1.0 - cp.delta) - h
+        eta = wealths[at] / np.exp(log_factor) * move / (
+            1.0 + np.where(move >= 0.0, cp.gamma, -cp.gamma) * xi)
+        volumes = np.zeros((2, cfg.n_steps + 1))  # bought (L) and sold (M) at each step
+        volumes[:, at] = np.maximum(eta, 0.0), np.maximum(-eta, 0.0)
+        buy_volume, sell_volume = np.cumsum(volumes, axis=1)
+        events = tuple(TradeEvent(time=float(n * cfg.dt), pre_fraction=float(p), target=float(x),
+                                  factor=float(math.exp(c)), log_cost=float(c))
+                       for n, p, x, c in zip(at, h, xi, log_factor))
+        log_wealth_final, trade_log = float(self.log_wealth()[0, 0]), float(self.trade_log[0, 0])
+        return PathRecord(times=steps * cfg.dt, fractions=from_centered(self.trace[0]),
+                          wealths=wealths, buy_volume=buy_volume, sell_volume=sell_volume,
+                          trade_events=events, log_wealth_final=log_wealth_final,
+                          growth=float(self.growth()[0]),
+                          step_log_total=log_wealth_final - math.log(cfg.v0) - trade_log,
+                          trade_log_total=trade_log)
 
 
-def _impulse(mp, cp, cand, cfg, paths):
-    """The impulse walk of the given paths and the record of the first."""
-    y0 = to_centered(_start(mp, cfg, cand.a, cand.b, closed=False))
-    rows = to_centered([cand.a, cand.alpha, cand.beta, cand.b])
-    band = _Band(mp, cfg, paths, rows, y0, cp).run(cfg.bridge_correction)
-    fields, (at, h, xi, log_factor, _) = band.first()
-    events = tuple(TradeEvent(time=float(n * cfg.dt), pre_fraction=float(p), target=float(x),
-                              factor=float(math.exp(c)), log_cost=float(c))
-                   for n, p, x, c in zip(at, h, xi, log_factor))
-    trade_log = float(band.trade_log[0, 0])
-    step_log = fields["log_wealth_final"] - math.log(cfg.v0) - trade_log
-    return band, PathRecord(**fields, trade_events=events, trade_log_total=trade_log,
-                            step_log_total=step_log)
-
-
-def _reflected(mp, gamma, A, B, cfg, paths):
-    """The reflected walk of the given paths and the record of the first.
-    Buying l = V (A - h)/(1 + gamma A) restores h = A, selling m = V (h - B)/
-    (1 - gamma B) restores h = B: dX = rX dt + (1-gamma) dM - (1+gamma) dL."""
-    y0 = to_centered(_start(mp, cfg, A, B, closed=True))
-    lo, hi = to_centered(A), to_centered(B)
-    band = _Band(mp, cfg, paths, (lo, lo, hi, hi), y0, CostParams(0.0, gamma)).run()
-    fields, (at, h, xi, _, v_pre) = band.first()
-    sell = (xi <= h).astype(int)
-    volumes = np.zeros((2, cfg.n_steps + 1))  # bought (L) and sold (M) at each step
-    volumes[sell, at] = v_pre * np.abs(xi - h) / (1.0 + np.where(sell, -gamma, gamma) * xi)
-    buy_volume, sell_volume = np.cumsum(volumes, axis=1)
-    return band, ReflectedRecord(**fields, buy_volume=buy_volume, sell_volume=sell_volume)
+def _walk(mp, cp, bounds, cfg, paths, closed, bridge):
+    """The walk of the given paths under the band (a, alpha, beta, b) from
+    h0, which must lie in (a, b), or in [a, b] when closed.  Reflection at
+    [A, B] is the band (A, A, B, B) under CostParams(0, gamma)."""
+    y0 = to_centered(_start(mp, cfg, bounds[0], bounds[3], closed))
+    return _Band(mp, cfg, paths, to_centered(bounds), y0, cp).run(bridge)
 
 
 def simulate_impulse_path(mp: MarketParams, cp: CostParams, cand,
                           cfg: SimConfig, path_index: int) -> PathRecord:
     """One impulse-controlled path under the constant boundary strategy."""
-    return _impulse(mp, cp, cand, cfg, [path_index])[1]
+    return _walk(mp, cp, (cand.a, cand.alpha, cand.beta, cand.b), cfg, [path_index],
+                 False, cfg.bridge_correction).first()
 
 
 def estimate_growth_impulse(mp: MarketParams, cp: CostParams, cand,
                             cfg: SimConfig) -> GrowthEstimate:
     """Mean and standard error of per-path growth over cfg.n_paths paths."""
-    band, first_path = _impulse(mp, cp, cand, cfg, range(cfg.n_paths))
-    return band.estimate(first_path)
+    return _walk(mp, cp, (cand.a, cand.alpha, cand.beta, cand.b), cfg, range(cfg.n_paths),
+                 False, cfg.bridge_correction).estimate()
 
 
 def simulate_reflected_path(mp: MarketParams, gamma: float, A: float, B: float,
-                            cfg: SimConfig, path_index: int) -> ReflectedRecord:
+                            cfg: SimConfig, path_index: int) -> PathRecord:
     """One reflected path under the control limit policy for (A, B)."""
-    return _reflected(mp, gamma, A, B, cfg, [path_index])[1]
+    return _walk(mp, CostParams(0.0, gamma), (A, A, B, B), cfg, [path_index], True, False).first()
 
 
 def estimate_growth_reflected(mp: MarketParams, gamma: float, A: float, B: float,
                               cfg: SimConfig) -> GrowthEstimate:
-    band, first_path = _reflected(mp, gamma, A, B, cfg, range(cfg.n_paths))
-    return band.estimate(first_path)
+    return _walk(mp, CostParams(0.0, gamma), (A, A, B, B), cfg, range(cfg.n_paths),
+                 True, False).estimate()
 
 
 def couple_at_boundaries(mp: MarketParams, impulse_bounds_y, limits_y,

@@ -69,10 +69,7 @@ def oracle_seed(mp, cp, lim_cand):
         a, al, be, b = (from_centered(v[keep]) for v in (a_y, al_y, be_y, b_y))
         keep2 = (a > EPS) & (b < 1.0 - EPS)
         a, al, be, b = a[keep2], al[keep2], be[keep2], b[keep2]
-        try:
-            values = renewal_batch(mp, cp, a, al, be, b)
-        except (ValueError, RuntimeError):
-            values = np.full(a.shape, -np.inf)
+        values = renewal_batch(mp, cp, a, al, be, b)
         k = int(np.argmax(values))
         best = (float(a[k]), float(al[k]), float(be[k]), float(b[k]), float(values[k]))
         a_k, al_k, be_k, b_k = (to_centered(v) for v in best[:4])

@@ -192,12 +192,37 @@ def test_dump_paths_records_path_zero_in_the_batch_walk(command, config_file, tm
     mp, sim = cfg.market(), cfg.sim()
     if command == "simulate":
         cand = qvi.solve_boundaries(mp, cfg.costs()).candidate
-        alone = cli.impulse_paths_csv(simulate.simulate_impulse_path(mp, cfg.costs(), cand, sim, 0))
+        alone = cli.paths_csv(simulate.simulate_impulse_path(mp, cfg.costs(), cand, sim, 0),
+                              "trade")
     else:
         c = limit.solve_limit(mp, cfg.require("gamma")).candidate
-        alone = cli.reflected_paths_csv(
-            simulate.simulate_reflected_path(mp, cfg.require("gamma"), c.A, c.B, sim, 0))
+        alone = cli.paths_csv(
+            simulate.simulate_reflected_path(mp, cfg.require("gamma"), c.A, c.B, sim, 0),
+            "reflect")
     assert (out / "paths.csv").read_text() == alone
+
+
+@pytest.mark.parametrize("command", ["simulate", "reflect"])
+def test_dump_paths_labels_each_trade_by_the_edge_it_left(command, config_file, tmp_path):
+    # leaving (a, b) below buys up to alpha, leaving it above sells down to
+    # beta; reflection restores A from below and B from above
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", config_file, "--out", str(out), "--horizon", "20",
+                     "--dt", "1e-3", "--n_paths", "4", "--seed", "0", "--dump_paths", "true"])
+    assert code == 0
+    cfg = cli.parse_config(config_file, {})
+    if command == "simulate":
+        c = qvi.solve_boundaries(cfg.market(), cfg.costs()).candidate
+        targets = {"trade_lo": c.alpha, "trade_hi": c.beta}
+    else:
+        c = limit.solve_limit(cfg.market(), cfg.require("gamma")).candidate
+        targets = {"reflect_lo": c.A, "reflect_hi": c.B}
+    rows = [line.split(",") for line in (out / "paths.csv").read_text().splitlines()[1:]]
+    trades = [(event, float(h)) for _, h, _, event in rows if event]
+    assert {event for event, _ in trades} == set(targets)
+    assert command == "reflect" or len(trades) == 6
+    for event, h in trades:
+        assert abs(h - targets[event]) <= 1e-12
 
 
 def test_couple_csv(config_file, tmp_path):
@@ -335,7 +360,7 @@ def test_bad_input_is_one_config_error_before_solving(argv, config_file, tmp_pat
     ["reflect", "--h0", "0.01"],
     ["simulate", "--h0", "0.99"],
     ["couple", "--h0", "0.99"],
-    ["couple", "--h0", "0.8"],  # inside the delta=1e-2 region only
+    ["couple", "--h0", "0.8"],  # above B = 0.664 too, so it stops at the [A, B] check
     ["couple", "--h0", "0.7"],  # inside every delta's region, above B = 0.664
 ])
 def test_start_outside_region_is_one_config_error(argv, config_file, tmp_path, capsys,
@@ -400,13 +425,14 @@ def test_oracle_box_outside_the_ordering_is_one_config_error(config_file, tmp_pa
 
 @pytest.mark.parametrize("argv, module, name, error, reason", [
     (["oracle"], lab, "brute_force_boundaries", lab.DegenerateChain, "degenerate_chain"),
+    (["solve"], qvi, "_renewal_batch", lab.DegenerateChain, "degenerate_chain"),
     (["simulate"], simulate, "estimate_growth_impulse", simulate.NumericalBlowup,
      "numerical_blowup"),
     (["solve"], qvi, "solve_boundaries", NonConvergence, "non_convergence"),
     (["limit"], limit, "solve_limit", ParameterDegeneracy, "invariant_violation"),
     (["simulate"], simulate, "estimate_growth_impulse", ValueError, "config"),
     (["solve"], qvi, "verify_qvi", MemoryError, "out_of_memory"),
-], ids=["degenerate_chain", "numerical_blowup", "non_convergence", "invariant_violation",
+], ids=["degenerate_chain", "degenerate_chain_in_seed", "numerical_blowup", "non_convergence", "invariant_violation",
         "config", "out_of_memory"])
 def test_numerical_failure_is_one_named_error(argv, module, name, error, reason, config_file,
                                               tmp_path, capsys, monkeypatch):

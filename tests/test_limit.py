@@ -114,11 +114,13 @@ def test_hjb_gradient_strict_inside(mp, lim):
     assert np.all(margin > 0)
 
 
-def test_hjb_detects_corrupted_growth_rate(mp, lim):
+def test_hjb_detects_corrupted_growth_rate(mp, lim, monkeypatch):
+    # the true curve checked against a claimed l0 that is off by 1e-4
     value = gf.build_limit_value(mp, GAMMA, lim)
     corrupted = dataclasses.replace(
         lim, candidate=dataclasses.replace(lim.candidate, l0=lim.candidate.l0 + 1e-4))
-    report = gf.verify_hjb_limit(mp, GAMMA, corrupted, 501, tol=1e-6, value=value)
+    monkeypatch.setattr(limit, "build_limit_value", lambda *args: value)
+    report = gf.verify_hjb_limit(mp, GAMMA, corrupted, 501, tol=1e-6)
     assert report.max_interior_residual > 5e-5
     assert not report.passed
 

@@ -377,6 +377,17 @@ def _seed_batches(hhat, gamma, delta, monkeypatch, perturb=None):
     return qvi._oracle_seed(mp, cp, lim), lim, batches
 
 
+def test_seed_lets_a_degenerate_chain_through(mp, cp, lim, monkeypatch):
+    # a numerically absorbing restart chain is named as itself, not
+    # renamed "no interior optimum"
+    def absorbing(*args):
+        raise gf.DegenerateChain("injected absorbing chain")
+
+    monkeypatch.setattr(qvi, "_renewal_batch", absorbing)
+    with pytest.raises(gf.DegenerateChain, match="injected absorbing chain"):
+        qvi._oracle_seed(mp, cp, lim.candidate)
+
+
 def test_seed_refines_each_offset_on_its_own_grid(monkeypatch):
     # hhat 0.5, gamma = delta = 1e-2: the a-side and b-side gaps nearly
     # agree, so offset lists pooled across the sides repeat to ulps

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -75,12 +76,20 @@ def test_monetary_rebalance_identity(cp):
             assert (y + eta) / v_new == pytest.approx(xi, abs=1e-12)
 
 
-def test_accounting_identity(mp, cp, sol):
+@pytest.mark.parametrize("rule", ["impulse", "reflected"])
+def test_accounting_identity(rule, mp, cp, sol, lim):
     cfg = gf.SimConfig(horizon=20.0, dt=1e-3, n_paths=1, base_seed=15, v0=2.5)
-    rec = gf.simulate_impulse_path(mp, cp, sol.candidate, cfg, 0)
+    if rule == "reflected":
+        rec = gf.simulate_reflected_path(mp, GAMMA, lim.candidate.A, lim.candidate.B, cfg, 0)
+    else:
+        rec = gf.simulate_impulse_path(mp, cp, sol.candidate, cfg, 0)
     direct = rec.log_wealth_final
     accumulated = math.log(cfg.v0) + rec.step_log_total + rec.trade_log_total
     assert direct == pytest.approx(accumulated, abs=1e-10)
+    # the cost drag is the sum of the trades' log wealth factors
+    assert len(rec.trade_events) > 0
+    assert rec.trade_log_total == pytest.approx(sum(ev.log_cost for ev in rec.trade_events),
+                                                abs=1e-12)
 
 
 def test_wealth_positive_along_path(mp, cp, sol):
@@ -236,6 +245,23 @@ def test_coupling_degenerate_zero(mp, lim):
     assert np.all(sup == 0.0)
 
 
+def test_couple_paths_checks_the_start_against_every_delta_region(mp, sol, lim, monkeypatch):
+    # h0 = A lies in the reflected band [A, B] but below the a of this
+    # delta's solution, so the run stops at the per-delta check unwalked
+    A, B = lim.candidate.A, lim.candidate.B
+    narrow = dataclasses.replace(sol, candidate=dataclasses.replace(sol.candidate,
+                                                                   a=0.5 * (A + B)))
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked paths before checking h0 against every region")
+
+    monkeypatch.setattr(qvi, "solve_boundaries", lambda *args, **kwargs: narrow)
+    monkeypatch.setattr(simulate, "couple_at_boundaries", no_walk)
+    cfg = gf.SimConfig(horizon=2.0, dt=1e-3, n_paths=4, base_seed=1, h0=A)
+    with pytest.raises(ValueError, match=f"h0={A:g} outside the no-trade region at delta=0.01"):
+        gf.couple_paths(mp, GAMMA, [1e-2], cfg)
+
+
 def test_couple_paths_requires_decreasing_deltas(mp):
     cfg = gf.SimConfig(horizon=2.0, dt=1e-3, n_paths=4, base_seed=1)
     with pytest.raises(ValueError, match="decreasing"):
@@ -252,8 +278,11 @@ def test_engine_batch_equals_singletons(rule, mp, cp, sol, lim):
     def growth(paths):
         if rule == "reflected":
             A, B = lim.candidate.A, lim.candidate.B
-            return simulate._reflected(mp, GAMMA, A, B, cfg, paths)[0].growth()
-        return simulate._impulse(mp, cp, sol.candidate, cfg, paths)[0].growth()
+            return simulate._walk(mp, gf.CostParams(0.0, GAMMA), (A, A, B, B), cfg, paths,
+                                  True, False).growth()
+        c = sol.candidate
+        return simulate._walk(mp, cp, (c.a, c.alpha, c.beta, c.b), cfg, paths,
+                              False, cfg.bridge_correction).growth()
 
     batch_growth = growth(range(3))
     for i in range(3):
@@ -269,10 +298,13 @@ def test_band_walk_matches_holdings_reference(rule, mp, cp, sol, lim):
                        bridge_correction=rule == "bridge")
     if rule == "reflected":
         A, B = lim.candidate.A, lim.candidate.B
-        band, _ = simulate._reflected(mp, GAMMA, A, B, cfg, range(6))
+        band = simulate._walk(mp, gf.CostParams(0.0, GAMMA), (A, A, B, B), cfg, range(6),
+                              True, False)
         reference = holdings_growth(mp, cfg, range(6), reflect=(GAMMA, A, B))
     else:
-        band, _ = simulate._impulse(mp, cp, sol.candidate, cfg, range(6))
+        c = sol.candidate
+        band = simulate._walk(mp, cp, (c.a, c.alpha, c.beta, c.b), cfg, range(6),
+                              False, cfg.bridge_correction)
         reference = holdings_growth(mp, cfg, range(6), impulse=(cp, sol.candidate))
     assert band.trades.sum() > 0
     assert np.max(np.abs(band.growth() - reference)) <= 1e-12
