@@ -1,6 +1,7 @@
 """Slope function of the continuation region, the value function built from
-it, and the damped Newton engine, each of whose Jacobians is one residual
-call on a stack of candidates, with the start loop of both solvers.
+it and its grid check, and the damped Newton engine, each of whose Jacobians
+is one residual call on a stack of candidates, with the start loop of both
+solvers.
 
 Inside the no-trade region the value function's derivative is an explicit
 function g(x, x0, l) anchored so that g(x0, x0, l) = 0.  The textbook form
@@ -17,7 +18,12 @@ which is exact because g solves that ODE identically in (x0, l).
 
 ``ValueFunction`` is the piecewise value function of both models (the
 reflecting limit is its case delta = 0, a = alpha = A, beta = b = B), and
-``_grid_check`` is the grid pass that both verifications share.
+``verify_qvi`` is the one grid check of both: the variational inequality
+max{Du + f - l, Mu - u} = 0, which at delta = 0 is the reflecting limit's
+HJB equation.  The check is O(n) in time and memory: the trade cost is
+separable, log num(x) - log den(y) with the branch set by y > x, so the
+intervention operator Mu and its argmax target are a suffix and a prefix
+scan over the sorted trade targets.
 """
 
 from __future__ import annotations
@@ -31,8 +37,10 @@ from .market import (EPS, CostParams, MarketParams, apply_generator,
                      trade_cost_gamma)
 
 
-# A solve is accepted when the residual max-norm is at most RESIDUAL_TOL.
-RESIDUAL_TOL = 1e-10
+# A solve is accepted when the residual max-norm is at most RESIDUAL_TOL; a
+# value function is built, and passes verification, only when its C1
+# pasting residuals are at most PASTING_TOL.
+RESIDUAL_TOL, PASTING_TOL = 1e-10, 1e-8
 # Damped Newton: iteration cap, forward-difference step (relative to
 # max(1, |v_j|)), smallest damped step, step halvings per iteration.
 _MAX_ITER, _FD_STEP, _MIN_STEP, _MAX_HALVINGS = 80, 1e-7, 1e-14, 50
@@ -215,33 +223,149 @@ class ValueFunction:
                                lambda y: -gm * gm / (1.0 - dl - gm * y) ** 2)
 
 
-def _peak(values, xs):
-    """The largest of values and the x where it occurs."""
-    k = int(np.argmax(values))
-    return float(values[k]), float(xs[k])
+def _pasting_rows(mp: MarketParams, cp: CostParams, l, x0, a, alpha, beta, b):
+    """C1 pasting residuals: g at (alpha, beta, a, b) minus the slope of the
+    trade cost there, the restart targets first, then the trade triggers.
+    Element-wise, so a stack of candidates gives one column each."""
+    gm, dl = cp.gamma, cp.delta
+    g = slope_g(mp, np.array([alpha, beta, a, b]), x0, l)
+    return g - np.array([gm / (1.0 + gm * alpha), -gm / (1.0 - gm * beta),
+                         gm / (1.0 - dl + gm * a), -gm / (1.0 - dl - gm * b)])
 
 
-def _grid_check(mp: MarketParams, vf: ValueFunction, l: float, lo: float, hi: float,
-                grid_n: int, who: str):
-    """The grid pass shared by verify_qvi and verify_hjb_limit: the grid on
-    [EPS, 1 - EPS], u' on it, the residual Du + f - l, the mask of [lo, hi],
-    the largest |residual| on that mask with its location, and a note that
-    is empty unless the band holds no grid point.  Such a band is measured
-    at its midpoint, and the verifiers fail it: the grid does not resolve
-    it, which the note says."""
+@dataclass(frozen=True)
+class VerificationReport:
+    """Grid check of the variational inequality; all numeric fields finite,
+    and unresolved_band empty unless (a, b) holds no grid point."""
+
+    grid_n: int
+    tol: float
+    max_interior_residual: float
+    interior_worst_x: float
+    max_exterior_excess: float
+    exterior_worst_x: float
+    max_obstacle_excess: float
+    obstacle_worst_x: float
+    equality_gap_low: float
+    equality_gap_high: float
+    equality_target_low: float
+    equality_target_high: float
+    pasting_mismatch: float
+    unresolved_band: str
+    passed: bool
+
+    def _rows(self) -> list:
+        return [
+            f"  interior |Du+f-l|      {self.max_interior_residual:.3e} at x={self.interior_worst_x:.6f}",
+            f"  exterior (Du+f-l)+     {self.max_exterior_excess:.3e} at x={self.exterior_worst_x:.6f}",
+            f"  obstacle (Mu-u)+       {self.max_obstacle_excess:.3e} at x={self.obstacle_worst_x:.6f}",
+            f"  equality gaps at a,b   {self.equality_gap_low:.3e}, {self.equality_gap_high:.3e}",
+            f"  argmax targets at a,b  {self.equality_target_low:.6f}, {self.equality_target_high:.6f}",
+            f"  C1 pasting mismatch    {self.pasting_mismatch:.3e}",
+        ]
+
+    def summary(self) -> str:
+        note = [f"  {self.unresolved_band}"] if self.unresolved_band else []
+        return "\n".join([f"grid_n={self.grid_n} tol={self.tol:g} passed={self.passed}"]
+                         + self._rows() + note)
+
+
+def _best_so_far(values):
+    """For each j, the index of a largest entry of values[:j + 1]."""
+    is_record = values == np.maximum.accumulate(values)
+    return np.maximum.accumulate(np.where(is_record, np.arange(values.size), 0))
+
+
+def _intervention(cp: CostParams, x, targets, u_targets):
+    """Mu(x) = max over the sorted targets y of u(y) + trade_cost_gamma(x, y)
+    at each query point x, and the target where it is reached.  Per branch
+    the best y is a running argmax of u(y) - log den(y): a suffix one over
+    y > x for buying, a prefix one over y <= x for selling.  Both gains are
+    then computed as a full search computes them, so Mu agrees with it to
+    rounding; a tie goes to the selling target, the smaller one."""
+    above = np.searchsorted(targets, x, side="right")  # first target > x
+    sell = _best_so_far(u_targets - np.log(1.0 - cp.gamma * targets))[above - 1]
+    buy_from = targets.size - 1 - _best_so_far(
+        (u_targets - np.log(1.0 + cp.gamma * targets))[::-1])[::-1]
+    # no target above x: its buying gain repeats selling
+    buy = np.append(buy_from, -1)[above]
+    buy = np.where(buy < 0, sell, buy)
+    gain_buy = u_targets[buy] + trade_cost_gamma(cp, x, targets[buy])
+    gain_sell = u_targets[sell] + trade_cost_gamma(cp, x, targets[sell])
+    return np.maximum(gain_buy, gain_sell), targets[np.where(gain_buy > gain_sell, buy, sell)]
+
+
+def verify_qvi(mp: MarketParams, cp: CostParams, vf: ValueFunction,
+               grid_n: int, tol: float = 1e-6) -> VerificationReport:
+    """Check the variational inequality for (u, l) on a uniform grid.
+
+    The claimed policy (l, x0, a, alpha, beta, b) is read from
+    ``vf.candidate.policy()`` while u and its derivatives come from the
+    curve anchored at build time, so the claim is checked against the
+    curve.  At delta = 0 this is the reflecting limit's HJB check: the
+    obstacle Mu <= u is the integrated form of its two gradient
+    constraints.  Mu takes every grid point and both restart points as
+    trade targets; one O(n) search (``_intervention``) gives it on the
+    grid and, with its argmax targets, at the trade triggers a and b.
+    Both one-sided excesses are positive parts.  A band (a, b) that holds
+    no grid point is measured at its midpoint and fails, with a note
+    saying the grid does not resolve it.  Violations are reported, never
+    raised.
+    """
     if grid_n < 100:
-        raise ValueError(f"{who} requires grid_n >= 100")
+        raise ValueError("verify_qvi requires grid_n >= 100")
+    l, x0, a, alpha, beta, b = vf.candidate.policy()
+
+    def hjb(x):
+        return apply_generator(mp, 0.0, vf.du(x), vf.ddu(x), x) + growth_integrand(mp, x) - l
+
     grid = np.linspace(EPS, 1.0 - EPS, grid_n)
-    du = vf.du(grid)
-    resid = apply_generator(mp, 0.0, du, vf.ddu(grid), grid) + growth_integrand(mp, grid) - l
-    interior = (grid >= lo) & (grid <= hi)
-    if interior.any():
-        return (grid, du, resid, interior) + _peak(np.abs(resid[interior]), grid[interior]) + ("",)
-    mid = 0.5 * (lo + hi)
-    at_mid = apply_generator(mp, 0.0, vf.du(mid), vf.ddu(mid), mid) + growth_integrand(mp, mid) - l
-    note = (f"unresolved band [{lo:.6f}, {hi:.6f}] holds no grid point "
-            f"(spacing {grid[1] - grid[0]:.3e})")
-    return grid, du, resid, interior, abs(float(at_mid)), mid, note
+    resid = hjb(grid)
+    interior = (grid >= a) & (grid <= b)
+    inside = np.where(interior, np.abs(resid), -np.inf)
+    outside = np.where(interior, -np.inf, resid)
+    k, j = int(np.argmax(inside)), int(np.argmax(outside))
+    max_interior, interior_x = float(inside[k]), float(grid[k])
+    max_exterior, exterior_x = max(float(outside[j]), 0.0), float(grid[j])
+    unresolved = ""
+    if not interior.any():
+        interior_x = 0.5 * (a + b)
+        max_interior = abs(float(hjb(interior_x)))
+        unresolved = (f"unresolved band [{a:.6f}, {b:.6f}] holds no grid point "
+                      f"(spacing {grid[1] - grid[0]:.3e})")
+
+    # The target grid always contains the restart points alpha and beta.
+    targets = np.unique(np.concatenate([grid, [alpha, beta]]))
+    query = np.append(grid, [a, b])
+    mu, target = _intervention(cp, query, targets, vf.u(targets))
+    excess = mu - vf.u(query)
+    k = int(np.argmax(excess[:-2]))
+    max_obstacle, obstacle_x = max(float(excess[k]), 0.0), float(grid[k])
+    gap_low, gap_high = np.abs(excess[-2:]).tolist()
+    target_low, target_high = target[-2:].tolist()
+
+    pasting = float(np.max(np.abs(_pasting_rows(mp, cp, l, x0, a, alpha, beta, b))))
+
+    spacing = float(grid[1] - grid[0])
+    passed = bool(
+        not unresolved
+        and max_interior <= tol
+        and max_exterior <= tol
+        and max_obstacle <= tol
+        and gap_low <= tol and gap_high <= tol
+        and abs(target_low - alpha) <= spacing
+        and abs(target_high - beta) <= spacing
+        and pasting <= PASTING_TOL
+    )
+    return VerificationReport(
+        grid_n=grid_n, tol=tol,
+        max_interior_residual=max_interior, interior_worst_x=interior_x,
+        max_exterior_excess=max_exterior, exterior_worst_x=exterior_x,
+        max_obstacle_excess=max_obstacle, obstacle_worst_x=obstacle_x,
+        equality_gap_low=gap_low, equality_gap_high=gap_high,
+        equality_target_low=target_low, equality_target_high=target_high,
+        pasting_mismatch=pasting, unresolved_band=unresolved, passed=passed,
+    )
 
 
 def _jacobian(residual, v, fv):

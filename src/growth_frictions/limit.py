@@ -11,22 +11,24 @@ by the impulse solver:
 
 i.e. the delta -> 0 limit of the six-equation system once a and alpha merge
 into A and beta and b merge into B.  The value function is therefore the
-impulse model's ValueFunction at delta = 0 with anchor (l0, x0, A, A, B, B);
-it is C2, which verify_hjb_limit checks on the grid shared with verify_qvi
-together with the gradient constraints of the verification theorem.  The
-solve runs through the impulse solver's start loop,
-``_slope.newton_from_starts``; only the residual and the starts differ.
+impulse model's ValueFunction at delta = 0 with anchor (l0, x0, A, A, B, B),
+and its HJB check is the impulse model's verifier at delta = 0 (where the
+obstacle Mu <= u is the integrated form of the two gradient constraints)
+plus the C2 row: verify_hjb_limit is one verify_qvi call and the
+second-order pasting residuals at the anchor.  The solve runs through the
+impulse solver's start loop, ``_slope.newton_from_starts``; only the
+residual and the starts differ.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._slope import (RESIDUAL_TOL, NewtonUnknowns, NonConvergence, ParameterDegeneracy,
-                     ValueFunction, _grid_check, _slope_dx, newton_from_starts, slope_g)
+from ._slope import (NewtonUnknowns, NonConvergence, ParameterDegeneracy, ValueFunction,
+                     VerificationReport, _slope_dx, newton_from_starts, slope_g, verify_qvi)
 from .market import (CostParams, MarketParams, ParameterError,
                      check_growth_excess, growth_integrand, merton_fraction,
                      no_trade_floor)
@@ -52,6 +54,10 @@ class LimitCandidate(NewtonUnknowns):
     def ordering_ok(self) -> bool:
         return bool(np.all((0.0 < self.A) & (self.A < self.B) & (self.B < 1.0)
                            & (0.0 < self.x0) & (self.x0 < 1.0)))
+
+    def policy(self) -> tuple:
+        """The reflecting policy read as the impulse one: (l0, x0, A, A, B, B)."""
+        return (self.l0, self.x0, self.A, self.A, self.B, self.B)
 
     def check_invariants(self, mp: MarketParams) -> None:
         if not (0.0 < self.A < self.x0 < self.B < 1.0):
@@ -125,87 +131,32 @@ def build_limit_value(mp: MarketParams, gamma: float, sol: LimitSolution) -> Val
     """The reflecting model's value function: the impulse ValueFunction at
     delta = 0 with a = alpha = A and beta = b = B, so u(A) = 0 and
     u(B) is the integral of g over [A, B]."""
-    c = sol.candidate
-    return ValueFunction(mp, CostParams(0.0, gamma), c, (c.l0, c.x0, c.A, c.A, c.B, c.B))
+    return ValueFunction(mp, CostParams(0.0, gamma), sol.candidate, sol.candidate.policy())
 
 
 @dataclass(frozen=True)
-class HJBReport:
-    """Grid check of the verification-theorem conditions; unresolved_band is
-    empty unless [A, B] holds no grid point."""
+class HJBReport(VerificationReport):
+    """verify_qvi's report at delta = 0 plus the C2 row; passed also needs
+    second_deriv_mismatch <= SECOND_ORDER_TOL."""
 
-    grid_n: int
-    tol: float
-    max_interior_residual: float
-    interior_worst_x: float
-    max_generator_excess: float
-    max_upper_gradient_excess: float
-    max_lower_gradient_excess: float
-    equality_gap_low_region: float
-    equality_gap_high_region: float
     second_deriv_mismatch: float
-    unresolved_band: str
-    passed: bool
 
-    def summary(self) -> str:
-        lines = [
-            f"grid_n={self.grid_n} tol={self.tol:g} passed={self.passed}",
-            f"  interior |Dv+f-l0|          {self.max_interior_residual:.3e} at x={self.interior_worst_x:.6f}",
-            f"  global (Dv+f-l0)+           {self.max_generator_excess:.3e}",
-            f"  (v' - gamma/(1+gx))+        {self.max_upper_gradient_excess:.3e}",
-            f"  (-gamma/(1-gx) - v')+       {self.max_lower_gradient_excess:.3e}",
-            f"  gradient equality gaps      {self.equality_gap_low_region:.3e}, {self.equality_gap_high_region:.3e}",
-            f"  C2 mismatch at A, B         {self.second_deriv_mismatch:.3e}",
-        ]
-        if self.unresolved_band:
-            lines.append(f"  {self.unresolved_band}")
-        return "\n".join(lines)
+    def _rows(self) -> list:
+        return super()._rows() + [f"  C2 mismatch at A, B    {self.second_deriv_mismatch:.3e}"]
 
 
 def verify_hjb_limit(mp: MarketParams, gamma: float, sol: LimitSolution,
                      grid_n: int, tol: float = 1e-6) -> HJBReport:
     """Check the reflecting-model HJB conditions for (u, l0) on a grid.
 
-    The claimed l0 comes from ``sol.candidate``; the curve comes from the
-    anchored value function built from it.  Violations are reported, never
-    raised.
+    The claim comes from ``sol.candidate`` and the curve from the value
+    function built from it; verify_qvi at delta = 0 checks the one against
+    the other, and the second-order pasting rows of the anchored candidate
+    give the C2 row.  Violations are reported, never raised.
     """
-    cand = sol.candidate
-    vf = build_limit_value(mp, gamma, sol)
-    grid, du, resid, interior, max_interior, interior_x, unresolved = _grid_check(
-        mp, vf, cand.l0, cand.A, cand.B, grid_n, "verify_hjb_limit")
-    max_excess = float(max(np.max(resid), 0.0))
-
-    upper = gamma / (1.0 + gamma * grid)
-    lower = -gamma / (1.0 - gamma * grid)
-    up_excess = float(max(np.max(du - upper), 0.0))
-    low_excess = float(max(np.max(lower - du), 0.0))
-    low_region = grid <= cand.A
-    high_region = grid >= cand.B
-    gap_low = float(np.max(np.abs((du - upper)[low_region]))) if low_region.any() else 0.0
-    gap_high = float(np.max(np.abs((du - lower)[high_region]))) if high_region.any() else 0.0
-
-    # C2 pasting: interior second derivative meets the exterior one at A, B.
-    l0a, x0a, Aa, _, _, Ba = vf.anchor
-    anchored = LimitCandidate(l0=l0a, x0=x0a, A=Aa, B=Ba)
-    mism = float(np.max(np.abs(residual_system_limit(mp, gamma, anchored)[2:])))
-
-    passed = bool(
-        not unresolved
-        and max_interior <= tol
-        and max_excess <= tol
-        and up_excess <= tol
-        and low_excess <= tol
-        and gap_low <= tol and gap_high <= tol
-        and mism <= SECOND_ORDER_TOL
-    )
-    return HJBReport(
-        grid_n=grid_n, tol=tol,
-        max_interior_residual=max_interior, interior_worst_x=interior_x,
-        max_generator_excess=max_excess,
-        max_upper_gradient_excess=up_excess,
-        max_lower_gradient_excess=low_excess,
-        equality_gap_low_region=gap_low,
-        equality_gap_high_region=gap_high,
-        second_deriv_mismatch=mism, unresolved_band=unresolved, passed=passed,
-    )
+    vf = replace(build_limit_value(mp, gamma, sol), candidate=sol.candidate)
+    report = verify_qvi(mp, CostParams(0.0, gamma), vf, grid_n, tol)
+    l0, x0, A, _, _, B = vf.anchor
+    mism = float(np.max(np.abs(residual_system_limit(mp, gamma, LimitCandidate(l0, x0, A, B))[2:])))
+    return HJBReport(**{**vars(report), "passed": report.passed and mism <= SECOND_ORDER_TOL},
+                     second_deriv_mismatch=mism)

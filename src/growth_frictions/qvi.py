@@ -17,13 +17,10 @@ solved by one damped Newton run from a warm start or, cold, from the
 constant boundary policy with the best exact renewal value (``_policy``)
 near the reflecting limits, through the start loop shared with the limit
 solver.  The value function u is then assembled piecewise from the trade
-cost outside [a, b] and the integral of g inside, and checked against the
-variational inequality max{Du + f - l, Mu - u} = 0 on a grid.
-
-The check is O(n) in time and memory: the trade cost is separable,
-log num(x) - log den(y) with the branch set by y > x, so the intervention
-operator Mu and its argmax target are a suffix and a prefix scan over the
-sorted trade targets.
+cost outside [a, b] and the integral of g inside, and ``verify_qvi`` (from
+``_slope``, below both solvers) checks it against the variational inequality
+max{Du + f - l, Mu - u} = 0 on a grid; at delta = 0 the same call is the
+reflecting limit's HJB check.
 """
 
 from __future__ import annotations
@@ -34,9 +31,9 @@ import numpy as np
 
 from . import limit as _limit
 from ._policy import _renewal_batch
-from ._slope import (RESIDUAL_TOL, NewtonUnknowns, NonConvergence, ParameterDegeneracy,
-                     ValueFunction, _grid_check, _peak, newton_from_starts, slope_g,
-                     slope_g_dx, slope_g_integral)
+from ._slope import (PASTING_TOL, RESIDUAL_TOL, NewtonUnknowns, NonConvergence,
+                     ParameterDegeneracy, ValueFunction, VerificationReport, _pasting_rows,
+                     newton_from_starts, slope_g, slope_g_dx, slope_g_integral, verify_qvi)
 from .market import (EPS, CostParams, MarketParams, ParameterError,
                      check_growth_excess, from_centered, no_trade_floor,
                      to_centered, trade_cost_gamma)
@@ -47,8 +44,6 @@ __all__ = [
     "solve_boundaries", "build_value", "verify_qvi",
     "NonConvergence", "ParameterDegeneracy",
 ]
-
-PASTING_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -71,6 +66,10 @@ class BoundaryCandidate(NewtonUnknowns):
         return bool(np.all((0.0 < self.a) & (self.a < self.alpha) & (self.alpha <= self.beta)
                            & (self.beta < self.b) & (self.b < 1.0)
                            & (0.0 < self.x0) & (self.x0 < 1.0)))
+
+    def policy(self) -> tuple:
+        """(l, x0, a, alpha, beta, b), the claim verify_qvi checks."""
+        return (self.l, self.x0, self.a, self.alpha, self.beta, self.b)
 
     def check_invariants(self, mp: MarketParams, cp: CostParams) -> None:
         """Full solution invariants; raises ParameterError naming the breach."""
@@ -100,20 +99,11 @@ def residual_system(mp: MarketParams, cp: CostParams, cand: BoundaryCandidate) -
     """
     if not cand.ordering_ok():
         raise ParameterDegeneracy("candidate ordering a < alpha <= beta < b violated")
-    l, x0 = cand.l, cand.x0
-    a, al, be, b = cand.a, cand.alpha, cand.beta, cand.b
-    gm, dl = cp.gamma, cp.delta
-    g = slope_g(mp, np.array([al, be, a, b]), x0, l)
-    integral = slope_g_integral(mp, np.array([a, be]), np.array([al, b]), x0, l)
-    cost = trade_cost_gamma(cp, np.array([a, b]), np.array([al, be]))
-    return np.array([
-        g[0] - gm / (1.0 + gm * al),
-        g[1] + gm / (1.0 - gm * be),
-        g[2] - gm / (1.0 - dl + gm * a),
-        g[3] + gm / (1.0 - dl - gm * b),
-        integral[0] + cost[0],
-        integral[1] - cost[1],
-    ])
+    integral = slope_g_integral(mp, np.array([cand.a, cand.beta]),
+                                np.array([cand.alpha, cand.b]), cand.x0, cand.l)
+    cost = trade_cost_gamma(cp, np.array([cand.a, cand.b]), np.array([cand.alpha, cand.beta]))
+    return np.concatenate([_pasting_rows(mp, cp, *cand.policy()),
+                           [integral[0] + cost[0], integral[1] - cost[1]]])
 
 
 def _oracle_seed(mp, cp, lim_cand):
@@ -209,119 +199,4 @@ def build_value(mp: MarketParams, cp: CostParams, sol: BoundarySolution) -> Valu
     if not pasting <= PASTING_TOL:
         raise ParameterError(
             f"candidate does not paste to C1: max boundary-slope residual {pasting:.3e}")
-    return ValueFunction(mp, cp, cand, (cand.l, cand.x0, cand.a, cand.alpha, cand.beta, cand.b))
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """Grid check of the variational inequality; all numeric fields finite,
-    and unresolved_band empty unless (a, b) holds no grid point."""
-
-    grid_n: int
-    tol: float
-    max_interior_residual: float
-    interior_worst_x: float
-    max_exterior_excess: float
-    exterior_worst_x: float
-    max_obstacle_excess: float
-    obstacle_worst_x: float
-    equality_gap_low: float
-    equality_gap_high: float
-    equality_target_low: float
-    equality_target_high: float
-    pasting_mismatch: float
-    unresolved_band: str
-    passed: bool
-
-    def summary(self) -> str:
-        lines = [
-            f"grid_n={self.grid_n} tol={self.tol:g} passed={self.passed}",
-            f"  interior |Du+f-l|      {self.max_interior_residual:.3e} at x={self.interior_worst_x:.6f}",
-            f"  exterior (Du+f-l)+     {self.max_exterior_excess:.3e} at x={self.exterior_worst_x:.6f}",
-            f"  obstacle (Mu-u)+       {self.max_obstacle_excess:.3e} at x={self.obstacle_worst_x:.6f}",
-            f"  equality gaps at a,b   {self.equality_gap_low:.3e}, {self.equality_gap_high:.3e}",
-            f"  argmax targets at a,b  {self.equality_target_low:.6f}, {self.equality_target_high:.6f}",
-            f"  C1 pasting mismatch    {self.pasting_mismatch:.3e}",
-        ]
-        if self.unresolved_band:
-            lines.append(f"  {self.unresolved_band}")
-        return "\n".join(lines)
-
-
-def _best_so_far(values):
-    """For each j, the index of a largest entry of values[:j + 1]."""
-    is_record = values == np.maximum.accumulate(values)
-    return np.maximum.accumulate(np.where(is_record, np.arange(values.size), 0))
-
-
-def _intervention(cp: CostParams, x, targets, u_targets):
-    """Mu(x) = max over the sorted targets y of u(y) + trade_cost_gamma(x, y)
-    at each query point x, and the target where it is reached.  Per branch
-    the best y is a running argmax of u(y) - log den(y): a suffix one over
-    y > x for buying, a prefix one over y <= x for selling.  Both gains are
-    then computed as a full search computes them, so Mu agrees with it to
-    rounding; a tie goes to the selling target, the smaller one."""
-    above = np.searchsorted(targets, x, side="right")  # first target > x
-    sell = _best_so_far(u_targets - np.log(1.0 - cp.gamma * targets))[above - 1]
-    buy_from = targets.size - 1 - _best_so_far(
-        (u_targets - np.log(1.0 + cp.gamma * targets))[::-1])[::-1]
-    # no target above x: its buying gain repeats selling
-    buy = np.append(buy_from, -1)[above]
-    buy = np.where(buy < 0, sell, buy)
-    gain_buy = u_targets[buy] + trade_cost_gamma(cp, x, targets[buy])
-    gain_sell = u_targets[sell] + trade_cost_gamma(cp, x, targets[sell])
-    return np.maximum(gain_buy, gain_sell), targets[np.where(gain_buy > gain_sell, buy, sell)]
-
-
-def verify_qvi(mp: MarketParams, cp: CostParams, vf: ValueFunction,
-               grid_n: int, tol: float = 1e-6) -> VerificationReport:
-    """Check the variational inequality for (u, l) on a uniform grid.
-
-    The growth excess l is read from ``vf.candidate`` (the claim under
-    test) while u and its derivatives come from the curve anchored at
-    build time.  Mu takes every grid point and both restart points as
-    trade targets; one O(n) search (``_intervention``) gives it on the
-    grid and, with its argmax targets, at the trade triggers a and b.
-    Both one-sided excesses are positive parts.  Violations are reported,
-    never raised.
-    """
-    cand = vf.candidate
-    grid, _, resid, interior, max_interior, interior_x, unresolved = _grid_check(
-        mp, vf, cand.l, cand.a, cand.b, grid_n, "verify_qvi")
-
-    max_exterior, exterior_x = _peak(resid[~interior], grid[~interior])
-    max_exterior = max(max_exterior, 0.0)
-
-    # The target grid always contains the restart points alpha and beta.
-    targets = np.unique(np.concatenate([grid, [cand.alpha, cand.beta]]))
-    query = np.append(grid, [cand.a, cand.b])
-    mu, target = _intervention(cp, query, targets, vf.u(targets))
-    excess = mu - vf.u(query)
-    max_obstacle, obstacle_x = _peak(excess[:-2], grid)
-    max_obstacle = max(max_obstacle, 0.0)
-    gap_low, gap_high = np.abs(excess[-2:]).tolist()
-    target_low, target_high = target[-2:].tolist()
-
-    res = residual_system(mp, cp, cand)
-    pasting = float(np.max(np.abs(res[:4])))
-
-    spacing = float(grid[1] - grid[0])
-    passed = bool(
-        not unresolved
-        and max_interior <= tol
-        and max_exterior <= tol
-        and max_obstacle <= tol
-        and gap_low <= tol and gap_high <= tol
-        and abs(target_low - cand.alpha) <= spacing
-        and abs(target_high - cand.beta) <= spacing
-        and pasting <= PASTING_TOL
-    )
-    return VerificationReport(
-        grid_n=grid_n, tol=tol,
-        max_interior_residual=max_interior, interior_worst_x=interior_x,
-        max_exterior_excess=max_exterior, exterior_worst_x=exterior_x,
-        max_obstacle_excess=max_obstacle, obstacle_worst_x=obstacle_x,
-        equality_gap_low=gap_low, equality_gap_high=gap_high,
-        equality_target_low=target_low, equality_target_high=target_high,
-        pasting_mismatch=pasting, unresolved_band=unresolved, passed=passed,
-    )
+    return ValueFunction(mp, cp, cand, cand.policy())

@@ -122,7 +122,11 @@ def test_limit_subcommand(config_file, tmp_path):
     vals = dict(zip(lines[0].split(","), lines[1].split(",")))
     assert 0.016 < float(vals["l0"]) < 0.0288
     assert float(vals["A"]) < float(vals["x0"]) < float(vals["B"])
-    assert "passed=True" in (out / "hjb_report.txt").read_text()
+    report = (out / "hjb_report.txt").read_text().splitlines()
+    assert report[0].endswith("passed=True")
+    # the obstacle (Mu-u)+ row of the delta = 0 QVI check, then the C2 row
+    assert sum(line.startswith("  obstacle (Mu-u)+ ") for line in report) == 1
+    assert report[-1].startswith("  C2 mismatch at A, B ")
 
 
 def test_limit_band_between_grid_points_is_one_error(tmp_path, capsys):

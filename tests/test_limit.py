@@ -125,6 +125,30 @@ def test_hjb_detects_corrupted_growth_rate(mp, lim, monkeypatch):
     assert not report.passed
 
 
+# fig2 and two lopsided markets at r = 0, sigma = 0.4, as (hhat, gamma)
+PARITY_MARKETS = {"fig2": (0.6, GAMMA), "hhat0.05": (0.05, 0.03), "hhat0.95": (0.95, 0.01)}
+
+
+@pytest.mark.parametrize("market", list(PARITY_MARKETS))
+def test_hjb_check_is_the_qvi_check_at_delta_zero(market, monkeypatch):
+    hhat, gamma = PARITY_MARKETS[market]
+    mp = gf.MarketParams(r=0.0, mu=hhat * 0.16, sigma=0.4)
+    sol = gf.solve_limit(mp, gamma)
+    c = sol.candidate
+    true = gf.verify_hjb_limit(mp, gamma, sol, 501)
+    assert true.passed
+    assert true.max_obstacle_excess <= 1e-15
+    # a shifted edge: the curve is rebuilt from the shifted candidate
+    for shifted in (dict(A=c.A - 1e-3), dict(B=c.B + 1e-3), dict(B=c.B - 1e-3)):
+        bad = dataclasses.replace(sol, candidate=dataclasses.replace(c, **shifted))
+        assert not gf.verify_hjb_limit(mp, gamma, bad, 501).passed, shifted
+    # a corrupted l0 claimed for the true curve
+    value = gf.build_limit_value(mp, gamma, sol)
+    monkeypatch.setattr(limit, "build_limit_value", lambda *args: value)
+    bad = dataclasses.replace(sol, candidate=dataclasses.replace(c, l0=c.l0 * 1.01))
+    assert not gf.verify_hjb_limit(mp, gamma, bad, 501).passed
+
+
 def test_limit_value_is_c2(mp, lim):
     value = gf.build_limit_value(mp, GAMMA, lim)
     eps = 1e-9

@@ -313,14 +313,14 @@ def test_obstacle_scan_matches_dense_search(scan_market, n, monkeypatch):
     targets = np.unique(np.concatenate([grid, [c.alpha, c.beta]]))
     u_targets = vf.u(targets)
     query = np.append(grid, [c.a, c.b])
-    scan, scan_target = qvi._intervention(cp, query, targets, u_targets)
+    scan, scan_target = _slope._intervention(cp, query, targets, u_targets)
     dense, dense_target = dense_intervention(cp, query, targets, u_targets)
     assert np.max(np.abs(scan - dense)) <= 1e-15
     assert np.array_equal(scan_target[-2:], dense_target[-2:])
     # the reports equal those whose Mu and trigger targets come from the
     # full search
     report = gf.verify_qvi(mp, cp, vf, n)
-    monkeypatch.setattr(qvi, "_intervention", dense_intervention)
+    monkeypatch.setattr(_slope, "_intervention", dense_intervention)
     assert report == gf.verify_qvi(mp, cp, vf, n)
     assert report.passed
 
@@ -329,20 +329,20 @@ def test_obstacle_scan_keeps_the_cost_checks(cp):
     grid = np.linspace(EPS, 1 - EPS, 101)
     targets = np.append(grid, 1.5)
     with pytest.raises(ValueError, match="fractions in"):
-        qvi._intervention(cp, grid, targets, np.where(targets > 1, 1.0, 0.0))
+        _slope._intervention(cp, grid, targets, np.where(targets > 1, 1.0, 0.0))
 
 
 def test_obstacle_excess_is_a_positive_part(mp, cp, vf, monkeypatch):
     # with Mu below u on the whole grid the (Mu-u)+ field reads 0, as the
     # exterior (Du+f-l)+ one does, and still names where Mu - u peaks
     exact = gf.verify_qvi(mp, cp, vf, 2001)
-    scan = qvi._intervention
+    scan = _slope._intervention
 
     def lowered_scan(*args):
         mu, target = scan(*args)
         return mu - 1e-3, target
 
-    monkeypatch.setattr(qvi, "_intervention", lowered_scan)
+    monkeypatch.setattr(_slope, "_intervention", lowered_scan)
     lowered = gf.verify_qvi(mp, cp, vf, 2001)
     assert lowered.max_obstacle_excess == 0.0
     assert lowered.obstacle_worst_x == exact.obstacle_worst_x

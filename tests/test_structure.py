@@ -1,6 +1,6 @@
 """Structure of the solver core: an acyclic import graph with every import at
-module level, one Newton start loop shared by both solvers, and quadrature
-rules built on first use."""
+module level, one Newton start loop shared by both solvers, one grid verifier
+for both models, and quadrature rules built on first use."""
 
 import ast
 import os
@@ -109,3 +109,25 @@ def test_only_the_column_leaving_the_domain_takes_the_backward_point():
     v, _, norm = _slope.damped_newton(residual, v0, tol=1e-12)
     assert norm <= 1e-12
     assert v == pytest.approx([np.sqrt(2.0), 0.5], abs=1e-12)
+
+
+def test_the_limit_check_is_one_qvi_check_at_delta_zero(mp, lim):
+    # verify_hjb_limit adds only the C2 row to one verify_qvi call at delta = 0
+    calls = []
+    original = limit.verify_qvi
+
+    def recording(mp, costs, vf, grid_n, tol=1e-6):
+        calls.append((costs, grid_n, tol))
+        return original(mp, costs, vf, grid_n, tol)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(limit, "verify_qvi", recording)
+        report = gf.verify_hjb_limit(mp, GAMMA, lim, 501, tol=1e-7)
+    assert [(c.delta, c.gamma, n, tol) for c, n, tol in calls] == [(0.0, GAMMA, 501, 1e-7)]
+    assert report.passed
+    # limit.py builds no grid and evaluates no generator, obstacle or gradient
+    tree = ast.parse(Path(limit.__file__).read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert used.isdisjoint({"grid", "linspace", "EPS", "apply_generator", "du", "ddu",
+                            "_intervention", "trade_cost_gamma"})
