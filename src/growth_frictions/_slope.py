@@ -235,8 +235,9 @@ def _pasting_rows(mp: MarketParams, cp: CostParams, l, x0, a, alpha, beta, b):
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Grid check of the variational inequality; all numeric fields finite,
-    and unresolved_band empty unless (a, b) holds no grid point."""
+    """Grid check of the variational inequality.  unresolved_band is empty
+    unless (a, b) holds no grid point or the claim breaches the domain; the
+    numeric fields are finite, except nan after a breach."""
 
     grid_n: int
     tol: float
@@ -309,17 +310,23 @@ def verify_qvi(mp: MarketParams, cp: CostParams, vf: ValueFunction,
     grid and, with its argmax targets, at the trade triggers a and b.
     Both one-sided excesses are positive parts.  A band (a, b) that holds
     no grid point is measured at its midpoint and fails, with a note
-    saying the grid does not resolve it.  Violations are reported, never
-    raised.
+    saying the grid does not resolve it; a claim outside 0 < a <= alpha <=
+    beta <= b < 1 (a < b), 0 < x0 < 1 is not measured and fails with a note
+    naming it.  Violations are reported, never raised.
     """
     if grid_n < 100:
         raise ValueError("verify_qvi requires grid_n >= 100")
     l, x0, a, alpha, beta, b = vf.candidate.policy()
+    if not (0.0 < a <= alpha <= beta <= b < 1.0 and a < b and 0.0 < x0 < 1.0):
+        return VerificationReport(grid_n, tol, *[np.nan] * 11, "claim breaks 0 < a <= alpha <= "
+                                  "beta <= b < 1, a < b, 0 < x0 < 1: (x0, a, alpha, beta, b) = "
+                                  f"{x0, a, alpha, beta, b}", False)
 
     def hjb(x):
         return apply_generator(mp, 0.0, vf.du(x), vf.ddu(x), x) + growth_integrand(mp, x) - l
 
     grid = np.linspace(EPS, 1.0 - EPS, grid_n)
+    spacing = float(grid[1] - grid[0])
     resid = hjb(grid)
     interior = (grid >= a) & (grid <= b)
     inside = np.where(interior, np.abs(resid), -np.inf)
@@ -332,21 +339,21 @@ def verify_qvi(mp: MarketParams, cp: CostParams, vf: ValueFunction,
         interior_x = 0.5 * (a + b)
         max_interior = abs(float(hjb(interior_x)))
         unresolved = (f"unresolved band [{a:.6f}, {b:.6f}] holds no grid point "
-                      f"(spacing {grid[1] - grid[0]:.3e})")
+                      f"(spacing {spacing:.3e})")
 
-    # The target grid always contains the restart points alpha and beta.
-    targets = np.unique(np.concatenate([grid, [alpha, beta]]))
-    query = np.append(grid, [a, b])
-    mu, target = _intervention(cp, query, targets, vf.u(targets))
-    excess = mu - vf.u(query)
+    # One u call: the targets are the grid with alpha, beta; the queries the grid with a, b.
+    points = np.unique(np.append(grid, [a, alpha, beta, b]))
+    u, at = vf.u(points), np.searchsorted(points, np.append(grid, [alpha, beta, a, b]))
+    is_target, at_query = np.zeros(points.size, dtype=bool), np.delete(at, [-4, -3])
+    is_target[at[:-2]] = True
+    mu, target = _intervention(cp, points[at_query], points[is_target], u[is_target])
+    excess = mu - u[at_query]
     k = int(np.argmax(excess[:-2]))
     max_obstacle, obstacle_x = max(float(excess[k]), 0.0), float(grid[k])
     gap_low, gap_high = np.abs(excess[-2:]).tolist()
     target_low, target_high = target[-2:].tolist()
 
     pasting = float(np.max(np.abs(_pasting_rows(mp, cp, l, x0, a, alpha, beta, b))))
-
-    spacing = float(grid[1] - grid[0])
     passed = bool(
         not unresolved
         and max_interior <= tol
@@ -370,21 +377,10 @@ def verify_qvi(mp: MarketParams, cp: CostParams, vf: ValueFunction,
 
 def _jacobian(residual, v, fv):
     """Forward-difference Jacobian at v from one residual call on the block
-    whose column j is v + h_j e_j.  If that call raises, each column runs
-    alone, and one whose forward point raises takes v - h_j e_j instead."""
+    whose column j is v + h_j e_j; an error from that call propagates."""
     h = _FD_STEP * np.fmax(1.0, np.abs(v))
     cols = np.where(np.eye(v.size, dtype=bool), v + h, v[:, None])
-    try:
-        return (np.asarray(residual(cols), dtype=float) - fv[:, None]) / h
-    except ValueError:  # some column leaves the domain
-        jac = np.empty_like(cols)
-    for j, vp in enumerate(cols.T.copy()):
-        try:
-            jac[:, j] = (np.asarray(residual(vp)) - fv) / h[j]
-        except ValueError:
-            vp[j] = v[j] - h[j]
-            jac[:, j] = (fv - np.asarray(residual(vp))) / h[j]
-    return jac
+    return (np.asarray(residual(cols), dtype=float) - fv[:, None]) / h
 
 
 def damped_newton(residual, v0, *, tol=RESIDUAL_TOL):
@@ -394,9 +390,10 @@ def damped_newton(residual, v0, *, tol=RESIDUAL_TOL):
     out-of-domain iterates; failed trial steps are halved, up to
     _MAX_HALVINGS times.  Each Jacobian is one call of residual on an (n, n)
     block of points, one per column, whose residuals it returns column by
-    column (``_jacobian``).  Stops when the residual max-norm reaches tol or
-    the damped step shrinks below _MIN_STEP.  Returns (v, iterations,
-    residual_norm); the caller decides whether the final norm is good enough.
+    column (``_jacobian``); a ValueError from that call propagates to the
+    start loop.  Stops when the residual max-norm reaches tol or the damped
+    step shrinks below _MIN_STEP.  Returns (v, iterations, residual_norm);
+    the caller decides whether the final norm is good enough.
     """
     v = np.array(v0, dtype=float)
     fv = np.asarray(residual(v), dtype=float)

@@ -367,7 +367,10 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     report = lab.convergence_report(table)
     _write(cfg.out_dir, "sweep.csv", sweep_csv(table))
     _write(cfg.out_dir, "convergence_report.txt", report.text() + "\n")
-    _write(cfg.out_dir, "convergence_report.csv", report.csv_text())
+    _write(cfg.out_dir, "convergence_report.csv", _csv_table("metric,value", [
+        ("slope_gap_lo", report.slope_gap_lo), ("slope_gap_hi", report.slope_gap_hi),
+        ("slope_l_gap", report.slope_l_gap), ("limit_rho", report.limit_rho),
+        ("n_flags", len(report.flags))]))
     _write(cfg.out_dir, "plot_sweep.py", SWEEP_PLOT)
     print(report.text())
     return _verdict(not report.flags, "monotonicity_violation")

@@ -141,17 +141,6 @@ class ConvergenceReport:
         lines.extend(f"    {flag}" for flag in self.flags)
         return "\n".join(lines)
 
-    def csv_text(self) -> str:
-        rows = [
-            "metric,value",
-            f"slope_gap_lo,{self.slope_gap_lo!r}",
-            f"slope_gap_hi,{self.slope_gap_hi!r}",
-            f"slope_l_gap,{self.slope_l_gap!r}",
-            f"limit_rho,{self.limit_rho!r}",
-            f"n_flags,{len(self.flags)}",
-        ]
-        return "\n".join(rows) + "\n"
-
 
 def convergence_report(table: SweepTable) -> ConvergenceReport:
     """Descriptive log-log slopes plus monotonicity flags, one per bad

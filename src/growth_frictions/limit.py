@@ -152,11 +152,14 @@ def verify_hjb_limit(mp: MarketParams, gamma: float, sol: LimitSolution,
     The claim comes from ``sol.candidate`` and the curve from the value
     function built from it; verify_qvi at delta = 0 checks the one against
     the other, and the second-order pasting rows of the anchored candidate
-    give the C2 row.  Violations are reported, never raised.
+    give the C2 row, which is nan when the claim breaks 0 < A < B < 1 or
+    0 < x0 < 1.  Violations are reported, never raised.
     """
     vf = replace(build_limit_value(mp, gamma, sol), candidate=sol.candidate)
     report = verify_qvi(mp, CostParams(0.0, gamma), vf, grid_n, tol)
     l0, x0, A, _, _, B = vf.anchor
-    mism = float(np.max(np.abs(residual_system_limit(mp, gamma, LimitCandidate(l0, x0, A, B))[2:])))
+    cand = LimitCandidate(l0, x0, A, B)  # a breached ordering has no C2 row
+    mism = (float(np.max(np.abs(residual_system_limit(mp, gamma, cand)[2:])))
+            if cand.ordering_ok() else np.nan)
     return HJBReport(**{**vars(report), "passed": report.passed and mism <= SECOND_ORDER_TOL},
                      second_deriv_mismatch=mism)

@@ -162,10 +162,10 @@ class _Band:
     """Paths of y = log(Y/X) from y0 under a (k, 4) stack of logit band rows,
     every row driven by its path's normals.  With cp, each trade moves the
     log bond holding (kept less its interest r t) and the log-cost total,
-    and the first path of row 0 is recorded.  With couple, the last row is
-    the reference and sup |y - y_last| of the other rows is tracked."""
+    and the first path of row 0 is recorded; without cp, the last row is the
+    reference of a coupling and sup |y - y_last| of the others is tracked."""
 
-    def __init__(self, mp, cfg, paths, rows, y0, cp=None, couple=False):
+    def __init__(self, mp, cfg, paths, rows, y0, cp=None):
         self.mp, self.cfg, self.paths, self.cp = mp, cfg, list(paths), cp
         self.lo, self.lo_to, self.hi_to, self.hi = np.atleast_2d(rows).astype(float).T[..., None]
         shape = (self.lo.shape[0], len(self.paths))
@@ -173,7 +173,7 @@ class _Band:
         self.bond = np.full(shape, math.log(cfg.v0) - np.logaddexp(0.0, y0))
         self.trade_log = np.zeros(shape)
         self.trades = np.zeros(shape, dtype=np.int64)
-        self.sup = np.zeros((shape[0] - 1, shape[1])) if couple else None
+        self.sup = np.zeros((shape[0] - 1, shape[1])) if cp is None else None
         # the first path's post-jump y and bond jump at every step, and its
         # trades as (step, y traded from, target y, log wealth factor)
         self.trace = np.zeros((2, cfg.n_steps + 1))
@@ -285,38 +285,38 @@ class _Band:
                           trade_log_total=trade_log)
 
 
-def _walk(mp, cp, bounds, cfg, paths, closed, bridge):
-    """The walk of the given paths under the band (a, alpha, beta, b) from
-    h0, which must lie in (a, b), or in [a, b] when closed.  Reflection at
-    [A, B] is the band (A, A, B, B) under CostParams(0, gamma)."""
-    y0 = to_centered(_start(mp, cfg, bounds[0], bounds[3], closed))
-    return _Band(mp, cfg, paths, to_centered(bounds), y0, cp).run(bridge)
+def _walk(mp, cp, bounds, cfg, paths):
+    """The walk of the given paths under the band (a, alpha, beta, b) from h0
+    in (a, b).  The band (A, A, B, B) under CostParams(0, gamma) reflects at
+    [A, B]: only there may h0 lie on an edge, and no bridge is sampled."""
+    reflect = bounds[0] == bounds[1] and bounds[2] == bounds[3]
+    y0 = to_centered(_start(mp, cfg, bounds[0], bounds[3], reflect))
+    return _Band(mp, cfg, paths, to_centered(bounds), y0, cp).run(
+        cfg.bridge_correction and not reflect)
 
 
 def simulate_impulse_path(mp: MarketParams, cp: CostParams, cand,
                           cfg: SimConfig, path_index: int) -> PathRecord:
     """One impulse-controlled path under the constant boundary strategy."""
-    return _walk(mp, cp, (cand.a, cand.alpha, cand.beta, cand.b), cfg, [path_index],
-                 False, cfg.bridge_correction).first()
+    return _walk(mp, cp, (cand.a, cand.alpha, cand.beta, cand.b), cfg, [path_index]).first()
 
 
 def estimate_growth_impulse(mp: MarketParams, cp: CostParams, cand,
                             cfg: SimConfig) -> GrowthEstimate:
     """Mean and standard error of per-path growth over cfg.n_paths paths."""
-    return _walk(mp, cp, (cand.a, cand.alpha, cand.beta, cand.b), cfg, range(cfg.n_paths),
-                 False, cfg.bridge_correction).estimate()
+    return _walk(mp, cp, (cand.a, cand.alpha, cand.beta, cand.b), cfg,
+                 range(cfg.n_paths)).estimate()
 
 
 def simulate_reflected_path(mp: MarketParams, gamma: float, A: float, B: float,
                             cfg: SimConfig, path_index: int) -> PathRecord:
     """One reflected path under the control limit policy for (A, B)."""
-    return _walk(mp, CostParams(0.0, gamma), (A, A, B, B), cfg, [path_index], True, False).first()
+    return _walk(mp, CostParams(0.0, gamma), (A, A, B, B), cfg, [path_index]).first()
 
 
 def estimate_growth_reflected(mp: MarketParams, gamma: float, A: float, B: float,
                               cfg: SimConfig) -> GrowthEstimate:
-    return _walk(mp, CostParams(0.0, gamma), (A, A, B, B), cfg, range(cfg.n_paths),
-                 True, False).estimate()
+    return _walk(mp, CostParams(0.0, gamma), (A, A, B, B), cfg, range(cfg.n_paths)).estimate()
 
 
 def couple_at_boundaries(mp: MarketParams, impulse_bounds_y, limits_y,
@@ -332,7 +332,7 @@ def couple_at_boundaries(mp: MarketParams, impulse_bounds_y, limits_y,
     """
     lo, hi = limits_y
     rows = np.vstack((np.atleast_2d(impulse_bounds_y), [(lo, lo, hi, hi)]))
-    band = _Band(mp, cfg, range(cfg.n_paths), rows, y_start, couple=True).run()
+    band = _Band(mp, cfg, range(cfg.n_paths), rows, y_start).run()
     return band.sup, band.trades[:-1]
 
 

@@ -154,6 +154,27 @@ def test_sweep_csv_schema(config_file, tmp_path):
     assert (out / "convergence_report.txt").exists()
 
 
+def test_sweep_csvs_print_every_float_with_17_significant_digits(config_file, tmp_path):
+    # the README contract for every CSV, convergence_report.csv included
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", config_file, "--out", str(out),
+                     "--deltas", "1e-2,3e-3,1e-3"]) == 0
+    csvs = sorted(out.glob("*.csv"))
+    assert [path.name for path in csvs] == ["convergence_report.csv", "sweep.csv"]
+
+    def is_float(field):
+        try:
+            float(field)
+        except ValueError:
+            return False
+        return not field.lstrip("-").isdigit()
+
+    for path in csvs:
+        fields = [f for line in path.read_text().splitlines()[1:] for f in line.split(",")]
+        floats = [f for f in fields if is_float(f)]
+        assert floats and all(f == "%.17g" % float(f) for f in floats), path.name
+
+
 def test_simulate_and_reflect(config_file, tmp_path):
     out = tmp_path / "sim"
     code = cli.main(["simulate", "--config", config_file, "--out", str(out),

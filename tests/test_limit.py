@@ -222,3 +222,30 @@ def test_band_between_grid_points_is_reported_not_raised():
     # a resolved band adds no line
     passing = gf.verify_hjb_limit(mp, 1e-5, sol, 2001)
     assert passing.unresolved_band == "" and "unresolved" not in passing.summary()
+
+
+# claims (A, B) made from the solved band at r = 0, sigma = 0.4 and (hhat, gamma):
+# a near edge shifted out of (0, 1) at two lopsided markets, and fig2's band
+# reversed or collapsed
+BREACHES = {
+    "A_below_0": (0.005, 0.01, lambda A, B: (A - 1e-3, B)),
+    "B_above_1": (0.98, 0.05, lambda A, B: (A, B + 1e-3)),
+    "A_above_B": (0.6, GAMMA, lambda A, B: (B, A)),
+    "A_equals_B": (0.6, GAMMA, lambda A, B: (A, A)),
+}
+
+
+@pytest.mark.parametrize("case", list(BREACHES))
+def test_claim_outside_the_domain_is_reported_not_raised(case):
+    # neither the grid check nor the C2 row is measured; the report names the breach
+    hhat, gamma, claim = BREACHES[case]
+    mp = gf.MarketParams(r=0.0, mu=hhat * 0.16, sigma=0.4)
+    sol = gf.solve_limit(mp, gamma)
+    A, B = claim(sol.candidate.A, sol.candidate.B)
+    bad = dataclasses.replace(sol.candidate, A=A, B=B)
+    rep = gf.verify_hjb_limit(mp, gamma, dataclasses.replace(sol, candidate=bad), 501)
+    assert rep.passed is False
+    assert np.isnan(rep.max_interior_residual) and np.isnan(rep.second_deriv_mismatch)
+    assert rep.summary().splitlines()[-1] == (
+        "  claim breaks 0 < a <= alpha <= beta <= b < 1, a < b, 0 < x0 < 1: "
+        f"(x0, a, alpha, beta, b) = {bad.x0, A, A, B, B}")

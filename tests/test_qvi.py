@@ -278,6 +278,21 @@ def test_band_between_grid_points_is_reported_not_raised():
     assert gf.verify_qvi(mp, cp, vf, 2001).unresolved_band == ""
 
 
+@pytest.mark.parametrize("breach", [dict(a=-1e-3), dict(b=1.0 + 1e-3), dict(alpha=0.62),
+                                    dict(x0=1.5)], ids=lambda d: next(iter(d)))
+def test_claim_outside_the_domain_is_reported_not_raised(breach, mp, cp, sol, vf):
+    # an edge outside (0, 1), alpha > beta, or x0 outside (0, 1) claimed for
+    # the fig2 curve: the report fails, is not measured, and names the breach
+    claim = dataclasses.replace(sol.candidate, **breach)
+    rep = gf.verify_qvi(mp, cp, dataclasses.replace(vf, candidate=claim), 501)
+    assert rep.passed is False
+    assert all(np.isnan(v) for v in dataclasses.astuple(rep)[2:-2])
+    _, x0, a, al, be, b = claim.policy()
+    assert rep.summary().splitlines()[-1] == (
+        "  claim breaks 0 < a <= alpha <= beta <= b < 1, a < b, 0 < x0 < 1: "
+        f"(x0, a, alpha, beta, b) = {x0, a, al, be, b}")
+
+
 # The six solve_domain anchors that solve: the reference market at two fixed
 # costs, lopsided Merton fractions, the knife edge and heavy costs.
 SCAN_MARKETS = {

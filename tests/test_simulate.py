@@ -268,6 +268,23 @@ def test_couple_paths_requires_decreasing_deltas(mp):
         gf.couple_paths(mp, GAMMA, [1e-3, 1e-2], cfg)
 
 
+def test_impulse_trade_rate_matches_the_restart_chain(mp, cp, sol):
+    # Monte Carlo trades per year against 1 / E[cycle] of the restart chain:
+    # a cycle from the restart point y lasts m(y) on average and ends at the
+    # upper edge, so that the next restart is beta, with probability p(y)
+    c = sol.candidate
+    drift = mp.mu - mp.r - 0.5 * mp.sigma ** 2
+    lo, al, be, hi = (gf.to_centered(x) for x in (c.a, c.alpha, c.beta, c.b))
+    p_al, p_be = (gf.exit_prob_up(drift, mp.sigma, lo, hi, y) for y in (al, be))
+    m_al, m_be = (gf.expected_exit_time(drift, mp.sigma, lo, hi, y) for y in (al, be))
+    pi_lo = (1.0 - p_be) / (1.0 - p_be + p_al)  # stationary share of restarts at alpha
+    exact = 1.0 / (pi_lo * m_al + (1.0 - pi_lo) * m_be)
+    cfg = gf.SimConfig(horizon=50.0, dt=1e-3, n_paths=400, base_seed=0, bridge_correction=True)
+    band = simulate._walk(mp, cp, (c.a, c.alpha, c.beta, c.b), cfg, range(cfg.n_paths))
+    rate = band.trades[0] / cfg.horizon
+    assert abs(rate.mean() - exact) <= 3 * rate.std(ddof=1) / math.sqrt(cfg.n_paths)
+
+
 @pytest.mark.parametrize("rule", ["impulse", "bridge", "reflected"])
 def test_engine_batch_equals_singletons(rule, mp, cp, sol, lim):
     # the vectorised time loop gives the same numbers for a path whether it is
@@ -278,11 +295,10 @@ def test_engine_batch_equals_singletons(rule, mp, cp, sol, lim):
     def growth(paths):
         if rule == "reflected":
             A, B = lim.candidate.A, lim.candidate.B
-            return simulate._walk(mp, gf.CostParams(0.0, GAMMA), (A, A, B, B), cfg, paths,
-                                  True, False).growth()
+            return simulate._walk(mp, gf.CostParams(0.0, GAMMA), (A, A, B, B), cfg,
+                                  paths).growth()
         c = sol.candidate
-        return simulate._walk(mp, cp, (c.a, c.alpha, c.beta, c.b), cfg, paths,
-                              False, cfg.bridge_correction).growth()
+        return simulate._walk(mp, cp, (c.a, c.alpha, c.beta, c.b), cfg, paths).growth()
 
     batch_growth = growth(range(3))
     for i in range(3):
@@ -298,13 +314,11 @@ def test_band_walk_matches_holdings_reference(rule, mp, cp, sol, lim):
                        bridge_correction=rule == "bridge")
     if rule == "reflected":
         A, B = lim.candidate.A, lim.candidate.B
-        band = simulate._walk(mp, gf.CostParams(0.0, GAMMA), (A, A, B, B), cfg, range(6),
-                              True, False)
+        band = simulate._walk(mp, gf.CostParams(0.0, GAMMA), (A, A, B, B), cfg, range(6))
         reference = holdings_growth(mp, cfg, range(6), reflect=(GAMMA, A, B))
     else:
         c = sol.candidate
-        band = simulate._walk(mp, cp, (c.a, c.alpha, c.beta, c.b), cfg, range(6),
-                              False, cfg.bridge_correction)
+        band = simulate._walk(mp, cp, (c.a, c.alpha, c.beta, c.b), cfg, range(6))
         reference = holdings_growth(mp, cfg, range(6), impulse=(cp, sol.candidate))
     assert band.trades.sum() > 0
     assert np.max(np.abs(band.growth() - reference)) <= 1e-12

@@ -6,6 +6,7 @@ import ast
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -86,29 +87,31 @@ def test_each_jacobian_is_one_stacked_residual_call(solver, mp, cp):
     assert stacked == [width] * result.newton_iters
 
 
-def test_only_the_column_leaving_the_domain_takes_the_backward_point():
-    # the domain v[1] <= 1 ends at the start point in the second coordinate
-    single = []
+@dataclass(frozen=True)
+class _Pair(_slope.NewtonUnknowns):
+    x: float
+    y: float
 
-    def residual(v):
-        v = np.asarray(v)
-        if np.any(v[1] > 1.0):
+
+def test_a_start_whose_jacobian_raises_falls_over_to_the_next_start():
+    # the domain y <= 1 ends at the first start, so the stacked Jacobian call
+    # of that start raises; its run ends there and the loop takes the next
+    calls = []
+
+    def residual(c):
+        calls.append(np.ndim(c.x))
+        if np.any(np.asarray(c.y) > 1.0):
             raise ValueError("outside the domain")
-        if v.ndim == 1:
-            single.append(v.tolist())
-        return np.array([v[0] ** 2 - 2.0, v[1] ** 3 - 0.125])
+        return np.array([c.x ** 2 - 2.0, c.y ** 3 - 0.125])
 
-    v0 = np.array([1.0, 1.0])
-    fv = residual(v0)
-    jac = _slope._jacobian(residual, v0, fv)
-    h = _slope._FD_STEP
-    # the stacked call raised, so each column ran alone: forward, then backward
-    assert single == [[1.0, 1.0], [1.0 + h, 1.0], [1.0, 1.0 - h]]
-    assert np.array_equal(jac, column_jacobian(residual, v0, fv))
-    assert jac == pytest.approx(np.diag([2.0, 3.0]), abs=1e-6)
-    v, _, norm = _slope.damped_newton(residual, v0, tol=1e-12)
-    assert norm <= 1e-12
-    assert v == pytest.approx([np.sqrt(2.0), 0.5], abs=1e-12)
+    cand, iters, norm = _slope.newton_from_starts(
+        _Pair, residual, [_Pair(1.0, 1.0), _Pair(1.0, 0.9)], lambda c: None)
+    assert calls[:3] == [0, 1, 0]  # first start, its stacked Jacobian, second start
+    assert iters > 0 and norm <= _slope.RESIDUAL_TOL
+    assert (cand.x, cand.y) == pytest.approx((np.sqrt(2.0), 0.5), abs=1e-9)
+    # when every start fails so, NonConvergence reports the Jacobian's error
+    with pytest.raises(gf.NonConvergence, match="^no start converged: outside the domain$"):
+        _slope.newton_from_starts(_Pair, residual, [_Pair(1.0, 1.0)] * 2, lambda c: None)
 
 
 def test_the_limit_check_is_one_qvi_check_at_delta_zero(mp, lim):
