@@ -10,14 +10,16 @@ by the impulse solver:
     g'(A) = -gamma^2/(1 + gamma A)^2    g'(B) = -gamma^2/(1 - gamma B)^2
 
 i.e. the delta -> 0 limit of the six-equation system once a and alpha merge
-into A and beta and b merge into B.  The value function is therefore the
-impulse model's ValueFunction at delta = 0 with anchor (l0, x0, A, A, B, B),
-and its HJB check is the impulse model's verifier at delta = 0 (where the
-obstacle Mu <= u is the integrated form of the two gradient constraints)
-plus the C2 row: verify_hjb_limit is one verify_qvi call and the
-second-order pasting residuals at the anchor.  The solve runs through the
-impulse solver's start loop, ``_slope.newton_from_starts``; only the
-residual and the starts differ.
+into A and beta and b merge into B.  The solver states the g' rows times
+half(x) = sigma^2 x^2 (1-x)^2 / 2, in the HJB equation's units: g' is the
+continuation ODE divided by half, which vanishes at 0 and 1, so unscaled
+rows move by 1/half per ulp of l0 near an edge.  The value function is the
+impulse ValueFunction at delta = 0 with anchor (l0, x0, A, A, B, B), and its
+HJB check is the impulse verifier at delta = 0 (where the obstacle Mu <= u
+is the integrated form of the two gradient constraints) plus the C2 row,
+the scaled rows divided back by half.  The solve runs through the impulse
+solver's start loop, ``_slope.newton_from_starts``; only the residual and
+the starts differ.
 """
 
 from __future__ import annotations
@@ -73,20 +75,15 @@ class LimitSolution:
 
 
 def residual_system_limit(mp: MarketParams, gamma: float, cand: LimitCandidate) -> np.ndarray:
-    """First- and second-order pasting residuals at a limit candidate, or
-    their (4, k) block, one column each, at a stack of k candidates."""
+    """Rows g - s and half (g' + s^2) at the edges (A, B), with s the trade
+    cost's slope there, or their (4, k) block at a stack of k candidates."""
     if not cand.ordering_ok():
         raise ParameterDegeneracy("candidate ordering 0 < A < B < 1 violated")
-    l0, x0, A, B = cand.l0, cand.x0, cand.A, cand.B
-    edges = np.array([A, B])
-    g = slope_g(mp, edges, x0, l0)
-    dg = _slope_dx(mp, edges, g, l0)
-    return np.array([
-        g[0] - gamma / (1.0 + gamma * A),
-        g[1] + gamma / (1.0 - gamma * B),
-        dg[0] + gamma * gamma / (1.0 + gamma * A) ** 2,
-        dg[1] + gamma * gamma / (1.0 - gamma * B) ** 2,
-    ])
+    edges = np.array([cand.A, cand.B])
+    s = np.array([gamma / (1.0 + gamma * cand.A), -gamma / (1.0 - gamma * cand.B)])
+    g = slope_g(mp, edges, cand.x0, cand.l0)
+    half = 0.5 * mp.sigma * mp.sigma * (edges * (1.0 - edges)) ** 2
+    return np.concatenate([g - s, half * (_slope_dx(mp, edges, g, cand.l0) + s * s)])
 
 
 def default_limit_initializer(mp: MarketParams, gamma: float) -> LimitCandidate:
@@ -151,15 +148,16 @@ def verify_hjb_limit(mp: MarketParams, gamma: float, sol: LimitSolution,
 
     The claim comes from ``sol.candidate`` and the curve from the value
     function built from it; verify_qvi at delta = 0 checks the one against
-    the other, and the second-order pasting rows of the anchored candidate
+    the other, and the anchored candidate's second-order rows over half
     give the C2 row, which is nan when the claim breaks 0 < A < B < 1 or
     0 < x0 < 1.  Violations are reported, never raised.
     """
     vf = replace(build_limit_value(mp, gamma, sol), candidate=sol.candidate)
     report = verify_qvi(mp, CostParams(0.0, gamma), vf, grid_n, tol)
     l0, x0, A, _, _, B = vf.anchor
-    cand = LimitCandidate(l0, x0, A, B)  # a breached ordering has no C2 row
-    mism = (float(np.max(np.abs(residual_system_limit(mp, gamma, cand)[2:])))
-            if cand.ordering_ok() else np.nan)
+    cand, edges = LimitCandidate(l0, x0, A, B), np.array([A, B])
+    half = 0.5 * mp.sigma * mp.sigma * (edges * (1.0 - edges)) ** 2
+    mism = (float(np.max(np.abs(residual_system_limit(mp, gamma, cand)[2:] / half)))
+            if cand.ordering_ok() else np.nan)  # a breached ordering has no C2 row
     return HJBReport(**{**vars(report), "passed": report.passed and mism <= SECOND_ORDER_TOL},
                      second_deriv_mismatch=mism)

@@ -194,8 +194,7 @@ def build_value(mp: MarketParams, cp: CostParams, sol: BoundarySolution) -> Valu
     before returning.
     """
     cand = sol.candidate
-    res = residual_system(mp, cp, cand)
-    pasting = float(np.max(np.abs(res[:4])))
+    pasting = float(np.max(np.abs(_pasting_rows(mp, cp, *cand.policy()))))
     if not pasting <= PASTING_TOL:
         raise ParameterError(
             f"candidate does not paste to C1: max boundary-slope residual {pasting:.3e}")

@@ -125,6 +125,40 @@ def test_hjb_detects_corrupted_growth_rate(mp, lim, monkeypatch):
     assert not report.passed
 
 
+def _trade_cost_slope(gamma, c):
+    return np.array([gamma / (1 + gamma * c.A), -gamma / (1 - gamma * c.B)])
+
+
+def test_rows_are_the_pasting_conditions_in_hjb_units(mp, cold_points):
+    # g - s at (A, B), then g' + s^2 times half = sigma^2 x^2 (1-x)^2 / 2
+    for c in cold_points:
+        edges, s = np.array([c.A, c.B]), _trade_cost_slope(GAMMA, c)
+        half = 0.5 * mp.sigma ** 2 * (edges * (1 - edges)) ** 2
+        res = gf.residual_system_limit(mp, GAMMA, c)
+        assert np.array_equal(res[:2], gf.slope_g(mp, edges, c.x0, c.l0) - s)
+        second = half * (gf.slope_g_dx(mp, edges, c.x0, c.l0) + s ** 2)
+        assert np.allclose(res[2:], second, rtol=1e-12, atol=1e-15 * np.max(half * s ** 2))
+
+
+def test_c2_row_is_the_second_order_pasting_gap(mp, lim):
+    # a claim with a large gap, the curve rebuilt from it: the C2 row is
+    # max |g' + s^2| at A and B, in g' units
+    c = dataclasses.replace(lim.candidate, l0=lim.candidate.l0 * 1.01)
+    report = gf.verify_hjb_limit(mp, GAMMA, dataclasses.replace(lim, candidate=c), 501)
+    gap = np.max(np.abs(gf.slope_g_dx(mp, np.array([c.A, c.B]), c.x0, c.l0)
+                        + _trade_cost_slope(GAMMA, c) ** 2))
+    assert report.second_deriv_mismatch == pytest.approx(gap, rel=1e-12)
+    assert gap > limit.SECOND_ORDER_TOL and not report.passed
+
+
+@pytest.mark.parametrize("hhat, gamma", [(0.6, GAMMA), (0.99, 0.03)], ids=["fig2", "hhat0.99"])
+def test_c2_row_vanishes_at_a_solved_band(hhat, gamma):
+    # at hhat 0.99 the band's upper edge is within 1.5e-4 of 1
+    mp = gf.MarketParams(r=0.0, mu=hhat * 0.16, sigma=0.4)
+    sol = gf.solve_limit(mp, gamma)
+    assert gf.verify_hjb_limit(mp, gamma, sol, 501).second_deriv_mismatch <= 1e-6
+
+
 # fig2 and two lopsided markets at r = 0, sigma = 0.4, as (hhat, gamma)
 PARITY_MARKETS = {"fig2": (0.6, GAMMA), "hhat0.05": (0.05, 0.03), "hhat0.95": (0.95, 0.01)}
 

@@ -112,8 +112,8 @@ def test_newton_jacobian_equals_column_by_column(mp, cp, cold_points):
 
 @pytest.mark.parametrize("miss", [1e-6, np.nan], ids=["off", "nan"])
 def test_build_value_requires_c1_pasting(mp, cp, sol, miss, monkeypatch):
-    exact = qvi.residual_system
-    monkeypatch.setattr(qvi, "residual_system", lambda mp, cp, c: exact(mp, cp, c) + miss)
+    exact = qvi._pasting_rows
+    monkeypatch.setattr(qvi, "_pasting_rows", lambda *args: exact(*args) + miss)
     with pytest.raises(gf.ParameterError, match="does not paste to C1"):
         gf.build_value(mp, cp, sol)
 

@@ -1,6 +1,7 @@
 """Structure of the solver core: an acyclic import graph with every import at
 module level, one Newton start loop shared by both solvers, one grid verifier
-for both models, and quadrature rules built on first use."""
+for both models, one kernel call of each kind per limit residual, and
+quadrature rules built on first use."""
 
 import ast
 import os
@@ -85,6 +86,21 @@ def test_each_jacobian_is_one_stacked_residual_call(solver, mp, cp):
     stacked = [np.size(c.x0) for c in calls if is_stacked(c)]
     assert result.newton_iters > 0
     assert stacked == [width] * result.newton_iters
+
+
+def test_a_limit_residual_is_one_slope_and_one_slope_derivative_call(mp, lim):
+    # the second-order rows reuse g; scaling them adds no kernel evaluation
+    calls = []
+
+    def counting(name):
+        original = getattr(limit, name)
+        return lambda *args: calls.append(name) or original(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("slope_g", "_slope_dx"):
+            patch.setattr(limit, name, counting(name))
+        gf.residual_system_limit(mp, GAMMA, lim.candidate)
+    assert calls == ["slope_g", "_slope_dx"]
 
 
 @dataclass(frozen=True)
