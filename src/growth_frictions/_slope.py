@@ -1,7 +1,7 @@
 """Slope function of the continuation region, the value function built from
 it and its grid check, and the damped Newton engine, each of whose Jacobians
 is one residual call on a stack of candidates, with the start loop of both
-solvers.
+solvers and their one cold start, the reflecting band of best exact growth.
 
 Inside the no-trade region the value function's derivative is an explicit
 function g(x, x0, l) anchored so that g(x0, x0, l) = 0.  The textbook form
@@ -32,8 +32,8 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .market import (EPS, CostParams, MarketParams, apply_generator,
-                     growth_integrand, merton_fraction, to_centered,
+from .market import (EPS, CostParams, MarketParams, apply_generator, from_centered,
+                     growth_integrand, merton_fraction, no_trade_floor, to_centered,
                      trade_cost_gamma)
 
 
@@ -140,6 +140,31 @@ def slope_g_integral(mp: MarketParams, x_from, x_to, x0: float, l: float):
     piece_c = _softplus(t2) - _softplus(t1)
     out = -(2.0 * l / (mp.sigma * mp.sigma)) * piece_a + piece_b - piece_c
     return out if out.ndim else float(out)
+
+
+def best_band(mp: MarketParams, gamma: float) -> tuple:
+    """(l0, hhat, A, B) of the reflecting band of most excess growth l0 with
+    edges inside (EPS, 1 - EPS) at 60 geometric logit offsets (1e-4 to 14)
+    below and above the Merton fraction hhat: the cold start of both solvers.
+    l0 is exact: with u = logit hhat - logit x, w = x(1-x), z = -(2/sigma^2)
+    u e1(pu)/w and e = e^{pu}/w, every no-trade slope is l z + C e - 1/(1-x),
+    so the trade cost's slopes at A and B fix (l, C) by a 2x2 system whose
+    rows over e are priced on each edge's own axis.  ParameterDegeneracy
+    when no band beats the floor max{f(0), f(1)}."""
+    hhat, p, side = merton_fraction(mp), _power(mp), np.array([[1.0], [-1.0]])  # rows: A, B
+    u = np.geomspace(1e-4, 14.0, 60) * side
+    x = from_centered(to_centered(hhat) - u)
+    slope = side * gamma / (1.0 + side * gamma * x)
+    z = -(2.0 / (mp.sigma * mp.sigma)) * u * _e1(-p * u)  # z/e < 0 at A, > 0 at B
+    c = (slope * x * (1.0 - x) + x) * np.exp(-p * u)  # (slope + 1/(1-x))/e
+    lo, hi = x[0] > EPS, x[1] < 1.0 - EPS
+    l = (c[0, lo, None] - c[1, hi]) / (z[0, lo, None] - z[1, hi])
+    floor, best = no_trade_floor(mp), np.max(l, initial=-np.inf)
+    if not best > floor:
+        raise ParameterDegeneracy(f"no interior optimum: best band growth {mp.r + best:.10g} "
+                                  f"does not exceed r + max{{f(0), f(1)}} = {mp.r + floor:.10g}")
+    i, j = np.unravel_index(np.argmax(l), l.shape)
+    return float(l[i, j]), hhat, float(x[0, lo][i]), float(x[1, hi][j])
 
 
 class NewtonUnknowns:

@@ -437,16 +437,13 @@ def _cmd_oracle(cfg: RunConfig) -> int:
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
-    path = cfg.require("solution")
+    mp, cp, sol = read_solution_csv(cfg.require("solution"))
     try:
-        mp, cp, sol = read_solution_csv(path)
         res_norm = float(np.max(np.abs(qvi.residual_system(mp, cp, sol.candidate))))
         if not res_norm <= qvi.RESIDUAL_TOL:
             raise ParameterError(f"stored candidate has residual norm {res_norm:.3e}")
         vf = qvi.build_value(mp, cp, sol)
         report = qvi.verify_qvi(mp, cp, vf, cfg.get("grid_n"), tol=cfg.get("tol"))
-    except ConfigError:
-        raise
     except (ParameterError, ParameterDegeneracy, ValueError) as err:
         print(f"ERROR: qvi_violation: {err}", file=sys.stderr)
         return 1

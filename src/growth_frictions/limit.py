@@ -18,22 +18,20 @@ impulse ValueFunction at delta = 0 with anchor (l0, x0, A, A, B, B), and its
 HJB check is the impulse verifier at delta = 0 (where the obstacle Mu <= u
 is the integrated form of the two gradient constraints) plus the C2 row,
 the scaled rows divided back by half.  The solve runs through the impulse
-solver's start loop, ``_slope.newton_from_starts``; only the residual and
-the starts differ.
+solver's start loop, ``_slope.newton_from_starts``, from the same cold
+start, the band of best exact growth; only the residual differs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._slope import (NewtonUnknowns, NonConvergence, ParameterDegeneracy, ValueFunction,
-                     VerificationReport, _slope_dx, newton_from_starts, slope_g, verify_qvi)
-from .market import (CostParams, MarketParams, ParameterError,
-                     check_growth_excess, growth_integrand, merton_fraction,
-                     no_trade_floor)
+                     VerificationReport, _slope_dx, best_band, newton_from_starts, slope_g,
+                     verify_qvi)
+from .market import CostParams, MarketParams, ParameterError, check_growth_excess
 
 __all__ = [
     "LimitCandidate", "LimitSolution", "HJBReport",
@@ -86,38 +84,20 @@ def residual_system_limit(mp: MarketParams, gamma: float, cand: LimitCandidate) 
     return np.concatenate([g - s, half * (_slope_dx(mp, edges, g, cand.l0) + s * s)])
 
 
-def default_limit_initializer(mp: MarketParams, gamma: float) -> LimitCandidate:
-    """The band where f exceeds a level l0 set by the small-cost loss.
-
-    l0 lies below f(hhat) by the loss sigma^2 w^2 / 2 of the leading-order
-    half-width w = (3/2 hhat^2 (1-hhat)^2 gamma)^(1/3) (Janecek-Shreve 2004),
-    saturated to stay above the no-trade floor.  A and B, where f equals l0,
-    then lie in (0, 1) however lopsided the Merton fraction is.
-    """
-    hhat = merton_fraction(mp)
-    fhat = growth_integrand(mp, hhat)
-    room = fhat - no_trade_floor(mp)
-    w = (1.5 * gamma * (hhat * (1.0 - hhat)) ** 2) ** (1.0 / 3.0)
-    l0 = fhat + room * math.expm1(-0.5 * (mp.sigma * w) ** 2 / room)
-    half = math.sqrt(2.0 * (fhat - l0)) / mp.sigma
-    return LimitCandidate(l0=l0, x0=hhat, A=hhat - half, B=hhat + half)
-
-
 def solve_limit(mp: MarketParams, gamma: float,
                 init: LimitCandidate | None = None) -> LimitSolution:
     """Solve the four-unknown reflecting-boundary system; 0 < gamma < 1.
 
     One damped Newton run from ``init`` when given (the warm start), then
-    from the default band start; the first valid root wins, and
-    NonConvergence is raised when none is found.  At gamma = 0 the no-trade
-    region collapses to the Merton point and the system degenerates.
+    from ``best_band``, x0 at the Merton fraction (its "no interior optimum"
+    propagates); the first valid root wins, else NonConvergence.  At
+    gamma = 0 the no-trade region collapses to the Merton point.
     """
     if gamma <= 0.0:
         raise ParameterDegeneracy("limit solver requires gamma > 0")
     CostParams(0.0, gamma)  # an inadmissible gamma is named before any Newton work
-    starts = ([init] if init is not None else []) + [default_limit_initializer(mp, gamma)]
-    # Each run goes on until its step stalls (tol 0), so a start that lands
-    # close still ends at rounding level.
+    starts = ([init] if init is not None else []) + [LimitCandidate(*best_band(mp, gamma))]
+    # tol 0: each run goes on until its step stalls, so even a close start ends at rounding level
     cand, iters, norm = newton_from_starts(
         LimitCandidate, lambda c: residual_system_limit(mp, gamma, c), starts,
         lambda c: c.check_invariants(mp), tol=0.0)

@@ -13,14 +13,14 @@ of smooth-pasting and value-matching equations:
     int_a^alpha g + cost(a, alpha) = 0           value matching across
     int_beta^b g - cost(b, beta)   = 0           the rebalancing jumps
 
-solved by one damped Newton run from a warm start or, cold, from the
-constant boundary policy with the best exact renewal value (``_policy``)
-near the reflecting limits, through the start loop shared with the limit
-solver.  The value function u is then assembled piecewise from the trade
-cost outside [a, b] and the integral of g inside, and ``verify_qvi`` (from
-``_slope``, below both solvers) checks it against the variational inequality
-max{Du + f - l, Mu - u} = 0 on a grid; at delta = 0 the same call is the
-reflecting limit's HJB check.
+solved by one damped Newton run from a warm start or, cold, from the constant
+boundary policy with the best exact renewal value (``_policy``) near the
+reflecting band of best exact growth (``_slope.best_band``), through the start
+and the start loop shared with the limit solver.  The value function u is then
+assembled piecewise from the trade cost outside [a, b] and the integral of g
+inside, and ``verify_qvi`` (from ``_slope``, below both solvers) checks it
+against the variational inequality max{Du + f - l, Mu - u} = 0 on a grid; at
+delta = 0 the same call is the reflecting limit's HJB check.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from . import limit as _limit
 from ._policy import _renewal_batch
 from ._slope import (PASTING_TOL, RESIDUAL_TOL, NewtonUnknowns, NonConvergence,
                      ParameterDegeneracy, ValueFunction, VerificationReport, _pasting_rows,
-                     newton_from_starts, slope_g, slope_g_dx, slope_g_integral, verify_qvi)
+                     best_band, newton_from_starts, slope_g, slope_g_dx, slope_g_integral,
+                     verify_qvi)
 from .market import (EPS, CostParams, MarketParams, ParameterError,
                      check_growth_excess, from_centered, no_trade_floor,
                      to_centered, trade_cost_gamma)
@@ -108,7 +109,7 @@ def residual_system(mp: MarketParams, cp: CostParams, cand: BoundaryCandidate) -
 
 def _oracle_seed(mp, cp, lim_cand):
     """Seed Newton by maximising the exact renewal value of the policy over
-    log-spaced widening/inset offsets around the reflecting limits.
+    log-spaced widening/inset offsets around the reflecting band lim_cand.
 
     A seed that opens the no-trade region symmetrically fails badly for
     lopsided Merton fractions; searching the policy value directly (cheap:
@@ -154,11 +155,11 @@ def _oracle_seed(mp, cp, lim_cand):
 
 
 def _starts(mp, cp, init):
-    """The seeds of solve_boundaries in order, built lazily so the limit
-    solve and the renewal search run only when the warm start fails."""
+    """The seeds of solve_boundaries in order, built lazily so the band and
+    renewal searches around it run only when the warm start fails."""
     if init is not None:
         yield init
-    yield _oracle_seed(mp, cp, _limit.solve_limit(mp, cp.gamma).candidate)
+    yield _oracle_seed(mp, cp, _limit.LimitCandidate(*best_band(mp, cp.gamma)))
 
 
 def solve_boundaries(mp: MarketParams, cp: CostParams,
@@ -166,11 +167,11 @@ def solve_boundaries(mp: MarketParams, cp: CostParams,
     """Solve the six-unknown system; requires delta > 0 and gamma > 0.
 
     One damped Newton run from ``init`` when given (the warm start), then
-    from the renewal-search seed around the pure-proportional limits (the
-    cold start); the first valid root wins, and nothing is retried or
-    perturbed.  Raises ParameterDegeneracy ("no interior optimum") when the
-    renewal search finds no policy beating the no-trade floor, and
-    NonConvergence when every start fails.
+    from the renewal-search seed around the reflecting band of best exact
+    growth (the cold start); the first valid root wins, and nothing is
+    retried or perturbed.  Raises ParameterDegeneracy ("no interior
+    optimum") when neither search finds a policy beating the no-trade
+    floor, and NonConvergence when every start fails.
     """
     if cp.delta <= 0.0:
         raise ParameterDegeneracy("impulse boundary solver requires delta > 0")

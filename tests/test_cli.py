@@ -471,6 +471,27 @@ def test_numerical_failure_is_one_named_error(argv, module, name, error, reason,
     assert err == [f"ERROR: {reason}: injected failure"]
 
 
+@pytest.mark.parametrize("command", ["limit", "solve"])
+@pytest.mark.parametrize("mu, gamma", [
+    (0.995 * 0.16, 0.2),  # the best reflecting band stays below the floor
+    ((1 - 1e-9) * 0.16, 0.003),  # every band edge above hhat rounds past 1 - EPS
+], ids=["hhat-0.995", "hhat-1-1e-9"])
+def test_a_market_without_interior_optimum_is_one_named_error(command, mu, gamma, tmp_path):
+    # a fresh process, so the stderr checked is all the user sees: no
+    # traceback and no numpy warning, only the one named line
+    path = tmp_path / "edge.conf"
+    path.write_text(f"r = 0.0\nmu = {mu!r}\nsigma = 0.4\ngamma = {gamma}\ndelta = 0.001\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    child = subprocess.run(
+        [sys.executable, "-m", "growth_frictions.cli", command, "--config", str(path),
+         "--out", str(tmp_path / "out")], env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 1
+    err = child.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR: invariant_violation: no interior optimum")
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_failure_keeps_the_solved_rows(config_file, tmp_path, capsys, monkeypatch):
     solve_boundaries = qvi.solve_boundaries
     calls = []

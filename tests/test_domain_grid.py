@@ -5,9 +5,10 @@ delta.
 On the 84-point grid every point must solve and pass the QVI check at 501
 grid points, except the two where no constant boundary policy beats
 r + max{f(0), f(1)}, which must be rejected by name.  The lopsided grids
-reach hhat 0.005 and 0.995 and gamma 0.2; the points that neither verify
-nor are rejected by name there are listed with their current outcome, so a
-change that moves one has to edit its list.
+reach hhat 0.005 and 0.995 and gamma 0.2.  There every cold impulse solve
+verifies or is rejected by name; the limit points that do neither, and
+those whose best reflecting band does not beat the floor, are listed with
+their current outcome, so a change that moves one has to edit its list.
 """
 
 import itertools
@@ -30,14 +31,14 @@ IMPULSE_GAMMAS = LIMIT_GAMMAS[2:]
 # (hhat, gamma) whose limit band holds no point of the 501-point grid
 UNRESOLVED_BAND = {(0.005, 1e-8), (0.005, 1e-6), (0.995, 1e-8), (0.995, 1e-6)}
 # solved, and pass everything but the C2 gate: an edge within 3.5e-6 of 0 or 1
-C2_ONLY = {(0.005, 5e-2), (0.01, 0.1), (0.02, 0.2), (0.995, 3e-2)}
-# no start converges; the impulse solver, seeded from the limit, fails with it.
-# (0.98, 0.2) is a knife edge: with mu one ulp higher (hhat * SIGMA * SIGMA)
-# the limit lands on a root l0 1e-9 above the floor that fails the C2 gate,
-# and the impulse solve finds no interior optimum
-LIMIT_NON_CONVERGENCE = {(0.005, 0.1), (0.005, 0.2), (0.01, 1e-2), (0.01, 0.2), (0.98, 0.2),
-                         (0.99, 1e-2), (0.99, 0.1), (0.99, 0.2), (0.995, 5e-2), (0.995, 0.1),
-                         (0.995, 0.2)}
+C2_ONLY = {(0.01, 0.1), (0.02, 0.2), (0.995, 3e-2)}
+# no reflecting band of the start's logit grid beats the floor
+NO_INTERIOR_BAND = {(0.005, 0.1), (0.005, 0.2), (0.01, 0.2), (0.99, 0.2), (0.995, 0.1),
+                    (0.995, 0.2)}
+# no start converges: the best band beats the floor by 5e-11 to 1e-9 with an
+# edge within 2.2e-7 of 0 or 1.  (0.98, 0.2) stops at a residual of 1.7e-10,
+# and at 2.2e-10 with mu one ulp higher (hhat * SIGMA * SIGMA)
+LIMIT_NON_CONVERGENCE = {(0.005, 5e-2), (0.98, 0.2), (0.99, 0.1), (0.995, 5e-2)}
 
 
 def _market(hhat):
@@ -74,6 +75,10 @@ def test_cold_limit_solve_verifies_or_keeps_its_listed_outcome(hhat, gamma):
         with pytest.raises(gf.NonConvergence, match="^no start converged"):
             gf.solve_limit(mp, gamma)
         return
+    if (hhat, gamma) in NO_INTERIOR_BAND:
+        with pytest.raises(gf.ParameterDegeneracy, match="^no interior optimum"):
+            gf.solve_limit(mp, gamma)
+        return
     sol = gf.solve_limit(mp, gamma)
     report = gf.verify_hjb_limit(mp, gamma, sol, 501)
     assert report.passed == ((hhat, gamma) not in UNRESOLVED_BAND | C2_ONLY)
@@ -88,10 +93,6 @@ def test_cold_limit_solve_verifies_or_keeps_its_listed_outcome(hhat, gamma):
 def test_cold_impulse_solve_verifies_or_is_named_on_the_lopsided_grid(hhat, gamma):
     mp = _market(hhat)
     cp = gf.CostParams(delta=1e-3, gamma=gamma)
-    if (hhat, gamma) in LIMIT_NON_CONVERGENCE:
-        with pytest.raises(gf.NonConvergence, match="^no start converged"):
-            gf.solve_boundaries(mp, cp)
-        return
     try:
         sol = gf.solve_boundaries(mp, cp)
     except gf.ParameterDegeneracy as err:

@@ -239,6 +239,35 @@ def test_lopsided_heavy_cost_solves_cold(hhat):
     assert gf.verify_hjb_limit(mp, 0.05, lim, 501).passed
 
 
+def band_growth(mp, gamma, A, B):
+    """r + l of the reflected band [A, B].  The no-trade slopes are
+    slope_g(x, hhat, l) + C e^{p(logit hhat - logit x)}/(x(1-x)), p = 2 hhat - 1,
+    affine in (l, C), so the trade cost's slopes at A and B fix (l, C) by
+    one 2x2 solve."""
+    hhat, edges = gf.merton_fraction(mp), np.array([A, B])
+    g0 = gf.slope_g(mp, edges, hhat, 0.0)
+    g_l = gf.slope_g(mp, edges, hhat, 1.0) - g0
+    e = (np.exp((2 * hhat - 1) * (gf.to_centered(hhat) - gf.to_centered(edges)))
+         / (edges * (1 - edges)))
+    s = np.array([gamma / (1 + gamma * A), -gamma / (1 - gamma * B)])
+    l, _ = np.linalg.solve(np.column_stack([g_l, e]), s - g0)
+    return mp.r + l
+
+
+@pytest.mark.parametrize("gamma", [1e-4, 3e-3, 3e-2])
+@pytest.mark.parametrize("hhat", [0.1, 0.3, 0.5, 0.6, 0.9])
+def test_band_growth_is_exact_at_the_root_and_at_the_start(hhat, gamma):
+    # the start is the best band of the logit grid, priced in closed form;
+    # the same form gives r + l0 at the root, which no grid band exceeds
+    mp = gf.MarketParams(r=0.0, mu=hhat * 0.16, sigma=0.4)
+    root = gf.solve_limit(mp, gamma).candidate
+    assert band_growth(mp, gamma, root.A, root.B) == pytest.approx(mp.r + root.l0, rel=1e-13)
+    l0, x0, A, B = _slope.best_band(mp, gamma)
+    assert A < x0 == gf.merton_fraction(mp) < B
+    assert band_growth(mp, gamma, A, B) == pytest.approx(mp.r + l0, rel=1e-13)
+    assert l0 <= root.l0 * (1 + 1e-13)
+
+
 def test_band_between_grid_points_is_reported_not_raised():
     # at hhat = 0.005 and gamma = 1e-5 the band is about 1.4e-3 wide and
     # holds no point of the 0.002-spaced grid: the check fails, by report

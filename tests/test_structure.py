@@ -1,7 +1,8 @@
 """Structure of the solver core: an acyclic import graph with every import at
-module level, one Newton start loop shared by both solvers, one grid verifier
-for both models, one kernel call of each kind per limit residual, and
-quadrature rules built on first use."""
+module level, one Newton start loop shared by both solvers, one Newton run
+and no limit solve in a cold impulse solve, one grid verifier for both
+models, one kernel call of each kind per limit residual, and quadrature
+rules built on first use."""
 
 import ast
 import os
@@ -86,6 +87,23 @@ def test_each_jacobian_is_one_stacked_residual_call(solver, mp, cp):
     stacked = [np.size(c.x0) for c in calls if is_stacked(c)]
     assert result.newton_iters > 0
     assert stacked == [width] * result.newton_iters
+
+
+def test_a_cold_impulse_solve_is_one_newton_run_and_no_limit_solve(mp, cp):
+    # the cold seed searches around the best reflecting band, not a solved limit
+    calls = []
+
+    def counting(module, name):
+        original = getattr(module, name)
+        return lambda *args, **kwargs: calls.append(name) or original(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module, name in ((limit, "solve_limit"), (limit, "residual_system_limit"),
+                             (_slope, "damped_newton")):
+            patch.setattr(module, name, counting(module, name))
+        sol = gf.solve_boundaries(mp, cp)
+    assert calls == ["damped_newton"]
+    assert sol.newton_iters > 0
 
 
 def test_a_limit_residual_is_one_slope_and_one_slope_derivative_call(mp, lim):
