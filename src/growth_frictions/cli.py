@@ -22,7 +22,7 @@ import numpy as np
 
 from . import lab, limit, qvi, simulate
 from ._slope import NonConvergence, ParameterDegeneracy
-from .market import CostParams, MarketParams, ParameterError
+from .market import CostParams, MarketParams, ParameterError, check_deltas
 
 DEFAULT_SWEEP_DELTAS = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 1e-5, 1e-6)
 DEFAULT_COUPLE_DELTAS = (1e-2, 1e-3, 1e-4)
@@ -52,11 +52,8 @@ def _parse_bool(s: str) -> bool:
 
 
 def _parse_deltas(s: str) -> tuple:
-    deltas = tuple(float(tok) for tok in s.split(",") if tok.strip())
-    if (not deltas or any(d <= 0 for d in deltas)
-            or any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:]))):
-        raise ValueError("deltas must be one or more positive values in decreasing order")
-    return deltas
+    """The comma-separated delta grid, checked as at gamma = 0."""
+    return tuple(check_deltas([float(tok) for tok in s.split(",") if tok.strip()], 0.0))
 
 
 def _checked(caster, ok, rule: str):

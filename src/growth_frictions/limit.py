@@ -17,9 +17,9 @@ rows move by 1/half per ulp of l0 near an edge.  The value function is the
 impulse ValueFunction at delta = 0 with anchor (l0, x0, A, A, B, B), and its
 HJB check is the impulse verifier at delta = 0 (where the obstacle Mu <= u
 is the integrated form of the two gradient constraints) plus the C2 row,
-the scaled rows divided back by half.  The solve runs through the impulse
-solver's start loop, ``_slope.newton_from_starts``, from the same cold
-start, the band of best exact growth; only the residual differs.
+max |g' + s^2| at the edges, read off g' itself.  The solve runs through
+the impulse solver's start loop, ``_slope.newton_from_starts``, from the
+same cold start, the band of best exact growth; only the residual differs.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from ._slope import (NewtonUnknowns, NonConvergence, ParameterDegeneracy, ValueFunction,
                      VerificationReport, _slope_dx, best_band, newton_from_starts, slope_g,
-                     verify_qvi)
+                     slope_g_dx, verify_qvi)
 from .market import CostParams, MarketParams, ParameterError, check_growth_excess
 
 __all__ = [
@@ -128,16 +128,15 @@ def verify_hjb_limit(mp: MarketParams, gamma: float, sol: LimitSolution,
 
     The claim comes from ``sol.candidate`` and the curve from the value
     function built from it; verify_qvi at delta = 0 checks the one against
-    the other, and the anchored candidate's second-order rows over half
-    give the C2 row, which is nan when the claim breaks 0 < A < B < 1 or
-    0 < x0 < 1.  Violations are reported, never raised.
+    the other, and max |g' + s^2| at the claim's edges, with s the trade
+    cost's slope there, is the C2 row, which is nan when the claim breaks
+    0 < A < B < 1 or 0 < x0 < 1.  Violations are reported, never raised.
     """
     vf = replace(build_limit_value(mp, gamma, sol), candidate=sol.candidate)
     report = verify_qvi(mp, CostParams(0.0, gamma), vf, grid_n, tol)
     l0, x0, A, _, _, B = vf.anchor
-    cand, edges = LimitCandidate(l0, x0, A, B), np.array([A, B])
-    half = 0.5 * mp.sigma * mp.sigma * (edges * (1.0 - edges)) ** 2
-    mism = (float(np.max(np.abs(residual_system_limit(mp, gamma, cand)[2:] / half)))
-            if cand.ordering_ok() else np.nan)  # a breached ordering has no C2 row
+    s = np.array([gamma / (1.0 + gamma * A), -gamma / (1.0 - gamma * B)])
+    mism = (float(np.max(np.abs(slope_g_dx(mp, np.array([A, B]), x0, l0) + s * s)))
+            if LimitCandidate(l0, x0, A, B).ordering_ok() else np.nan)  # no C2 row then
     return HJBReport(**{**vars(report), "passed": report.passed and mism <= SECOND_ORDER_TOL},
                      second_deriv_mismatch=mism)

@@ -75,16 +75,15 @@ class CostParams:
 
 
 def check_deltas(deltas, gamma: float) -> list:
-    """A grid of fixed costs as floats, checked before any solve: positive,
-    strictly decreasing and below 1 - gamma.  Raises ValueError, since a
-    bad grid is bad input rather than a broken model invariant."""
+    """A grid of fixed costs as floats, checked before any solve: one or
+    more values 0 < d < 1 - gamma, strictly decreasing, each rule a
+    comparison that a NaN fails.  Raises ValueError, since a bad grid is
+    bad input rather than a broken model invariant."""
     deltas = [float(d) for d in deltas]
-    if not deltas or any(d <= 0 for d in deltas):
-        raise ValueError("deltas must be positive")
-    if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
-        raise ValueError("deltas must be sorted in decreasing order")
-    if any(d >= 1.0 - gamma for d in deltas):
-        raise ValueError("every delta must stay below 1 - gamma")
+    if not (deltas and all(0.0 < d < 1.0 - gamma for d in deltas)
+            and all(d2 < d1 for d1, d2 in zip(deltas, deltas[1:]))):
+        raise ValueError("deltas must be one or more values in (0, 1 - gamma), "
+                         f"strictly decreasing; got {deltas}")
     return deltas
 
 

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import limit as _limit
 from ._policy import _renewal_batch
 from ._slope import (PASTING_TOL, RESIDUAL_TOL, NewtonUnknowns, NonConvergence,
                      ParameterDegeneracy, ValueFunction, VerificationReport, _pasting_rows,
@@ -51,8 +50,8 @@ __all__ = [
 class BoundaryCandidate(NewtonUnknowns):
     """The six unknowns of the fixed-plus-proportional problem.
 
-    At a solution: 0 < a < alpha <= x0 <= beta < b < 1 (strictly
-    alpha < x0 < beta when gamma > 0) and max{f(0), f(1)} < l < f(hhat).
+    At a solution: 0 < a < alpha < x0 < beta < b < 1 and
+    max{f(0), f(1)} < l < f(hhat).
     Intermediate Newton iterates need not satisfy any of this.
     """
 
@@ -72,14 +71,12 @@ class BoundaryCandidate(NewtonUnknowns):
         """(l, x0, a, alpha, beta, b), the claim verify_qvi checks."""
         return (self.l, self.x0, self.a, self.alpha, self.beta, self.b)
 
-    def check_invariants(self, mp: MarketParams, cp: CostParams) -> None:
+    def check_invariants(self, mp: MarketParams) -> None:
         """Full solution invariants; raises ParameterError naming the breach."""
         if not self.ordering_ok():
             raise ParameterError("0 < a < alpha <= beta < b < 1")
-        if not self.alpha <= self.x0 <= self.beta:
-            raise ParameterError("alpha <= x0 <= beta")
-        if cp.gamma > 0 and not self.alpha < self.x0 < self.beta:
-            raise ParameterError("alpha < x0 < beta for gamma > 0")
+        if not self.alpha < self.x0 < self.beta:
+            raise ParameterError("alpha < x0 < beta")
         check_growth_excess(mp, self.l, "l")
 
 
@@ -107,9 +104,9 @@ def residual_system(mp: MarketParams, cp: CostParams, cand: BoundaryCandidate) -
                            [integral[0] + cost[0], integral[1] - cost[1]]])
 
 
-def _oracle_seed(mp, cp, lim_cand):
+def _oracle_seed(mp, cp, A, B):
     """Seed Newton by maximising the exact renewal value of the policy over
-    log-spaced widening/inset offsets around the reflecting band lim_cand.
+    log-spaced widening/inset offsets around the reflecting band [A, B].
 
     A seed that opens the no-trade region symmetrically fails badly for
     lopsided Merton fractions; searching the policy value directly (cheap:
@@ -120,10 +117,10 @@ def _oracle_seed(mp, cp, lim_cand):
     If no searched policy beats the floor r + max{f(0), f(1)} of never
     trading (or holding only stock), there is no interior optimum to seed
     and ParameterDegeneracy is raised; a DegenerateChain of the pricer
-    propagates as itself.
+    propagates as itself.  The seed's l is the best growth less r, and its
+    x0 the logit midpoint of (alpha, beta).
     """
-    a_lim = to_centered(lim_cand.A)
-    b_lim = to_centered(lim_cand.B)
+    a_lim, b_lim = to_centered(A), to_centered(B)
     widen = np.geomspace(5e-3, 4.0, 14)
     inset = np.geomspace(2e-3, 2.0, 12)
     offsets = (widen, widen, inset, inset)
@@ -148,10 +145,8 @@ def _oracle_seed(mp, cp, lim_cand):
         raise ParameterDegeneracy(
             f"no interior optimum: best renewal growth {value:.10g} does not exceed "
             f"r + max{{f(0), f(1)}} = {mp.r + floor:.10g}")
-    l = max(value - mp.r, floor + 1e-3 * (lim_cand.l0 - floor))
     x0 = from_centered(0.5 * (to_centered(al) + to_centered(be)))
-    x0 = min(max(x0, al + 1e-3 * (be - al)), be - 1e-3 * (be - al))
-    return BoundaryCandidate(l=l, x0=x0, a=a, alpha=al, beta=be, b=b)
+    return BoundaryCandidate(l=value - mp.r, x0=x0, a=a, alpha=al, beta=be, b=b)
 
 
 def _starts(mp, cp, init):
@@ -159,7 +154,7 @@ def _starts(mp, cp, init):
     renewal searches around it run only when the warm start fails."""
     if init is not None:
         yield init
-    yield _oracle_seed(mp, cp, _limit.LimitCandidate(*best_band(mp, cp.gamma)))
+    yield _oracle_seed(mp, cp, *best_band(mp, cp.gamma)[2:])
 
 
 def solve_boundaries(mp: MarketParams, cp: CostParams,
@@ -179,7 +174,7 @@ def solve_boundaries(mp: MarketParams, cp: CostParams,
         raise ParameterDegeneracy("impulse boundary solver requires gamma > 0")
     cand, iters, norm = newton_from_starts(
         BoundaryCandidate, lambda c: residual_system(mp, cp, c), _starts(mp, cp, init),
-        lambda c: c.check_invariants(mp, cp))
+        lambda c: c.check_invariants(mp))
     return BoundarySolution(
         candidate=cand,
         residual_norm=norm,

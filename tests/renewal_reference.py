@@ -52,11 +52,11 @@ def renewal_batch(mp, cp, a, al, be, b):
     return mp.r + reward / length
 
 
-def oracle_seed(mp, cp, lim_cand):
-    """The renewal seed over the flattened meshgrid of logit offsets, its
-    ordered candidates priced by renewal_batch."""
-    a_lim = to_centered(lim_cand.A)
-    b_lim = to_centered(lim_cand.B)
+def oracle_seed(mp, cp, A, B):
+    """The renewal seed around the band [A, B] over the flattened meshgrid
+    of logit offsets, its ordered candidates priced by renewal_batch."""
+    a_lim = to_centered(A)
+    b_lim = to_centered(B)
     widen = np.geomspace(5e-3, 4.0, 14)
     inset = np.geomspace(2e-3, 2.0, 12)
     offsets = (widen, widen, inset, inset)
@@ -81,15 +81,14 @@ def oracle_seed(mp, cp, lim_cand):
         raise ParameterDegeneracy(
             f"no interior optimum: best renewal growth {value:.10g} does not exceed "
             f"r + max{{f(0), f(1)}} = {mp.r + floor:.10g}")
-    l = max(value - mp.r, floor + 1e-3 * (lim_cand.l0 - floor))
     x0 = from_centered(0.5 * (to_centered(al) + to_centered(be)))
-    x0 = min(max(x0, al + 1e-3 * (be - al)), be - 1e-3 * (be - al))
-    return BoundaryCandidate(l=l, x0=x0, a=a, alpha=al, beta=be, b=b)
+    return BoundaryCandidate(l=value - mp.r, x0=x0, a=a, alpha=al, beta=be, b=b)
 
 
 def seed_outcome(seed, mp, cp, lim_cand):
-    """repr of seed(mp, cp, lim_cand), or of the error it raised."""
+    """repr of seed(mp, cp, A, B) around the band of lim_cand, or of the
+    error it raised."""
     try:
-        return repr(seed(mp, cp, lim_cand))
+        return repr(seed(mp, cp, lim_cand.A, lim_cand.B))
     except (ValueError, RuntimeError) as err:
         return f"{type(err).__name__}: {err}"

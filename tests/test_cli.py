@@ -366,6 +366,8 @@ def test_seventeen_digit_round_trip(config_file, tmp_path):
     ["sweep", "--deltas", ","],  # no delta at all, not the default grid
     ["couple", "--deltas", ","],
     ["sweep", "--deltas", ""],
+    ["sweep", "--deltas", "nan,1e-3,1e-4"],  # a NaN fails every comparison
+    ["couple", "--deltas", "1e-2,nan"],
 ])
 def test_bad_input_is_one_config_error_before_solving(argv, config_file, tmp_path,
                                                       capsys, monkeypatch):

@@ -259,7 +259,7 @@ def test_oracle_quadrature_prices_each_side_on_its_own_axes(mp, cp, sol, lim, mo
     side = _policy._green_side
     monkeypatch.setattr(_policy, "_green_side", lambda fn, za, zb, kernel: rows.append(
         np.broadcast(za, zb).size) or side(fn, za, zb, kernel))
-    qvi._oracle_seed(mp, cp, lim.candidate)
+    qvi._oracle_seed(mp, cp, lim.candidate.A, lim.candidate.B)
     assert max(rows) == 14 * 14 * 12
     rows.clear()
     gf.brute_force_boundaries(mp, cp, sol.candidate, radius=0.02, step=2e-3)

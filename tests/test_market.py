@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import growth_frictions as gf
+from growth_frictions.market import check_deltas
 
 # frozen with 50-digit arithmetic
 LN_1P5 = 0.40546510810816438
@@ -42,6 +43,14 @@ def test_cost_params_invariants():
 def test_negative_gamma_is_named():
     with pytest.raises(gf.ParameterError, match="^gamma >= 0$"):
         gf.CostParams(delta=0.0, gamma=-0.1)
+
+
+@pytest.mark.parametrize("deltas", [[np.nan], [], [1e-2, 1e-2], [1e-2, np.nan], [0.998]],
+                         ids=["nan", "empty", "repeated", "trailing-nan", "above-1-gamma"])
+def test_check_deltas_rejects_a_grid_outside_its_rule(deltas):
+    with pytest.raises(ValueError, match=r"^deltas must be one or more values in \(0, 1 - gamma\)"):
+        check_deltas(deltas, 0.003)
+    assert check_deltas((1e-2, 1e-3), 0.003) == [1e-2, 1e-3]
 
 
 def test_growth_integrand_fig2_values(mp):

@@ -118,6 +118,17 @@ def test_build_value_requires_c1_pasting(mp, cp, sol, miss, monkeypatch):
         gf.build_value(mp, cp, sol)
 
 
+@pytest.mark.parametrize("x0", ["alpha", "beta", "below", "above"])
+def test_x0_outside_the_open_targets_breaks_the_invariants(mp, sol, x0):
+    # the solver accepts a root only with x0 strictly between the targets
+    c = sol.candidate
+    moved = {"alpha": c.alpha, "beta": c.beta, "below": 0.5 * (c.a + c.alpha),
+             "above": 0.5 * (c.beta + c.b)}[x0]
+    with pytest.raises(gf.ParameterError, match="^alpha < x0 < beta$"):
+        dataclasses.replace(c, x0=moved).check_invariants(mp)
+    c.check_invariants(mp)
+
+
 def test_tiny_gamma_closes_target_gap(mp):
     sol = gf.solve_boundaries(mp, gf.CostParams(delta=1e-3, gamma=1e-8))
     assert sol.candidate.beta - sol.candidate.alpha < 1e-3
@@ -396,7 +407,7 @@ def _seed_batches(hhat, gamma, delta, monkeypatch, perturb=None):
 
     monkeypatch.setattr(qvi, "_renewal_batch", spy)
     lim = gf.solve_limit(mp, gamma).candidate
-    return qvi._oracle_seed(mp, cp, lim), lim, batches
+    return qvi._oracle_seed(mp, cp, lim.A, lim.B), lim, batches
 
 
 def test_seed_lets_a_degenerate_chain_through(mp, cp, lim, monkeypatch):
@@ -407,7 +418,7 @@ def test_seed_lets_a_degenerate_chain_through(mp, cp, lim, monkeypatch):
 
     monkeypatch.setattr(qvi, "_renewal_batch", absorbing)
     with pytest.raises(gf.DegenerateChain, match="injected absorbing chain"):
-        qvi._oracle_seed(mp, cp, lim.candidate)
+        qvi._oracle_seed(mp, cp, lim.candidate.A, lim.candidate.B)
 
 
 def test_seed_refines_each_offset_on_its_own_grid(monkeypatch):

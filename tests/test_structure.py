@@ -1,8 +1,9 @@
 """Structure of the solver core: an acyclic import graph with every import at
-module level, one Newton start loop shared by both solvers, one Newton run
-and no limit solve in a cold impulse solve, one grid verifier for both
-models, one kernel call of each kind per limit residual, and quadrature
-rules built on first use."""
+module level, in which the two solvers import neither each other and the
+core below them only the market, one Newton start loop shared by both
+solvers, one Newton run and no limit solve in a cold impulse solve, one
+grid verifier for both models, one kernel call of each kind per limit
+residual, and quadrature rules built on first use."""
 
 import ast
 import os
@@ -31,6 +32,27 @@ def test_no_import_inside_a_function(path):
                 for node in ast.walk(fn)
                 if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert deferred == []
+
+
+def _package_imports(name):
+    """The package modules that module `name` imports, at any depth."""
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+    paths = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names]
+    paths += [".".join(filter(None, ["growth_frictions"] * bool(node.level)
+                                    + [node.module, alias.name]))
+              for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names]
+    return {p.split(".")[1] for p in paths if p.startswith("growth_frictions.")}
+
+
+def test_the_solvers_are_siblings_over_the_slope_core():
+    # qvi and limit share _slope and _policy, never each other; the core
+    # below them reads only the market primitives
+    assert "limit" not in _package_imports("qvi")
+    assert "qvi" not in _package_imports("limit")
+    assert _package_imports("_policy") == _package_imports("_slope") == {"market"}
+    assert {"_slope", "_policy"} <= _package_imports("qvi")
 
 
 def test_import_builds_no_gauss_legendre_rule():
