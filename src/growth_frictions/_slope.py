@@ -14,16 +14,19 @@ is needed anywhere in the solvers.
 
 Derivatives of g are evaluated through the continuation ODE rearranged,
 g'(x) = (l - f(x) - x(1-x)(mu - r - sigma^2 x) g(x)) / (sigma^2 x^2 (1-x)^2 / 2),
-which is exact because g solves that ODE identically in (x0, l).
+which is exact because g solves that ODE identically in (x0, l); the drift
+and the divisor half(x) are ``market.generator_coefficients``.  Every slope
+of the trade cost that g meets, at restart targets and trade triggers and
+outside [a, b], is ``market.edge_slopes``.
 
 ``ValueFunction`` is the piecewise value function of both models (the
 reflecting limit is its case delta = 0, a = alpha = A, beta = b = B), and
 ``verify_qvi`` is the one grid check of both: the variational inequality
 max{Du + f - l, Mu - u} = 0, which at delta = 0 is the reflecting limit's
 HJB equation.  The check is O(n) in time and memory: the trade cost is
-separable, log num(x) - log den(y) with the branch set by y > x, so the
-intervention operator Mu and its argmax target are a suffix and a prefix
-scan over the sorted trade targets.
+separable, log num(x) - log den(y) (``market.cost_terms``) with the branch
+set by y > x, so the intervention operator Mu and its argmax target are a
+suffix and a prefix scan over the sorted trade targets.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .market import (EPS, CostParams, MarketParams, apply_generator, from_centered,
-                     growth_integrand, merton_fraction, no_trade_floor, to_centered,
-                     trade_cost_gamma)
+from .market import (EPS, CostParams, MarketParams, apply_generator, cost_terms, edge_slopes,
+                     from_centered, generator_coefficients, growth_integrand, merton_fraction,
+                     no_trade_floor, to_centered, trade_cost_gamma)
 
 
 # A solve is accepted when the residual max-norm is at most RESIDUAL_TOL; a
@@ -106,16 +109,15 @@ def slope_g(mp: MarketParams, x, x0: float, l: float):
 def slope_g_dx(mp: MarketParams, x, x0: float, l: float):
     """x-derivative of slope_g, via the continuation ODE rearranged."""
     x = np.asarray(x, dtype=float)
-    out = _slope_dx(mp, x, np.asarray(slope_g(mp, x, x0, l)), l)
+    out = _slope_dx(mp, x, np.asarray(slope_g(mp, x, x0, l)), l)[0]
     return out if out.ndim else float(out)
 
 
 def _slope_dx(mp: MarketParams, x, g, l):
-    """g'(x) from g = slope_g(x) at the same x, via the continuation ODE."""
-    s2 = mp.sigma * mp.sigma
-    drift = x * (1.0 - x) * (mp.mu - mp.r - s2 * x)
-    half = 0.5 * s2 * (x * (1.0 - x)) ** 2
-    return (l - growth_integrand(mp, x) - drift * g) / half
+    """g'(x) from g = slope_g(x) at the same x, via the continuation ODE, and
+    the diffusion coefficient half(x) it divides by."""
+    drift, half = generator_coefficients(mp, x)
+    return (l - growth_integrand(mp, x) - drift * g) / half, half
 
 
 def slope_g_integral(mp: MarketParams, x_from, x_to, x0: float, l: float):
@@ -151,10 +153,10 @@ def best_band(mp: MarketParams, gamma: float) -> tuple:
     so the trade cost's slopes at A and B fix (l, C) by a 2x2 system whose
     rows over e are priced on each edge's own axis.  ParameterDegeneracy
     when no band beats the floor max{f(0), f(1)}."""
-    hhat, p, side = merton_fraction(mp), _power(mp), np.array([[1.0], [-1.0]])  # rows: A, B
-    u = np.geomspace(1e-4, 14.0, 60) * side
+    hhat, p = merton_fraction(mp), _power(mp)
+    u = np.geomspace(1e-4, 14.0, 60) * np.array([[1.0], [-1.0]])  # rows: A, B
     x = from_centered(to_centered(hhat) - u)
-    slope = side * gamma / (1.0 + side * gamma * x)
+    slope = edge_slopes(gamma, 0.0, *x)
     z = -(2.0 / (mp.sigma * mp.sigma)) * u * _e1(-p * u)  # z/e < 0 at A, > 0 at B
     c = (slope * x * (1.0 - x) + x) * np.exp(-p * u)  # (slope + 1/(1-x))/e
     lo, hi = x[0] > EPS, x[1] < 1.0 - EPS
@@ -233,29 +235,31 @@ class ValueFunction:
                                lambda y: self.u_at_a + slope_g_integral(self.market, a, y, x0, l),
                                lambda y: self.u_at_beta + trade_cost_gamma(self.costs, y, be))
 
+    def _cost_slopes(self, y):
+        """The trade cost's x-slopes at y on the buying and the selling branch."""
+        return edge_slopes(self.costs.gamma, self.costs.delta, y, y)
+
     def du(self, x):
         l, x0 = self.anchor[:2]
-        gm, dl = self.costs.gamma, self.costs.delta
-        return self._piecewise(x, lambda y: gm / (1.0 - dl + gm * y),
+        return self._piecewise(x, lambda y: self._cost_slopes(y)[0],
                                lambda y: slope_g(self.market, y, x0, l),
-                               lambda y: -gm / (1.0 - dl - gm * y))
+                               lambda y: self._cost_slopes(y)[1])
 
     def ddu(self, x):
+        # outside [a, b] u' is the trade cost's slope s = +-gamma/(1 - delta +- gamma x): u'' = -s^2
         l, x0 = self.anchor[:2]
-        gm, dl = self.costs.gamma, self.costs.delta
-        return self._piecewise(x, lambda y: -gm * gm / (1.0 - dl + gm * y) ** 2,
+        return self._piecewise(x, lambda y: -self._cost_slopes(y)[0] ** 2,
                                lambda y: slope_g_dx(self.market, y, x0, l),
-                               lambda y: -gm * gm / (1.0 - dl - gm * y) ** 2)
+                               lambda y: -self._cost_slopes(y)[1] ** 2)
 
 
 def _pasting_rows(mp: MarketParams, cp: CostParams, l, x0, a, alpha, beta, b):
     """C1 pasting residuals: g at (alpha, beta, a, b) minus the slope of the
     trade cost there, the restart targets first, then the trade triggers.
     Element-wise, so a stack of candidates gives one column each."""
-    gm, dl = cp.gamma, cp.delta
     g = slope_g(mp, np.array([alpha, beta, a, b]), x0, l)
-    return g - np.array([gm / (1.0 + gm * alpha), -gm / (1.0 - gm * beta),
-                         gm / (1.0 - dl + gm * a), -gm / (1.0 - dl - gm * b)])
+    return g - np.concatenate([edge_slopes(cp.gamma, 0.0, alpha, beta),
+                               edge_slopes(cp.gamma, cp.delta, a, b)])
 
 
 @dataclass(frozen=True)
@@ -310,9 +314,9 @@ def _intervention(cp: CostParams, x, targets, u_targets):
     then computed as a full search computes them, so Mu agrees with it to
     rounding; a tie goes to the selling target, the smaller one."""
     above = np.searchsorted(targets, x, side="right")  # first target > x
-    sell = _best_so_far(u_targets - np.log(1.0 - cp.gamma * targets))[above - 1]
-    buy_from = targets.size - 1 - _best_so_far(
-        (u_targets - np.log(1.0 + cp.gamma * targets))[::-1])[::-1]
+    _, (den_sell, den_buy) = cost_terms(cp, targets, targets, np.array([[-1.0], [1.0]]))
+    sell = _best_so_far(u_targets - np.log(den_sell))[above - 1]
+    buy_from = targets.size - 1 - _best_so_far((u_targets - np.log(den_buy))[::-1])[::-1]
     # no target above x: its buying gain repeats selling
     buy = np.append(buy_from, -1)[above]
     buy = np.where(buy < 0, sell, buy)

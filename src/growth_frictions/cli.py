@@ -83,7 +83,7 @@ _KEYS = {
     "v0": (float, 1.0),
     "h0": (float, None),
     "n_paths": (int, 1000),
-    "seed": (int, None),
+    "seed": (_checked(int, lambda n: n >= 0, "seed must be non-negative"), None),
     "bridge_correction": (_parse_bool, False),
     "dump_paths": (_parse_bool, False),
     # the four boundaries, each searched over +-radius, fit in order inside
@@ -93,6 +93,14 @@ _KEYS = {
              2e-3),
     "solution": (str, None),
 }
+
+
+def _cast(key: str, raw: str, where: str):
+    """raw read by key's caster; a bad value is a ConfigError naming where."""
+    try:
+        return _KEYS[key][0](raw)
+    except ValueError as err:
+        raise ConfigError(f"{where}: bad value for '{key}': {err}") from None
 
 
 @dataclass(frozen=True)
@@ -118,9 +126,7 @@ class RunConfig:
 
     def seed(self) -> int:
         v = self.values["seed"]
-        if v is None:
-            v = int(os.environ.get("GF_SEED", "0"))
-        return v
+        return _cast("seed", os.getenv("GF_SEED", "0"), "environment GF_SEED") if v is None else v
 
     def sim(self) -> simulate.SimConfig:
         return simulate.SimConfig(
@@ -142,11 +148,7 @@ def parse_config(path: str | None = None, overrides: dict | None = None,
     def assign(key: str, raw: str, where: str):
         if key not in _KEYS:
             raise ConfigError(f"{where}: unknown key '{key}'")
-        caster = _KEYS[key][0]
-        try:
-            values[key] = caster(raw)
-        except ValueError as err:
-            raise ConfigError(f"{where}: bad value for '{key}': {err}") from None
+        values[key] = _cast(key, raw, where)
 
     if path is not None:
         try:

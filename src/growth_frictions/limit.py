@@ -13,13 +13,17 @@ i.e. the delta -> 0 limit of the six-equation system once a and alpha merge
 into A and beta and b merge into B.  The solver states the g' rows times
 half(x) = sigma^2 x^2 (1-x)^2 / 2, in the HJB equation's units: g' is the
 continuation ODE divided by half, which vanishes at 0 and 1, so unscaled
-rows move by 1/half per ulp of l0 near an edge.  The value function is the
-impulse ValueFunction at delta = 0 with anchor (l0, x0, A, A, B, B), and its
-HJB check is the impulse verifier at delta = 0 (where the obstacle Mu <= u
-is the integrated form of the two gradient constraints) plus the C2 row,
-max |g' + s^2| at the edges, read off g' itself.  The solve runs through
-the impulse solver's start loop, ``_slope.newton_from_starts``, from the
-same cold start, the band of best exact growth; only the residual differs.
+rows move by 1/half per ulp of l0 near an edge.  The right-hand sides are
+the trade cost's slopes s at the edges, ``market.edge_slopes`` at
+delta = 0, and -s^2; half is the diffusion coefficient of
+``market.generator_coefficients``, which ``_slope._slope_dx`` returns with
+g'.  The value function is the impulse ValueFunction at delta = 0 with
+anchor (l0, x0, A, A, B, B), and its HJB check is the impulse verifier at
+delta = 0 (where the obstacle Mu <= u is the integrated form of the two
+gradient constraints) plus the C2 row, max |g' + s^2| at the edges, read
+off g' itself.  The solve runs through the impulse solver's start loop,
+``_slope.newton_from_starts``, from the same cold start, the band of best
+exact growth; only the residual differs.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 from ._slope import (NewtonUnknowns, NonConvergence, ParameterDegeneracy, ValueFunction,
                      VerificationReport, _slope_dx, best_band, newton_from_starts, slope_g,
                      slope_g_dx, verify_qvi)
-from .market import CostParams, MarketParams, ParameterError, check_growth_excess
+from .market import CostParams, MarketParams, ParameterError, check_growth_excess, edge_slopes
 
 __all__ = [
     "LimitCandidate", "LimitSolution", "HJBReport",
@@ -78,10 +82,10 @@ def residual_system_limit(mp: MarketParams, gamma: float, cand: LimitCandidate) 
     if not cand.ordering_ok():
         raise ParameterDegeneracy("candidate ordering 0 < A < B < 1 violated")
     edges = np.array([cand.A, cand.B])
-    s = np.array([gamma / (1.0 + gamma * cand.A), -gamma / (1.0 - gamma * cand.B)])
+    s = edge_slopes(gamma, 0.0, cand.A, cand.B)
     g = slope_g(mp, edges, cand.x0, cand.l0)
-    half = 0.5 * mp.sigma * mp.sigma * (edges * (1.0 - edges)) ** 2
-    return np.concatenate([g - s, half * (_slope_dx(mp, edges, g, cand.l0) + s * s)])
+    dg, half = _slope_dx(mp, edges, g, cand.l0)
+    return np.concatenate([g - s, half * (dg + s * s)])
 
 
 def solve_limit(mp: MarketParams, gamma: float,
@@ -135,7 +139,7 @@ def verify_hjb_limit(mp: MarketParams, gamma: float, sol: LimitSolution,
     vf = replace(build_limit_value(mp, gamma, sol), candidate=sol.candidate)
     report = verify_qvi(mp, CostParams(0.0, gamma), vf, grid_n, tol)
     l0, x0, A, _, _, B = vf.anchor
-    s = np.array([gamma / (1.0 + gamma * A), -gamma / (1.0 - gamma * B)])
+    s = edge_slopes(gamma, 0.0, A, B)
     mism = (float(np.max(np.abs(slope_g_dx(mp, np.array([A, B]), x0, l0) + s * s)))
             if LimitCandidate(l0, x0, A, B).ordering_ok() else np.nan)  # no C2 row then
     return HJBReport(**{**vars(report), "passed": report.passed and mism <= SECOND_ORDER_TOL},

@@ -5,7 +5,8 @@ The model is a Black-Scholes market with one bond (rate r) and one stock
 fraction h = stock value / total wealth, living in (0, 1).  Rebalancing from
 fraction h to target xi costs a fixed fraction delta of wealth plus a
 proportional fraction gamma of the traded volume; the exact post-trade wealth
-multiplier is ``wealth_factor``.
+multiplier is ``wealth_factor``.  The cost's branch terms, break-even rule and
+edge slopes, and the generator's coefficients, are written here only.
 
 The logit change of coordinates y = log(h / (1-h)) maps the fraction process
 onto the whole real line, where it becomes a Brownian motion with constant
@@ -147,6 +148,27 @@ def growth_integrand_transformed(mp: MarketParams, y):
     return growth_integrand(mp, from_centered(y))
 
 
+def cost_terms(cp: CostParams, x, y, side):
+    """Branch terms num = 1 - delta + side gamma x and den = 1 + side gamma y
+    of a trade from x to y, side +1 buying and -1 selling: trade_cost_gamma
+    is log num - log den, wealth_factor num/den.  Selling, they are
+    1 - delta - gamma x and 1 - gamma y bit for bit."""
+    return 1.0 - cp.delta + side * cp.gamma * x, 1.0 + side * cp.gamma * y
+
+
+def buys(cp: CostParams, h, xi):
+    """The original convention's break-even rule: a trade from h to xi buys
+    stock when xi (1 - delta) >= h."""
+    return xi * (1.0 - cp.delta) >= h
+
+
+def edge_slopes(gamma: float, delta: float, lo, hi):
+    """x-slopes of trade_cost_gamma at a band's buying edge lo and selling
+    edge hi as one (2, ...) array.  At delta = 0 they are bit for bit the
+    target slopes gamma/(1 +- gamma y), minus the cost's y-slopes there."""
+    return np.array([gamma / (1.0 - delta + gamma * lo), -gamma / (1.0 - delta - gamma * hi)])
+
+
 def trade_cost_gamma(cp: CostParams, x, y):
     """Log wealth-retention of a trade from fraction x to y, modified branch.
 
@@ -158,8 +180,7 @@ def trade_cost_gamma(cp: CostParams, x, y):
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if ((x < 0.0) | (x > 1.0) | (y < 0.0) | (y > 1.0)).any():
         raise ValueError("trade_cost_gamma requires fractions in [0, 1]")
-    num = np.where(y > x, 1.0 - cp.delta + cp.gamma * x, 1.0 - cp.delta - cp.gamma * x)
-    den = np.where(y > x, 1.0 + cp.gamma * y, 1.0 - cp.gamma * y)
+    num, den = cost_terms(cp, x, y, np.where(y > x, 1.0, -1.0))
     if ((num <= 0.0) | (den <= 0.0)).any():
         raise ValueError("trade_cost_gamma: logarithm argument not positive")
     out = np.log(num) - np.log(den)
@@ -179,12 +200,8 @@ def wealth_factor(cp: CostParams, h, xi):
     h, xi = np.asarray(h, dtype=float), np.asarray(xi, dtype=float)
     if ((h < 0.0) | (h > 1.0) | (xi < 0.0) | (xi > 1.0)).any():
         raise ValueError("wealth_factor requires fractions in [0, 1]")
-    buy = xi * (1.0 - cp.delta) >= h
-    out = np.where(
-        buy,
-        (1.0 - cp.delta + cp.gamma * h) / (1.0 + cp.gamma * xi),
-        (1.0 - cp.delta - cp.gamma * h) / (1.0 - cp.gamma * xi),
-    )
+    num, den = cost_terms(cp, h, xi, np.where(buys(cp, h, xi), 1.0, -1.0))
+    out = num / den
     return out if out.ndim else float(out)
 
 
@@ -199,10 +216,19 @@ def trade_cost_transformed(cp: CostParams, y, zeta):
     return out if out.ndim else float(out)
 
 
-def apply_generator(mp: MarketParams, u_val, du, ddu, x):
-    """Generator of the risky-fraction diffusion applied to (du, ddu) at x.
+def generator_coefficients(mp: MarketParams, x):
+    """Drift x(1-x)(mu - r - sigma^2 x) and diffusion coefficient
+    half = sigma^2 (x(1-x))^2 / 2 of the risky fraction: its generator is
+    drift d/dx + half d^2/dx^2."""
+    s2 = mp.sigma * mp.sigma
+    w = x * (1.0 - x)
+    return w * (mp.mu - mp.r - s2 * x), 0.5 * s2 * w ** 2
 
-    x(1-x)(mu - r - sigma^2 x) du + sigma^2 x^2 (1-x)^2 ddu / 2.
+
+def apply_generator(mp: MarketParams, u_val, du, ddu, x):
+    """Generator of the risky-fraction diffusion applied to (du, ddu) at x:
+    drift du + half ddu with ``generator_coefficients``.
+
     u_val is unused; the argument is kept for signature symmetry with the
     obstacle side of the variational inequality.
     """
@@ -210,8 +236,8 @@ def apply_generator(mp: MarketParams, u_val, du, ddu, x):
     x, du, ddu = (np.asarray(a, dtype=float) for a in (x, du, ddu))
     if ((x < 0.0) | (x > 1.0)).any():
         raise ValueError("apply_generator requires x in [0, 1]")
-    s2 = mp.sigma * mp.sigma
-    out = x * (1.0 - x) * (mp.mu - mp.r - s2 * x) * du + 0.5 * s2 * x * x * (1.0 - x) ** 2 * ddu
+    drift, half = generator_coefficients(mp, x)
+    out = drift * du + half * ddu
     return out if out.ndim else float(out)
 
 

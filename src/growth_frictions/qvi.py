@@ -34,7 +34,7 @@ from ._slope import (PASTING_TOL, RESIDUAL_TOL, NewtonUnknowns, NonConvergence,
                      ParameterDegeneracy, ValueFunction, VerificationReport, _pasting_rows,
                      best_band, newton_from_starts, slope_g, slope_g_dx, slope_g_integral,
                      verify_qvi)
-from .market import (EPS, CostParams, MarketParams, ParameterError,
+from .market import (EPS, CostParams, MarketParams, ParameterError, buys,
                      check_growth_excess, from_centered, no_trade_floor,
                      to_centered, trade_cost_gamma)
 
@@ -179,7 +179,7 @@ def solve_boundaries(mp: MarketParams, cp: CostParams,
         candidate=cand,
         residual_norm=norm,
         newton_iters=iters,
-        original_cost_optimal=bool(cand.a <= cand.alpha * (1.0 - cp.delta)),
+        original_cost_optimal=bool(buys(cp, cand.a, cand.alpha)),
     )
 
 

@@ -256,20 +256,18 @@ class _Band:
                               first_path=self.first())
 
     def first(self) -> PathRecord:
-        """The record of the first path of row 0.  A trade from h to xi out
-        of wealth V moves eta = V (xi (1 - delta) - h)/(1 +- gamma xi) into
-        stock, + when buying: the monetary rebalance identity that
-        wealth_factor's branches encode, so that dX = rX dt - delta V dN
-        + (1 - gamma) dM - (1 + gamma) dL."""
-        cfg, cp = self.cfg, self.cp
+        """The record of the first path of row 0.  A trade's volume is the
+        change in the stock holding, eta = V_after xi - V_before h, bought
+        when positive and sold when negative.  On either branch of
+        wealth_factor it equals V_before (xi (1 - delta) - h)/(1 +- gamma xi),
+        so that dX = rX dt - delta V dN + (1 - gamma) dM - (1 + gamma) dL."""
+        cfg = self.cfg
         steps = np.arange(cfg.n_steps + 1)
         wealths = np.exp(np.cumsum(self.trace[1]) + self.mp.r * cfg.dt * steps
                          + np.logaddexp(0.0, self.trace[0]))
         at, y_from, y_to, log_factor = (np.concatenate(col) for col in zip(*self.trace_trades))
         h, xi = from_centered(y_from), from_centered(y_to)
-        move = xi * (1.0 - cp.delta) - h
-        eta = wealths[at] / np.exp(log_factor) * move / (
-            1.0 + np.where(move >= 0.0, cp.gamma, -cp.gamma) * xi)
+        eta = wealths[at] * xi - wealths[at] / np.exp(log_factor) * h
         volumes = np.zeros((2, cfg.n_steps + 1))  # bought (L) and sold (M) at each step
         volumes[:, at] = np.maximum(eta, 0.0), np.maximum(-eta, 0.0)
         buy_volume, sell_volume = np.cumsum(volumes, axis=1)

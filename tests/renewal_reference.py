@@ -85,10 +85,10 @@ def oracle_seed(mp, cp, A, B):
     return BoundaryCandidate(l=value - mp.r, x0=x0, a=a, alpha=al, beta=be, b=b)
 
 
-def seed_outcome(seed, mp, cp, lim_cand):
-    """repr of seed(mp, cp, A, B) around the band of lim_cand, or of the
-    error it raised."""
+def seed_outcome(seed, mp, cp, band):
+    """repr of seed(mp, cp, A, B) around the band (A, B), or of the error it
+    raised."""
     try:
-        return repr(seed(mp, cp, lim_cand.A, lim_cand.B))
+        return repr(seed(mp, cp, *band))
     except (ValueError, RuntimeError) as err:
         return f"{type(err).__name__}: {err}"

@@ -368,6 +368,8 @@ def test_seventeen_digit_round_trip(config_file, tmp_path):
     ["sweep", "--deltas", ""],
     ["sweep", "--deltas", "nan,1e-3,1e-4"],  # a NaN fails every comparison
     ["couple", "--deltas", "1e-2,nan"],
+    ["GF_SEED=abc", "simulate"],  # a NAME=value word sets the environment
+    ["simulate", "--seed", "-3"],
 ])
 def test_bad_input_is_one_config_error_before_solving(argv, config_file, tmp_path,
                                                       capsys, monkeypatch):
@@ -376,10 +378,17 @@ def test_bad_input_is_one_config_error_before_solving(argv, config_file, tmp_pat
 
     monkeypatch.setattr(qvi, "solve_boundaries", no_solve)
     monkeypatch.setattr(limit, "solve_limit", no_solve)
+    env = dict(word.split("=", 1) for word in argv if "=" in word)
+    argv = [word for word in argv if "=" not in word]
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
     code = cli.main(argv + ["--config", config_file, "--out", str(tmp_path / "out")])
     assert code != 0
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("ERROR: config: ")
+    # a bad seed names its source, as every key read from a file or flag does
+    where = ("flag --seed: " if "--seed" in argv
+             else "environment GF_SEED: " if "GF_SEED" in env else "")
+    assert len(err) == 1 and err[0].startswith("ERROR: config: " + where)
     assert not (tmp_path / "out").exists()
 
 

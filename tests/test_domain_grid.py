@@ -16,7 +16,7 @@ import itertools
 import pytest
 
 import growth_frictions as gf
-from growth_frictions import limit, qvi
+from growth_frictions import _slope, limit, qvi
 from renewal_reference import oracle_seed, seed_outcome
 
 SIGMA = 0.4
@@ -64,8 +64,8 @@ def test_seed_matches_the_flat_reference_seed(hhat, gamma, delta):
     # exactly as the flattened candidate list did
     mp = gf.MarketParams(r=0.0, mu=hhat * SIGMA * SIGMA, sigma=SIGMA)
     cp = gf.CostParams(delta=delta, gamma=gamma)
-    lim = gf.solve_limit(mp, gamma).candidate
-    assert seed_outcome(qvi._oracle_seed, mp, cp, lim) == seed_outcome(oracle_seed, mp, cp, lim)
+    band = _slope.best_band(mp, gamma)[2:]  # the band the cold solve seeds around
+    assert seed_outcome(qvi._oracle_seed, mp, cp, band) == seed_outcome(oracle_seed, mp, cp, band)
 
 
 @pytest.mark.parametrize("hhat, gamma", itertools.product(LOPSIDED_HHATS, LIMIT_GAMMAS))

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 import growth_frictions as gf
-from growth_frictions import _policy, lab, qvi
+from growth_frictions import _policy, _slope, lab, qvi
 from mc_reference import exit_mc
 from renewal_reference import renewal_batch
 
@@ -250,7 +250,7 @@ def test_oracle_box_equals_the_flat_reference(mp, cp, sol):
     assert np.array_equal(values[~crossed, 4], renewal_batch(mp, cp, *values[~crossed, :4].T))
 
 
-def test_oracle_quadrature_prices_each_side_on_its_own_axes(mp, cp, sol, lim, monkeypatch):
+def test_oracle_quadrature_prices_each_side_on_its_own_axes(mp, cp, sol, monkeypatch):
     # what the oracle subcommand prices on fig2: the cold seed, whose widest
     # sides have 14 * 14 * 12 rows, then the 21^4 box, each of whose
     # one-sided Green integrals is priced once on its own two axes
@@ -259,7 +259,7 @@ def test_oracle_quadrature_prices_each_side_on_its_own_axes(mp, cp, sol, lim, mo
     side = _policy._green_side
     monkeypatch.setattr(_policy, "_green_side", lambda fn, za, zb, kernel: rows.append(
         np.broadcast(za, zb).size) or side(fn, za, zb, kernel))
-    qvi._oracle_seed(mp, cp, lim.candidate.A, lim.candidate.B)
+    qvi._oracle_seed(mp, cp, *_slope.best_band(mp, cp.gamma)[2:])
     assert max(rows) == 14 * 14 * 12
     rows.clear()
     gf.brute_force_boundaries(mp, cp, sol.candidate, radius=0.02, step=2e-3)

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import growth_frictions as gf
-from growth_frictions.market import check_deltas
+from growth_frictions.market import (buys, check_deltas, cost_terms, edge_slopes,
+                                     generator_coefficients)
 
 # frozen with 50-digit arithmetic
 LN_1P5 = 0.40546510810816438
@@ -322,3 +323,78 @@ def test_generator_chain_rule(mp):
     lhs = gf.apply_generator_transformed(mp, dv, ddv)
     rhs = gf.apply_generator(mp, u(x), du(x), ddu(x), x)
     assert lhs == pytest.approx(rhs, abs=1e-6)
+
+
+# the two-branch formulas of the trade cost, written out as the reference
+def _explicit_trade_cost_gamma(cp, x, y):
+    num = np.where(y > x, 1.0 - cp.delta + cp.gamma * x, 1.0 - cp.delta - cp.gamma * x)
+    den = np.where(y > x, 1.0 + cp.gamma * y, 1.0 - cp.gamma * y)
+    return float(np.log(num) - np.log(den))
+
+
+def _explicit_wealth_factor(cp, h, xi):
+    return float(np.where(xi * (1.0 - cp.delta) >= h,
+                          (1.0 - cp.delta + cp.gamma * h) / (1.0 + cp.gamma * xi),
+                          (1.0 - cp.delta - cp.gamma * h) / (1.0 - cp.gamma * xi)))
+
+
+unit = st.floats(0.0, 1.0)
+fixed_costs = st.one_of(st.just(0.0), st.floats(1e-12, 0.5))
+proportional_costs = st.one_of(st.just(0.0), st.floats(1e-12, 0.4))
+
+
+@given(x=unit, y=unit, delta=fixed_costs, gamma=proportional_costs)
+@settings(max_examples=300, deadline=None)
+def test_cost_terms_rebuild_the_two_branch_formulas_bit_for_bit(x, y, delta, gamma):
+    assume(gamma < 1.0 - delta)
+    cp = gf.CostParams(delta=delta, gamma=gamma)
+    assert cost_terms(cp, x, y, 1.0) == (1.0 - delta + gamma * x, 1.0 + gamma * y)
+    assert cost_terms(cp, x, y, -1.0) == (1.0 - delta - gamma * x, 1.0 - gamma * y)
+    assert gf.trade_cost_gamma(cp, x, y) == _explicit_trade_cost_gamma(cp, x, y)
+    assert gf.wealth_factor(cp, x, y) == _explicit_wealth_factor(cp, x, y)
+
+
+@given(lo=st.floats(0.01, 0.99), hi=st.floats(0.01, 0.99), delta=fixed_costs,
+       gamma=st.floats(1e-4, 0.4))
+@settings(max_examples=200, deadline=None)
+def test_edge_slopes_are_the_x_slopes_of_the_trade_cost(lo, hi, delta, gamma):
+    assume(gamma < 1.0 - delta)
+    cp, step = gf.CostParams(delta=delta, gamma=gamma), 1e-6
+
+    def dx(x, y):  # central difference on one branch: y = 1 buys, y = 0 sells
+        ends = gf.trade_cost_gamma(cp, np.array([x - step, x + step]), y)
+        return (ends[1] - ends[0]) / (2 * step)
+
+    assert edge_slopes(gamma, delta, lo, hi) == pytest.approx([dx(lo, 1.0), dx(hi, 0.0)],
+                                                              rel=0.0, abs=1e-8)
+    # at delta = 0 they are the target slopes, minus the y-slopes at the targets
+    targets = edge_slopes(gamma, 0.0, lo, hi)
+    assert targets.tolist() == [gamma / (1.0 + gamma * lo), -gamma / (1.0 - gamma * hi)]
+    dy = [np.diff(gf.trade_cost_gamma(cp, x, np.array([y - step, y + step])))[0] / (2 * step)
+          for x, y in ((0.0, lo), (1.0, hi))]
+    assert targets == pytest.approx([-d for d in dy], rel=0.0, abs=1e-8)
+
+
+@given(x=unit, hhat=st.floats(0.01, 0.99), sigma=st.floats(0.05, 2.0), r=st.floats(0.0, 0.1))
+@settings(max_examples=200, deadline=None)
+def test_generator_coefficients_are_the_generator_at_unit_derivatives(x, hhat, sigma, r):
+    mp = gf.MarketParams(r=r, mu=r + hhat * sigma * sigma, sigma=sigma)
+    drift, half = generator_coefficients(mp, x)
+    assert gf.apply_generator(mp, 0.0, 1.0, 0.0, x) == drift
+    assert gf.apply_generator(mp, 0.0, 0.0, 1.0, x) == half
+
+
+@given(h=unit, xi=unit, delta=fixed_costs, gamma=proportional_costs,
+       wealth=st.floats(1e-3, 1e3))
+@settings(max_examples=300, deadline=None)
+@example(h=0.3, xi=0.6, delta=1e-3, gamma=3e-3, wealth=1.0)  # buys
+@example(h=0.6, xi=0.3, delta=1e-3, gamma=3e-3, wealth=1.0)  # sells
+def test_the_change_in_the_stock_holding_is_the_rebalance_volume(h, xi, delta, gamma, wealth):
+    # V_after xi - V_before h is V_before (xi (1 - delta) - h)/(1 +- gamma xi)
+    # on either branch of wealth_factor, + when it buys
+    assume(gamma < 1.0 - delta)
+    cp = gf.CostParams(delta=delta, gamma=gamma)
+    after = wealth * gf.wealth_factor(cp, h, xi)
+    side = 1.0 if buys(cp, h, xi) else -1.0
+    volume = wealth * (xi * (1.0 - delta) - h) / (1.0 + side * gamma * xi)
+    assert abs((after * xi - wealth * h) - volume) <= 1e-13 * wealth

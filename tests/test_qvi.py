@@ -388,8 +388,8 @@ def test_fine_grid_verification_stays_linear(mp, cp, vf):
 
 
 def _seed_batches(hhat, gamma, delta, monkeypatch, perturb=None):
-    """The cold seed at r=0, sigma=0.4, its limit candidate and the
-    candidate grids it priced, each as (a, alpha, beta, b, values), with
+    """The cold seed at r=0, sigma=0.4, the band (A, B) it searched around
+    and the candidate grids it priced, each as (a, alpha, beta, b, values), with
     perturb applied to the renewal values of the ordered candidates
     (alpha < beta, the ones the seed compares) in C order."""
     mp = gf.MarketParams(r=0.0, mu=hhat * 0.16, sigma=0.4)
@@ -406,11 +406,11 @@ def _seed_batches(hhat, gamma, delta, monkeypatch, perturb=None):
         return values
 
     monkeypatch.setattr(qvi, "_renewal_batch", spy)
-    lim = gf.solve_limit(mp, gamma).candidate
-    return qvi._oracle_seed(mp, cp, lim.A, lim.B), lim, batches
+    band = _slope.best_band(mp, gamma)[2:]
+    return qvi._oracle_seed(mp, cp, *band), band, batches
 
 
-def test_seed_lets_a_degenerate_chain_through(mp, cp, lim, monkeypatch):
+def test_seed_lets_a_degenerate_chain_through(mp, cp, monkeypatch):
     # a numerically absorbing restart chain is named as itself, not
     # renamed "no interior optimum"
     def absorbing(*args):
@@ -418,13 +418,13 @@ def test_seed_lets_a_degenerate_chain_through(mp, cp, lim, monkeypatch):
 
     monkeypatch.setattr(qvi, "_renewal_batch", absorbing)
     with pytest.raises(gf.DegenerateChain, match="injected absorbing chain"):
-        qvi._oracle_seed(mp, cp, lim.candidate.A, lim.candidate.B)
+        qvi._oracle_seed(mp, cp, *_slope.best_band(mp, cp.gamma)[2:])
 
 
 def test_seed_refines_each_offset_on_its_own_grid(monkeypatch):
     # hhat 0.5, gamma = delta = 1e-2: the a-side and b-side gaps nearly
     # agree, so offset lists pooled across the sides repeat to ulps
-    _, lim, batches = _seed_batches(0.5, 1e-2, 1e-2, monkeypatch)
+    _, (A, B), batches = _seed_batches(0.5, 1e-2, 1e-2, monkeypatch)
     assert len(batches) == 2
     # round 2 prices at most 7^4 ordered candidates
     _, al, be, _, values = batches[1]
@@ -436,7 +436,7 @@ def test_seed_refines_each_offset_on_its_own_grid(monkeypatch):
 
     for a, al, be, b, _ in batches:
         a_y, al_y, be_y, b_y = (gf.to_centered(v) for v in (a, al, be, b))
-        assert spaced(gf.to_centered(lim.A) - a_y) and spaced(b_y - gf.to_centered(lim.B))
+        assert spaced(gf.to_centered(A) - a_y) and spaced(b_y - gf.to_centered(B))
         for v in np.unique(a_y):
             assert spaced(al_y[a_y == v] - v)
         for v in np.unique(b_y):
@@ -470,8 +470,8 @@ ANCHORS = [(0.0, 0.096, 0.4, 0.003, 1e-3), (0.0, 0.096, 0.4, 0.003, 1e-6),
 def test_seed_matches_the_flat_reference_seed(r, mu, sigma, gamma, delta):
     mp = gf.MarketParams(r=r, mu=mu, sigma=sigma)
     cp = gf.CostParams(delta=delta, gamma=gamma)
-    lim = gf.solve_limit(mp, gamma).candidate
-    assert seed_outcome(qvi._oracle_seed, mp, cp, lim) == seed_outcome(oracle_seed, mp, cp, lim)
+    band = _slope.best_band(mp, gamma)[2:]
+    assert seed_outcome(qvi._oracle_seed, mp, cp, band) == seed_outcome(oracle_seed, mp, cp, band)
 
 
 @pytest.mark.parametrize("hhat, gamma, delta", SEED_MARKETS)

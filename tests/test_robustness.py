@@ -3,12 +3,16 @@
 The reference suite runs one parameter family; these cases stress lopsided
 Merton fractions (where the no-trade region opens very asymmetrically and
 the symmetric continuation seed fails without the renewal-search fallback),
-the knife-edge drift, and heavier frictions.
+the knife-edge drift, and heavier frictions.  At a fixed Merton fraction
+hhat, sigma and r only rescale time and shift the growth rate, which pins
+every solver output across markets.
 """
 
+import numpy as np
 import pytest
 
 import growth_frictions as gf
+from growth_frictions import lab
 
 CASES = [
     # (market params, gamma, delta)
@@ -40,3 +44,37 @@ def test_solver_across_regimes(params, gamma, delta):
     lim = gf.solve_limit(mp, gamma)
     assert lim.candidate.l0 > c.l
     assert gf.verify_hjb_limit(mp, gamma, lim, 501).passed
+
+
+# (hhat, gamma, delta), each solved in the six markets r + hhat sigma^2 below
+SCALED_POINTS = [(0.6, 3e-3, 1e-3), (0.15, 2e-2, 1e-4), (0.9, 5e-2, 1e-3)]
+SCALES = [(sigma, r) for sigma in (0.05, 0.4, 1.3) for r in (0.0, 0.05)]
+
+
+def _scaled(hhat, sigma, r):
+    return gf.MarketParams(r=r, mu=r + hhat * sigma * sigma, sigma=sigma)
+
+
+@pytest.mark.parametrize("hhat, gamma, delta", SCALED_POINTS)
+def test_the_solutions_depend_on_the_market_only_through_hhat(hhat, gamma, delta):
+    # in time units of 1/sigma^2 the fraction diffuses with drift
+    # h(1-h)(hhat - h) and volatility h(1-h), and r leaves the excess growth:
+    # boundaries, x0 and the limit band are functions of (hhat, gamma, delta),
+    # and every growth excess is sigma^2 times one
+    cp = gf.CostParams(delta=delta, gamma=gamma)
+    points, rates = [], []
+    for sigma, r in SCALES:
+        mp = _scaled(hhat, sigma, r)
+        c = gf.solve_boundaries(mp, cp).candidate
+        lim = gf.solve_limit(mp, gamma).candidate
+        renewal = lab._renewal_batch(mp, cp, *(np.array([v]) for v in c.policy()[2:]))[0]
+        points.append(list(c.policy()[1:]) + [lim.x0, lim.A, lim.B])
+        rates.append(np.array([c.l, lim.l0, renewal - r]) / (sigma * sigma))
+    assert np.max(np.abs(np.array(points) - points[0])) <= 1e-11
+    assert np.max(np.abs(np.array(rates) / rates[0] - 1.0)) <= 1e-11
+
+
+@pytest.mark.parametrize("sigma, r", SCALES)
+def test_no_interior_optimum_is_named_in_every_scaled_market(sigma, r):
+    with pytest.raises(gf.ParameterDegeneracy, match="^no interior optimum"):
+        gf.solve_boundaries(_scaled(0.9, sigma, r), gf.CostParams(delta=1e-2, gamma=5e-2))

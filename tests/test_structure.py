@@ -190,3 +190,34 @@ def test_the_limit_check_is_one_qvi_check_at_delta_zero(mp, lim):
     used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert used.isdisjoint({"grid", "linspace", "EPS", "apply_generator", "du", "ddu",
                             "_intervention", "trade_cost_gamma"})
+
+
+COST_NAMES = {"gamma", "delta", "gm", "dl"}
+
+
+def _cost_operands(node):
+    """The cost parameters that the arithmetic of node takes as operands,
+    through nested arithmetic but not into calls or comparisons."""
+    if isinstance(node, ast.Name):
+        return {node.id} & COST_NAMES
+    if isinstance(node, ast.Attribute):
+        return {node.attr} & COST_NAMES
+    if isinstance(node, ast.BinOp):
+        return _cost_operands(node.left) | _cost_operands(node.right)
+    if isinstance(node, ast.UnaryOp):
+        return _cost_operands(node.operand)
+    return set()
+
+
+def test_the_trade_cost_and_the_generator_are_written_only_in_market():
+    # every cost term, slope and break-even rule, and the generator's
+    # coefficients, come from market; the limit reads no sigma
+    sites = sorted({f"{path.name}:{node.lineno}"
+                    for path in PACKAGE.glob("*.py") if path.name != "market.py"
+                    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                    if isinstance(node, (ast.BinOp, ast.UnaryOp)) and _cost_operands(node)})
+    assert sites == []
+    tree = ast.parse(Path(limit.__file__).read_text(encoding="utf-8"))
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "sigma"
+                or isinstance(node, ast.Name) and node.id == "sigma"]
