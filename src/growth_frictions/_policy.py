@@ -15,9 +15,9 @@ Chaining the two restart states through their stationary law turns
 
 It sits below both solvers and imports only ``market``.  A batch is priced
 on the axes of its candidate arrays, each one-sided Green integral once per
-pair of its ends: the seed's k^4 grid, whose restart points move with
-their edges, costs 2 k^2 + 2 k^3 one-sided integrals, and a box of four
-independent axes 4 k^2.
+pair of its ends, so a box of four independent axes costs 4 k^2 one-sided
+integrals.  It is the oracle's pricer; the cold seed ranks its grids with
+the closed form ``_slope.policy_value`` and prices only the winner here.
 """
 
 from __future__ import annotations

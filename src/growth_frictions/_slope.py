@@ -1,7 +1,8 @@
 """Slope function of the continuation region, the value function built from
 it and its grid check, and the damped Newton engine, each of whose Jacobians
 is one residual call on a stack of candidates, with the start loop of both
-solvers and their one cold start, the reflecting band of best exact growth.
+solvers, their one cold start, the reflecting band of best exact growth,
+and the exact growth of boundary policies that the impulse seed ranks.
 
 Inside the no-trade region the value function's derivative is an explicit
 function g(x, x0, l) anchored so that g(x0, x0, l) = 0.  The textbook form
@@ -10,7 +11,8 @@ parameter set where the transformed drift vanishes.  Rearranged through
 expm1 the power branch extends continuously through that set, so a single
 expression covers both; the integral branch is its exact limit.  The same
 rearrangement yields closed forms for the antiderivative, so no quadrature
-is needed anywhere in the solvers.
+is needed in the solvers: ``best_band`` and ``policy_value`` price a band or
+a policy by a 2x2 linear system (the seed's quadrature prices one winner).
 
 Derivatives of g are evaluated through the continuation ODE rearranged,
 g'(x) = (l - f(x) - x(1-x)(mu - r - sigma^2 x) g(x)) / (sigma^2 x^2 (1-x)^2 / 2),
@@ -37,7 +39,7 @@ import numpy as np
 
 from .market import (EPS, CostParams, MarketParams, apply_generator, cost_terms, edge_slopes,
                      from_centered, generator_coefficients, growth_integrand, merton_fraction,
-                     no_trade_floor, to_centered, trade_cost_gamma)
+                     no_trade_floor, to_centered, trade_cost_gamma, wealth_factor)
 
 
 # A solve is accepted when the residual max-norm is at most RESIDUAL_TOL; a
@@ -167,6 +169,29 @@ def best_band(mp: MarketParams, gamma: float) -> tuple:
                                   f"does not exceed r + max{{f(0), f(1)}} = {mp.r + floor:.10g}")
     i, j = np.unravel_index(np.argmax(l), l.shape)
     return float(l[i, j]), hhat, float(x[0, lo][i]), float(x[1, hi][j])
+
+
+def policy_value(mp: MarketParams, cp: CostParams, a, al, be, b):
+    """Exact growth r + l of boundary policies (a, alpha, beta, b) on their
+    broadcast shape: ``_policy._renewal_batch`` in closed form, -inf outside
+    a < alpha <= beta < b in logit.  On (a, b), Dw + f = l has the slopes
+    w' = slope_g(x; hhat, l) + C e^{p(t_hhat - t)}/(x(1-x)), so value matching
+    across both jumps is a 2x2 system in (l, C), each row priced on the shape
+    of its own two ends: pass a grid's axes, not broadcast views."""
+    hhat, p = merton_fraction(mp), _power(mp)
+    lo, y_low, y_high, hi = (np.asarray(to_centered(v)) for v in (a, al, be, b))
+
+    def row(x1, x2, t1, t2, cost):
+        """(k, r) of the row k l + C + r = 0 of int_x1^x2 w' + cost = 0."""
+        base, dt = slope_g_integral(mp, x1, x2, hhat, 0.0), t2 - t1
+        c = dt * np.exp(p * (to_centered(hhat) - t2)) * _e1(p * dt)
+        return (slope_g_integral(mp, x1, x2, hhat, 1.0) - base) / c, (base + cost) / c
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k_low, r_low = row(a, al, lo, y_low, np.log(wealth_factor(cp, a, al)))
+        k_high, r_high = row(be, b, y_high, hi, -np.log(wealth_factor(cp, b, be)))
+        l = (r_high - r_low) / (k_low - k_high)
+    return np.where((lo < y_low) & (y_low <= y_high) & (y_high < hi), mp.r + l, -np.inf)
 
 
 class NewtonUnknowns:

@@ -14,9 +14,9 @@ of smooth-pasting and value-matching equations:
     int_beta^b g - cost(b, beta)   = 0           the rebalancing jumps
 
 solved by one damped Newton run from a warm start or, cold, from the constant
-boundary policy with the best exact renewal value (``_policy``) near the
-reflecting band of best exact growth (``_slope.best_band``), through the start
-and the start loop shared with the limit solver.  The value function u is then
+boundary policy of best exact growth (``_slope.policy_value``, the winner priced
+by ``_policy``) near the reflecting band of best exact growth (``_slope.best_band``),
+through the start loop shared with the limit solver.  The value function u is then
 assembled piecewise from the trade cost outside [a, b] and the integral of g
 inside, and ``verify_qvi`` (from ``_slope``, below both solvers) checks it
 against the variational inequality max{Du + f - l, Mu - u} = 0 on a grid; at
@@ -32,8 +32,8 @@ import numpy as np
 from ._policy import _renewal_batch
 from ._slope import (PASTING_TOL, RESIDUAL_TOL, NewtonUnknowns, NonConvergence,
                      ParameterDegeneracy, ValueFunction, VerificationReport, _pasting_rows,
-                     best_band, newton_from_starts, slope_g, slope_g_dx, slope_g_integral,
-                     verify_qvi)
+                     best_band, newton_from_starts, policy_value, slope_g, slope_g_dx,
+                     slope_g_integral, verify_qvi)
 from .market import (EPS, CostParams, MarketParams, ParameterError, buys,
                      check_growth_excess, from_centered, no_trade_floor,
                      to_centered, trade_cost_gamma)
@@ -105,20 +105,20 @@ def residual_system(mp: MarketParams, cp: CostParams, cand: BoundaryCandidate) -
 
 
 def _oracle_seed(mp, cp, A, B):
-    """Seed Newton by maximising the exact renewal value of the policy over
+    """Seed Newton by maximising the exact growth of the policy over
     log-spaced widening/inset offsets around the reflecting band [A, B].
 
     A seed that opens the no-trade region symmetrically fails badly for
     lopsided Merton fractions; searching the policy value directly (cheap:
-    the grid is priced on its four offset axes) lands inside the Newton
-    basin regardless of the region's shape; insets that cross (alpha > beta)
-    read -inf from the evaluator.  Round 2 refines each of the four offsets
-    by geomspace(0.5, 2, 7) times its own round-1 best.
-    If no searched policy beats the floor r + max{f(0), f(1)} of never
-    trading (or holding only stock), there is no interior optimum to seed
-    and ParameterDegeneracy is raised; a DegenerateChain of the pricer
-    propagates as itself.  The seed's l is the best growth less r, and its
-    x0 the logit midpoint of (alpha, beta).
+    ``policy_value`` prices the grid in closed form on its offset axes)
+    lands inside the Newton basin regardless of the region's shape; insets
+    that cross (alpha > beta) read -inf.  Round 2 refines each of the four
+    offsets by geomspace(0.5, 2, 7) times its own round-1 best.  Only the
+    winner is priced by the renewal quadrature: if that growth does not beat
+    the floor r + max{f(0), f(1)} of never trading (or holding only stock),
+    there is no interior optimum to seed and ParameterDegeneracy is raised;
+    its DegenerateChain propagates as itself.  The seed's l is that growth
+    less r, and its x0 the logit midpoint of (alpha, beta).
     """
     a_lim, b_lim = to_centered(A), to_centered(B)
     widen = np.geomspace(5e-3, 4.0, 14)
@@ -132,14 +132,13 @@ def _oracle_seed(mp, cp, A, B):
         b_y = b_y[from_centered(b_y) < 1.0 - EPS][:, None, None]
         # axes (a widening, b widening, a inset, b inset), the meshgrid order
         al_y, be_y = a_y + v1[:, None], b_y - v2
-        cand = np.broadcast_arrays(*(from_centered(y) for y in (a_y, al_y, be_y, b_y)))
-        values = _renewal_batch(mp, cp, *cand)
-        k = int(np.argmax(values))
-        best = tuple(float(v.flat[k]) for v in cand) + (float(values.flat[k]),)
-        a_k, al_k, be_k, b_k = (to_centered(v) for v in best[:4])
+        axes = [from_centered(y) for y in (a_y, al_y, be_y, b_y)]
+        k = int(np.argmax(policy_value(mp, cp, *axes)))
+        best = tuple(float(v.flat[k]) for v in np.broadcast_arrays(*axes))
+        a_k, al_k, be_k, b_k = (to_centered(v) for v in best)
         offsets = tuple(gap * np.geomspace(0.5, 2.0, 7) for gap in
                         (a_lim - a_k, b_k - b_lim, al_k - a_k, b_k - be_k))
-    a, al, be, b, value = best
+    (a, al, be, b), value = best, float(_renewal_batch(mp, cp, *best))
     floor = no_trade_floor(mp)
     if not value - mp.r > floor:
         raise ParameterDegeneracy(

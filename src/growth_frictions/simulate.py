@@ -256,18 +256,15 @@ class _Band:
                               first_path=self.first())
 
     def first(self) -> PathRecord:
-        """The record of the first path of row 0.  A trade's volume is the
-        change in the stock holding, eta = V_after xi - V_before h, bought
-        when positive and sold when negative.  On either branch of
-        wealth_factor it equals V_before (xi (1 - delta) - h)/(1 +- gamma xi),
-        so that dX = rX dt - delta V dN + (1 - gamma) dM - (1 + gamma) dL."""
+        """The record of the first path of row 0, whose volumes bought (L)
+        and sold (M) give dX = rX dt - delta V dN + (1 - gamma) dM - (1 + gamma) dL."""
         cfg = self.cfg
         steps = np.arange(cfg.n_steps + 1)
         wealths = np.exp(np.cumsum(self.trace[1]) + self.mp.r * cfg.dt * steps
                          + np.logaddexp(0.0, self.trace[0]))
         at, y_from, y_to, log_factor = (np.concatenate(col) for col in zip(*self.trace_trades))
         h, xi = from_centered(y_from), from_centered(y_to)
-        eta = wealths[at] * xi - wealths[at] / np.exp(log_factor) * h
+        eta = _trade_volume(wealths[at], y_from, y_to, log_factor)
         volumes = np.zeros((2, cfg.n_steps + 1))  # bought (L) and sold (M) at each step
         volumes[:, at] = np.maximum(eta, 0.0), np.maximum(-eta, 0.0)
         buy_volume, sell_volume = np.cumsum(volumes, axis=1)
@@ -281,6 +278,15 @@ class _Band:
                           growth=float(self.growth()[0]),
                           step_log_total=log_wealth_final - math.log(cfg.v0) - trade_log,
                           trade_log_total=trade_log)
+
+
+def _trade_volume(v_after, y_from, y_to, log_factor):
+    """A trade's change in the stock holding V_after xi - V_before h, on
+    either branch of wealth_factor V_before (xi (1 - delta) - h)/(1 +- gamma xi),
+    as V_before (expm1(log_factor) xi + xi - h), with xi - h from the walked
+    logits as sinh(dy/2)/(2 cosh(y_from/2) cosh(y_to/2)): no cancellation."""
+    gap = np.sinh(0.5 * (y_to - y_from)) / (2.0 * np.cosh(0.5 * y_from) * np.cosh(0.5 * y_to))
+    return v_after / np.exp(log_factor) * (np.expm1(log_factor) * from_centered(y_to) + gap)
 
 
 def _walk(mp, cp, bounds, cfg, paths):

@@ -251,16 +251,16 @@ def test_oracle_box_equals_the_flat_reference(mp, cp, sol):
 
 
 def test_oracle_quadrature_prices_each_side_on_its_own_axes(mp, cp, sol, monkeypatch):
-    # what the oracle subcommand prices on fig2: the cold seed, whose widest
-    # sides have 14 * 14 * 12 rows, then the 21^4 box, each of whose
-    # one-sided Green integrals is priced once on its own two axes
-    # (4 x 21^2 rows)
+    # what the oracle subcommand prices on fig2: the cold seed, which ranks
+    # its grids in closed form and integrates only the winner's four sides,
+    # then the 21^4 box, each of whose one-sided Green integrals is priced
+    # once on its own two axes (4 x 21^2 rows)
     rows = []
     side = _policy._green_side
     monkeypatch.setattr(_policy, "_green_side", lambda fn, za, zb, kernel: rows.append(
         np.broadcast(za, zb).size) or side(fn, za, zb, kernel))
     qvi._oracle_seed(mp, cp, *_slope.best_band(mp, cp.gamma)[2:])
-    assert max(rows) == 14 * 14 * 12
+    assert rows == [1] * 4
     rows.clear()
     gf.brute_force_boundaries(mp, cp, sol.candidate, radius=0.02, step=2e-3)
     assert sum(rows) == 4 * 21 ** 2

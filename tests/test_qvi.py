@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -8,7 +9,7 @@ import growth_frictions as gf
 from growth_frictions import _policy, _slope, qvi
 from growth_frictions.market import EPS
 from newton_reference import column_jacobian, is_stacked, record_residual
-from renewal_reference import oracle_seed, renewal_batch, seed_outcome
+from renewal_reference import oracle_seed, seed_outcome
 
 FIG2_L_LOW = 0.016    # f(1): lower bound on the growth excess
 FIG2_L_HIGH = 0.0288  # f(hhat): upper bound
@@ -387,25 +388,33 @@ def test_fine_grid_verification_stays_linear(mp, cp, vf):
     assert report.passed
 
 
-def _seed_batches(hhat, gamma, delta, monkeypatch, perturb=None):
-    """The cold seed at r=0, sigma=0.4, the band (A, B) it searched around
-    and the candidate grids it priced, each as (a, alpha, beta, b, values), with
-    perturb applied to the renewal values of the ordered candidates
-    (alpha < beta, the ones the seed compares) in C order."""
-    mp = gf.MarketParams(r=0.0, mu=hhat * 0.16, sigma=0.4)
-    cp = gf.CostParams(delta=delta, gamma=gamma)
+def _ranked_batches(monkeypatch, perturb=None):
+    """The candidate grids the cold seed ranks once this returns, each as
+    (a, alpha, beta, b, values) on the grid's broadcast shape, with perturb
+    applied to the ranking values of the ordered candidates (alpha < beta,
+    the ones the seed compares) in C order."""
     batches = []
-    price = _policy._renewal_batch
+    price = _slope.policy_value
 
-    def spy(mp, cp, *cand):
-        values = price(mp, cp, *cand)
+    def spy(mp, cp, *axes):
+        values = price(mp, cp, *axes)
+        cand = tuple(np.broadcast_arrays(*axes))
         batches.append(cand + (values,))
         if perturb is not None:
             ordered = cand[1] < cand[2]
             values[ordered] = perturb(values[ordered])
         return values
 
-    monkeypatch.setattr(qvi, "_renewal_batch", spy)
+    monkeypatch.setattr(qvi, "policy_value", spy)
+    return batches
+
+
+def _seed_batches(hhat, gamma, delta, monkeypatch, perturb=None):
+    """The cold seed at r=0, sigma=0.4, the band (A, B) it searched around
+    and the grids it ranked (``_ranked_batches``)."""
+    mp = gf.MarketParams(r=0.0, mu=hhat * 0.16, sigma=0.4)
+    cp = gf.CostParams(delta=delta, gamma=gamma)
+    batches = _ranked_batches(monkeypatch, perturb)
     band = _slope.best_band(mp, gamma)[2:]
     return qvi._oracle_seed(mp, cp, *band), band, batches
 
@@ -444,26 +453,53 @@ def test_seed_refines_each_offset_on_its_own_grid(monkeypatch):
 
 
 SEED_MARKETS = [(0.5, 1e-2, 1e-2), (0.4, 1e-3, 1e-3), (0.75, 1e-2, 1e-3)]
-
-
-@pytest.mark.parametrize("hhat, gamma, delta", SEED_MARKETS)
-def test_seed_rounds_price_as_the_flat_reference(hhat, gamma, delta, monkeypatch):
-    # each round's grid, priced on its axes, gives every ordered candidate
-    # the value the deduplicating flat evaluator gives it
-    mp = gf.MarketParams(r=0.0, mu=hhat * 0.16, sigma=0.4)
-    cp = gf.CostParams(delta=delta, gamma=gamma)
-    _, _, batches = _seed_batches(hhat, gamma, delta, monkeypatch)
-    for a, al, be, b, values in batches:
-        ordered = al < be
-        assert np.array_equal(values[ordered],
-                              renewal_batch(mp, cp, *(v[ordered] for v in (a, al, be, b))))
-
-
 # the seven solve_domain anchors of the benchmark: r, mu, sigma, gamma, delta
 ANCHORS = [(0.0, 0.096, 0.4, 0.003, 1e-3), (0.0, 0.096, 0.4, 0.003, 1e-6),
            (0.0, 0.040, 0.4, 0.003, 1e-3), (0.01, 0.154, 0.4, 0.003, 1e-3),
            (0.02, 0.1, 0.4, 0.02, 1e-2), (0.03, 0.09, 0.3, 0.05, 5e-3),
            (0.0, 0.144, 0.4, 0.05, 1e-2)]
+# hhat = 1/2 exactly, so the slope's exponent 2 hhat - 1 is 0
+KNIFE_EDGE = (0.0, 0.125, 0.5, 0.003, 1e-3)
+
+
+def _assert_prices_as_the_quadrature(closed, quadrature):
+    """The closed form reads -inf exactly where the quadrature does and
+    agrees with it within 1e-12 everywhere else."""
+    assert np.array_equal(np.isneginf(closed), np.isneginf(quadrature))
+    priced = ~np.isneginf(quadrature)
+    assert np.all(np.isfinite(closed[priced]))
+    assert np.max(np.abs(closed[priced] - quadrature[priced])) <= 1e-12
+
+
+@pytest.mark.parametrize("r, mu, sigma, gamma, delta", ANCHORS + [KNIFE_EDGE] + [
+    (0.0, hhat * 0.16, 0.4, gamma, delta) for hhat, gamma, delta in SEED_MARKETS])
+def test_seed_grids_price_in_closed_form_as_by_quadrature(r, mu, sigma, gamma, delta,
+                                                          monkeypatch):
+    # each round's grid, ranked on its axes, gives every candidate the
+    # value it has as one of flat arrays, bit for bit, and the renewal
+    # quadrature's value within 1e-12
+    mp = gf.MarketParams(r=r, mu=mu, sigma=sigma)
+    cp = gf.CostParams(delta=delta, gamma=gamma)
+    batches = _ranked_batches(monkeypatch)
+    # the infeasible anchor is named "no interior optimum" after both rounds
+    with contextlib.suppress(gf.ParameterDegeneracy):
+        qvi._oracle_seed(mp, cp, *_slope.best_band(mp, gamma)[2:])
+    assert len(batches) == 2
+    for *cand, values in batches:
+        flat = _slope.policy_value(mp, cp, *(v.ravel() for v in cand))
+        assert np.array_equal(flat, values.ravel())
+        _assert_prices_as_the_quadrature(values, _policy._renewal_batch(mp, cp, *cand))
+
+
+def test_oracle_box_prices_in_closed_form_as_by_quadrature(mp, cp, sol):
+    # fig2's 21^4 oracle box, on its four axes and as flat arrays
+    c = sol.candidate
+    values = gf.brute_force_boundaries(mp, cp, c, radius=0.02, step=2e-3).values
+    offs = np.arange(-10, 11) * 2e-3
+    closed = _slope.policy_value(mp, cp, *np.ix_(c.a + offs, c.alpha + offs,
+                                                 c.beta + offs, c.b + offs)).ravel()
+    assert np.array_equal(closed, _slope.policy_value(mp, cp, *values[:, :4].T))
+    _assert_prices_as_the_quadrature(closed, values[:, 4])
 
 
 @pytest.mark.parametrize("r, mu, sigma, gamma, delta", ANCHORS)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -165,6 +166,29 @@ def test_reflected_containment_and_projection(mp, lim):
     assert np.all(np.abs(rec.fractions[1:][dl > 0] - A) <= 1e-12)
     assert np.all(np.abs(rec.fractions[1:][dm > 0] - B) <= 1e-12)
     assert rec.buy_volume[-1] > 0 and rec.sell_volume[-1] > 0
+
+
+@pytest.mark.parametrize("rule", ["impulse", "reflected"])
+def test_trade_volumes_are_exact_to_rounding(mp, cp, sol, lim, rule):
+    # fig2's path 0, seed 3: each trade's volume V_after xi - V_before h
+    # against 50-digit arithmetic on the walked logits, log wealth factor
+    # and post-trade wealth
+    c, A, B = sol.candidate, lim.candidate.A, lim.candidate.B
+    rules = {"impulse": (cp, (c.a, c.alpha, c.beta, c.b)),
+             "reflected": (gf.CostParams(0.0, GAMMA), (A, A, B, B))}
+    cfg = gf.SimConfig(horizon=20.0, dt=1e-3, n_paths=1, base_seed=3)
+    band = simulate._walk(mp, *rules[rule], cfg, [0])
+    rec = band.first()
+    at, y_from, y_to, log_factor = (np.concatenate(col) for col in zip(*band.trace_trades))
+    eta = simulate._trade_volume(rec.wealths[at], y_from, y_to, log_factor)
+    with mpmath.workdps(50):
+        fraction = lambda y: 1 / (1 + mpmath.exp(-mpmath.mpf(y)))
+        exact = [mpmath.mpf(v) * (fraction(yt) - mpmath.exp(-mpmath.mpf(lf)) * fraction(yf))
+                 for v, yf, yt, lf in zip(rec.wealths[at], y_from, y_to, log_factor)]
+        assert max(abs(e - x) / abs(x) for e, x in zip(eta, exact)) <= 1e-13
+    volumes = np.zeros((2, cfg.n_steps + 1))
+    volumes[:, at] = np.maximum(eta, 0.0), np.maximum(-eta, 0.0)
+    assert np.array_equal(np.cumsum(volumes, axis=1), [rec.buy_volume, rec.sell_volume])
 
 
 def test_projection_formulas_restore_boundary():
