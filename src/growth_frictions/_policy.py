@@ -29,8 +29,7 @@ import numpy as np
 # of a seed search left about 1 MB of heap pinned under the Monte Carlo peak
 from numpy.polynomial.legendre import leggauss
 
-from .market import (CostParams, MarketParams, growth_integrand_transformed,
-                     to_centered, wealth_factor)
+from .market import CostParams, MarketParams, _wealth, growth_integrand_transformed, to_centered
 
 # The width rule.  The growth integrand's only singularities are the
 # logistic poles at distance pi from the real axis, so Gauss-Legendre with n
@@ -40,7 +39,7 @@ from .market import (CostParams, MarketParams, growth_integrand_transformed,
 # nodes of _GL_ORDERS that reach _GL_TARGET with beta halved for safety,
 # i.e. n is allowed up to the half-width _GL_MAX_HALF_WIDTH; wider sides
 # get 96 nodes.
-_GL_ORDERS = (8, 12, 16, 24, 32, 48, 64, 96)
+_GL_ORDERS = np.array([8, 12, 16, 24, 32, 48, 64, 96])
 _GL_SAFETY = 0.5
 _GL_TARGET = 1e-18
 _GL_MAX_HALF_WIDTH = np.array([
@@ -113,7 +112,7 @@ def _gauss_legendre(n: int):
 
 def _gl_order(half_width):
     """The width rule: the Gauss-Legendre order for each half-width."""
-    return np.take(_GL_ORDERS, np.searchsorted(_GL_MAX_HALF_WIDTH, half_width))
+    return _GL_ORDERS[np.searchsorted(_GL_MAX_HALF_WIDTH, half_width)]
 
 
 def _green_side(fn, za, zb, kernel):
@@ -128,13 +127,13 @@ def _green_side(fn, za, zb, kernel):
     za, zb = za.ravel()[rows], zb.ravel()[rows]
     hw = 0.5 * (zb - za)
     order = _gl_order(hw)
-    for n in np.unique(order):
-        i = np.flatnonzero(order == n)
-        nodes, weights = _gauss_legendre(int(n))
-        z = 0.5 * (za[i] + zb[i])[:, None] + hw[i, None] * nodes[None, :]
+    for n in set(order.tolist()):
+        i = order == n
+        nodes, weights = _gauss_legendre(n)
+        z = 0.5 * (za[i] + zb[i])[:, None] + hw[i, None] * nodes
         k = kernel(z, za[i, None], zb[i, None])
-        out.reshape(2, -1)[:, rows[i]] = (hw[i] * np.sum(weights[None, :] * k, axis=1),
-                                          hw[i] * np.sum(weights[None, :] * (k * fn(z)), axis=1))
+        out.reshape(2, -1)[:, rows[i]] = (hw[i] * (weights * k).sum(axis=1),
+                                          hw[i] * (weights * (k * fn(z))).sum(axis=1))
     return out
 
 
@@ -173,8 +172,8 @@ def _renewal_batch(mp: MarketParams, cp: CostParams, a, al, be, b) -> np.ndarray
     fbar = lambda z: growth_integrand_transformed(mp, z)
     m_low, w_low = _exit_problems(fbar, c, mp.sigma, lo, hi, y_low)
     m_high, w_high = _exit_problems(fbar, c, mp.sigma, lo, hi, y_high)
-    cost_low = np.log(wealth_factor(cp, a, al))
-    cost_high = np.log(wealth_factor(cp, b, be))
+    cost_low = np.log(_wealth(cp, a, al))
+    cost_high = np.log(_wealth(cp, b, be))
     # stationary split of the restart chain on {alpha, beta}; a candidate
     # outside the ordering may split 0/0 here, and only it
     with np.errstate(divide="ignore", invalid="ignore"):

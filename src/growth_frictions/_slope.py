@@ -29,6 +29,11 @@ HJB equation.  The check is O(n) in time and memory: the trade cost is
 separable, log num(x) - log den(y) (``market.cost_terms``) with the branch
 set by y > x, so the intervention operator Mu and its argmax target are a
 suffix and a prefix scan over the sorted trade targets.
+
+Public primitives check their inputs and then call their one kernel (``_g``,
+``_pieces``, ``market._logit``, ...); the residuals and the seed call the
+kernels below a check that implies the kernels' own: an ordering inside
+(0, 1), under which ``CostParams``' invariants keep every cost term positive.
 """
 
 from __future__ import annotations
@@ -37,9 +42,9 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .market import (EPS, CostParams, MarketParams, apply_generator, cost_terms, edge_slopes,
-                     from_centered, generator_coefficients, growth_integrand, merton_fraction,
-                     no_trade_floor, to_centered, trade_cost_gamma, wealth_factor)
+from .market import (EPS, CostParams, MarketParams, _growth, _logit, _wealth, apply_generator,
+                     cost_terms, edge_slopes, from_centered, generator_coefficients,
+                     merton_fraction, no_trade_floor, to_centered, trade_cost_gamma)
 
 
 # A solve is accepted when the residual max-norm is at most RESIDUAL_TOL; a
@@ -49,6 +54,8 @@ RESIDUAL_TOL, PASTING_TOL = 1e-10, 1e-8
 # Damped Newton: iteration cap, forward-difference step (relative to
 # max(1, |v_j|)), smallest damped step, step halvings per iteration.
 _MAX_ITER, _FD_STEP, _MIN_STEP, _MAX_HALVINGS = 80, 1e-7, 1e-14, 50
+# best_band's logit offsets of A (row 0) below and B (row 1) above the Merton fraction
+_BAND_OFFSETS = np.geomspace(1e-4, 14.0, 60) * np.array([[1.0], [-1.0]])
 
 
 class ParameterDegeneracy(ValueError):
@@ -62,22 +69,16 @@ class NonConvergence(RuntimeError):
 def _e1(z):
     """expm1(z)/z with the removable singularity filled in."""
     z = np.asarray(z, dtype=float)
-    out = np.ones_like(z)
-    nz = z != 0.0
-    out[nz] = np.expm1(z[nz]) / z[nz]
-    return out
+    out = np.empty(z.shape)
+    out.fill(1.0)
+    return np.divide(np.expm1(z), z, out=out, where=z != 0.0)
 
 
 def _e2(z):
     """(expm1(z) - z)/z^2 -> 1/2; series below 1e-3 to dodge cancellation."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    small = np.abs(z) < 1e-3
-    zs = z[small]
-    out[small] = 0.5 + zs * (1.0 / 6.0 + zs * (1.0 / 24.0 + zs * (1.0 / 120.0 + zs / 720.0)))
-    zb = z[~small]
-    out[~small] = (np.expm1(zb) - zb) / (zb * zb)
-    return out
+    out = np.asarray(0.5 + z * (1.0 / 6.0 + z * (1.0 / 24.0 + z * (1.0 / 120.0 + z / 720.0))))
+    return np.divide(np.expm1(z) - z, z * z, out=out, where=~(np.abs(z) < 1e-3))
 
 
 def _softplus(t):
@@ -99,13 +100,16 @@ def slope_g(mp: MarketParams, x, x0: float, l: float):
     x, x0 = np.asarray(x, dtype=float), np.asarray(x0, dtype=float)
     if ((x <= 0.0) | (x >= 1.0) | ~((x0 > 0.0) & (x0 < 1.0))).any():
         raise ValueError("slope_g requires x and x0 strictly inside (0, 1)")
-    p = _power(mp)
-    f1 = growth_integrand(mp, 1.0)
-    d = to_centered(x0) - to_centered(x)
-    em = d * _e1(p * d)
-    w = x * (1.0 - x)
-    out = -(2.0 / (mp.sigma * mp.sigma)) * (l - x * f1) * em / w + (x0 - x) * np.exp(p * d) / w
+    out = _g(mp, x, _logit(x), x0, _logit(x0), l)
     return out if out.ndim else float(out)
+
+
+def _g(mp: MarketParams, x, t, x0, t0, l):
+    """slope_g's formula at x and x0 inside (0, 1), with logits t and t0."""
+    d = t0 - t
+    p_d, w = _power(mp) * d, x * (1.0 - x)
+    return (-(2.0 / (mp.sigma * mp.sigma)) * (l - x * _growth(mp, 1.0)) * (d * _e1(p_d)) / w
+            + (x0 - x) * np.exp(p_d) / w)
 
 
 def slope_g_dx(mp: MarketParams, x, x0: float, l: float):
@@ -117,9 +121,9 @@ def slope_g_dx(mp: MarketParams, x, x0: float, l: float):
 
 def _slope_dx(mp: MarketParams, x, g, l):
     """g'(x) from g = slope_g(x) at the same x, via the continuation ODE, and
-    the diffusion coefficient half(x) it divides by."""
+    the diffusion coefficient half(x) it divides by; slope_g has checked x."""
     drift, half = generator_coefficients(mp, x)
-    return (l - growth_integrand(mp, x) - drift * g) / half, half
+    return (l - _growth(mp, x) - drift * g) / half, half
 
 
 def slope_g_integral(mp: MarketParams, x_from, x_to, x0: float, l: float):
@@ -133,17 +137,24 @@ def slope_g_integral(mp: MarketParams, x_from, x_to, x0: float, l: float):
     x_from, x_to = np.asarray(x_from, dtype=float), np.asarray(x_to, dtype=float)
     if ((x_from <= 0.0) | (x_from >= 1.0) | (x_to <= 0.0) | (x_to >= 1.0)).any():
         raise ValueError("slope_g_integral requires endpoints strictly inside (0, 1)")
-    p = _power(mp)
-    t0 = to_centered(x0)
-    t1 = to_centered(x_from)
-    t2 = to_centered(x_to)
-    dt = t2 - t1
-    u2 = t0 - t2
-    piece_a = dt * (dt * _e2(p * dt) + u2 * _e1(p * u2) * _e1(p * dt))
-    piece_b = x0 * np.exp(p * u2) * dt * _e1(p * dt)
-    piece_c = _softplus(t2) - _softplus(t1)
-    out = -(2.0 * l / (mp.sigma * mp.sigma)) * piece_a + piece_b - piece_c
+    pieces = _pieces(_power(mp), to_centered(x0), x0, _logit(x_from), _logit(x_to))
+    out = _g_integral(mp, pieces, l)
     return out if out.ndim else float(out)
+
+
+def _pieces(p, t0, x0, t1, t2):
+    """(A, B, C, H) over [t1, t2] in logit: the integral of slope_g is -(2l/sigma^2)
+    A + B - C (``_g_integral``), and H is that of the homogeneous factor e^{p(t0 - t)}."""
+    dt, u2 = t2 - t1, t0 - t2
+    p_dt, p_u2 = p * dt, p * u2
+    e_dt, grow = _e1(p_dt), np.exp(p_u2)
+    return (dt * (dt * _e2(p_dt) + u2 * _e1(p_u2) * e_dt), x0 * grow * dt * e_dt,
+            _softplus(t2) - _softplus(t1), dt * grow * e_dt)
+
+
+def _g_integral(mp: MarketParams, pieces, l):
+    a, b, c, _ = pieces
+    return -(2.0 * l / (mp.sigma * mp.sigma)) * a + b - c
 
 
 def best_band(mp: MarketParams, gamma: float) -> tuple:
@@ -155,12 +166,12 @@ def best_band(mp: MarketParams, gamma: float) -> tuple:
     so the trade cost's slopes at A and B fix (l, C) by a 2x2 system whose
     rows over e are priced on each edge's own axis.  ParameterDegeneracy
     when no band beats the floor max{f(0), f(1)}."""
-    hhat, p = merton_fraction(mp), _power(mp)
-    u = np.geomspace(1e-4, 14.0, 60) * np.array([[1.0], [-1.0]])  # rows: A, B
+    hhat, p, u = merton_fraction(mp), _power(mp), _BAND_OFFSETS
     x = from_centered(to_centered(hhat) - u)
     slope = edge_slopes(gamma, 0.0, *x)
-    z = -(2.0 / (mp.sigma * mp.sigma)) * u * _e1(-p * u)  # z/e < 0 at A, > 0 at B
-    c = (slope * x * (1.0 - x) + x) * np.exp(-p * u)  # (slope + 1/(1-x))/e
+    p_u = -p * u
+    z = -(2.0 / (mp.sigma * mp.sigma)) * u * _e1(p_u)  # z/e < 0 at A, > 0 at B
+    c = (slope * x * (1.0 - x) + x) * np.exp(p_u)  # (slope + 1/(1-x))/e
     lo, hi = x[0] > EPS, x[1] < 1.0 - EPS
     l = (c[0, lo, None] - c[1, hi]) / (z[0, lo, None] - z[1, hi])
     floor, best = no_trade_floor(mp), np.max(l, initial=-np.inf)
@@ -180,18 +191,24 @@ def policy_value(mp: MarketParams, cp: CostParams, a, al, be, b):
     of its own two ends: pass a grid's axes, not broadcast views."""
     hhat, p = merton_fraction(mp), _power(mp)
     lo, y_low, y_high, hi = (np.asarray(to_centered(v)) for v in (a, al, be, b))
+    t_hhat = to_centered(hhat)
 
-    def row(x1, x2, t1, t2, cost):
+    def row(t1, t2, cost):
         """(k, r) of the row k l + C + r = 0 of int_x1^x2 w' + cost = 0."""
-        base, dt = slope_g_integral(mp, x1, x2, hhat, 0.0), t2 - t1
-        c = dt * np.exp(p * (to_centered(hhat) - t2)) * _e1(p * dt)
-        return (slope_g_integral(mp, x1, x2, hhat, 1.0) - base) / c, (base + cost) / c
+        pieces = _pieces(p, t_hhat, hhat, t1, t2)
+        base = _g_integral(mp, pieces, 0.0)
+        return (_g_integral(mp, pieces, 1.0) - base) / pieces[3], (base + cost) / pieces[3]
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        k_low, r_low = row(a, al, lo, y_low, np.log(wealth_factor(cp, a, al)))
-        k_high, r_high = row(be, b, y_high, hi, -np.log(wealth_factor(cp, b, be)))
-        l = (r_high - r_low) / (k_low - k_high)
-    return np.where((lo < y_low) & (y_low <= y_high) & (y_high < hi), mp.r + l, -np.inf)
+        k_low, r_low = row(lo, y_low, np.log(_wealth(cp, a, al)))
+        k_high, r_high = row(y_high, hi, -np.log(_wealth(cp, b, be)))
+        l = np.asarray(r_high - r_low)
+        l /= k_low - k_high
+    l += mp.r
+    # a < alpha <= beta < b in one pass: a restart point off its side goes to +-inf
+    np.copyto(l, -np.inf, where=np.where(lo < y_low, y_low, np.inf)
+              > np.where(y_high < hi, y_high, -np.inf))
+    return l
 
 
 class NewtonUnknowns:
@@ -231,16 +248,6 @@ class ValueFunction:
     candidate: object
     anchor: tuple = field(repr=False)
 
-    @property
-    def u_at_a(self) -> float:
-        _, _, a, al, _, _ = self.anchor
-        return float(trade_cost_gamma(self.costs, a, al))
-
-    @property
-    def u_at_beta(self) -> float:
-        l, x0, a, _, be, _ = self.anchor
-        return float(self.u_at_a + slope_g_integral(self.market, a, be, x0, l))
-
     def _piecewise(self, x, low, mid, high):
         """low(x) below a, mid(x) on [a, b] and high(x) above b, on [0, 1]."""
         x = np.asarray(x, dtype=float)
@@ -256,9 +263,11 @@ class ValueFunction:
 
     def u(self, x):
         l, x0, a, al, be, _ = self.anchor
+        u_a = trade_cost_gamma(self.costs, a, al)
+        u_beta = u_a + slope_g_integral(self.market, a, be, x0, l)
         return self._piecewise(x, lambda y: trade_cost_gamma(self.costs, y, al),
-                               lambda y: self.u_at_a + slope_g_integral(self.market, a, y, x0, l),
-                               lambda y: self.u_at_beta + trade_cost_gamma(self.costs, y, be))
+                               lambda y: u_a + slope_g_integral(self.market, a, y, x0, l),
+                               lambda y: u_beta + trade_cost_gamma(self.costs, y, be))
 
     def _cost_slopes(self, y):
         """The trade cost's x-slopes at y on the buying and the selling branch."""
@@ -271,18 +280,25 @@ class ValueFunction:
                                lambda y: self._cost_slopes(y)[1])
 
     def ddu(self, x):
-        # outside [a, b] u' is the trade cost's slope s = +-gamma/(1 - delta +- gamma x): u'' = -s^2
-        l, x0 = self.anchor[:2]
-        return self._piecewise(x, lambda y: -self._cost_slopes(y)[0] ** 2,
-                               lambda y: slope_g_dx(self.market, y, x0, l),
-                               lambda y: -self._cost_slopes(y)[1] ** 2)
+        return self._ddu(x, self.du(x))
+
+    def _ddu(self, x, du):
+        """u'' from u' = du at x: -du^2 outside [a, b], g' by the continuation ODE inside."""
+        l, _, a, _, _, b = self.anchor
+        x, du = np.asarray(x, dtype=float), np.asarray(du, dtype=float)
+        out, mid = np.array(-du ** 2), ~((x < a) | (x > b))
+        out[mid] = _slope_dx(self.market, x[mid], du[mid], l)[0]
+        return out if out.ndim else float(out)
 
 
 def _pasting_rows(mp: MarketParams, cp: CostParams, l, x0, a, alpha, beta, b):
     """C1 pasting residuals: g at (alpha, beta, a, b) minus the slope of the
     trade cost there, the restart targets first, then the trade triggers.
     Element-wise, so a stack of candidates gives one column each."""
-    g = slope_g(mp, np.array([alpha, beta, a, b]), x0, l)
+    return _slope_gaps(cp, slope_g(mp, np.array([alpha, beta, a, b]), x0, l), a, alpha, beta, b)
+
+
+def _slope_gaps(cp: CostParams, g, a, alpha, beta, b):
     return g - np.concatenate([edge_slopes(cp.gamma, 0.0, alpha, beta),
                                edge_slopes(cp.gamma, cp.delta, a, b)])
 
@@ -377,7 +393,8 @@ def verify_qvi(mp: MarketParams, cp: CostParams, vf: ValueFunction,
                                   f"{x0, a, alpha, beta, b}", False)
 
     def hjb(x):
-        return apply_generator(mp, 0.0, vf.du(x), vf.ddu(x), x) + growth_integrand(mp, x) - l
+        du = vf.du(x)
+        return apply_generator(mp, 0.0, du, vf._ddu(x, du), x) + _growth(mp, x) - l
 
     grid = np.linspace(EPS, 1.0 - EPS, grid_n)
     spacing = float(grid[1] - grid[0])
@@ -451,15 +468,15 @@ def damped_newton(residual, v0, *, tol=RESIDUAL_TOL):
     """
     v = np.array(v0, dtype=float)
     fv = np.asarray(residual(v), dtype=float)
+    norm = float(np.abs(fv).max())
     for it in range(_MAX_ITER):
-        norm0 = float(np.max(np.abs(fv)))
-        if norm0 <= tol:
-            return v, it, norm0
+        if norm <= tol:
+            return v, it, norm
         jac = _jacobian(residual, v, fv)
         try:
             dv = np.linalg.solve(jac, -fv)
         except np.linalg.LinAlgError:
-            return v, it, norm0
+            return v, it, norm
         scale = 1.0
         for _ in range(_MAX_HALVINGS):
             try:
@@ -468,15 +485,17 @@ def damped_newton(residual, v0, *, tol=RESIDUAL_TOL):
             except ValueError:
                 scale *= 0.5
                 continue
-            if float(np.max(np.abs(ft))) < norm0 or float(np.max(np.abs(scale * dv))) <= _MIN_STEP:
-                v, fv = trial, ft
+            trial_norm = float(np.abs(ft).max())
+            stalled = float(np.abs(scale * dv).max()) <= _MIN_STEP
+            if trial_norm < norm or stalled:
+                v, fv, norm = trial, ft, trial_norm
                 break
             scale *= 0.5
         else:
-            return v, it + 1, norm0
-        if float(np.max(np.abs(scale * dv))) <= _MIN_STEP:
-            return v, it + 1, float(np.max(np.abs(fv)))
-    return v, _MAX_ITER, float(np.max(np.abs(fv)))
+            return v, it + 1, norm
+        if stalled:
+            return v, it + 1, norm
+    return v, _MAX_ITER, norm
 
 
 def newton_from_starts(cls, residual, starts, check, *, tol=RESIDUAL_TOL):

@@ -81,6 +81,8 @@ def residual_system_limit(mp: MarketParams, gamma: float, cand: LimitCandidate) 
     cost's slope there, or their (4, k) block at a stack of k candidates."""
     if not cand.ordering_ok():
         raise ParameterDegeneracy("candidate ordering 0 < A < B < 1 violated")
+    if np.isnan(cand.l0).any():
+        raise ParameterDegeneracy("candidate growth rate l0 is NaN")
     edges = np.array([cand.A, cand.B])
     s = edge_slopes(gamma, 0.0, cand.A, cand.B)
     g = slope_g(mp, edges, cand.x0, cand.l0)

@@ -102,8 +102,13 @@ def growth_integrand(mp: MarketParams, h):
     h = np.asarray(h, dtype=float)
     if ((h < 0.0) | (h > 1.0)).any():
         raise ValueError("growth_integrand requires h in [0, 1]")
-    out = -0.5 * mp.sigma * mp.sigma * h * h + (mp.mu - mp.r) * h
+    out = _growth(mp, h)
     return out if out.ndim else float(out)
+
+
+def _growth(mp: MarketParams, h):
+    """growth_integrand's formula, unchecked: a float at a float h."""
+    return -0.5 * mp.sigma * mp.sigma * h * h + (mp.mu - mp.r) * h
 
 
 def no_trade_floor(mp: MarketParams) -> float:
@@ -123,8 +128,13 @@ def to_centered(h):
     h = np.asarray(h, dtype=float)
     if ((h <= 0.0) | (h >= 1.0)).any():
         raise ValueError("to_centered requires h strictly inside (0, 1)")
-    out = np.log(h) - np.log1p(-h)
+    out = _logit(h)
     return out if out.ndim else float(out)
+
+
+def _logit(h):
+    """to_centered's formula at values already known to lie inside (0, 1)."""
+    return np.log(h) - np.log1p(-h)
 
 
 def from_centered(y):
@@ -180,11 +190,14 @@ def trade_cost_gamma(cp: CostParams, x, y):
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if ((x < 0.0) | (x > 1.0) | (y < 0.0) | (y > 1.0)).any():
         raise ValueError("trade_cost_gamma requires fractions in [0, 1]")
-    num, den = cost_terms(cp, x, y, np.where(y > x, 1.0, -1.0))
-    if ((num <= 0.0) | (den <= 0.0)).any():
-        raise ValueError("trade_cost_gamma: logarithm argument not positive")
-    out = np.log(num) - np.log(den)
+    out = _log_cost(cp, x, y)
     return out if out.ndim else float(out)
+
+
+def _log_cost(cp: CostParams, x, y):
+    """trade_cost_gamma's formula, whose terms are positive on [0, 1]."""
+    num, den = cost_terms(cp, x, y, np.where(y > x, 1.0, -1.0))
+    return np.log(num) - np.log(den)
 
 
 def wealth_factor(cp: CostParams, h, xi):
@@ -200,9 +213,14 @@ def wealth_factor(cp: CostParams, h, xi):
     h, xi = np.asarray(h, dtype=float), np.asarray(xi, dtype=float)
     if ((h < 0.0) | (h > 1.0) | (xi < 0.0) | (xi > 1.0)).any():
         raise ValueError("wealth_factor requires fractions in [0, 1]")
-    num, den = cost_terms(cp, h, xi, np.where(buys(cp, h, xi), 1.0, -1.0))
-    out = num / den
+    out = _wealth(cp, h, xi)
     return out if out.ndim else float(out)
+
+
+def _wealth(cp: CostParams, h, xi):
+    """wealth_factor's formula at fractions in [0, 1]."""
+    num, den = cost_terms(cp, h, xi, np.where(buys(cp, h, xi), 1.0, -1.0))
+    return num / den
 
 
 def trade_cost_transformed(cp: CostParams, y, zeta):

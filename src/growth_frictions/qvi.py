@@ -31,12 +31,11 @@ import numpy as np
 
 from ._policy import _renewal_batch
 from ._slope import (PASTING_TOL, RESIDUAL_TOL, NewtonUnknowns, NonConvergence,
-                     ParameterDegeneracy, ValueFunction, VerificationReport, _pasting_rows,
-                     best_band, newton_from_starts, policy_value, slope_g, slope_g_dx,
-                     slope_g_integral, verify_qvi)
-from .market import (EPS, CostParams, MarketParams, ParameterError, buys,
-                     check_growth_excess, from_centered, no_trade_floor,
-                     to_centered, trade_cost_gamma)
+                     ParameterDegeneracy, ValueFunction, VerificationReport, _g, _g_integral,
+                     _pasting_rows, _pieces, _power, _slope_gaps, best_band, newton_from_starts,
+                     policy_value, slope_g, slope_g_dx, slope_g_integral, verify_qvi)
+from .market import (EPS, CostParams, MarketParams, ParameterError, _log_cost, _logit, buys,
+                     check_growth_excess, from_centered, no_trade_floor, to_centered)
 
 __all__ = [
     "BoundaryCandidate", "BoundarySolution", "ValueFunction", "VerificationReport",
@@ -92,16 +91,25 @@ def residual_system(mp: MarketParams, cp: CostParams, cand: BoundaryCandidate) -
     """The six smooth-pasting/value-matching residuals at a candidate, or
     their (6, k) block, one column each, at a stack of k candidates.
 
-    Only the ordering a < alpha <= beta < b inside (0, 1) is required;
-    x0 may sit anywhere inside (0, 1) while the solver iterates.
+    Only the ordering a < alpha <= beta < b inside (0, 1) and a non-NaN l
+    are required; x0 may sit anywhere inside (0, 1) while the solver iterates.
     """
     if not cand.ordering_ok():
         raise ParameterDegeneracy("candidate ordering a < alpha <= beta < b violated")
-    integral = slope_g_integral(mp, np.array([cand.a, cand.beta]),
-                                np.array([cand.alpha, cand.b]), cand.x0, cand.l)
-    cost = trade_cost_gamma(cp, np.array([cand.a, cand.b]), np.array([cand.alpha, cand.beta]))
-    return np.concatenate([_pasting_rows(mp, cp, *cand.policy()),
+    if np.isnan(cand.l).any():
+        raise ParameterDegeneracy("candidate growth rate l is NaN")
+    # unchecked kernels, as the ordering puts every point inside (0, 1); x: alpha, beta, a, b
+    l, x0, a, al, be, b = cand.policy()
+    x, t0 = np.array([al, be, a, b]), _logit(x0)
+    t = _logit(x)
+    integral = _g_integral(mp, _pieces(_power(mp), t0, x0, t[2:0:-1], t[::3]), l)
+    cost = _log_cost(cp, x[2:], x[:2])  # a -> alpha, b -> beta
+    return np.concatenate([_slope_gaps(cp, _g(mp, x, t, x0, t0, l), a, al, be, b),
                            [integral[0] + cost[0], integral[1] - cost[1]]])
+
+
+_WIDEN, _INSET, _REFINE = (np.geomspace(5e-3, 4.0, 14), np.geomspace(2e-3, 2.0, 12),
+                           np.geomspace(0.5, 2.0, 7))
 
 
 def _oracle_seed(mp, cp, A, B):
@@ -121,9 +129,7 @@ def _oracle_seed(mp, cp, A, B):
     less r, and its x0 the logit midpoint of (alpha, beta).
     """
     a_lim, b_lim = to_centered(A), to_centered(B)
-    widen = np.geomspace(5e-3, 4.0, 14)
-    inset = np.geomspace(2e-3, 2.0, 12)
-    offsets = (widen, widen, inset, inset)
+    offsets = (_WIDEN, _WIDEN, _INSET, _INSET)
     best = None
     for _ in range(2):
         u1, u2, v1, v2 = offsets
@@ -136,7 +142,7 @@ def _oracle_seed(mp, cp, A, B):
         k = int(np.argmax(policy_value(mp, cp, *axes)))
         best = tuple(float(v.flat[k]) for v in np.broadcast_arrays(*axes))
         a_k, al_k, be_k, b_k = (to_centered(v) for v in best)
-        offsets = tuple(gap * np.geomspace(0.5, 2.0, 7) for gap in
+        offsets = tuple(gap * _REFINE for gap in
                         (a_lim - a_k, b_k - b_lim, al_k - a_k, b_k - be_k))
     (a, al, be, b), value = best, float(_renewal_batch(mp, cp, *best))
     floor = no_trade_floor(mp)
@@ -174,12 +180,8 @@ def solve_boundaries(mp: MarketParams, cp: CostParams,
     cand, iters, norm = newton_from_starts(
         BoundaryCandidate, lambda c: residual_system(mp, cp, c), _starts(mp, cp, init),
         lambda c: c.check_invariants(mp))
-    return BoundarySolution(
-        candidate=cand,
-        residual_norm=norm,
-        newton_iters=iters,
-        original_cost_optimal=bool(buys(cp, cand.a, cand.alpha)),
-    )
+    return BoundarySolution(candidate=cand, residual_norm=norm, newton_iters=iters,
+                            original_cost_optimal=bool(buys(cp, cand.a, cand.alpha)))
 
 
 def build_value(mp: MarketParams, cp: CostParams, sol: BoundarySolution) -> ValueFunction:

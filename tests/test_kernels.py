@@ -1,0 +1,133 @@
+"""The residuals, the seed's closed form and the value function evaluate the
+slope kernels below one domain check.  Every result here must equal, bit
+for bit, the checked one-call-per-row forms of ``kernel_reference``; both
+run in this process, so the comparison holds whatever SIMD paths the CPU
+takes.  The residuals' one check must still stop a NaN in any unknown; the
+public primitives' checks are pinned by test_market."""
+
+import contextlib
+import dataclasses
+
+import numpy as np
+import pytest
+
+import growth_frictions as gf
+from growth_frictions import _slope, limit, qvi
+from kernel_reference import (ddu, du, e1, e2, policy_value, residual_system,
+                              residual_system_limit, slope_g, slope_g_dx, slope_g_integral)
+from newton_reference import is_stacked, record_residual
+
+# the seven solve_domain anchors of the benchmark: r, mu, sigma, gamma, delta
+ANCHORS = [(0.0, 0.096, 0.4, 0.003, 1e-3), (0.0, 0.096, 0.4, 0.003, 1e-6),
+           (0.0, 0.040, 0.4, 0.003, 1e-3), (0.01, 0.154, 0.4, 0.003, 1e-3),
+           (0.02, 0.1, 0.4, 0.02, 1e-2), (0.03, 0.09, 0.3, 0.05, 5e-3),
+           (0.0, 0.144, 0.4, 0.05, 1e-2)]
+MARKETS = [gf.MarketParams(r=0.0, mu=hhat * 0.16, sigma=0.4) for hhat in (0.02, 0.5, 0.6, 0.97)]
+
+
+def _same(new, old):
+    """Equal bit for bit, in type (float or array) and shape too."""
+    assert type(new) is type(old)
+    assert np.array_equal(new, old, equal_nan=True)
+    assert np.array_equal(np.signbit(new), np.signbit(old))
+
+
+def test_expm1_quotients_are_the_masked_forms():
+    ulp = np.spacing(1e-3)
+    edge = [1e-3 - ulp, 1e-3, 1e-3 + ulp]
+    z = np.concatenate([[0.0, -0.0, np.nan, np.inf, -np.inf], edge, np.negative(edge),
+                        np.random.default_rng(3).normal(0.0, 1.0, 50),
+                        np.random.default_rng(4).normal(0.0, 1e-3, 50)])
+    for new, old in ((_slope._e1, e1), (_slope._e2, e2)):
+        with np.errstate(invalid="ignore"):
+            _same(new(z), old(z))
+            _same(new(z.reshape(3, -1)), old(z.reshape(3, -1)))
+            for v in z:
+                _same(new(v), old(v))
+
+
+@pytest.mark.parametrize("mp", MARKETS, ids=lambda mp: f"mu{mp.mu:g}")
+def test_slope_kernels_are_the_checked_forms(mp):
+    rng = np.random.default_rng(11)
+    x, x_to = rng.uniform(1e-7, 1.0 - 1e-7, (2, 40, 6))
+    x0, l = rng.uniform(0.01, 0.99, 6), rng.normal(0.0, 0.02, 6)
+    _same(_slope.slope_g(mp, x, x0, l), slope_g(mp, x, x0, l))
+    _same(_slope.slope_g_dx(mp, x, x0, l), slope_g_dx(mp, x, x0, l))
+    _same(_slope.slope_g_integral(mp, x, x_to, x0, l), slope_g_integral(mp, x, x_to, x0, l))
+    for args in ((0.3, 0.55, 0.02), (0.8, 0.55, -0.01)):
+        _same(_slope.slope_g(mp, *args), slope_g(mp, *args))
+        _same(_slope.slope_g_dx(mp, *args), slope_g_dx(mp, *args))
+        _same(_slope.slope_g_integral(mp, 0.1, *args), slope_g_integral(mp, 0.1, *args))
+
+
+@pytest.mark.parametrize("r, mu, sigma, gamma, delta", ANCHORS)
+def test_residuals_are_the_checked_forms_at_every_solver_call(r, mu, sigma, gamma, delta):
+    # every candidate a cold impulse solve and a cold limit solve evaluate,
+    # single and stacked Jacobian blocks alike
+    mp = gf.MarketParams(r=r, mu=mu, sigma=sigma)
+    cp = gf.CostParams(delta=delta, gamma=gamma)
+    with contextlib.suppress(gf.ParameterDegeneracy):  # the infeasible anchor has no seed
+        _, impulse = record_residual(qvi, "residual_system",
+                                     lambda: gf.solve_boundaries(mp, cp))
+        assert any(map(is_stacked, impulse))
+        for cand in impulse:
+            _same(qvi.residual_system(mp, cp, cand), residual_system(mp, cp, cand))
+    _, reflecting = record_residual(limit, "residual_system_limit",
+                                    lambda: gf.solve_limit(mp, gamma))
+    assert any(map(is_stacked, reflecting))
+    for cand in reflecting:
+        _same(limit.residual_system_limit(mp, gamma, cand),
+              residual_system_limit(mp, gamma, cand))
+
+
+@pytest.mark.parametrize("r, mu, sigma, gamma, delta", ANCHORS)
+def test_seed_grids_price_as_the_checked_form(r, mu, sigma, gamma, delta, monkeypatch):
+    mp = gf.MarketParams(r=r, mu=mu, sigma=sigma)
+    cp = gf.CostParams(delta=delta, gamma=gamma)
+    grids = []
+    price = _slope.policy_value
+    monkeypatch.setattr(qvi, "policy_value",
+                        lambda mp, cp, *axes: grids.append(axes) or price(mp, cp, *axes))
+    with contextlib.suppress(gf.ParameterDegeneracy):
+        qvi._oracle_seed(mp, cp, *_slope.best_band(mp, gamma)[2:])
+    assert len(grids) == 2
+    for axes in grids:
+        _same(price(mp, cp, *axes), policy_value(mp, cp, *axes))
+
+
+def test_value_derivatives_are_the_checked_forms(mp, cp, vf, lim):
+    curves = [vf, limit.build_limit_value(mp, cp.gamma, lim)]
+    for curve in curves:
+        _, _, a, al, be, b = curve.anchor
+        x = np.concatenate([np.linspace(0.0, 1.0, 2001), [a, al, be, b, np.nan]])
+        for new, old in ((curve.du, du), (curve.ddu, ddu)):
+            _same(new(x), old(curve, x))
+            _same(new(x.reshape(2, -1)), old(curve, x.reshape(2, -1)))
+            for v in x[::97]:
+                _same(new(v), old(curve, v))
+
+
+FIELDS = [f.name for f in dataclasses.fields(gf.BoundaryCandidate)]
+LIMIT_FIELDS = [f.name for f in dataclasses.fields(gf.LimitCandidate)]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_a_nan_in_any_field_stops_the_impulse_residual(mp, cp, sol, field):
+    cand = sol.candidate
+    with pytest.raises(gf.ParameterDegeneracy):
+        qvi.residual_system(mp, cp, dataclasses.replace(cand, **{field: np.nan}))
+    block = np.repeat(cand.as_vector()[:, None], 3, axis=1)
+    block[FIELDS.index(field), 1] = np.nan
+    with pytest.raises(gf.ParameterDegeneracy):
+        qvi.residual_system(mp, cp, gf.BoundaryCandidate.from_vector(block))
+
+
+@pytest.mark.parametrize("field", LIMIT_FIELDS)
+def test_a_nan_in_any_field_stops_the_limit_residual(mp, lim, field):
+    cand = lim.candidate
+    with pytest.raises(gf.ParameterDegeneracy):
+        limit.residual_system_limit(mp, 0.003, dataclasses.replace(cand, **{field: np.nan}))
+    block = np.repeat(cand.as_vector()[:, None], 3, axis=1)
+    block[LIMIT_FIELDS.index(field), 2] = np.nan
+    with pytest.raises(gf.ParameterDegeneracy):
+        limit.residual_system_limit(mp, 0.003, gf.LimitCandidate.from_vector(block))
