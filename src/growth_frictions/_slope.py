@@ -12,7 +12,8 @@ expm1 the power branch extends continuously through that set, so a single
 expression covers both; the integral branch is its exact limit.  The same
 rearrangement yields closed forms for the antiderivative, so no quadrature
 is needed in the solvers: ``best_band`` and ``policy_value`` price a band or
-a policy by a 2x2 linear system (the seed's quadrature prices one winner).
+a policy by a 2x2 linear system, and the renewal quadrature stays the
+oracle's own (``lab``).
 
 Derivatives of g are evaluated through the continuation ODE rearranged,
 g'(x) = (l - f(x) - x(1-x)(mu - r - sigma^2 x) g(x)) / (sigma^2 x^2 (1-x)^2 / 2),
@@ -184,7 +185,7 @@ def best_band(mp: MarketParams, gamma: float) -> tuple:
 
 def policy_value(mp: MarketParams, cp: CostParams, a, al, be, b):
     """Exact growth r + l of boundary policies (a, alpha, beta, b) on their
-    broadcast shape: ``_policy._renewal_batch`` in closed form, -inf outside
+    broadcast shape: ``lab._renewal_batch`` in closed form, -inf outside
     a < alpha <= beta < b in logit.  On (a, b), Dw + f = l has the slopes
     w' = slope_g(x; hhat, l) + C e^{p(t_hhat - t)}/(x(1-x)), so value matching
     across both jumps is a 2x2 system in (l, C), each row priced on the shape

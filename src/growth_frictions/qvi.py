@@ -14,9 +14,10 @@ of smooth-pasting and value-matching equations:
     int_beta^b g - cost(b, beta)   = 0           the rebalancing jumps
 
 solved by one damped Newton run from a warm start or, cold, from the constant
-boundary policy of best exact growth (``_slope.policy_value``, the winner priced
-by ``_policy``) near the reflecting band of best exact growth (``_slope.best_band``),
-through the start loop shared with the limit solver.  The value function u is then
+boundary policy of best exact growth (``_slope.policy_value``, in closed form)
+near the reflecting band of best exact growth (``_slope.best_band``), through
+the start loop shared with the limit solver; no solve calls the renewal
+quadrature, which is the oracle's own (``lab``).  The value function u is then
 assembled piecewise from the trade cost outside [a, b] and the integral of g
 inside, and ``verify_qvi`` (from ``_slope``, below both solvers) checks it
 against the variational inequality max{Du + f - l, Mu - u} = 0 on a grid; at
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._policy import _renewal_batch
 from ._slope import (PASTING_TOL, RESIDUAL_TOL, NewtonUnknowns, NonConvergence,
                      ParameterDegeneracy, ValueFunction, VerificationReport, _g, _g_integral,
                      _pasting_rows, _pieces, _power, _slope_gaps, best_band, newton_from_starts,
@@ -121,12 +121,12 @@ def _oracle_seed(mp, cp, A, B):
     ``policy_value`` prices the grid in closed form on its offset axes)
     lands inside the Newton basin regardless of the region's shape; insets
     that cross (alpha > beta) read -inf.  Round 2 refines each of the four
-    offsets by geomspace(0.5, 2, 7) times its own round-1 best.  Only the
-    winner is priced by the renewal quadrature: if that growth does not beat
-    the floor r + max{f(0), f(1)} of never trading (or holding only stock),
-    there is no interior optimum to seed and ParameterDegeneracy is raised;
-    its DegenerateChain propagates as itself.  The seed's l is that growth
-    less r, and its x0 the logit midpoint of (alpha, beta).
+    offsets by geomspace(0.5, 2, 7) times its own round-1 best.  If the
+    winner's growth on round 2's grid does not beat the floor
+    r + max{f(0), f(1)} of never trading (or holding only stock), there is
+    no interior optimum to seed and ParameterDegeneracy is raised.  The
+    seed's l is that growth less r, and its x0 the logit midpoint of
+    (alpha, beta).
     """
     a_lim, b_lim = to_centered(A), to_centered(B)
     offsets = (_WIDEN, _WIDEN, _INSET, _INSET)
@@ -139,12 +139,13 @@ def _oracle_seed(mp, cp, A, B):
         # axes (a widening, b widening, a inset, b inset), the meshgrid order
         al_y, be_y = a_y + v1[:, None], b_y - v2
         axes = [from_centered(y) for y in (a_y, al_y, be_y, b_y)]
-        k = int(np.argmax(policy_value(mp, cp, *axes)))
+        values = policy_value(mp, cp, *axes)
+        k = int(np.argmax(values))
         best = tuple(float(v.flat[k]) for v in np.broadcast_arrays(*axes))
         a_k, al_k, be_k, b_k = (to_centered(v) for v in best)
         offsets = tuple(gap * _REFINE for gap in
                         (a_lim - a_k, b_k - b_lim, al_k - a_k, b_k - be_k))
-    (a, al, be, b), value = best, float(_renewal_batch(mp, cp, *best))
+    (a, al, be, b), value = best, float(values.flat[k])
     floor = no_trade_floor(mp)
     if not value - mp.r > floor:
         raise ParameterDegeneracy(

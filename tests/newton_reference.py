@@ -1,11 +1,18 @@
 """Reference forms for the stacked-Jacobian tests: the column-by-column
 forward-difference Jacobian that the stacked call must reproduce bit for
-bit, and a recorder of the candidates a solve passes to its residual."""
+bit, a recorder of the candidates a solve passes to its residual, and the
+markets of the benchmark's cold solves."""
 
 import numpy as np
 import pytest
 
 from growth_frictions import _slope
+
+# the seven solve_domain anchors of the benchmark: r, mu, sigma, gamma, delta
+ANCHORS = [(0.0, 0.096, 0.4, 0.003, 1e-3), (0.0, 0.096, 0.4, 0.003, 1e-6),
+           (0.0, 0.040, 0.4, 0.003, 1e-3), (0.01, 0.154, 0.4, 0.003, 1e-3),
+           (0.02, 0.1, 0.4, 0.02, 1e-2), (0.03, 0.09, 0.3, 0.05, 5e-3),
+           (0.0, 0.144, 0.4, 0.05, 1e-2)]
 
 
 def column_jacobian(residual, v, fv):

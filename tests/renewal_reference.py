@@ -2,11 +2,15 @@
 distinct exit problems of a batch with np.unique and gathers them back, and
 the seed search that flattens its offset grid into a list of ordered
 candidates.  The axis-wise evaluator and seed must reproduce both bit for
-bit."""
+bit.  Also the recorder of the grids that the cold seed ranks, and the check
+that the seed's winner is priced, and named, as the renewal quadrature
+prices it."""
+
+import contextlib
 
 import numpy as np
 
-from growth_frictions import _policy
+from growth_frictions import _slope, lab, qvi
 from growth_frictions.market import (EPS, from_centered, growth_integrand_transformed,
                                      no_trade_floor, to_centered, wealth_factor)
 from growth_frictions.qvi import BoundaryCandidate, ParameterDegeneracy
@@ -31,15 +35,15 @@ def renewal_batch(mp, cp, a, al, be, b):
         out = per_problem[problem]
         return out[:n], out[n:]
 
-    p_low, p_high = per_candidate(_policy.exit_prob_up(c, mp.sigma, lo, hi, y))
+    p_low, p_high = per_candidate(lab.exit_prob_up(c, mp.sigma, lo, hi, y))
     bad = (p_low <= 1e-12) | (p_low >= 1.0 - 1e-12) | (p_high <= 1e-12) | (p_high >= 1.0 - 1e-12)
     if np.any(bad):
         k = int(np.argmax(bad))
-        raise _policy.DegenerateChain(
+        raise lab.DegenerateChain(
             "restart chain numerically absorbing: exit probabilities "
             f"p(alpha)={p_low[k]:.3e}, p(beta)={p_high[k]:.3e}")
-    m, w = _policy._exit_problems(lambda z: growth_integrand_transformed(mp, z),
-                                  c, mp.sigma, lo, hi, y)
+    m, w, _ = lab._exit_problems(lambda z: growth_integrand_transformed(mp, z),
+                                 c, mp.sigma, lo, hi, y)
     m_low, m_high = per_candidate(m)
     w_low, w_high = per_candidate(w)
     cost_low = np.log(wealth_factor(cp, a, al))
@@ -54,7 +58,8 @@ def renewal_batch(mp, cp, a, al, be, b):
 
 def oracle_seed(mp, cp, A, B):
     """The renewal seed around the band [A, B] over the flattened meshgrid
-    of logit offsets, its ordered candidates priced by renewal_batch."""
+    of logit offsets, its ordered candidates ranked by renewal_batch and its
+    winner priced by the closed form."""
     a_lim = to_centered(A)
     b_lim = to_centered(B)
     widen = np.geomspace(5e-3, 4.0, 14)
@@ -71,11 +76,12 @@ def oracle_seed(mp, cp, A, B):
         a, al, be, b = a[keep2], al[keep2], be[keep2], b[keep2]
         values = renewal_batch(mp, cp, a, al, be, b)
         k = int(np.argmax(values))
-        best = (float(a[k]), float(al[k]), float(be[k]), float(b[k]), float(values[k]))
-        a_k, al_k, be_k, b_k = (to_centered(v) for v in best[:4])
+        best = (float(a[k]), float(al[k]), float(be[k]), float(b[k]))
+        a_k, al_k, be_k, b_k = (to_centered(v) for v in best)
         offsets = tuple(gap * np.geomspace(0.5, 2.0, 7) for gap in
                         (a_lim - a_k, b_k - b_lim, al_k - a_k, b_k - be_k))
-    a, al, be, b, value = best
+    a, al, be, b = best
+    value = float(_slope.policy_value(mp, cp, a, al, be, b))
     floor = no_trade_floor(mp)
     if not value - mp.r > floor:
         raise ParameterDegeneracy(
@@ -92,3 +98,49 @@ def seed_outcome(seed, mp, cp, band):
         return repr(seed(mp, cp, *band))
     except (ValueError, RuntimeError) as err:
         return f"{type(err).__name__}: {err}"
+
+
+def ranked_batches(monkeypatch, perturb=None):
+    """The candidate grids the cold seed ranks once this returns, each as
+    (a, alpha, beta, b, values) on the grid's broadcast shape, with perturb
+    applied to the ranking values of the ordered candidates (alpha < beta,
+    the ones the seed compares) in C order."""
+    batches = []
+    price = _slope.policy_value
+
+    def spy(mp, cp, *axes):
+        values = price(mp, cp, *axes)
+        cand = tuple(np.broadcast_arrays(*axes))
+        batches.append(cand + (values,))
+        if perturb is not None:
+            ordered = cand[1] < cand[2]
+            values[ordered] = perturb(values[ordered])
+        return values
+
+    monkeypatch.setattr(qvi, "policy_value", spy)
+    return batches
+
+
+def assert_seed_names_as_the_oracle(mp, cp, monkeypatch):
+    """Every grid the cold seed ranks is finite or -inf, and at the winner
+    the closed form and the renewal quadrature agree within 1e-12 and fall
+    on the same side of the floor r + max{f(0), f(1)}.  Returns whether the
+    seed ran: a market whose best band does not beat the floor has none."""
+    try:
+        band = _slope.best_band(mp, cp.gamma)[2:]
+    except ParameterDegeneracy:
+        return False
+    batches = ranked_batches(monkeypatch)
+    with contextlib.suppress(ParameterDegeneracy):
+        qvi._oracle_seed(mp, cp, *band)
+    assert len(batches) == 2
+    for *_, values in batches:
+        assert not np.any(np.isnan(values) | np.isposinf(values))
+    *cand, values = batches[-1]
+    k = int(np.argmax(values))
+    closed = float(values.flat[k])
+    quadrature = float(lab._renewal_batch(mp, cp, *(v.flat[k] for v in cand)))
+    assert abs(closed - quadrature) <= 1e-12
+    floor = no_trade_floor(mp)
+    assert (closed - mp.r > floor) == (quadrature - mp.r > floor)
+    return True

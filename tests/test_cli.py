@@ -461,14 +461,13 @@ def test_oracle_box_outside_the_ordering_is_one_config_error(config_file, tmp_pa
 
 @pytest.mark.parametrize("argv, module, name, error, reason", [
     (["oracle"], lab, "brute_force_boundaries", lab.DegenerateChain, "degenerate_chain"),
-    (["solve"], qvi, "_renewal_batch", lab.DegenerateChain, "degenerate_chain"),
     (["simulate"], simulate, "estimate_growth_impulse", simulate.NumericalBlowup,
      "numerical_blowup"),
     (["solve"], qvi, "solve_boundaries", NonConvergence, "non_convergence"),
     (["limit"], limit, "solve_limit", ParameterDegeneracy, "invariant_violation"),
     (["simulate"], simulate, "estimate_growth_impulse", ValueError, "config"),
     (["solve"], qvi, "verify_qvi", MemoryError, "out_of_memory"),
-], ids=["degenerate_chain", "degenerate_chain_in_seed", "numerical_blowup", "non_convergence", "invariant_violation",
+], ids=["degenerate_chain", "numerical_blowup", "non_convergence", "invariant_violation",
         "config", "out_of_memory"])
 def test_numerical_failure_is_one_named_error(argv, module, name, error, reason, config_file,
                                               tmp_path, capsys, monkeypatch):

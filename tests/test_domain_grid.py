@@ -17,7 +17,7 @@ import pytest
 
 import growth_frictions as gf
 from growth_frictions import _slope, limit, qvi
-from renewal_reference import oracle_seed, seed_outcome
+from renewal_reference import assert_seed_names_as_the_oracle, oracle_seed, seed_outcome
 
 SIGMA = 0.4
 HHATS = (0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9)
@@ -66,6 +66,25 @@ def test_seed_matches_the_flat_reference_seed(hhat, gamma, delta):
     cp = gf.CostParams(delta=delta, gamma=gamma)
     band = _slope.best_band(mp, gamma)[2:]  # the band the cold solve seeds around
     assert seed_outcome(qvi._oracle_seed, mp, cp, band) == seed_outcome(oracle_seed, mp, cp, band)
+
+
+@pytest.mark.parametrize("hhat, gamma, delta", itertools.product(HHATS, GAMMAS, DELTAS))
+def test_seed_names_its_winner_as_the_oracle_prices_it(hhat, gamma, delta, monkeypatch):
+    # the seed prices in closed form only, so its grid value is the growth
+    # it seeds and names by: the renewal quadrature agrees within 1e-12 and
+    # on which side of the floor it falls
+    mp = gf.MarketParams(r=0.0, mu=hhat * SIGMA * SIGMA, sigma=SIGMA)
+    assert assert_seed_names_as_the_oracle(mp, gf.CostParams(delta=delta, gamma=gamma),
+                                           monkeypatch)
+
+
+@pytest.mark.parametrize("hhat, gamma, delta",
+                         itertools.product(LOPSIDED_HHATS, IMPULSE_GAMMAS, DELTAS))
+def test_lopsided_seed_names_its_winner_as_the_oracle_prices_it(hhat, gamma, delta,
+                                                                monkeypatch):
+    # where no reflecting band beats the floor, no seed is searched
+    assert_seed_names_as_the_oracle(_market(hhat), gf.CostParams(delta=delta, gamma=gamma),
+                                    monkeypatch)
 
 
 @pytest.mark.parametrize("hhat, gamma", itertools.product(LOPSIDED_HHATS, LIMIT_GAMMAS))

@@ -15,13 +15,8 @@ import growth_frictions as gf
 from growth_frictions import _slope, limit, qvi
 from kernel_reference import (ddu, du, e1, e2, policy_value, residual_system,
                               residual_system_limit, slope_g, slope_g_dx, slope_g_integral)
-from newton_reference import is_stacked, record_residual
+from newton_reference import ANCHORS, is_stacked, record_residual
 
-# the seven solve_domain anchors of the benchmark: r, mu, sigma, gamma, delta
-ANCHORS = [(0.0, 0.096, 0.4, 0.003, 1e-3), (0.0, 0.096, 0.4, 0.003, 1e-6),
-           (0.0, 0.040, 0.4, 0.003, 1e-3), (0.01, 0.154, 0.4, 0.003, 1e-3),
-           (0.02, 0.1, 0.4, 0.02, 1e-2), (0.03, 0.09, 0.3, 0.05, 5e-3),
-           (0.0, 0.144, 0.4, 0.05, 1e-2)]
 MARKETS = [gf.MarketParams(r=0.0, mu=hhat * 0.16, sigma=0.4) for hhat in (0.02, 0.5, 0.6, 0.97)]
 
 

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 import growth_frictions as gf
-from growth_frictions import _policy, _slope, lab, qvi
+from growth_frictions import _slope, lab, qvi
 from mc_reference import exit_mc
 from renewal_reference import renewal_batch
 
@@ -121,7 +121,7 @@ def _green_96(fn, theta, vol, lo, hi, y):
         hw = 0.5 * (zb - za)[:, None]
         return hw[:, 0] * np.sum(weights[None, :] * kernel(mid + hw * nodes[None, :]), axis=1)
 
-    ee = lambda u: _policy._scale_increment(u, theta)
+    ee = lambda u: lab._scale_increment(u, theta)
     low = half_integral(lo, y, lambda z: ee(z - lo[:, None]) * np.exp(theta * (z - y[:, None])) * fn(z))
     high = half_integral(y, hi, lambda z: ee(hi[:, None] - z) * fn(z))
     return (2.0 / vol**2) * (low * ee(hi - y) + high * ee(y - lo)) / ee(hi - lo)
@@ -148,10 +148,10 @@ def test_width_rule_matches_96_node_rule(market):
 
 def test_width_rule_order_grows_with_width():
     half_width = np.concatenate([[0.0], np.geomspace(1e-6, 1e4, 2001), [np.inf]])
-    order = _policy._gl_order(half_width)
+    order = lab._gl_order(half_width)
     assert np.all(np.diff(order) >= 0)
-    assert order.max() == 96 and order.min() == _policy._GL_ORDERS[0]
-    assert set(order.tolist()) == set(_policy._GL_ORDERS)
+    assert order.max() == 96 and order.min() == lab._GL_ORDERS[0]
+    assert set(order.tolist()) == set(lab._GL_ORDERS)
 
 
 def test_running_reward_blocks_are_exact(mp):
@@ -251,16 +251,16 @@ def test_oracle_box_equals_the_flat_reference(mp, cp, sol):
 
 
 def test_oracle_quadrature_prices_each_side_on_its_own_axes(mp, cp, sol, monkeypatch):
-    # what the oracle subcommand prices on fig2: the cold seed, which ranks
-    # its grids in closed form and integrates only the winner's four sides,
-    # then the 21^4 box, each of whose one-sided Green integrals is priced
-    # once on its own two axes (4 x 21^2 rows)
+    # what the oracle subcommand prices on fig2: the cold seed, which prices
+    # in closed form and integrates no Green side, then the 21^4 box, each
+    # of whose one-sided Green integrals is priced once on its own two axes
+    # (4 x 21^2 rows)
     rows = []
-    side = _policy._green_side
-    monkeypatch.setattr(_policy, "_green_side", lambda fn, za, zb, kernel: rows.append(
+    side = lab._green_side
+    monkeypatch.setattr(lab, "_green_side", lambda fn, za, zb, kernel: rows.append(
         np.broadcast(za, zb).size) or side(fn, za, zb, kernel))
     qvi._oracle_seed(mp, cp, *_slope.best_band(mp, cp.gamma)[2:])
-    assert rows == [1] * 4
+    assert rows == []
     rows.clear()
     gf.brute_force_boundaries(mp, cp, sol.candidate, radius=0.02, step=2e-3)
     assert sum(rows) == 4 * 21 ** 2

@@ -6,10 +6,11 @@ import pytest
 from scipy.integrate import quad
 
 import growth_frictions as gf
-from growth_frictions import _policy, _slope, qvi
+from growth_frictions import _slope, lab, qvi
 from growth_frictions.market import EPS
-from newton_reference import column_jacobian, is_stacked, record_residual
-from renewal_reference import oracle_seed, seed_outcome
+from newton_reference import ANCHORS, column_jacobian, is_stacked, record_residual
+from renewal_reference import (assert_seed_names_as_the_oracle, oracle_seed, ranked_batches,
+                               seed_outcome)
 
 FIG2_L_LOW = 0.016    # f(1): lower bound on the growth excess
 FIG2_L_HIGH = 0.0288  # f(hhat): upper bound
@@ -388,46 +389,14 @@ def test_fine_grid_verification_stays_linear(mp, cp, vf):
     assert report.passed
 
 
-def _ranked_batches(monkeypatch, perturb=None):
-    """The candidate grids the cold seed ranks once this returns, each as
-    (a, alpha, beta, b, values) on the grid's broadcast shape, with perturb
-    applied to the ranking values of the ordered candidates (alpha < beta,
-    the ones the seed compares) in C order."""
-    batches = []
-    price = _slope.policy_value
-
-    def spy(mp, cp, *axes):
-        values = price(mp, cp, *axes)
-        cand = tuple(np.broadcast_arrays(*axes))
-        batches.append(cand + (values,))
-        if perturb is not None:
-            ordered = cand[1] < cand[2]
-            values[ordered] = perturb(values[ordered])
-        return values
-
-    monkeypatch.setattr(qvi, "policy_value", spy)
-    return batches
-
-
 def _seed_batches(hhat, gamma, delta, monkeypatch, perturb=None):
     """The cold seed at r=0, sigma=0.4, the band (A, B) it searched around
-    and the grids it ranked (``_ranked_batches``)."""
+    and the grids it ranked (``ranked_batches``)."""
     mp = gf.MarketParams(r=0.0, mu=hhat * 0.16, sigma=0.4)
     cp = gf.CostParams(delta=delta, gamma=gamma)
-    batches = _ranked_batches(monkeypatch, perturb)
+    batches = ranked_batches(monkeypatch, perturb)
     band = _slope.best_band(mp, gamma)[2:]
     return qvi._oracle_seed(mp, cp, *band), band, batches
-
-
-def test_seed_lets_a_degenerate_chain_through(mp, cp, monkeypatch):
-    # a numerically absorbing restart chain is named as itself, not
-    # renamed "no interior optimum"
-    def absorbing(*args):
-        raise gf.DegenerateChain("injected absorbing chain")
-
-    monkeypatch.setattr(qvi, "_renewal_batch", absorbing)
-    with pytest.raises(gf.DegenerateChain, match="injected absorbing chain"):
-        qvi._oracle_seed(mp, cp, *_slope.best_band(mp, cp.gamma)[2:])
 
 
 def test_seed_refines_each_offset_on_its_own_grid(monkeypatch):
@@ -453,11 +422,6 @@ def test_seed_refines_each_offset_on_its_own_grid(monkeypatch):
 
 
 SEED_MARKETS = [(0.5, 1e-2, 1e-2), (0.4, 1e-3, 1e-3), (0.75, 1e-2, 1e-3)]
-# the seven solve_domain anchors of the benchmark: r, mu, sigma, gamma, delta
-ANCHORS = [(0.0, 0.096, 0.4, 0.003, 1e-3), (0.0, 0.096, 0.4, 0.003, 1e-6),
-           (0.0, 0.040, 0.4, 0.003, 1e-3), (0.01, 0.154, 0.4, 0.003, 1e-3),
-           (0.02, 0.1, 0.4, 0.02, 1e-2), (0.03, 0.09, 0.3, 0.05, 5e-3),
-           (0.0, 0.144, 0.4, 0.05, 1e-2)]
 # hhat = 1/2 exactly, so the slope's exponent 2 hhat - 1 is 0
 KNIFE_EDGE = (0.0, 0.125, 0.5, 0.003, 1e-3)
 
@@ -480,7 +444,7 @@ def test_seed_grids_price_in_closed_form_as_by_quadrature(r, mu, sigma, gamma, d
     # quadrature's value within 1e-12
     mp = gf.MarketParams(r=r, mu=mu, sigma=sigma)
     cp = gf.CostParams(delta=delta, gamma=gamma)
-    batches = _ranked_batches(monkeypatch)
+    batches = ranked_batches(monkeypatch)
     # the infeasible anchor is named "no interior optimum" after both rounds
     with contextlib.suppress(gf.ParameterDegeneracy):
         qvi._oracle_seed(mp, cp, *_slope.best_band(mp, gamma)[2:])
@@ -488,7 +452,7 @@ def test_seed_grids_price_in_closed_form_as_by_quadrature(r, mu, sigma, gamma, d
     for *cand, values in batches:
         flat = _slope.policy_value(mp, cp, *(v.ravel() for v in cand))
         assert np.array_equal(flat, values.ravel())
-        _assert_prices_as_the_quadrature(values, _policy._renewal_batch(mp, cp, *cand))
+        _assert_prices_as_the_quadrature(values, lab._renewal_batch(mp, cp, *cand))
 
 
 def test_oracle_box_prices_in_closed_form_as_by_quadrature(mp, cp, sol):
@@ -508,6 +472,15 @@ def test_seed_matches_the_flat_reference_seed(r, mu, sigma, gamma, delta):
     cp = gf.CostParams(delta=delta, gamma=gamma)
     band = _slope.best_band(mp, gamma)[2:]
     assert seed_outcome(qvi._oracle_seed, mp, cp, band) == seed_outcome(oracle_seed, mp, cp, band)
+
+
+@pytest.mark.parametrize("r, mu, sigma, gamma, delta", ANCHORS)
+def test_seed_names_its_winner_as_the_oracle_prices_it(r, mu, sigma, gamma, delta, monkeypatch):
+    # the seed's grid value is its winner's growth: the quadrature agrees,
+    # and puts it on the same side of the floor
+    mp = gf.MarketParams(r=r, mu=mu, sigma=sigma)
+    cp = gf.CostParams(delta=delta, gamma=gamma)
+    assert assert_seed_names_as_the_oracle(mp, cp, monkeypatch)
 
 
 @pytest.mark.parametrize("hhat, gamma, delta", SEED_MARKETS)

@@ -1,7 +1,8 @@
 """Structure of the solver core: an acyclic import graph with every import at
 module level, in which the two solvers import neither each other and the
-core below them only the market, one Newton start loop shared by both
-solvers, one Newton run and no limit solve in a cold impulse solve, one
+core below them only the market, solvers that price in closed form only
+(the renewal quadrature is the oracle's), one Newton start loop shared by
+both solvers, one Newton run and no limit solve in a cold impulse solve, one
 grid verifier for both models, one kernel call of each kind per limit
 residual, and quadrature rules built on first use."""
 
@@ -16,8 +17,8 @@ import numpy as np
 import pytest
 
 import growth_frictions as gf
-from growth_frictions import _slope, limit, qvi
-from newton_reference import column_jacobian, is_stacked, record_residual
+from growth_frictions import _slope, lab, limit, qvi
+from newton_reference import ANCHORS, column_jacobian, is_stacked, record_residual
 
 PACKAGE = Path(gf.__file__).parent
 GAMMA = 0.003
@@ -34,25 +35,64 @@ def test_no_import_inside_a_function(path):
     assert deferred == []
 
 
-def _package_imports(name):
-    """The package modules that module `name` imports, at any depth."""
+def _imports(name):
+    """The dotted paths that module `name` imports, at any depth, with the
+    package's relative imports made absolute."""
     tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
-    paths = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-             for alias in node.names]
-    paths += [".".join(filter(None, ["growth_frictions"] * bool(node.level)
+    paths = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names}
+    paths |= {".".join(filter(None, ["growth_frictions"] * bool(node.level)
                                     + [node.module, alias.name]))
               for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-              for alias in node.names]
-    return {p.split(".")[1] for p in paths if p.startswith("growth_frictions.")}
+              for alias in node.names}
+    return paths
+
+
+def _package_imports(name):
+    """The package modules that module `name` imports, at any depth."""
+    return {p.split(".")[1] for p in _imports(name) if p.startswith("growth_frictions.")}
 
 
 def test_the_solvers_are_siblings_over_the_slope_core():
-    # qvi and limit share _slope and _policy, never each other; the core
-    # below them reads only the market primitives
-    assert "limit" not in _package_imports("qvi")
+    # qvi and limit share _slope, never each other; the core below them
+    # reads only the market primitives
+    assert _package_imports("qvi") == {"_slope", "market"}
     assert "qvi" not in _package_imports("limit")
-    assert _package_imports("_policy") == _package_imports("_slope") == {"market"}
-    assert {"_slope", "_policy"} <= _package_imports("qvi")
+    assert _package_imports("_slope") == {"market"}
+
+
+@pytest.mark.parametrize("name", ["qvi", "limit", "_slope"])
+def test_the_solvers_import_no_quadrature(name):
+    # the renewal quadrature and its Gauss-Legendre rules are the oracle's
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "lab" not in _package_imports(name)
+    assert not [p for p in _imports(name) if p.startswith("numpy.polynomial")]
+    assert used.isdisjoint({"polynomial", "legendre", "leggauss"})
+
+
+def _outcome(solve):
+    """repr of solve()'s candidate, or of the error it raised."""
+    try:
+        return repr(solve().candidate)
+    except (ValueError, RuntimeError) as err:
+        return f"{type(err).__name__}: {err}"
+
+
+@pytest.mark.parametrize("r, mu, sigma, gamma, delta", ANCHORS)
+def test_a_cold_solve_integrates_no_green_side(r, mu, sigma, gamma, delta, monkeypatch):
+    # with the quadrature's one integrator made to raise, both cold solves
+    # return exactly what they return without it
+    mp = gf.MarketParams(r=r, mu=mu, sigma=sigma)
+    cp = gf.CostParams(delta=delta, gamma=gamma)
+    solves = (lambda: gf.solve_boundaries(mp, cp), lambda: gf.solve_limit(mp, gamma))
+    expected = [_outcome(solve) for solve in solves]
+
+    def integrate(*args):
+        raise AssertionError("a solver integrated a Green side")
+
+    monkeypatch.setattr(lab, "_green_side", integrate)
+    assert [_outcome(solve) for solve in solves] == expected
 
 
 def test_import_builds_no_gauss_legendre_rule():
@@ -62,8 +102,8 @@ def test_import_builds_no_gauss_legendre_rule():
              "leggauss = leg.leggauss\n"
              "leg.leggauss = lambda n: built.append(n) or leggauss(n)\n"
              "import growth_frictions.cli\n"
-             "from growth_frictions import _policy\n"
-             "assert built == [] and _policy._gauss_legendre.cache_info().currsize == 0, built\n")
+             "from growth_frictions import lab\n"
+             "assert built == [] and lab._gauss_legendre.cache_info().currsize == 0, built\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH")))))
     subprocess.run([sys.executable, "-c", probe], env=env, check=True, timeout=60)
