@@ -52,9 +52,9 @@ from .market import (EPS, CostParams, MarketParams, _growth, _logit, _wealth, ap
 # value function is built, and passes verification, only when its C1
 # pasting residuals are at most PASTING_TOL.
 RESIDUAL_TOL, PASTING_TOL = 1e-10, 1e-8
-# Damped Newton: iteration cap, forward-difference step (relative to
-# max(1, |v_j|)), smallest damped step, step halvings per iteration.
-_MAX_ITER, _FD_STEP, _MIN_STEP, _MAX_HALVINGS = 80, 1e-7, 1e-14, 50
+# Damped Newton: step cap, forward-difference step (relative to
+# max(1, |v_j|)), step halvings per damped step.
+_MAX_ITER, _FD_STEP, _MAX_HALVINGS = 80, 1e-7, 50
 # best_band's logit offsets of A (row 0) below and B (row 1) above the Merton fraction
 _BAND_OFFSETS = np.geomspace(1e-4, 14.0, 60) * np.array([[1.0], [-1.0]])
 
@@ -455,55 +455,53 @@ def _jacobian(residual, v, fv):
     return (np.asarray(residual(cols), dtype=float) - fv[:, None]) / h
 
 
-def damped_newton(residual, v0, *, tol=RESIDUAL_TOL):
-    """Damped Newton on a square system with forward-difference Jacobian.
+def damped_newton(residual, v0):
+    """Newton on a square system with forward-difference Jacobian, run to the
+    rounding floor by one rule, so that where a run ends does not depend on
+    where it started.
 
-    residual(v) -> ndarray may raise ValueError (and subclasses) on
-    out-of-domain iterates; failed trial steps are halved, up to
-    _MAX_HALVINGS times.  Each Jacobian is one call of residual on an (n, n)
-    block of points, one per column, whose residuals it returns column by
-    column (``_jacobian``); a ValueError from that call propagates to the
-    start loop.  Stops when the residual max-norm reaches tol or the damped
-    step shrinks below _MIN_STEP.  Returns (v, iterations, residual_norm);
-    the caller decides whether the final norm is good enough.
+    While the residual max-norm is above RESIDUAL_TOL each step is damped:
+    a fresh Jacobian, one call of residual on an (n, n) block of points, one
+    per column (``_jacobian``), whose ValueError propagates to the start
+    loop, and a step halved up to _MAX_HALVINGS times, while residual raises
+    ValueError (an out-of-domain iterate) or the norm does not drop.  Within
+    RESIDUAL_TOL each step is a chord step: the last Jacobian (one is
+    computed for a start already there) and one residual call, kept only if
+    it more than halves the norm; the first that does not ends the run.
+    Returns (v, steps, residual_norm), steps counting every kept step; the
+    caller decides whether the final norm is good enough.
     """
     v = np.array(v0, dtype=float)
     fv = np.asarray(residual(v), dtype=float)
-    norm = float(np.abs(fv).max())
-    for it in range(_MAX_ITER):
-        if norm <= tol:
-            return v, it, norm
-        jac = _jacobian(residual, v, fv)
+    norm, steps, jac = float(np.abs(fv).max()), 0, None
+    while steps < _MAX_ITER:
+        chord = norm <= RESIDUAL_TOL
+        if jac is None or not chord:
+            jac = _jacobian(residual, v, fv)
         try:
             dv = np.linalg.solve(jac, -fv)
         except np.linalg.LinAlgError:
-            return v, it, norm
-        scale = 1.0
-        for _ in range(_MAX_HALVINGS):
+            break
+        for halvings in range(1 if chord else _MAX_HALVINGS):
             try:
-                trial = v + scale * dv
+                trial = v + 0.5 ** halvings * dv
                 ft = np.asarray(residual(trial), dtype=float)
             except ValueError:
-                scale *= 0.5
                 continue
             trial_norm = float(np.abs(ft).max())
-            stalled = float(np.abs(scale * dv).max()) <= _MIN_STEP
-            if trial_norm < norm or stalled:
-                v, fv, norm = trial, ft, trial_norm
+            if trial_norm < (0.5 * norm if chord else norm):
                 break
-            scale *= 0.5
         else:
-            return v, it + 1, norm
-        if stalled:
-            return v, it + 1, norm
-    return v, _MAX_ITER, norm
+            break
+        v, fv, norm, steps = trial, ft, trial_norm, steps + 1
+    return v, steps, norm
 
 
-def newton_from_starts(cls, residual, starts, check, *, tol=RESIDUAL_TOL):
-    """The start loop of both solvers: one damped Newton run on
-    residual(cls.from_vector(v)), stopping at tol, from each start in turn.
+def newton_from_starts(cls, residual, starts, check):
+    """The start loop of both solvers: one Newton run (``damped_newton``) on
+    residual(cls.from_vector(v)) from each start in turn.
 
-    Returns (candidate, iterations, norm) of the first run that ends within
+    Returns (candidate, steps, norm) of the first run that ends within
     RESIDUAL_TOL at a candidate check accepts (check raises ValueError).
     ``starts`` may be a lazy generator; an error raised while building a
     start propagates unchanged.  NonConvergence when every run fails.
@@ -512,7 +510,7 @@ def newton_from_starts(cls, residual, starts, check, *, tol=RESIDUAL_TOL):
     for start in starts:
         try:
             v, iters, norm = damped_newton(lambda v: residual(cls.from_vector(v)),
-                                           start.as_vector(), tol=tol)
+                                           start.as_vector())
             cand = cls.from_vector(v)
             if not norm <= RESIDUAL_TOL:
                 raise NonConvergence(f"residual {norm:.3e} after {iters} iterations")

@@ -23,7 +23,7 @@ delta = 0 (where the obstacle Mu <= u is the integrated form of the two
 gradient constraints) plus the C2 row, max |g' + s^2| at the edges, read
 off g' itself.  The solve runs through the impulse solver's start loop,
 ``_slope.newton_from_starts``, from the same cold start, the band of best
-exact growth; only the residual differs.
+exact growth, and stops by the same rule; only the residual differs.
 """
 
 from __future__ import annotations
@@ -94,19 +94,20 @@ def solve_limit(mp: MarketParams, gamma: float,
                 init: LimitCandidate | None = None) -> LimitSolution:
     """Solve the four-unknown reflecting-boundary system; 0 < gamma < 1.
 
-    One damped Newton run from ``init`` when given (the warm start), then
-    from ``best_band``, x0 at the Merton fraction (its "no interior optimum"
-    propagates); the first valid root wins, else NonConvergence.  At
-    gamma = 0 the no-trade region collapses to the Merton point.
+    One Newton run from ``init`` when given (the warm start), then from
+    ``best_band``, x0 at the Merton fraction (its "no interior optimum"
+    propagates); the first valid root wins, else NonConvergence.  Each run
+    goes on below RESIDUAL_TOL by chord steps to the rounding floor
+    (``_slope.damped_newton``), so a warm and a cold root agree to rounding.
+    At gamma = 0 the no-trade region collapses to the Merton point.
     """
     if gamma <= 0.0:
         raise ParameterDegeneracy("limit solver requires gamma > 0")
     CostParams(0.0, gamma)  # an inadmissible gamma is named before any Newton work
     starts = ([init] if init is not None else []) + [LimitCandidate(*best_band(mp, gamma))]
-    # tol 0: each run goes on until its step stalls, so even a close start ends at rounding level
     cand, iters, norm = newton_from_starts(
         LimitCandidate, lambda c: residual_system_limit(mp, gamma, c), starts,
-        lambda c: c.check_invariants(mp), tol=0.0)
+        lambda c: c.check_invariants(mp))
     return LimitSolution(candidate=cand, residual_norm=norm, newton_iters=iters)
 
 

@@ -30,15 +30,15 @@ LIMIT_GAMMAS = (1e-8, 1e-6, 1e-4, 1e-3, 3e-3, 1e-2, 3e-2, 5e-2, 0.1, 0.2)
 IMPULSE_GAMMAS = LIMIT_GAMMAS[2:]
 # (hhat, gamma) whose limit band holds no point of the 501-point grid
 UNRESOLVED_BAND = {(0.005, 1e-8), (0.005, 1e-6), (0.995, 1e-8), (0.995, 1e-6)}
-# solved, and pass everything but the C2 gate: an edge within 3.5e-6 of 0 or 1
-C2_ONLY = {(0.01, 0.1), (0.02, 0.2), (0.995, 3e-2)}
+# solved, and passes everything but the C2 gate: an edge within 3.5e-6 of 1
+C2_ONLY = {(0.995, 3e-2)}
 # no reflecting band of the start's logit grid beats the floor
 NO_INTERIOR_BAND = {(0.005, 0.1), (0.005, 0.2), (0.01, 0.2), (0.99, 0.2), (0.995, 0.1),
                     (0.995, 0.2)}
 # no start converges: the best band beats the floor by 5e-11 to 1e-9 with an
-# edge within 2.2e-7 of 0 or 1.  (0.98, 0.2) stops at a residual of 1.7e-10,
-# and at 2.2e-10 with mu one ulp higher (hhat * SIGMA * SIGMA)
-LIMIT_NON_CONVERGENCE = {(0.005, 5e-2), (0.98, 0.2), (0.99, 0.1), (0.995, 5e-2)}
+# edge within 2.2e-7 of 1.  (0.98, 0.2) stops at a residual of 1.65e-10, also
+# with mu one ulp higher (hhat * SIGMA * SIGMA)
+LIMIT_NON_CONVERGENCE = {(0.98, 0.2), (0.99, 0.1), (0.995, 5e-2)}
 
 
 def _market(hhat):

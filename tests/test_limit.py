@@ -6,6 +6,7 @@ import pytest
 import growth_frictions as gf
 from growth_frictions import _slope, limit
 from growth_frictions.market import EPS
+from asymptotics_reference import growth_loss, half_width
 from newton_reference import column_jacobian, is_stacked, record_residual
 
 GAMMA = 0.003
@@ -312,3 +313,28 @@ def test_claim_outside_the_domain_is_reported_not_raised(case):
     assert rep.summary().splitlines()[-1] == (
         "  claim breaks 0 < a <= alpha <= beta <= b < 1, a < b, 0 < x0 < 1: "
         f"(x0, a, alpha, beta, b) = {bad.x0, A, A, B, B}")
+
+
+SMALL_GAMMAS = (1e-4, 1e-6, 1e-8)
+# measured relative errors of (B - A)/2w and of the loss f(hhat) - l0 against
+# their leading terms, at SMALL_GAMMAS
+SMALL_GAMMA_ERRORS = {
+    0.6: ((4.08e-4, 1.90e-5, 8.82e-7), (-1.52e-3, -7.06e-5, -3.28e-6)),
+    0.9: ((-1.46e-3, -6.79e-5, -3.15e-6), (-4.60e-3, -2.14e-4, -9.93e-6)),
+}
+
+
+@pytest.mark.parametrize("hhat", list(SMALL_GAMMA_ERRORS))
+def test_the_band_follows_the_small_gamma_law(hhat):
+    # each relative error keeps its sign and lies within 3x its measured
+    # value, and falls at least 10x per 100x in gamma (gamma^(2/3) is 21.5x)
+    mp = gf.MarketParams(r=0.0, mu=hhat * 0.16, sigma=0.4)
+    errors = []
+    for gamma in SMALL_GAMMAS:
+        c = gf.solve_limit(mp, gamma).candidate
+        loss = gf.growth_integrand(mp, hhat) - c.l0
+        errors.append(((c.B - c.A) / (2.0 * half_width(hhat, gamma)) - 1.0,
+                       loss / growth_loss(mp.sigma, hhat, gamma) - 1.0))
+    for measured, err in zip(SMALL_GAMMA_ERRORS[hhat], np.transpose(errors)):
+        assert np.all((err / measured >= 1.0 / 3.0) & (err / measured <= 3.0)), err
+        assert np.all(np.abs(err[1:]) * 10.0 <= np.abs(err[:-1])), err

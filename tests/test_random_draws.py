@@ -1,0 +1,153 @@
+"""Cold solves at seeded random draws of (hhat, gamma, delta), at r = 0 and
+sigma = 0.4 (mu = 0.16 hhat).
+
+Every point either verifies at 2001 grid points or is rejected by name
+(ParameterDegeneracy), except the listed points.  Each listed point keeps its
+current outcome: a band that holds no grid point, a limit root that fails
+only the C2 gate, or NonConvergence.  So a change that moves a point in
+either direction has to edit its list, and never by re-seeding or resizing
+a draw.
+
+A log-uniform value on (lo, hi) is 10 ** rng.uniform(log10 lo, log10 hi).
+Each draw takes its values in the order written below.
+
+- Interior: numpy default_rng(12345), 400 draws.  hhat is uniform on
+  (0.002, 0.998), gamma log-uniform on (1e-6, 0.3), and delta log-uniform on
+  (1e-8, min(0.05, 0.9 (1 - gamma))).
+- Edges: default_rng(777), 300 draws.  e is log-uniform on (1e-9, 0.5),
+  hhat is e if rng.random() < 0.5 and 1 - e otherwise, gamma is log-uniform
+  on (1e-8, 0.95), and delta log-uniform on (1e-10, min(0.5, 0.95 (1 - gamma))).
+"""
+
+from collections import Counter
+from functools import cache
+
+import numpy as np
+import pytest
+
+import growth_frictions as gf
+from growth_frictions import lab, limit
+
+SIGMA, GRID_N = 0.4, 2001
+VERIFIED, NAMED, NO_GRID_POINT, C2_ONLY, NON_CONVERGENCE = (
+    "verified", "named", "no grid point", "C2 only", "NonConvergence")
+
+
+def _log_uniform(rng, lo, hi):
+    return 10 ** rng.uniform(np.log10(lo), np.log10(hi))
+
+
+def interior_draw():
+    rng, points = np.random.default_rng(12345), []
+    for _ in range(400):
+        hhat = rng.uniform(0.002, 0.998)
+        gamma = _log_uniform(rng, 1e-6, 0.3)
+        points.append((hhat, gamma, _log_uniform(rng, 1e-8, min(0.05, 0.9 * (1.0 - gamma)))))
+    return points
+
+
+def edge_draw():
+    rng, points = np.random.default_rng(777), []
+    for _ in range(300):
+        e = _log_uniform(rng, 1e-9, 0.5)
+        hhat = e if rng.random() < 0.5 else 1.0 - e
+        gamma = _log_uniform(rng, 1e-8, 0.95)
+        points.append((hhat, gamma, _log_uniform(rng, 1e-10, min(0.5, 0.95 * (1.0 - gamma)))))
+    return points
+
+
+DRAWS = {"interior": interior_draw(), "edges": edge_draw()}
+
+# draw index -> outcome, for the points that neither verify nor are named
+LISTED = {
+    ("interior", "impulse"): dict.fromkeys([39, 154, 186, 208, 218, 289], NON_CONVERGENCE),
+    ("interior", "limit"): {},
+    ("edges", "impulse"): {**dict.fromkeys([23, 105, 282], NON_CONVERGENCE),
+                           **dict.fromkeys([81, 90, 93, 115, 117, 191], NO_GRID_POINT)},
+    ("edges", "limit"): {
+        **dict.fromkeys([13, 15, 39, 42, 44, 64, 89, 109, 126, 169, 188, 202, 231, 247, 255,
+                         289, 299], NON_CONVERGENCE),
+        **dict.fromkeys([190, 217, 268], C2_ONLY),
+        **dict.fromkeys([0, 21, 23, 24, 25, 29, 33, 37, 38, 40, 49, 55, 57, 60, 65, 67, 78, 80,
+                         81, 87, 90, 93, 95, 98, 105, 107, 110, 115, 117, 118, 121, 127, 129,
+                         132, 133, 137, 138, 149, 155, 156, 177, 179, 184, 191, 192, 198, 199,
+                         200, 201, 214, 224, 226, 227, 235, 243, 244, 245, 249, 253, 258, 276,
+                         283, 291, 293], NO_GRID_POINT)},
+}
+COUNTS = {
+    ("interior", "impulse"): {VERIFIED: 380, NAMED: 14, NON_CONVERGENCE: 6},
+    ("interior", "limit"): {VERIFIED: 400},
+    ("edges", "impulse"): {VERIFIED: 63, NAMED: 228, NO_GRID_POINT: 6, NON_CONVERGENCE: 3},
+    ("edges", "limit"): {VERIFIED: 85, NAMED: 131, NO_GRID_POINT: 64, C2_ONLY: 3,
+                         NON_CONVERGENCE: 17},
+}
+
+
+def _market(hhat):
+    return gf.MarketParams(r=0.0, mu=hhat * SIGMA * SIGMA, sigma=SIGMA)
+
+
+def _impulse_outcome(hhat, gamma, delta):
+    """The outcome of a cold impulse solve, and its solution when verified."""
+    mp, cp = _market(hhat), gf.CostParams(delta=delta, gamma=gamma)
+    try:
+        sol = gf.solve_boundaries(mp, cp)
+    except gf.ParameterDegeneracy:
+        return NAMED, None
+    except gf.NonConvergence:
+        return NON_CONVERGENCE, None
+    report = gf.verify_qvi(mp, cp, gf.build_value(mp, cp, sol), GRID_N)
+    if report.passed:
+        return VERIFIED, sol
+    return (NO_GRID_POINT if report.unresolved_band else "failed"), None
+
+
+def _limit_outcome(hhat, gamma, delta):
+    mp = _market(hhat)
+    try:
+        sol = gf.solve_limit(mp, gamma)
+    except gf.ParameterDegeneracy:
+        return NAMED, None
+    except gf.NonConvergence:
+        return NON_CONVERGENCE, None
+    report = gf.verify_hjb_limit(mp, gamma, sol, GRID_N)
+    if report.passed:
+        return VERIFIED, sol
+    if report.unresolved_band:
+        return NO_GRID_POINT, None
+    value = gf.build_limit_value(mp, gamma, sol)
+    if (report.second_deriv_mismatch > limit.SECOND_ORDER_TOL
+            and gf.verify_qvi(mp, gf.CostParams(0.0, gamma), value, GRID_N).passed):
+        return C2_ONLY, None
+    return "failed", None
+
+
+@cache
+def _outcomes(draw, model):
+    """(outcome, solution) at each point of a draw, solved once per session."""
+    solve = _impulse_outcome if model == "impulse" else _limit_outcome
+    return [solve(*point) for point in DRAWS[draw]]
+
+
+@pytest.mark.parametrize("draw, model", list(COUNTS), ids=[f"{d}-{m}" for d, m in COUNTS])
+def test_every_drawn_point_verifies_or_is_named_or_keeps_its_listed_outcome(draw, model):
+    outcomes = [outcome for outcome, _ in _outcomes(draw, model)]
+    others = {i: outcome for i, outcome in enumerate(outcomes)
+              if outcome not in (VERIFIED, NAMED)}
+    assert others == LISTED[draw, model]
+    assert Counter(outcomes) == COUNTS[draw, model]
+
+
+@pytest.mark.parametrize("draw", list(DRAWS))
+def test_the_oracle_prices_every_verified_impulse_root_at_its_growth(draw):
+    # lab's renewal quadrature is independent of the solvers' closed forms
+    worst, verified = 0.0, 0
+    for (hhat, gamma, delta), (outcome, sol) in zip(DRAWS[draw], _outcomes(draw, "impulse")):
+        if outcome != VERIFIED:
+            continue
+        mp, c = _market(hhat), sol.candidate
+        growth = lab._renewal_batch(mp, gf.CostParams(delta=delta, gamma=gamma),
+                                    *(np.array([v]) for v in c.policy()[2:]))[0]
+        worst, verified = max(worst, abs(growth - (mp.r + c.l))), verified + 1
+    assert verified == COUNTS[draw, "impulse"][VERIFIED]
+    assert worst <= 1e-12

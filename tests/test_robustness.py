@@ -78,3 +78,22 @@ def test_the_solutions_depend_on_the_market_only_through_hhat(hhat, gamma, delta
 def test_no_interior_optimum_is_named_in_every_scaled_market(sigma, r):
     with pytest.raises(gf.ParameterDegeneracy, match="^no interior optimum"):
         gf.solve_boundaries(_scaled(0.9, sigma, r), gf.CostParams(delta=1e-2, gamma=5e-2))
+
+
+def test_a_warm_started_sweep_row_is_the_cold_root(mp, sweep):
+    # Newton runs on to the rounding floor from any start, so each fig2 row,
+    # warm-started from the row before it, is the cold solve at its delta
+    for row in sweep.rows:
+        cold = gf.solve_boundaries(mp, gf.CostParams(delta=row.delta, gamma=sweep.gamma))
+        c = cold.candidate
+        warm_minus_cold = np.subtract((row.l, row.a, row.alpha, row.beta, row.b),
+                                      (c.l, c.a, c.alpha, c.beta, c.b))
+        assert np.max(np.abs(warm_minus_cold)) <= 1e-12, row.delta
+
+
+def test_a_warm_started_limit_is_the_cold_root(mp, lim):
+    # the same for the reflecting limit, warm-started from the root at gamma
+    # 0.0031 and solved at fig2's 0.003
+    warm = gf.solve_limit(mp, 0.003, init=gf.solve_limit(mp, 0.0031).candidate)
+    assert warm.newton_iters > 0
+    assert np.max(np.abs(warm.candidate.as_vector() - lim.candidate.as_vector())) <= 1e-12

@@ -115,10 +115,10 @@ def test_import_builds_no_gauss_legendre_rule():
 ], ids=["boundaries", "limit", "boundaries-nan", "limit-nan"])
 def test_every_start_failing_is_one_non_convergence(solver, norm, shown, mp, cp, sol, lim,
                                                     monkeypatch):
-    stops = []
+    runs = []
 
-    def stalled(residual, v0, *, tol):
-        stops.append(tol)
+    def stalled(residual, v0):
+        runs.append(v0)
         return np.asarray(v0), 0, norm
 
     monkeypatch.setattr(_slope, "damped_newton", stalled)
@@ -126,29 +126,33 @@ def test_every_start_failing_is_one_non_convergence(solver, norm, shown, mp, cp,
         # two warm starts, so the failure is the impulse loop's own
         monkeypatch.setattr(qvi, "_starts", lambda mp, cp, init: iter([init, init]))
         solve = lambda: gf.solve_boundaries(mp, cp, init=sol.candidate)
-        stop = _slope.RESIDUAL_TOL
     else:
-        solve = lambda: gf.solve_limit(mp, GAMMA, init=lim.candidate)
-        stop = 0.0  # the limit runs until its step stalls
+        solve = lambda: gf.solve_limit(mp, GAMMA, init=lim.candidate)  # warm, then cold
     with pytest.raises(gf.NonConvergence,
                        match=rf"^no start converged: residual {shown} after 0 iterations$"):
         solve()
-    assert stops == [stop, stop]
+    assert len(runs) == 2
 
 
 @pytest.mark.parametrize("solver", ["boundaries", "limit"])
 def test_each_jacobian_is_one_stacked_residual_call(solver, mp, cp):
-    # a cold fig2 solve is one Newton run; its Jacobians stack all columns
+    # a cold fig2 solve is one Newton run; its Jacobians stack all columns,
+    # one per damped step, each at an iterate above RESIDUAL_TOL, and the
+    # chord steps below it add single-point calls only
     if solver == "boundaries":
+        residual = lambda c: qvi.residual_system(mp, cp, c)
         result, calls = record_residual(qvi, "residual_system",
                                         lambda: gf.solve_boundaries(mp, cp))
     else:
+        residual = lambda c: limit.residual_system_limit(mp, GAMMA, c)
         result, calls = record_residual(limit, "residual_system_limit",
                                         lambda: gf.solve_limit(mp, GAMMA))
     width = result.candidate.as_vector().size
-    stacked = [np.size(c.x0) for c in calls if is_stacked(c)]
-    assert result.newton_iters > 0
-    assert stacked == [width] * result.newton_iters
+    stacked = [i for i, c in enumerate(calls) if is_stacked(c)]
+    assert 0 < len(stacked) <= result.newton_iters
+    assert [np.size(calls[i].x0) for i in stacked] == [width] * len(stacked)
+    # the call before each Jacobian is the iterate it is taken at
+    assert all(np.abs(residual(calls[i - 1])).max() > _slope.RESIDUAL_TOL for i in stacked)
 
 
 def test_a_cold_impulse_solve_is_one_newton_run_and_no_limit_solve(mp, cp):
