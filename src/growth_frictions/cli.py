@@ -26,8 +26,6 @@ from .market import CostParams, MarketParams, ParameterError, check_deltas
 
 DEFAULT_SWEEP_DELTAS = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 1e-5, 1e-6)
 DEFAULT_COUPLE_DELTAS = (1e-2, 1e-3, 1e-4)
-# grid.csv rows per written chunk: the oracle box never exists as one string
-_CSV_ROWS = 4096
 
 
 class ConfigError(ValueError):
@@ -83,7 +81,7 @@ _KEYS = {
     "v0": (float, 1.0),
     "h0": (float, None),
     "n_paths": (int, 1000),
-    "seed": (_checked(int, lambda n: n >= 0, "seed must be non-negative"), None),
+    "seed": (_checked(int, lambda n: 0 <= n < 2**64, "seed must lie in [0, 2**64)"), None),
     "bridge_correction": (_parse_bool, False),
     "dump_paths": (_parse_bool, False),
     # the four boundaries, each searched over +-radius, fit in order inside
@@ -202,7 +200,7 @@ def read_solution_csv(path: str):
     except OSError as err:
         raise ConfigError(f"cannot read solution file {path}: {err}") from None
     try:
-        header, row = (line.split(",") for line in lines[:2])
+        header, row = (line.split(",") for line in lines)  # and no other line
         if tuple(header) != SOLUTION_COLUMNS or len(row) != len(SOLUTION_COLUMNS):
             raise ValueError
         fields = [float(c) for c in row[:12]]
@@ -244,22 +242,20 @@ def coupling_csv(rows) -> str:
 
 
 def oracle_csv(result: lab.BruteForceResult):
-    """grid.csv as text chunks of _CSV_ROWS rows each, so that a large box
-    is never held as one string.
+    """grid.csv as text chunks: the header, then one chunk per (a, alpha)
+    pair whose rows run over (beta, b) in C order, so that a large box is
+    never held as one string.
 
-    A box repeats few coordinate values, so a chunk formats each distinct
-    one once, keyed by its float64 bits (-0.0 and nan payloads stay exact);
-    only the growth column is formatted per row."""
+    Each axis value is formatted once with "%.17g", as a row would format
+    it (-0.0 and nan print as they do there); only growth is formatted per
+    row."""
     yield "a,alpha,beta,b,growth\n"
-    values = result.values
-    for k in range(0, len(values), _CSV_ROWS):
-        chunk = values[k:k + _CSV_ROWS]
-        bits, code = np.unique(np.ascontiguousarray(chunk[:, :4]).view(np.uint64),
-                               return_inverse=True)
-        text = ["%.17g" % v for v in bits.view(np.float64).tolist()]
-        rows = zip(code.reshape(-1, 4).tolist(), chunk[:, 4].tolist())
-        yield "".join("%s,%s,%s,%s,%.17g\n" % (text[i], text[j], text[m], text[n], g)
-                      for (i, j, m, n), g in rows)
+    a, al, be, b = (["%.17g" % v for v in axis.tolist()] for axis in result.axes)
+    rows = [f"{y},{z},%.17g\n" for y in be for z in b]
+    for x, growth in zip(a, result.growth):
+        for w, block in zip(al, growth):
+            head = f"{x},{w},"
+            yield (head + head.join(rows)) % tuple(block.ravel().tolist())
 
 
 def paths_csv(rec: simulate.PathRecord, kind: str) -> str:

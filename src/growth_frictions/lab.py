@@ -211,9 +211,13 @@ REPORT_MIN_ROWS = 3  # rows the convergence report's slope fits need
 
 @dataclass(frozen=True)
 class BruteForceResult:
+    """The box's argmax and its growth, the four axes (a, alpha, beta, b)
+    searched, and the renewal growth of every candidate of the box, one
+    dimension per axis."""
     best: "_qvi.BoundaryCandidate"
     best_value: float
-    values: np.ndarray  # columns a, alpha, beta, b, growth
+    axes: tuple
+    growth: np.ndarray
 
 
 def brute_force_boundaries(mp: MarketParams, cp: CostParams, center,
@@ -236,18 +240,12 @@ def brute_force_boundaries(mp: MarketParams, cp: CostParams, center,
             or center.beta < center.alpha
             or center.b - half <= center.beta + half):
         raise ValueError(f"{box} breaks the ordering a < alpha <= beta < b")
-    cand = np.broadcast_arrays(*np.ix_(center.a + offs, center.alpha + offs,
-                                       center.beta + offs, center.b + offs))
-    growth = _renewal_batch(mp, cp, *cand).ravel()
-    aa, al, be, bb = (v.ravel() for v in cand)
-    kbest = int(np.argmax(growth))
-    best = _qvi.BoundaryCandidate(
-        l=center.l, x0=center.x0,
-        a=float(aa[kbest]), alpha=float(al[kbest]),
-        beta=float(be[kbest]), b=float(bb[kbest]))
-    return BruteForceResult(
-        best=best, best_value=float(growth[kbest]),
-        values=np.column_stack([aa, al, be, bb, growth]))
+    axes = tuple(v + offs for v in (center.a, center.alpha, center.beta, center.b))
+    growth = _renewal_batch(mp, cp, *np.broadcast_arrays(*np.ix_(*axes)))
+    kbest = np.unravel_index(np.argmax(growth), growth.shape)
+    a, al, be, b = (float(axis[i]) for axis, i in zip(axes, kbest))
+    best = _qvi.BoundaryCandidate(l=center.l, x0=center.x0, a=a, alpha=al, beta=be, b=b)
+    return BruteForceResult(best=best, best_value=float(growth[kbest]), axes=axes, growth=growth)
 
 
 @dataclass(frozen=True)

@@ -82,8 +82,8 @@ class SimConfig:
             raise ValueError("v0 must be positive and finite")
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be non-negative")
+        if not 0 <= self.base_seed < 2**64:
+            raise ValueError("base_seed must lie in [0, 2**64)")
 
     @property
     def n_steps(self) -> int:
@@ -141,10 +141,11 @@ class CouplingRow:
 
 
 def path_generator(base_seed: int, path_index: int, stream: int = 0) -> np.random.Generator:
-    """Philox stream keyed by (base_seed, path_index); stream 1 is the
-    uniform side-channel used by the bridge correction."""
+    """Philox stream keyed by the 64-bit words (base_seed, path_index);
+    stream 1 is the uniform side-channel used by the bridge correction."""
     word = base_seed ^ (_BRIDGE_STREAM_SALT if stream else 0)
-    return np.random.Generator(np.random.Philox(key=[word, path_index]))
+    key = np.array([word, path_index], dtype=np.uint64)  # a list rounds words >= 2**63
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _start(mp, cfg, lo, hi, closed, region="no-trade region"):

@@ -6,7 +6,9 @@ Merton fraction hhat, and the growth it loses against f(hhat) is
 (sigma^2 / 2) w^2.  This is the log-utility case of Gerhold, Guasoni,
 Muhle-Karbe and Schachermayer (2014, "Transaction costs, trading volume,
 and the liquidity premium"); Janecek and Shreve (2004) give the same
-gamma^(1/3) law.
+gamma^(1/3) law.  The distance rho = min(hhat, 1 - hhat)/w from hhat to the
+nearer edge of [0, 1], in these half-widths, locates the edge regime where
+the band runs into 0 or 1.
 """
 
 
@@ -18,3 +20,9 @@ def half_width(hhat, gamma):
 def growth_loss(sigma, hhat, gamma):
     """Leading term (sigma^2/2) w^2 of f(hhat) - l0."""
     return 0.5 * sigma * sigma * half_width(hhat, gamma) ** 2
+
+
+def edge_distance(hhat, gamma):
+    """rho = min(hhat, 1 - hhat)/w, the distance to the nearer edge of [0, 1]
+    in leading-order half-widths."""
+    return min(hhat, 1.0 - hhat) / half_width(hhat, gamma)

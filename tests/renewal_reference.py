@@ -2,9 +2,9 @@
 distinct exit problems of a batch with np.unique and gathers them back, and
 the seed search that flattens its offset grid into a list of ordered
 candidates.  The axis-wise evaluator and seed must reproduce both bit for
-bit.  Also the recorder of the grids that the cold seed ranks, and the check
-that the seed's winner is priced, and named, as the renewal quadrature
-prices it."""
+bit.  Also the rows of a brute-force box, the recorder of the grids that
+the cold seed ranks, and the check that the seed's winner is priced, and
+named, as the renewal quadrature prices it."""
 
 import contextlib
 
@@ -54,6 +54,13 @@ def renewal_batch(mp, cp, a, al, be, b):
               + pi_high * (w_high + p_high * cost_high + (1.0 - p_high) * cost_low))
     length = pi_low * m_low + pi_high * m_high
     return mp.r + reward / length
+
+
+def box_rows(result):
+    """The (a, alpha, beta, b, growth) rows of a brute-force result, one per
+    candidate of its box in C order of the axes."""
+    grid = np.meshgrid(*result.axes, indexing="ij")
+    return np.column_stack([g.ravel() for g in grid] + [result.growth.ravel()])
 
 
 def oracle_seed(mp, cp, A, B):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from growth_frictions import NonConvergence, ParameterDegeneracy, cli, lab, limit, qvi, simulate
+from renewal_reference import box_rows
 
 FIG2 = "r = 0.0\nmu = 0.096\nsigma = 0.4\ngamma = 0.003\ndelta = 0.001\n"
 
@@ -100,8 +101,11 @@ WELL_FORMED_ROW = "0.0,0.096,0.4,0.001,0.003,0.027,0.6,0.45,0.55,0.65,0.75,1e-12
 
 @pytest.mark.parametrize("row", ["0.0,0.096", "abc" + ",0.5" * 13,
                                  WELL_FORMED_ROW.replace("0.027", "nan"),
-                                 WELL_FORMED_ROW.replace("0.75", "inf")],
-                         ids=["short_row", "non_numeric", "nan_field", "inf_field"])
+                                 WELL_FORMED_ROW.replace("0.75", "inf"),
+                                 WELL_FORMED_ROW + "\n" + WELL_FORMED_ROW,
+                                 WELL_FORMED_ROW + "\ngarbage"],
+                         ids=["short_row", "non_numeric", "nan_field", "inf_field",
+                              "repeated_row", "trailing_garbage"])
 def test_malformed_solution_row_is_one_config_error(row, config_file, tmp_path, capsys):
     solution = tmp_path / "solution.csv"
     solution.write_text(",".join(cli.SOLUTION_COLUMNS) + "\n" + row + "\n")
@@ -272,28 +276,29 @@ def test_oracle_small_grid(config_file, tmp_path):
     assert len(lines) == 1 + 5**4
 
 
-def test_oracle_csv_in_chunks_is_the_one_string_form(mp, cp, sol, tmp_path, monkeypatch):
+def test_oracle_csv_in_chunks_is_the_one_string_form(mp, cp, sol, tmp_path):
     result = lab.brute_force_boundaries(mp, cp, sol.candidate, 0.004, 0.002)
     one = "\n".join(["a,alpha,beta,b,growth"] + [
-        "%.17g,%.17g,%.17g,%.17g,%.17g" % tuple(row) for row in result.values.tolist()]) + "\n"
-    monkeypatch.setattr(cli, "_CSV_ROWS", 7)  # 625 rows: 89 full chunks and a short one
-    assert "".join(cli.oracle_csv(result)) == one
+        "%.17g,%.17g,%.17g,%.17g,%.17g" % tuple(row) for row in box_rows(result).tolist()]) + "\n"
+    chunks = list(cli.oracle_csv(result))
+    assert len(chunks) == 1 + 5 * 5  # the header, then one chunk per (a, alpha) pair
+    assert "".join(chunks) == one
     written = cli._write(tmp_path, "grid.csv", cli.oracle_csv(result))
     assert written.read_bytes() == one.encode()
 
 
-def test_oracle_csv_formats_each_coordinate_as_per_row_form(monkeypatch):
-    # the coordinate columns are formatted once per distinct float64 bit
-    # pattern; every special value must still print as "%.17g" prints it
+def test_oracle_csv_formats_each_coordinate_as_per_row_form():
+    # each axis value is formatted once; every special value must still
+    # print as "%.17g" prints it in a row
     specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
                 2.2250738585072009e-308, 1e-310, 0.1, 0.1 + 2**-56, 1.0 / 3.0]
     rng = np.random.default_rng(3)
-    values = rng.choice(np.array(specials), size=(200, 5))
-    values[::3, 4] = rng.normal(size=values[::3].shape[0])
-    result = lab.BruteForceResult(best=None, best_value=0.0, values=values)
+    axes = tuple(np.split(rng.permutation(np.array(specials + [2.5])), [3, 5, 9]))
+    growth = rng.choice(np.array(specials), size=(3, 2, 4, 5))
+    growth[::2] = rng.normal(size=growth[::2].shape)
+    result = lab.BruteForceResult(best=None, best_value=0.0, axes=axes, growth=growth)
     per_row = "".join(["a,alpha,beta,b,growth\n"] + [
-        "%.17g,%.17g,%.17g,%.17g,%.17g\n" % tuple(row) for row in values.tolist()])
-    monkeypatch.setattr(cli, "_CSV_ROWS", 16)
+        "%.17g,%.17g,%.17g,%.17g,%.17g\n" % tuple(row) for row in box_rows(result).tolist()])
     assert "".join(cli.oracle_csv(result)) == per_row
     assert "-0," in per_row and "nan," in per_row and "4.9406564584124654e-324" in per_row
 
@@ -370,6 +375,8 @@ def test_seventeen_digit_round_trip(config_file, tmp_path):
     ["couple", "--deltas", "1e-2,nan"],
     ["GF_SEED=abc", "simulate"],  # a NAME=value word sets the environment
     ["simulate", "--seed", "-3"],
+    ["simulate", "--seed", "18446744073709551616"],  # 2**64: past a Philox key word
+    ["GF_SEED=18446744073709551616", "simulate"],
 ])
 def test_bad_input_is_one_config_error_before_solving(argv, config_file, tmp_path,
                                                       capsys, monkeypatch):

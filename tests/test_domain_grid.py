@@ -17,6 +17,7 @@ import pytest
 
 import growth_frictions as gf
 from growth_frictions import _slope, limit, qvi
+from asymptotics_reference import edge_distance
 from renewal_reference import assert_seed_names_as_the_oracle, oracle_seed, seed_outcome
 
 SIGMA = 0.4
@@ -106,6 +107,18 @@ def test_cold_limit_solve_verifies_or_keeps_its_listed_outcome(hhat, gamma):
         value = gf.build_limit_value(mp, gamma, sol)
         assert gf.verify_qvi(mp, gf.CostParams(0.0, gamma), value, 501).passed
         assert report.second_deriv_mismatch > limit.SECOND_ORDER_TOL
+
+
+def test_edge_distance_separates_named_from_verified_limit_points():
+    # the listed outcomes, which the test above pins, in rho: every named
+    # point lies nearer an edge than every verified one
+    listed = NO_INTERIOR_BAND | UNRESOLVED_BAND | C2_ONLY | LIMIT_NON_CONVERGENCE
+    named = [edge_distance(*p) for p in NO_INTERIOR_BAND]
+    verified = [edge_distance(*p) for p in itertools.product(LOPSIDED_HHATS, LIMIT_GAMMAS)
+                if p not in listed]
+    assert (len(named), round(max(named), 3)) == (6, 0.324)
+    assert (len(verified), round(min(verified), 3)) == (116, 0.407)
+    assert max(named) < min(verified)
 
 
 @pytest.mark.parametrize("hhat, gamma", itertools.product(LOPSIDED_HHATS, IMPULSE_GAMMAS))

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 import growth_frictions as gf
 from growth_frictions import _slope, lab, qvi
 from mc_reference import exit_mc
-from renewal_reference import renewal_batch
+from renewal_reference import box_rows, renewal_batch
 
 GAMMA = 0.003
 
@@ -240,7 +240,7 @@ def test_oracle_box_equals_the_flat_reference(mp, cp, sol):
     # fig2's 21^4 oracle box in meshgrid order: its 4,410 candidates with
     # alpha > beta read -inf, every other one the flat evaluator's value
     c = sol.candidate
-    values = gf.brute_force_boundaries(mp, cp, c, radius=0.02, step=2e-3).values
+    values = box_rows(gf.brute_force_boundaries(mp, cp, c, radius=0.02, step=2e-3))
     offs = np.arange(-10, 11) * 2e-3
     grid = np.meshgrid(c.a + offs, c.alpha + offs, c.beta + offs, c.b + offs, indexing="ij")
     assert np.array_equal(values[:, :4], np.column_stack([g.ravel() for g in grid]))
@@ -267,7 +267,7 @@ def test_oracle_quadrature_prices_each_side_on_its_own_axes(mp, cp, sol, monkeyp
 
 
 def test_brute_force_values_equal_row_by_row(mp, cp, sol):
-    values = gf.brute_force_boundaries(mp, cp, sol.candidate, radius=4e-3, step=2e-3).values
+    values = box_rows(gf.brute_force_boundaries(mp, cp, sol.candidate, radius=4e-3, step=2e-3))
     assert np.array_equal(values[:, 4], _row_by_row(mp, cp, *values[:, :4].T))
 
 
@@ -298,7 +298,7 @@ def test_brute_force_finds_solver_candidate(mp, cp, sol):
     step = 2e-3 * (1 + 1e-9)
     assert abs(b.a - c.a) <= step and abs(b.alpha - c.alpha) <= step
     assert abs(b.beta - c.beta) <= step and abs(b.b - c.b) <= step
-    assert res.best_value >= res.values[:, 4].max() - 1e-15
+    assert res.best_value >= res.growth.max() - 1e-15
 
 
 def test_brute_force_grid_refinement_stable(mp, cp, sol):

@@ -9,8 +9,8 @@ import growth_frictions as gf
 from growth_frictions import _slope, lab, qvi
 from growth_frictions.market import EPS
 from newton_reference import ANCHORS, column_jacobian, is_stacked, record_residual
-from renewal_reference import (assert_seed_names_as_the_oracle, oracle_seed, ranked_batches,
-                               seed_outcome)
+from renewal_reference import (assert_seed_names_as_the_oracle, box_rows, oracle_seed,
+                               ranked_batches, seed_outcome)
 
 FIG2_L_LOW = 0.016    # f(1): lower bound on the growth excess
 FIG2_L_HIGH = 0.0288  # f(hhat): upper bound
@@ -458,7 +458,7 @@ def test_seed_grids_price_in_closed_form_as_by_quadrature(r, mu, sigma, gamma, d
 def test_oracle_box_prices_in_closed_form_as_by_quadrature(mp, cp, sol):
     # fig2's 21^4 oracle box, on its four axes and as flat arrays
     c = sol.candidate
-    values = gf.brute_force_boundaries(mp, cp, c, radius=0.02, step=2e-3).values
+    values = box_rows(gf.brute_force_boundaries(mp, cp, c, radius=0.02, step=2e-3))
     offs = np.arange(-10, 11) * 2e-3
     closed = _slope.policy_value(mp, cp, *np.ix_(c.a + offs, c.alpha + offs,
                                                  c.beta + offs, c.b + offs)).ravel()

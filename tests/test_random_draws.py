@@ -27,6 +27,7 @@ import pytest
 
 import growth_frictions as gf
 from growth_frictions import lab, limit
+from asymptotics_reference import edge_distance
 
 SIGMA, GRID_N = 0.4, 2001
 VERIFIED, NAMED, NO_GRID_POINT, C2_ONLY, NON_CONVERGENCE = (
@@ -151,3 +152,14 @@ def test_the_oracle_prices_every_verified_impulse_root_at_its_growth(draw):
         worst, verified = max(worst, abs(growth - (mp.r + c.l))), verified + 1
     assert verified == COUNTS[draw, "impulse"][VERIFIED]
     assert worst <= 1e-12
+
+
+def test_edge_distance_separates_named_from_verified_limit_points_of_the_edge_draw():
+    # every named point lies nearer an edge, in rho, than every verified one
+    rho = {VERIFIED: [], NAMED: []}
+    for (hhat, gamma, _), (outcome, _) in zip(DRAWS["edges"], _outcomes("edges", "limit")):
+        if outcome in rho:
+            rho[outcome].append(edge_distance(hhat, gamma))
+    assert (len(rho[NAMED]), round(max(rho[NAMED]), 3)) == (131, 0.416)
+    assert (len(rho[VERIFIED]), round(min(rho[VERIFIED]), 3)) == (85, 0.500)
+    assert max(rho[NAMED]) < min(rho[VERIFIED])

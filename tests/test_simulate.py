@@ -140,6 +140,26 @@ def test_sim_config_validation():
         gf.SimConfig(horizon=1.0, dt=0.0066)  # 152 steps would cover 1.0032
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**53 + 1, 2**63, 2**64 - 1])
+def test_path_generator_keys_both_streams_with_every_seed_bit(seed):
+    # the bridge stream's word has its top bit set for every seed below 2**63
+    for stream, word in ((0, seed), (1, seed ^ 0x9E3779B97F4A7C15)):
+        key = gf.path_generator(seed, 7, stream).bit_generator.state["state"]["key"]
+        assert key.tolist() == [word, 7]
+
+
+def test_seeds_0_and_1_draw_different_bridge_uniforms():
+    u0, u1 = (gf.path_generator(seed, 0, stream=1).random(8) for seed in (0, 1))
+    assert not np.any(u0 == u1)
+
+
+def test_sim_config_takes_exactly_the_64_bit_seeds():
+    assert gf.SimConfig(horizon=1.0, dt=1e-2, base_seed=2**64 - 1).base_seed == 2**64 - 1
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"base_seed must lie in \[0, 2\*\*64\)"):
+            gf.SimConfig(horizon=1.0, dt=1e-2, base_seed=seed)
+
+
 def test_bridge_correction_adds_crossings(mp, cp, sol):
     base = dict(horizon=20.0, dt=4e-3, n_paths=1, base_seed=8)
     rec_off = gf.simulate_impulse_path(
