@@ -15,14 +15,18 @@ their first path as one PathRecord, whose trades also carry the monetary
 volumes bought and sold.
 The step loop only adds, compares and copies; once per block the trades
 are priced from the buffered pre-jump y, the bond jumping by log1p(e^y) +
-log wealth factor + log(1 - target).  An optional Brownian-bridge
-correction samples within-step crossings for the impulse simulator from a
-separate uniform stream, so the normal sequence is unchanged.
+log wealth factor + log(1 - target).  A coupling only counts its trades,
+so it buffers no pre-jump y.  An optional Brownian-bridge correction
+samples within-step crossings for the impulse simulator from a separate
+uniform stream, so the normal sequence is unchanged.
 
 Randomness is counter-based: path i of a run seeded s reads an independent
 Philox stream keyed (s, i), so any subset of paths can be simulated
 concurrently or in blocks with identical results, and every output is a
-pure function of (inputs, base_seed, path_index).
+pure function of (inputs, base_seed, path_index).  The walker uses this to
+take the paths in fixed chunks: its buffers hold one block of steps for
+one chunk of paths, whatever n_paths is, and only the per-path results
+(about 40 bytes a path and row) outlive a chunk.
 """
 
 from __future__ import annotations
@@ -45,7 +49,8 @@ __all__ = [
     "couple_at_boundaries", "couple_paths",
 ]
 
-_BLOCK = 1024
+_BLOCK = 1024  # steps whose normals and trade flags are buffered at once
+_CHUNK = 2048  # paths walked at once; fig2's default 1,000 paths are one chunk
 _BRIDGE_STREAM_SALT = 0x9E3779B97F4A7C15  # golden-ratio word, keys the uniform stream
 
 
@@ -80,6 +85,10 @@ class SimConfig:
             raise ValueError("horizon must be a whole number of steps")
         if not 0 < self.v0 < np.inf:
             raise ValueError("v0 must be positive and finite")
+        for name in ("n_paths", "base_seed"):  # a float or bool would fail only after the solve
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
         if not 0 <= self.base_seed < 2**64:
@@ -119,13 +128,17 @@ class PathRecord:
 
 @dataclass(frozen=True)
 class GrowthEstimate:
-    """Mean and standard error of per-path growth; first_path is path 0's record."""
+    """Mean and standard error of per-path growth, the mean trades per year
+    and the mean log wealth lost to trade costs per year; first_path is path
+    0's record."""
 
     mean_growth: float
     std_error: float
     n_paths: int
     horizon: float
     dt: float
+    trades_per_year: float
+    cost_drag_per_year: float
     first_path: PathRecord = field(compare=False, repr=False)
 
 
@@ -161,35 +174,55 @@ def _start(mp, cfg, lo, hi, closed, region="no-trade region"):
 
 class _Band:
     """Paths of y = log(Y/X) from y0 under a (k, 4) stack of logit band rows,
-    every row driven by its path's normals.  With cp, each trade moves the
-    log bond holding (kept less its interest r t) and the log-cost total,
-    and the first path of row 0 is recorded; without cp, the last row is the
-    reference of a coupling and sup |y - y_last| of the others is tracked."""
+    every row driven by its path's normals.  With cp (one row), each trade
+    moves the log bond holding (kept less its interest r t) and the log-cost
+    total, and the first path is recorded; without cp, the last row is the
+    reference of a coupling and sup |y - y_last| of the others is tracked.
+
+    paths is a range or list of path indices.  They are walked _CHUNK at a
+    time and the steps _BLOCK at a time, so the buffers are a fixed block
+    whatever the number of paths; only the per-path results (y, bond, trade
+    log and count, sup) are kept for every path."""
 
     def __init__(self, mp, cfg, paths, rows, y0, cp=None):
-        self.mp, self.cfg, self.paths, self.cp = mp, cfg, list(paths), cp
+        self.mp, self.cfg, self.paths, self.cp = mp, cfg, paths, cp
         self.lo, self.lo_to, self.hi_to, self.hi = np.atleast_2d(rows).astype(float).T[..., None]
-        shape = (self.lo.shape[0], len(self.paths))
+        shape = (self.lo.shape[0], len(paths))
         self.y = np.full(shape, float(y0))
         self.bond = np.full(shape, math.log(cfg.v0) - np.logaddexp(0.0, y0))
         self.trade_log = np.zeros(shape)
         self.trades = np.zeros(shape, dtype=np.int64)
         self.sup = np.zeros((shape[0] - 1, shape[1])) if cp is None else None
-        # the first path's post-jump y and bond jump at every step, and its
-        # trades as (step, y traded from, target y, log wealth factor)
-        self.trace = np.zeros((2, cfg.n_steps + 1))
-        self.trace[:, 0] = y0, self.bond[0, 0]
-        self.trace_trades = []
+        if cp is not None:
+            # the first path's post-jump y and bond jump at every step, and its
+            # trades as (step, y traded from, target y, log wealth factor)
+            self.trace = np.zeros((2, cfg.n_steps + 1))
+            self.trace[:, 0] = y0, self.bond[0, 0]
+            self.trace_trades = []
 
     def run(self, bridge: bool = False) -> _Band:
-        mp, cfg, y, lo, hi = self.mp, self.cfg, self.y, self.lo, self.hi
+        for start in range(0, len(self.paths), _CHUNK):
+            self._run_chunk(slice(start, start + _CHUNK), bridge)
+        return self
+
+    def _run_chunk(self, cols: slice, bridge: bool) -> None:
+        """Walk the paths in cols through every block of steps."""
+        mp, cfg, lo, hi = self.mp, self.cfg, self.lo, self.hi
+        y, bond = self.y[:, cols], self.bond[:, cols]
+        sup = None if self.sup is None else self.sup[:, cols]
         c, sq = (mp.mu - mp.r - 0.5 * mp.sigma * mp.sigma) * cfg.dt, mp.sigma * math.sqrt(cfg.dt)
-        gens = [path_generator(cfg.base_seed, i) for i in self.paths]
-        ugens = [path_generator(cfg.base_seed, i, stream=1) for i in self.paths] if bridge else []
-        pre = np.empty((min(_BLOCK, cfg.n_steps),) + y.shape)
-        low, high = np.empty(pre.shape, dtype=bool), np.empty(pre.shape, dtype=bool)
-        dw = np.empty(pre.shape[:1] + pre.shape[2:])
-        gap = None if self.sup is None else np.empty_like(self.sup)
+        paths = self.paths[cols]
+        gens = [path_generator(cfg.base_seed, i) for i in paths]
+        ugens = [path_generator(cfg.base_seed, i, stream=1) for i in paths] if bridge else []
+        block = (min(_BLOCK, cfg.n_steps),) + y.shape
+        low, high = np.empty(block, dtype=bool), np.empty(block, dtype=bool)
+        if self.cp is None:  # a coupling only counts trades, so it keeps no pre-jump y
+            pre, dw, scratch = None, np.empty(block[:1] + block[2:]), np.empty(y.shape)
+        else:  # one row: the increments are drawn where the pre-jump y goes
+            pre = np.empty(block)
+            dw = pre[:, 0]
+        touch = np.empty((block[0], 2, len(paths))) if bridge else None
+        gap = None if sup is None else np.empty_like(sup)
         for done in range(0, cfg.n_steps, _BLOCK):
             nb = min(_BLOCK, cfg.n_steps - done)
             for i, gen in enumerate(gens):
@@ -197,11 +230,16 @@ class _Band:
             dw[:nb] *= sq
             dw[:nb] += c
             if bridge:  # u < P(touch) in log form, per step and side
-                u = np.stack([gen.random(2 * nb).reshape(nb, 2) for gen in ugens], axis=2)
-                touch = (-0.5 * mp.sigma * mp.sigma * cfg.dt) * np.log(u)
+                for i, gen in enumerate(ugens):
+                    touch[:nb, :, i] = gen.random(2 * nb).reshape(nb, 2)
+                np.log(touch[:nb], out=touch[:nb])
+                touch[:nb] *= -0.5 * mp.sigma * mp.sigma * cfg.dt
             for j in range(nb):
-                yj = pre[j]
-                np.add(y, dw[j], out=yj)
+                if pre is None:
+                    yj = np.add(y, dw[j], out=scratch)
+                else:  # dw[j] is a view of pre[j], and numpy would copy it for out=pre[j]
+                    yj = pre[j]
+                    yj += y
                 np.less_equal(yj, lo, out=low[j])
                 np.greater_equal(yj, hi, out=high[j])
                 if bridge:  # a sampled within-step touch trades from the boundary value
@@ -214,17 +252,17 @@ class _Band:
                 np.copyto(y, self.hi_to, where=high[j])
                 if gap is not None:
                     np.abs(np.subtract(y[:-1], y[-1], out=gap), out=gap)
-                    np.maximum(self.sup, gap, out=self.sup)
-            self._settle(done, pre[:nb], low[:nb], high[:nb])
-            if not (np.isfinite(y).all() and np.isfinite(self.bond).all()):
+                    np.maximum(sup, gap, out=sup)
+            self._settle(cols, done, None if pre is None else pre[:nb], low[:nb], high[:nb])
+            if not (np.isfinite(y).all() and np.isfinite(bond).all()):
                 raise NumericalBlowup("wealth left the positive cone")
-        return self
 
-    def _settle(self, done: int, pre, low, high) -> None:
-        """Count and price the trades of the block after step done (in high)."""
+    def _settle(self, cols: slice, done: int, pre, low, high) -> None:
+        """Count the trades of the block after step done (in high) and, with
+        pre, price them; the first chunk also records its first path."""
         hit = np.logical_or(low, high, out=high)
-        self.trades += hit.sum(axis=0)
-        if self.cp is None:
+        self.trades[:, cols] += hit.sum(axis=0)
+        if pre is None:
             return
         t, row, path = np.unravel_index(np.flatnonzero(hit), hit.shape)
         y_pre, side = pre[t, row, path], low[t, row, path]
@@ -235,8 +273,10 @@ class _Band:
         log_factor = trade_cost_transformed(self.cp, y_from, y_to - y_from)
         jump = np.logaddexp(0.0, y_pre) + log_factor - np.logaddexp(0.0, y_to)
         # unbuffered and in time order, so a path's sums do not depend on its batch
-        np.add.at(self.trade_log, (row, path), log_factor)
-        np.add.at(self.bond, (row, path), jump)
+        np.add.at(self.trade_log[:, cols], (row, path), log_factor)
+        np.add.at(self.bond[:, cols], (row, path), jump)
+        if cols.start:
+            return
         first = (row == 0) & (path == 0)
         steps = done + 1 + t[first]
         self.trace[0, done + 1:done + 1 + len(pre)] = pre[:, 0, 0]
@@ -250,10 +290,12 @@ class _Band:
         return (self.log_wealth()[0] - math.log(self.cfg.v0)) / self.cfg.horizon
 
     def estimate(self) -> GrowthEstimate:
-        growth, n = self.growth(), len(self.paths)
+        growth, n, horizon = self.growth(), len(self.paths), self.cfg.horizon
         std_error = float(growth.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         return GrowthEstimate(mean_growth=float(growth.mean()), std_error=std_error,
-                              n_paths=n, horizon=self.cfg.horizon, dt=self.cfg.dt,
+                              n_paths=n, horizon=horizon, dt=self.cfg.dt,
+                              trades_per_year=float(self.trades[0].mean() / horizon),
+                              cost_drag_per_year=float(-self.trade_log[0].mean() / horizon),
                               first_path=self.first())
 
     def first(self) -> PathRecord:

@@ -531,7 +531,9 @@ def test_sweep_failure_keeps_the_solved_rows(config_file, tmp_path, capsys, monk
 
 
 def test_out_of_memory_is_one_error_line(config_file, tmp_path):
-    # the address-space cap applies to the child only, set between fork and exec
+    # the address-space cap applies to the child only, set between fork and exec;
+    # the walk's buffers are a fixed chunk of paths, so the run that exceeds
+    # the cap is a single path of 10**8 steps, whose trace asks for 1.49 GiB
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
@@ -540,7 +542,7 @@ def test_out_of_memory_is_one_error_line(config_file, tmp_path):
                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     child = subprocess.run(
         [sys.executable, "-m", "growth_frictions.cli", "simulate", "--config", config_file,
-         "--out", str(tmp_path / "out"), "--n_paths", "100000", "--horizon", "1"],
+         "--out", str(tmp_path / "out"), "--n_paths", "1", "--horizon", "100000"],
         env=env, capture_output=True, text=True, preexec_fn=cap_address_space, timeout=120)
     assert child.returncode == 1
     err = child.stderr.splitlines()
@@ -548,6 +550,10 @@ def test_out_of_memory_is_one_error_line(config_file, tmp_path):
 
 
 CHILD_RSS_MB = 150  # the dense obstacle search took verify to 537 MB
+# the Monte Carlo walk buffers a fixed block of 1,024 steps x 2,048 paths;
+# couple read 84.6 MB while it kept a pre-jump buffer, and 20,000 paths 393 MB
+# while the buffers grew with n_paths
+MONTE_CARLO_RSS_MB = 70
 # Linux carries the high-water RSS of the process a child is spawned from
 # into the child's ru_maxrss, so the CLI is spawned from this small launcher
 # and not from the test process, whose own peak would otherwise count.
@@ -559,12 +565,20 @@ RSS_LAUNCHER = (
     "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
 
 
-@pytest.mark.parametrize("command", ["verify", "oracle"])
-def test_child_peak_memory_is_bounded(command, config_file, tmp_path):
-    argv = [command, "--config", config_file, "--out", str(tmp_path / command)]
+@pytest.mark.parametrize("command, flags, bound_mb", [
+    pytest.param("verify", ["--grid_n", "4001"], CHILD_RSS_MB, id="verify"),
+    pytest.param("oracle", [], CHILD_RSS_MB, id="oracle"),
+    # at least one whole block of steps
+    *(pytest.param(command, ["--horizon", "2"], MONTE_CARLO_RSS_MB, id=command)
+      for command in ("simulate", "reflect", "couple")),
+    pytest.param("simulate", ["--horizon", "1.1", "--n_paths", "20000"], 100,
+                 id="simulate-20000-paths"),
+])
+def test_child_peak_memory_is_bounded(command, flags, bound_mb, config_file, tmp_path):
+    argv = [command, "--config", config_file, "--out", str(tmp_path / command), *flags]
     if command == "verify":
         assert cli.main(["solve", "--config", config_file, "--out", str(tmp_path / "solve")]) == 0
-        argv += ["--solution", str(tmp_path / "solve" / "solution.csv"), "--grid_n", "4001"]
+        argv += ["--solution", str(tmp_path / "solve" / "solution.csv")]
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     launched = subprocess.run(
@@ -572,4 +586,4 @@ def test_child_peak_memory_is_bounded(command, config_file, tmp_path):
         env=env, capture_output=True, text=True, check=True, timeout=120)
     status, max_rss_kb = map(int, launched.stdout.split())
     assert status == 0
-    assert max_rss_kb / 1024 < CHILD_RSS_MB
+    assert max_rss_kb / 1024 < bound_mb

@@ -140,6 +140,15 @@ def test_sim_config_validation():
         gf.SimConfig(horizon=1.0, dt=0.0066)  # 152 steps would cover 1.0032
 
 
+@pytest.mark.parametrize("key, value", [("n_paths", 2.5), ("n_paths", 1000.0),
+                                        ("n_paths", True), ("base_seed", 3.0),
+                                        ("base_seed", False)])
+def test_sim_config_takes_only_integer_path_counts_and_seeds(key, value):
+    # a float or bool passed every range check and failed in the walk, after the solve
+    with pytest.raises(ValueError, match=f"{key} must be an integer, got {value!r}"):
+        gf.SimConfig(horizon=1.0, dt=1e-2, **{key: value})
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**53 + 1, 2**63, 2**64 - 1])
 def test_path_generator_keys_both_streams_with_every_seed_bit(seed):
     # the bridge stream's word has its top bit set for every seed below 2**63
@@ -347,6 +356,49 @@ def test_engine_batch_equals_singletons(rule, mp, cp, sol, lim):
     batch_growth = growth(range(3))
     for i in range(3):
         assert growth([i])[0] == batch_growth[i]
+
+
+@pytest.mark.parametrize("rule", ["impulse", "bridge", "reflected", "coupling"])
+def test_chunked_walk_equals_paths_walked_alone(rule, mp, cp, sol, lim):
+    # the paths at the edges of the path chunks give the same bits walked
+    # alone; the coupling's two rows are walked in strided chunk views
+    chunk = simulate._CHUNK
+    cfg = gf.SimConfig(horizon=5.0, dt=1e-2, n_paths=2 * chunk + 3, base_seed=64,
+                       bridge_correction=rule == "bridge")
+    c, A, B = sol.candidate, lim.candidate.A, lim.candidate.B
+    if rule == "coupling":
+        rows = gf.to_centered(np.array([(c.a, c.alpha, c.beta, c.b), (A, A, B, B)]))
+        walk = lambda paths: simulate._Band(mp, cfg, paths, rows,  # noqa: E731
+                                            gf.to_centered(0.6)).run()
+    elif rule == "reflected":
+        walk = lambda paths: simulate._walk(  # noqa: E731
+            mp, gf.CostParams(0.0, GAMMA), (A, A, B, B), cfg, paths)
+    else:
+        walk = lambda paths: simulate._walk(  # noqa: E731
+            mp, cp, (c.a, c.alpha, c.beta, c.b), cfg, paths)
+    batch = walk(range(cfg.n_paths))
+    for i in (0, chunk - 1, chunk, 2 * chunk + 2):
+        alone = walk([i])
+        assert alone.trades[0, 0] > 0
+        assert np.array_equal(alone.trades[:, 0], batch.trades[:, i])
+        if rule == "coupling":
+            assert np.array_equal(alone.sup[:, 0], batch.sup[:, i])
+        else:
+            assert alone.growth()[0] == batch.growth()[i]
+            assert alone.trade_log[0, 0] == batch.trade_log[0, i]
+
+
+@pytest.mark.parametrize("rule", ["impulse", "reflected"])
+def test_growth_estimate_reports_trade_rate_and_cost_drag(rule, mp, cp, sol, lim):
+    cfg = gf.SimConfig(horizon=5.0, dt=1e-3, n_paths=1, base_seed=3)
+    if rule == "impulse":
+        est = gf.estimate_growth_impulse(mp, cp, sol.candidate, cfg)
+    else:
+        est = gf.estimate_growth_reflected(mp, GAMMA, lim.candidate.A, lim.candidate.B, cfg)
+    rec = est.first_path
+    assert len(rec.trade_events) > 0
+    assert est.trades_per_year == len(rec.trade_events) / cfg.horizon
+    assert est.cost_drag_per_year == -rec.trade_log_total / cfg.horizon
 
 
 @pytest.mark.parametrize("rule", ["impulse", "bridge", "reflected"])
