@@ -170,7 +170,7 @@ def _renewal_batch(mp: MarketParams, cp: CostParams, a, al, be, b) -> np.ndarray
     (compared in logit coordinates) is not priced and reads -inf, so no
     caller needs an ordering rule of its own.
     """
-    a, al, be, b = (_own_axes(v) for v in (a, al, be, b))
+    a, al, be, b = (_own_axes(v) for v in np.broadcast_arrays(a, al, be, b))
     lo, y_low, y_high, hi = (np.asarray(to_centered(v)) for v in (a, al, be, b))
     valid = (lo < y_low) & (y_low <= y_high) & (y_high < hi)
     c = mp.mu - mp.r - 0.5 * mp.sigma * mp.sigma
@@ -185,17 +185,27 @@ def _renewal_batch(mp: MarketParams, cp: CostParams, a, al, be, b) -> np.ndarray
             "restart chain numerically absorbing: exit probabilities "
             f"p(alpha)={np.broadcast_to(p_low, bad.shape)[k]:.3e}, "
             f"p(beta)={np.broadcast_to(p_high, bad.shape)[k]:.3e}")
-    cost_low = np.log(_wealth(cp, a, al))
-    cost_high = np.log(_wealth(cp, b, be))
-    # stationary split of the restart chain on {alpha, beta}; a candidate
-    # outside the ordering may split 0/0 here, and only it
+    parts = [np.asarray(v) for v in (valid, p_low, p_high, w_low, w_high, m_low, m_high,
+                                     np.log(_wealth(cp, a, al)), np.log(_wealth(cp, b, be)))]
+    growth = np.empty(np.broadcast_shapes(*(v.shape for v in parts)))
+    # one slab of the first axis at a time, so that the combine's temporaries
+    # span a slab and not the box; the parts share one number of axes
+    for i in np.ndindex(growth.shape[:1]):
+        growth[i] = _combine(mp.r, *(v[0] if v.ndim and len(v) == 1 else v[i] for v in parts))
+    return growth
+
+
+def _combine(r, valid, p_low, p_high, w_low, w_high, m_low, m_high, cost_low, cost_high):
+    """The growth rate r + reward/length of the restart chain on {alpha,
+    beta} through its stationary split; -inf where not valid."""
+    # a candidate outside the ordering may split 0/0 here, and only it
     with np.errstate(divide="ignore", invalid="ignore"):
         pi_low = (1.0 - p_high) / (1.0 - p_high + p_low)
         pi_high = p_low / (1.0 - p_high + p_low)
         reward = (pi_low * (w_low + p_low * cost_high + (1.0 - p_low) * cost_low)
                   + pi_high * (w_high + p_high * cost_high + (1.0 - p_high) * cost_low))
         length = pi_low * m_low + pi_high * m_high
-        return np.where(valid, mp.r + reward / length, -np.inf)
+        return np.where(valid, r + reward / length, -np.inf)
 
 
 def evaluate_policy_renewal(mp: MarketParams, cp: CostParams, cand) -> float:

@@ -24,9 +24,10 @@ Randomness is counter-based: path i of a run seeded s reads an independent
 Philox stream keyed (s, i), so any subset of paths can be simulated
 concurrently or in blocks with identical results, and every output is a
 pure function of (inputs, base_seed, path_index).  The walker uses this to
-take the paths in fixed chunks: its buffers hold one block of steps for
-one chunk of paths, whatever n_paths is, and only the per-path results
-(about 40 bytes a path and row) outlive a chunk.
+take the paths in fixed chunks and the steps in blocks that fill a fixed
+byte tile: its buffers hold one block of steps for one chunk of paths,
+whatever n_paths, n_steps or the number of rows is, and only the per-path
+results (about 40 bytes a path and row) outlive a chunk.
 """
 
 from __future__ import annotations
@@ -49,7 +50,10 @@ __all__ = [
     "couple_at_boundaries", "couple_paths",
 ]
 
-_BLOCK = 1024  # steps whose normals and trade flags are buffered at once
+# bytes of a chunk's step buffers: a block is as many steps as fit, at 8 B a
+# path for the increments or pre-jump y, 2 B a path and row for the trade
+# flags and 16 B a path for the bridge's uniforms
+_TILE = 4 << 20
 _CHUNK = 2048  # paths walked at once; fig2's default 1,000 paths are one chunk
 _BRIDGE_STREAM_SALT = 0x9E3779B97F4A7C15  # golden-ratio word, keys the uniform stream
 
@@ -180,20 +184,21 @@ class _Band:
     reference of a coupling and sup |y - y_last| of the others is tracked.
 
     paths is a range or list of path indices.  They are walked _CHUNK at a
-    time and the steps _BLOCK at a time, so the buffers are a fixed block
-    whatever the number of paths; only the per-path results (y, bond, trade
-    log and count, sup) are kept for every path."""
+    time, and the steps as many at a time as fill _TILE bytes (at least one,
+    at most n_steps), so the buffers are a fixed size whatever the numbers
+    of paths, steps and rows; only the per-path results (y and trade count,
+    with cp bond and trade log, without it sup) are kept for every path."""
 
     def __init__(self, mp, cfg, paths, rows, y0, cp=None):
         self.mp, self.cfg, self.paths, self.cp = mp, cfg, paths, cp
         self.lo, self.lo_to, self.hi_to, self.hi = np.atleast_2d(rows).astype(float).T[..., None]
         shape = (self.lo.shape[0], len(paths))
         self.y = np.full(shape, float(y0))
-        self.bond = np.full(shape, math.log(cfg.v0) - np.logaddexp(0.0, y0))
-        self.trade_log = np.zeros(shape)
         self.trades = np.zeros(shape, dtype=np.int64)
         self.sup = np.zeros((shape[0] - 1, shape[1])) if cp is None else None
-        if cp is not None:
+        if cp is not None:  # a coupling prices no trade, so it keeps no bond
+            self.bond = np.full(shape, math.log(cfg.v0) - np.logaddexp(0.0, y0))
+            self.trade_log = np.zeros(shape)
             # the first path's post-jump y and bond jump at every step, and its
             # trades as (step, y traded from, target y, log wealth factor)
             self.trace = np.zeros((2, cfg.n_steps + 1))
@@ -208,13 +213,15 @@ class _Band:
     def _run_chunk(self, cols: slice, bridge: bool) -> None:
         """Walk the paths in cols through every block of steps."""
         mp, cfg, lo, hi = self.mp, self.cfg, self.lo, self.hi
-        y, bond = self.y[:, cols], self.bond[:, cols]
+        y = self.y[:, cols]
+        held = (y,) if self.cp is None else (y, self.bond[:, cols])
         sup = None if self.sup is None else self.sup[:, cols]
         c, sq = (mp.mu - mp.r - 0.5 * mp.sigma * mp.sigma) * cfg.dt, mp.sigma * math.sqrt(cfg.dt)
         paths = self.paths[cols]
         gens = [path_generator(cfg.base_seed, i) for i in paths]
         ugens = [path_generator(cfg.base_seed, i, stream=1) for i in paths] if bridge else []
-        block = (min(_BLOCK, cfg.n_steps),) + y.shape
+        step_bytes = y.shape[1] * (8 + 2 * y.shape[0] + (16 if bridge else 0))
+        block = (min(max(_TILE // step_bytes, 1), cfg.n_steps),) + y.shape
         low, high = np.empty(block, dtype=bool), np.empty(block, dtype=bool)
         if self.cp is None:  # a coupling only counts trades, so it keeps no pre-jump y
             pre, dw, scratch = None, np.empty(block[:1] + block[2:]), np.empty(y.shape)
@@ -223,8 +230,8 @@ class _Band:
             dw = pre[:, 0]
         touch = np.empty((block[0], 2, len(paths))) if bridge else None
         gap = None if sup is None else np.empty_like(sup)
-        for done in range(0, cfg.n_steps, _BLOCK):
-            nb = min(_BLOCK, cfg.n_steps - done)
+        for done in range(0, cfg.n_steps, block[0]):
+            nb = min(block[0], cfg.n_steps - done)
             for i, gen in enumerate(gens):
                 dw[:nb, i] = gen.standard_normal(nb)
             dw[:nb] *= sq
@@ -254,7 +261,7 @@ class _Band:
                     np.abs(np.subtract(y[:-1], y[-1], out=gap), out=gap)
                     np.maximum(sup, gap, out=sup)
             self._settle(cols, done, None if pre is None else pre[:nb], low[:nb], high[:nb])
-            if not (np.isfinite(y).all() and np.isfinite(bond).all()):
+            if not all(np.isfinite(v).all() for v in held):
                 raise NumericalBlowup("wealth left the positive cone")
 
     def _settle(self, cols: slice, done: int, pre, low, high) -> None:

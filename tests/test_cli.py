@@ -550,10 +550,12 @@ def test_out_of_memory_is_one_error_line(config_file, tmp_path):
 
 
 CHILD_RSS_MB = 150  # the dense obstacle search took verify to 537 MB
-# the Monte Carlo walk buffers a fixed block of 1,024 steps x 2,048 paths;
-# couple read 84.6 MB while it kept a pre-jump buffer, and 20,000 paths 393 MB
-# while the buffers grew with n_paths
-MONTE_CARLO_RSS_MB = 70
+ORACLE_RSS_MB = 40  # the box is combined one slab at a time; oracle read 34 MB
+# the Monte Carlo walk buffers one 4 MiB tile of steps for a chunk of at most
+# 2,048 paths, whatever n_paths, the horizon or the number of deltas; its
+# children read 42-43 MB
+MONTE_CARLO_RSS_MB = 50
+TEN_DELTAS = "0.02,0.01,0.005,0.002,0.001,0.0005,0.0002,0.0001,0.00005,0.00002"
 # Linux carries the high-water RSS of the process a child is spawned from
 # into the child's ru_maxrss, so the CLI is spawned from this small launcher
 # and not from the test process, whose own peak would otherwise count.
@@ -567,11 +569,13 @@ RSS_LAUNCHER = (
 
 @pytest.mark.parametrize("command, flags, bound_mb", [
     pytest.param("verify", ["--grid_n", "4001"], CHILD_RSS_MB, id="verify"),
-    pytest.param("oracle", [], CHILD_RSS_MB, id="oracle"),
+    pytest.param("oracle", [], ORACLE_RSS_MB, id="oracle"),
     # at least one whole block of steps
     *(pytest.param(command, ["--horizon", "2"], MONTE_CARLO_RSS_MB, id=command)
       for command in ("simulate", "reflect", "couple")),
-    pytest.param("simulate", ["--horizon", "1.1", "--n_paths", "20000"], 100,
+    pytest.param("couple", ["--horizon", "2", "--deltas", TEN_DELTAS], MONTE_CARLO_RSS_MB,
+                 id="couple-ten-deltas"),
+    pytest.param("simulate", ["--horizon", "1.1", "--n_paths", "20000"], 55,
                  id="simulate-20000-paths"),
 ])
 def test_child_peak_memory_is_bounded(command, flags, bound_mb, config_file, tmp_path):

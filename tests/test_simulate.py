@@ -388,6 +388,40 @@ def test_chunked_walk_equals_paths_walked_alone(rule, mp, cp, sol, lim):
             assert alone.trade_log[0, 0] == batch.trade_log[0, i]
 
 
+def _records_equal(r1, r2):
+    return all(np.array_equal(v1, v2) if isinstance(v1, np.ndarray) else v1 == v2
+               for v1, v2 in zip(dataclasses.astuple(r1), dataclasses.astuple(r2)))
+
+
+@pytest.mark.parametrize("rule", ["impulse", "bridge", "reflected", "coupling"])
+def test_walk_does_not_depend_on_the_step_block(rule, mp, cp, sol, lim, monkeypatch):
+    # 1,999 steps (a prime) walked in one block, in blocks of 12 to 33 steps
+    # that do not divide them, and one step at a time give the same bits
+    cfg = gf.SimConfig(horizon=19.99, dt=1e-2, n_paths=3, base_seed=29,
+                       bridge_correction=rule == "bridge")
+    c, A, B = sol.candidate, lim.candidate.A, lim.candidate.B
+    if rule == "coupling":
+        rows = gf.to_centered(np.array([(c.a, c.alpha, c.beta, c.b), (A, A, B, B)]))
+        walk = lambda: simulate._Band(mp, cfg, range(3), rows, gf.to_centered(0.6)).run()  # noqa: E731
+    elif rule == "reflected":
+        walk = lambda: simulate._walk(  # noqa: E731
+            mp, gf.CostParams(0.0, GAMMA), (A, A, B, B), cfg, range(3))
+    else:
+        walk = lambda: simulate._walk(mp, cp, (c.a, c.alpha, c.beta, c.b), cfg, range(3))  # noqa: E731
+    whole = walk()
+    assert whole.trades.sum() > 0
+    for tile in (1000, 1):
+        monkeypatch.setattr(simulate, "_TILE", tile)
+        band = walk()
+        assert np.array_equal(band.trades, whole.trades)
+        if rule == "coupling":
+            assert np.array_equal(band.sup, whole.sup)
+        else:
+            assert np.array_equal(band.growth(), whole.growth())
+            assert np.array_equal(band.trade_log, whole.trade_log)
+            assert _records_equal(band.first(), whole.first())
+
+
 @pytest.mark.parametrize("rule", ["impulse", "reflected"])
 def test_growth_estimate_reports_trade_rate_and_cost_drag(rule, mp, cp, sol, lim):
     cfg = gf.SimConfig(horizon=5.0, dt=1e-3, n_paths=1, base_seed=3)
@@ -402,10 +436,11 @@ def test_growth_estimate_reports_trade_rate_and_cost_drag(rule, mp, cp, sol, lim
 
 
 @pytest.mark.parametrize("rule", ["impulse", "bridge", "reflected"])
-def test_band_walk_matches_holdings_reference(rule, mp, cp, sol, lim):
+def test_band_walk_matches_holdings_reference(rule, mp, cp, sol, lim, monkeypatch):
     # the logit walk with the bond as numeraire gives the exact (X, Y)
     # holdings step with its monetary jump and projection, up to rounding,
-    # over more than one draw block (3,000 steps)
+    # over more than one draw block (3,000 steps in blocks of 420 to 1,092)
+    monkeypatch.setattr(simulate, "_TILE", 64 << 10)
     cfg = gf.SimConfig(horizon=3.0, dt=1e-3, n_paths=6, base_seed=63, h0=0.6,
                        bridge_correction=rule == "bridge")
     if rule == "reflected":
