@@ -1,8 +1,9 @@
 """Slope function of the continuation region, the value function built from
-it and its grid check, and the damped Newton engine, each of whose Jacobians
-is one residual call on a stack of candidates, with the start loop of both
-solvers, their one cold start, the reflecting band of best exact growth,
-and the exact growth of boundary policies that the impulse seed ranks.
+it and its grid check, and the damped Newton engine, which prices its start
+and each damped step with their Jacobian in one residual call on a stack of
+n+1 candidates, with the start loop of both solvers, their one cold start,
+the reflecting band of best exact growth, and the exact growth of boundary
+policies that the impulse seed ranks.
 
 Inside the no-trade region the value function's derivative is an explicit
 function g(x, x0, l) anchored so that g(x0, x0, l) = 0.  The textbook form
@@ -35,6 +36,7 @@ Public primitives check their inputs and then call their one kernel (``_g``,
 ``_pieces``, ``market._logit``, ...); the residuals and the seed call the
 kernels below a check that implies the kernels' own: an ordering inside
 (0, 1), under which ``CostParams``' invariants keep every cost term positive.
+So does the value function, below its check of x in [0, 1].
 """
 
 from __future__ import annotations
@@ -43,9 +45,10 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .market import (EPS, CostParams, MarketParams, _growth, _logit, _wealth, apply_generator,
-                     cost_terms, edge_slopes, from_centered, generator_coefficients,
-                     merton_fraction, no_trade_floor, to_centered, trade_cost_gamma)
+from .market import (EPS, CostParams, MarketParams, _growth, _log_cost, _logit, _wealth,
+                     apply_generator, cost_terms, edge_slopes, from_centered,
+                     generator_coefficients, merton_fraction, no_trade_floor, to_centered,
+                     trade_cost_gamma)
 
 
 # A solve is accepted when the residual max-norm is at most RESIDUAL_TOL; a
@@ -194,17 +197,20 @@ def policy_value(mp: MarketParams, cp: CostParams, a, al, be, b):
     lo, y_low, y_high, hi = (np.asarray(to_centered(v)) for v in (a, al, be, b))
     t_hhat = to_centered(hhat)
 
-    def row(t1, t2, cost):
-        """(k, r) of the row k l + C + r = 0 of int_x1^x2 w' + cost = 0."""
+    def rows(t1, t2, cost):
+        """(k, r) of the rows k l + C + r = 0 of int_x1^x2 w' + cost = 0."""
         pieces = _pieces(p, t_hhat, hhat, t1, t2)
         base = _g_integral(mp, pieces, 0.0)
         return (_g_integral(mp, pieces, 1.0) - base) / pieces[3], (base + cost) / pieces[3]
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        k_low, r_low = row(lo, y_low, np.log(_wealth(cp, a, al)))
-        k_high, r_high = row(y_high, hi, -np.log(_wealth(cp, b, be)))
-        l = np.asarray(r_high - r_low)
-        l /= k_low - k_high
+        # (t1, t2, cost) of every low row, a to alpha, and every high row, beta to b
+        low = np.broadcast_arrays(lo, y_low, np.log(_wealth(cp, a, al)))
+        high = np.broadcast_arrays(y_high, hi, -np.log(_wealth(cp, b, be)))
+        k, r = rows(*(np.concatenate([u.ravel(), v.ravel()]) for u, v in zip(low, high)))
+        n, (shape_low, shape_high) = low[0].size, (low[0].shape, high[0].shape)
+        l = np.asarray(r[n:].reshape(shape_high) - r[:n].reshape(shape_low))
+        l /= k[:n].reshape(shape_low) - k[n:].reshape(shape_high)
     l += mp.r
     # a < alpha <= beta < b in one pass: a restart point off its side goes to +-inf
     np.copyto(l, -np.inf, where=np.where(lo < y_low, y_low, np.inf)
@@ -263,12 +269,17 @@ class ValueFunction:
         return out if out.ndim else float(out)
 
     def u(self, x):
-        l, x0, a, al, be, _ = self.anchor
-        u_a = trade_cost_gamma(self.costs, a, al)
-        u_beta = u_a + slope_g_integral(self.market, a, be, x0, l)
-        return self._piecewise(x, lambda y: trade_cost_gamma(self.costs, y, al),
-                               lambda y: u_a + slope_g_integral(self.market, a, y, x0, l),
-                               lambda y: u_beta + trade_cost_gamma(self.costs, y, be))
+        mp, cp, (l, x0, a, al, be, _) = self.market, self.costs, self.anchor
+        t0, t_a, _, t_be = to_centered(np.array([x0, a, al, be]))
+
+        def integral(t):  # of g from a to the point of logit t
+            return _g_integral(mp, _pieces(_power(mp), t0, x0, t_a, t), l)
+
+        u_a = _log_cost(cp, a, al)
+        u_beta = u_a + integral(t_be)
+        return self._piecewise(x, lambda y: _log_cost(cp, y, al),
+                               lambda y: u_a + integral(_logit(y)),
+                               lambda y: u_beta + _log_cost(cp, y, be))
 
     def _cost_slopes(self, y):
         """The trade cost's x-slopes at y on the buying and the selling branch."""
@@ -276,8 +287,9 @@ class ValueFunction:
 
     def du(self, x):
         l, x0 = self.anchor[:2]
+        t0 = to_centered(x0)
         return self._piecewise(x, lambda y: self._cost_slopes(y)[0],
-                               lambda y: slope_g(self.market, y, x0, l),
+                               lambda y: _g(self.market, y, _logit(y), x0, t0, l),
                                lambda y: self._cost_slopes(y)[1])
 
     def ddu(self, x):
@@ -414,7 +426,9 @@ def verify_qvi(mp: MarketParams, cp: CostParams, vf: ValueFunction,
                       f"(spacing {spacing:.3e})")
 
     # One u call: the targets are the grid with alpha, beta; the queries the grid with a, b.
-    points = np.unique(np.append(grid, [a, alpha, beta, b]))
+    # np.unique's sort and drop of repeats, without the numpy.ma import it costs
+    points = np.sort(np.append(grid, [a, alpha, beta, b]))
+    points = points[np.append(True, points[1:] != points[:-1])]
     u, at = vf.u(points), np.searchsorted(points, np.append(grid, [alpha, beta, a, b]))
     is_target, at_query = np.zeros(points.size, dtype=bool), np.delete(at, [-4, -3])
     is_target[at[:-2]] = True
@@ -447,12 +461,18 @@ def verify_qvi(mp: MarketParams, cp: CostParams, vf: ValueFunction,
     )
 
 
-def _jacobian(residual, v, fv):
-    """Forward-difference Jacobian at v from one residual call on the block
-    whose column j is v + h_j e_j; an error from that call propagates."""
+def _priced(residual, v):
+    """(f, J) at v from one residual call on the (n, n+1) block whose column 0
+    is v and column j + 1 is v + h_j e_j, the forward-difference Jacobian J
+    bit for bit that of n calls.  When the block raises ValueError, v is
+    priced alone (whose ValueError propagates) and J is the block's error."""
     h = _FD_STEP * np.fmax(1.0, np.abs(v))
-    cols = np.where(np.eye(v.size, dtype=bool), v + h, v[:, None])
-    return (np.asarray(residual(cols), dtype=float) - fv[:, None]) / h
+    block = np.where(np.eye(v.size, v.size + 1, 1, dtype=bool), (v + h)[:, None], v[:, None])
+    try:
+        out = np.asarray(residual(block), dtype=float)
+    except ValueError as err:
+        return np.asarray(residual(v), dtype=float), err
+    return out[:, 0], (out[:, 1:] - out[:, :1]) / h
 
 
 def damped_newton(residual, v0):
@@ -461,23 +481,27 @@ def damped_newton(residual, v0):
     where it started.
 
     While the residual max-norm is above RESIDUAL_TOL each step is damped:
-    a fresh Jacobian, one call of residual on an (n, n) block of points, one
-    per column (``_jacobian``), whose ValueError propagates to the start
+    the Jacobian at the iterate, whose ValueError propagates to the start
     loop, and a step halved up to _MAX_HALVINGS times, while residual raises
-    ValueError (an out-of-domain iterate) or the norm does not drop.  Within
-    RESIDUAL_TOL each step is a chord step: the last Jacobian (one is
-    computed for a start already there) and one residual call, kept only if
+    ValueError (an out-of-domain iterate) or the norm does not drop.  The
+    start and each full step are priced with their Jacobian in one residual
+    call of n+1 points (``_priced``); a halved step is priced alone, and its
+    Jacobian is priced when the next damped step needs it.  Within
+    RESIDUAL_TOL each step is a chord step: the last Jacobian used (the
+    start's for a start already there) and one residual call, kept only if
     it more than halves the norm; the first that does not ends the run.
     Returns (v, steps, residual_norm), steps counting every kept step; the
     caller decides whether the final norm is good enough.
     """
     v = np.array(v0, dtype=float)
-    fv = np.asarray(residual(v), dtype=float)
+    fv, jac_v = _priced(residual, v)
     norm, steps, jac = float(np.abs(fv).max()), 0, None
     while steps < _MAX_ITER:
         chord = norm <= RESIDUAL_TOL
         if jac is None or not chord:
-            jac = _jacobian(residual, v, fv)
+            jac = _priced(residual, v)[1] if jac_v is None else jac_v
+            if isinstance(jac, ValueError):
+                raise jac
         try:
             dv = np.linalg.solve(jac, -fv)
         except np.linalg.LinAlgError:
@@ -485,7 +509,8 @@ def damped_newton(residual, v0):
         for halvings in range(1 if chord else _MAX_HALVINGS):
             try:
                 trial = v + 0.5 ** halvings * dv
-                ft = np.asarray(residual(trial), dtype=float)
+                ft, jt = ((np.asarray(residual(trial), dtype=float), None) if chord or halvings
+                          else _priced(residual, trial))
             except ValueError:
                 continue
             trial_norm = float(np.abs(ft).max())
@@ -493,7 +518,7 @@ def damped_newton(residual, v0):
                 break
         else:
             break
-        v, fv, norm, steps = trial, ft, trial_norm, steps + 1
+        v, fv, jac_v, norm, steps = trial, ft, jt, trial_norm, steps + 1
     return v, steps, norm
 
 

@@ -130,28 +130,31 @@ def _oracle_seed(mp, cp, A, B):
     """
     a_lim, b_lim = to_centered(A), to_centered(B)
     offsets = (_WIDEN, _WIDEN, _INSET, _INSET)
-    best = None
     for _ in range(2):
         u1, u2, v1, v2 = offsets
         a_y, b_y = a_lim - u1, b_lim + u2
-        a_y = a_y[from_centered(a_y) > EPS][:, None, None, None]
-        b_y = b_y[from_centered(b_y) < 1.0 - EPS][:, None, None]
+        # the four axes in one from_centered call, then the edges inside (EPS, 1 - EPS)
+        ys = (a_y, a_y[:, None] + v1, b_y, b_y[:, None] - v2)
+        flat = np.split(from_centered(np.concatenate([y.ravel() for y in ys])),
+                        np.cumsum([y.size for y in ys[:-1]]))
+        a, al, b, be = (x.reshape(y.shape) for x, y in zip(flat, ys))
+        lo, hi = a > EPS, b < 1.0 - EPS
+        a, al, b, be = a[lo], al[lo], b[hi], be[hi]
         # axes (a widening, b widening, a inset, b inset), the meshgrid order
-        al_y, be_y = a_y + v1[:, None], b_y - v2
-        axes = [from_centered(y) for y in (a_y, al_y, be_y, b_y)]
-        values = policy_value(mp, cp, *axes)
-        k = int(np.argmax(values))
-        best = tuple(float(v.flat[k]) for v in np.broadcast_arrays(*axes))
-        a_k, al_k, be_k, b_k = (to_centered(v) for v in best)
+        values = policy_value(mp, cp, a[:, None, None, None], al[:, None, :, None],
+                              be[:, None, :], b[:, None, None])
+        i, j, s, t = np.unravel_index(int(np.argmax(values)), values.shape)
+        best = (float(a[i]), float(al[i, s]), float(be[j, t]), float(b[j]))
+        a_k, al_k, be_k, b_k = to_centered(np.array(best))
         offsets = tuple(gap * _REFINE for gap in
                         (a_lim - a_k, b_k - b_lim, al_k - a_k, b_k - be_k))
-    (a, al, be, b), value = best, float(values.flat[k])
+    (a, al, be, b), value = best, float(values[i, j, s, t])
     floor = no_trade_floor(mp)
     if not value - mp.r > floor:
         raise ParameterDegeneracy(
             f"no interior optimum: best renewal growth {value:.10g} does not exceed "
             f"r + max{{f(0), f(1)}} = {mp.r + floor:.10g}")
-    x0 = from_centered(0.5 * (to_centered(al) + to_centered(be)))
+    x0 = from_centered(0.5 * (al_k + be_k))
     return BoundaryCandidate(l=value - mp.r, x0=x0, a=a, alpha=al, beta=be, b=b)
 
 

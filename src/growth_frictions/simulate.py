@@ -290,11 +290,13 @@ class _Band:
         self.trace[:, steps] = y_to[first], jump[first]
         self.trace_trades.append((steps, y_from[first], y_to[first], log_factor[first]))
 
-    def log_wealth(self):
-        return self.bond + self.mp.r * self.cfg.dt * self.cfg.n_steps + np.logaddexp(0.0, self.y)
+    def log_wealth(self, paths=slice(None)):
+        """Row 0's final log wealth on every path, or on path i alone."""
+        return (self.bond[0, paths] + self.mp.r * self.cfg.dt * self.cfg.n_steps
+                + np.logaddexp(0.0, self.y[0, paths]))
 
-    def growth(self):
-        return (self.log_wealth()[0] - math.log(self.cfg.v0)) / self.cfg.horizon
+    def growth(self, paths=slice(None)):
+        return (self.log_wealth(paths) - math.log(self.cfg.v0)) / self.cfg.horizon
 
     def estimate(self) -> GrowthEstimate:
         growth, n, horizon = self.growth(), len(self.paths), self.cfg.horizon
@@ -321,11 +323,11 @@ class _Band:
         events = tuple(TradeEvent(time=float(n * cfg.dt), pre_fraction=float(p), target=float(x),
                                   factor=float(math.exp(c)), log_cost=float(c))
                        for n, p, x, c in zip(at, h, xi, log_factor))
-        log_wealth_final, trade_log = float(self.log_wealth()[0, 0]), float(self.trade_log[0, 0])
+        log_wealth_final, trade_log = float(self.log_wealth(0)), float(self.trade_log[0, 0])
         return PathRecord(times=steps * cfg.dt, fractions=from_centered(self.trace[0]),
                           wealths=wealths, buy_volume=buy_volume, sell_volume=sell_volume,
                           trade_events=events, log_wealth_final=log_wealth_final,
-                          growth=float(self.growth()[0]),
+                          growth=float(self.growth(0)),
                           step_log_total=log_wealth_final - math.log(cfg.v0) - trade_log,
                           trade_log_total=trade_log)
 

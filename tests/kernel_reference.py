@@ -1,6 +1,6 @@
 """Reference forms for the bit-identity tests: the checked, one-call-per-row
 bodies of the slope kernels, both residuals, the closed-form policy value
-and the value function's derivatives, written as each primitive checking its
+and the value function with its derivatives, written as each primitive checking its
 own inputs and every row calling the primitives anew.  The kernels in use,
 which run below one domain check, must reproduce each of them bit for bit."""
 
@@ -134,6 +134,15 @@ def _piecewise(vf, x, low, mid, high):
 
 def _cost_slopes(vf, y):
     return edge_slopes(vf.costs.gamma, vf.costs.delta, y, y)
+
+
+def u(vf, x):
+    l, x0, a, al, be, _ = vf.anchor
+    u_a = trade_cost_gamma(vf.costs, a, al)
+    u_beta = u_a + slope_g_integral(vf.market, a, be, x0, l)
+    return _piecewise(vf, x, lambda y: trade_cost_gamma(vf.costs, y, al),
+                      lambda y: u_a + slope_g_integral(vf.market, a, y, x0, l),
+                      lambda y: u_beta + trade_cost_gamma(vf.costs, y, be))
 
 
 def du(vf, x):

@@ -14,7 +14,7 @@ import pytest
 import growth_frictions as gf
 from growth_frictions import _slope, limit, qvi
 from kernel_reference import (ddu, du, e1, e2, policy_value, residual_system,
-                              residual_system_limit, slope_g, slope_g_dx, slope_g_integral)
+                              residual_system_limit, slope_g, slope_g_dx, slope_g_integral, u)
 from newton_reference import ANCHORS, is_stacked, record_residual
 
 MARKETS = [gf.MarketParams(r=0.0, mu=hhat * 0.16, sigma=0.4) for hhat in (0.02, 0.5, 0.6, 0.97)]
@@ -76,6 +76,29 @@ def test_residuals_are_the_checked_forms_at_every_solver_call(r, mu, sigma, gamm
 
 
 @pytest.mark.parametrize("r, mu, sigma, gamma, delta", ANCHORS)
+def test_each_column_of_a_block_is_the_single_call(r, mu, sigma, gamma, delta):
+    # what one residual call per damped Newton step rests on: an (n, n+1)
+    # block, at seeded perturbations of both roots, prices every column as
+    # that column alone
+    mp = gf.MarketParams(r=r, mu=mu, sigma=sigma)
+    cp = gf.CostParams(delta=delta, gamma=gamma)
+    rng = np.random.default_rng(30)
+    systems = [(gf.LimitCandidate, gf.solve_limit(mp, gamma).candidate,
+                lambda c: limit.residual_system_limit(mp, gamma, c))]
+    with contextlib.suppress(gf.ParameterDegeneracy):  # the infeasible anchor has no seed
+        systems.append((gf.BoundaryCandidate, gf.solve_boundaries(mp, cp).candidate,
+                        lambda c: qvi.residual_system(mp, cp, c)))
+    assert len(systems) == 1 + (mu != 0.144)
+    for cls, root, residual in systems:
+        v = root.as_vector()
+        for scale in (1e-9, 1e-7, 1e-5, 1e-3):
+            block = v[:, None] * (1.0 + rng.normal(0.0, scale, (v.size, v.size + 1)))
+            priced = residual(cls.from_vector(block))
+            for j in range(v.size + 1):
+                _same(priced[:, j], residual(cls.from_vector(block[:, j])))
+
+
+@pytest.mark.parametrize("r, mu, sigma, gamma, delta", ANCHORS)
 def test_seed_grids_price_as_the_checked_form(r, mu, sigma, gamma, delta, monkeypatch):
     mp = gf.MarketParams(r=r, mu=mu, sigma=sigma)
     cp = gf.CostParams(delta=delta, gamma=gamma)
@@ -95,7 +118,7 @@ def test_value_derivatives_are_the_checked_forms(mp, cp, vf, lim):
     for curve in curves:
         _, _, a, al, be, b = curve.anchor
         x = np.concatenate([np.linspace(0.0, 1.0, 2001), [a, al, be, b, np.nan]])
-        for new, old in ((curve.du, du), (curve.ddu, ddu)):
+        for new, old in ((curve.u, u), (curve.du, du), (curve.ddu, ddu)):
             _same(new(x), old(curve, x))
             _same(new(x.reshape(2, -1)), old(curve, x.reshape(2, -1)))
             for v in x[::97]:

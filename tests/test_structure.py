@@ -3,8 +3,9 @@ module level, in which the two solvers import neither each other and the
 core below them only the market, solvers that price in closed form only
 (the renewal quadrature is the oracle's), one Newton start loop shared by
 both solvers, one Newton run and no limit solve in a cold impulse solve, one
-grid verifier for both models, one kernel call of each kind per limit
-residual, and quadrature rules built on first use."""
+residual call per damped Newton step, one grid verifier for both models, one
+kernel call of each kind per limit residual, quadrature rules built on first
+use, and no numpy.ma import in a verify."""
 
 import ast
 import os
@@ -95,6 +96,11 @@ def test_a_cold_solve_integrates_no_green_side(r, mu, sigma, gamma, delta, monke
     assert [_outcome(solve) for solve in solves] == expected
 
 
+def _probe_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH")))))
+
+
 def test_import_builds_no_gauss_legendre_rule():
     # each rule is built on first use; a fresh import builds none
     probe = ("import numpy.polynomial.legendre as leg\n"
@@ -104,9 +110,18 @@ def test_import_builds_no_gauss_legendre_rule():
              "import growth_frictions.cli\n"
              "from growth_frictions import lab\n"
              "assert built == [] and lab._gauss_legendre.cache_info().currsize == 0, built\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH")))))
-    subprocess.run([sys.executable, "-c", probe], env=env, check=True, timeout=60)
+    subprocess.run([sys.executable, "-c", probe], env=_probe_env(), check=True, timeout=60)
+
+
+def test_a_verify_imports_no_masked_arrays():
+    # numpy.ma costs a first verify about 14 ms to import; np.unique pulls it in
+    probe = ("import sys\n"
+             "import growth_frictions as gf\n"
+             "mp, cp = gf.MarketParams(0.0, 0.096, 0.4), gf.CostParams(1e-3, 0.003)\n"
+             "vf = gf.build_value(mp, cp, gf.solve_boundaries(mp, cp))\n"
+             "assert gf.verify_qvi(mp, cp, vf, 2001).passed\n"
+             "assert 'numpy.ma' not in sys.modules\n")
+    subprocess.run([sys.executable, "-c", probe], env=_probe_env(), check=True, timeout=60)
 
 
 @pytest.mark.parametrize("solver, norm, shown", [
@@ -134,25 +149,46 @@ def test_every_start_failing_is_one_non_convergence(solver, norm, shown, mp, cp,
     assert len(runs) == 2
 
 
-@pytest.mark.parametrize("solver", ["boundaries", "limit"])
-def test_each_jacobian_is_one_stacked_residual_call(solver, mp, cp):
-    # a cold fig2 solve is one Newton run; its Jacobians stack all columns,
-    # one per damped step, each at an iterate above RESIDUAL_TOL, and the
-    # chord steps below it add single-point calls only
+def _cold_fig2_calls(solver, mp, cp):
+    """(solution, residual, every candidate its residual accepted) of a cold fig2 solve."""
     if solver == "boundaries":
         residual = lambda c: qvi.residual_system(mp, cp, c)
-        result, calls = record_residual(qvi, "residual_system",
-                                        lambda: gf.solve_boundaries(mp, cp))
-    else:
-        residual = lambda c: limit.residual_system_limit(mp, GAMMA, c)
-        result, calls = record_residual(limit, "residual_system_limit",
-                                        lambda: gf.solve_limit(mp, GAMMA))
+        return (*record_residual(qvi, "residual_system", lambda: gf.solve_boundaries(mp, cp)),
+                residual)
+    residual = lambda c: limit.residual_system_limit(mp, GAMMA, c)
+    return (*record_residual(limit, "residual_system_limit", lambda: gf.solve_limit(mp, GAMMA)),
+            residual)
+
+
+@pytest.mark.parametrize("solver", ["boundaries", "limit"])
+def test_each_jacobian_is_one_stacked_residual_call(solver, mp, cp):
+    # a cold fig2 solve is one Newton run; the start and each damped full step
+    # are priced with their Jacobian in one call of n+1 points, the point
+    # first, and the chord steps below RESIDUAL_TOL add single-point calls only
+    result, calls, residual = _cold_fig2_calls(solver, mp, cp)
     width = result.candidate.as_vector().size
+
+    def norm(cand):  # of the call's first point
+        return np.abs(np.asarray(residual(cand))).reshape(width, -1)[:, 0].max()
+
     stacked = [i for i, c in enumerate(calls) if is_stacked(c)]
-    assert 0 < len(stacked) <= result.newton_iters
-    assert [np.size(calls[i].x0) for i in stacked] == [width] * len(stacked)
-    # the call before each Jacobian is the iterate it is taken at
-    assert all(np.abs(residual(calls[i - 1])).max() > _slope.RESIDUAL_TOL for i in stacked)
+    assert stacked[0] == 0 and len(stacked) <= result.newton_iters + 1
+    for i in stacked:
+        block = calls[i].as_vector()
+        v = block[:, 0]
+        forward = np.where(np.eye(width, dtype=bool),
+                           (v + _slope._FD_STEP * np.fmax(1.0, np.abs(v)))[:, None], v[:, None])
+        assert block.shape == (width, width + 1) and np.array_equal(block[:, 1:], forward)
+    # each step after the start leaves an iterate: damped above RESIDUAL_TOL, chord within it
+    assert all(norm(calls[i - 1]) > _slope.RESIDUAL_TOL for i in stacked[1:])
+    assert all(norm(calls[i - 1]) <= _slope.RESIDUAL_TOL
+               for i in range(1, len(calls)) if i not in stacked)
+
+
+@pytest.mark.parametrize("solver", ["boundaries", "limit"])
+def test_a_cold_fig2_solve_makes_at_most_seven_residual_calls(solver, mp, cp):
+    result, calls, _ = _cold_fig2_calls(solver, mp, cp)
+    assert result.newton_iters > 0 and len(calls) <= 7
 
 
 def test_a_cold_impulse_solve_is_one_newton_run_and_no_limit_solve(mp, cp):
@@ -194,8 +230,9 @@ class _Pair(_slope.NewtonUnknowns):
 
 
 def test_a_start_whose_jacobian_raises_falls_over_to_the_next_start():
-    # the domain y <= 1 ends at the first start, so the stacked Jacobian call
-    # of that start raises; its run ends there and the loop takes the next
+    # the domain y <= 1 ends at the first start, so the start's stacked call
+    # raises; the start alone is priced, its run ends when the Jacobian is
+    # needed, and the loop takes the next
     calls = []
 
     def residual(c):
@@ -206,7 +243,7 @@ def test_a_start_whose_jacobian_raises_falls_over_to_the_next_start():
 
     cand, iters, norm = _slope.newton_from_starts(
         _Pair, residual, [_Pair(1.0, 1.0), _Pair(1.0, 0.9)], lambda c: None)
-    assert calls[:3] == [0, 1, 0]  # first start, its stacked Jacobian, second start
+    assert calls[:3] == [1, 0, 1]  # first start's block, that start alone, second start's block
     assert iters > 0 and norm <= _slope.RESIDUAL_TOL
     assert (cand.x, cand.y) == pytest.approx((np.sqrt(2.0), 0.5), abs=1e-9)
     # when every start fails so, NonConvergence reports the Jacobian's error
