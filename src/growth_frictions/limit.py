@@ -33,9 +33,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._slope import (NewtonUnknowns, NonConvergence, ParameterDegeneracy, ValueFunction,
-                     VerificationReport, _slope_dx, best_band, newton_from_starts, slope_g,
+                     VerificationReport, _g, _slope_dx, best_band, newton_from_starts,
                      slope_g_dx, verify_qvi)
-from .market import CostParams, MarketParams, ParameterError, check_growth_excess, edge_slopes
+from .market import (CostParams, MarketParams, ParameterError, _logit, check_growth_excess,
+                     edge_slopes)
 
 __all__ = [
     "LimitCandidate", "LimitSolution", "HJBReport",
@@ -83,9 +84,9 @@ def residual_system_limit(mp: MarketParams, gamma: float, cand: LimitCandidate) 
         raise ParameterDegeneracy("candidate ordering 0 < A < B < 1 violated")
     if np.isnan(cand.l0).any():
         raise ParameterDegeneracy("candidate growth rate l0 is NaN")
-    edges = np.array([cand.A, cand.B])
-    s = edge_slopes(gamma, 0.0, cand.A, cand.B)
-    g = slope_g(mp, edges, cand.x0, cand.l0)
+    # unchecked kernels, as the ordering puts the edges and x0 inside (0, 1)
+    edges, s = np.array([cand.A, cand.B]), edge_slopes(gamma, 0.0, cand.A, cand.B)
+    g = _g(mp, edges, _logit(edges), cand.x0, _logit(cand.x0), cand.l0)
     dg, half = _slope_dx(mp, edges, g, cand.l0)
     return np.concatenate([g - s, half * (dg + s * s)])
 

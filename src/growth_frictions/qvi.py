@@ -117,38 +117,36 @@ def _oracle_seed(mp, cp, A, B):
     log-spaced widening/inset offsets around the reflecting band [A, B].
 
     A seed that opens the no-trade region symmetrically fails badly for
-    lopsided Merton fractions; searching the policy value directly (cheap:
-    ``policy_value`` prices the grid in closed form on its offset axes)
-    lands inside the Newton basin regardless of the region's shape; insets
-    that cross (alpha > beta) read -inf.  Round 2 refines each of the four
-    offsets by geomspace(0.5, 2, 7) times its own round-1 best.  If the
-    winner's growth on round 2's grid does not beat the floor
-    r + max{f(0), f(1)} of never trading (or holding only stock), there is
-    no interior optimum to seed and ParameterDegeneracy is raised.  The
-    seed's l is that growth less r, and its x0 the logit midpoint of
-    (alpha, beta).
+    lopsided Merton fractions; searching the policy value directly lands
+    inside the Newton basin regardless of the region's shape.  Each round is
+    one matrix, as in ``best_band``: its rows are the low trades (a, alpha),
+    every a-widening with every a-inset, with a > EPS; its columns the high
+    trades (beta, b), likewise, with b < 1 - EPS.  ``policy_value`` prices
+    it in closed form on those two axes; insets that cross (alpha > beta)
+    read -inf.  Round 2 refines each of the four offsets by
+    geomspace(0.5, 2, 7) times its own round-1 best.  If the winner's growth
+    on round 2's matrix does not beat the floor r + max{f(0), f(1)} of never
+    trading (or holding only stock), there is no interior optimum to seed
+    and ParameterDegeneracy is raised.  The seed's l is that growth less r,
+    and its x0 the logit midpoint of (alpha, beta).
     """
     a_lim, b_lim = to_centered(A), to_centered(B)
-    offsets = (_WIDEN, _WIDEN, _INSET, _INSET)
+    u1, u2, v1, v2 = _WIDEN, _WIDEN, _INSET, _INSET
     for _ in range(2):
-        u1, u2, v1, v2 = offsets
-        a_y, b_y = a_lim - u1, b_lim + u2
-        # the four axes in one from_centered call, then the edges inside (EPS, 1 - EPS)
-        ys = (a_y, a_y[:, None] + v1, b_y, b_y[:, None] - v2)
-        flat = np.split(from_centered(np.concatenate([y.ravel() for y in ys])),
-                        np.cumsum([y.size for y in ys[:-1]]))
-        a, al, b, be = (x.reshape(y.shape) for x, y in zip(flat, ys))
+        a_y, b_y = a_lim - u1[:, None], b_lim + u2[:, None]
+        # (4, widenings, insets) logits in one from_centered call, then one row
+        # per low trade and one column per high trade inside (EPS, 1 - EPS)
+        a, al, b, be = from_centered(np.stack(np.broadcast_arrays(
+            a_y, a_y + v1, b_y, b_y - v2))).reshape(4, -1)
         lo, hi = a > EPS, b < 1.0 - EPS
         a, al, b, be = a[lo], al[lo], b[hi], be[hi]
-        # axes (a widening, b widening, a inset, b inset), the meshgrid order
-        values = policy_value(mp, cp, a[:, None, None, None], al[:, None, :, None],
-                              be[:, None, :], b[:, None, None])
-        i, j, s, t = np.unravel_index(int(np.argmax(values)), values.shape)
-        best = (float(a[i]), float(al[i, s]), float(be[j, t]), float(b[j]))
+        values = policy_value(mp, cp, a[:, None], al[:, None], be, b)
+        i, j = np.unravel_index(int(np.argmax(values)), values.shape)
+        best = (float(a[i]), float(al[i]), float(be[j]), float(b[j]))
         a_k, al_k, be_k, b_k = to_centered(np.array(best))
-        offsets = tuple(gap * _REFINE for gap in
-                        (a_lim - a_k, b_k - b_lim, al_k - a_k, b_k - be_k))
-    (a, al, be, b), value = best, float(values[i, j, s, t])
+        u1, u2, v1, v2 = (gap * _REFINE for gap in
+                          (a_lim - a_k, b_k - b_lim, al_k - a_k, b_k - be_k))
+    (a, al, be, b), value = best, float(values[i, j])
     floor = no_trade_floor(mp)
     if not value - mp.r > floor:
         raise ParameterDegeneracy(

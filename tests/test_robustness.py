@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import growth_frictions as gf
-from growth_frictions import lab
+from growth_frictions import lab, qvi
+from growth_frictions.cli import DEFAULT_SWEEP_DELTAS
 
 CASES = [
     # (market params, gamma, delta)
@@ -89,6 +90,32 @@ def test_a_warm_started_sweep_row_is_the_cold_root(mp, sweep):
         warm_minus_cold = np.subtract((row.l, row.a, row.alpha, row.beta, row.b),
                                       (c.l, c.a, c.alpha, c.beta, c.b))
         assert np.max(np.abs(warm_minus_cold)) <= 1e-12, row.delta
+
+
+# the ten-delta list of the README's coupling example
+TEN_DELTAS = (0.02, 0.01, 0.005, 0.002, 0.001, 5e-4, 2e-4, 1e-4, 5e-5, 2e-5)
+
+
+@pytest.mark.parametrize("mu, deltas, delta", [(0.040, DEFAULT_SWEEP_DELTAS, 1e-4),
+                                               (0.064, TEN_DELTAS, 2e-5)])
+def test_the_warm_delta_ladder_solves_where_the_cold_start_does_not(mu, deltas, delta,
+                                                                    monkeypatch):
+    # hhat 0.25 and 0.4 at gamma 0.05: the cold start's Newton run fails at
+    # delta, yet every row of the warm-started sweep solves and that row
+    # verifies, so sweep_delta's (and couple_paths') init is needed
+    mp = gf.MarketParams(r=0.0, mu=mu, sigma=0.4)
+    with pytest.raises(gf.NonConvergence, match="^no start converged"):
+        gf.solve_boundaries(mp, gf.CostParams(delta=delta, gamma=0.05))
+    solved, solve = {}, qvi.solve_boundaries
+
+    def keep(mp_, cp_, init=None):
+        solved[cp_.delta] = solve(mp_, cp_, init)
+        return solved[cp_.delta]
+
+    monkeypatch.setattr(qvi, "solve_boundaries", keep)
+    assert len(lab.sweep_delta(mp, 0.05, deltas).rows) == len(deltas)
+    cp = gf.CostParams(delta=delta, gamma=0.05)
+    assert gf.verify_qvi(mp, cp, gf.build_value(mp, cp, solved[delta]), 2001).passed
 
 
 def test_a_warm_started_limit_is_the_cold_root(mp, lim):

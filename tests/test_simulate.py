@@ -475,3 +475,59 @@ def test_coupling_stack_equals_single_deltas(mp, monkeypatch):
         assert np.array_equal(row.sup_distances, alone.sup_distances)
         assert np.array_equal(row.trade_counts, alone.trade_counts)
         assert row.mean_sup_distance == alone.mean_sup_distance
+
+
+TEN_DELTAS = (0.02, 0.01, 0.005, 0.002, 0.001, 5e-4, 2e-4, 1e-4, 5e-5, 2e-5)
+
+
+def _assert_within_the_edge_gap(sup, bounds_y, lo, hi):
+    """sup_t |Y_delta - Y| <= M_delta (1 + 1e-12) on every path, row by row."""
+    bounds_y = np.atleast_2d(bounds_y)
+    gap = np.max(np.abs(bounds_y - [lo, lo, hi, hi]), axis=1)
+    assert np.all(sup <= gap[:, None] * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("params, gamma, deltas", [
+    (dict(r=0.0, mu=0.096, sigma=0.4), GAMMA, TEN_DELTAS),     # fig2
+    (dict(r=0.0, mu=0.040, sigma=0.4), 1e-2, TEN_DELTAS),      # hhat 0.25
+    # hhat 0.9, where delta 0.02 has no interior optimum
+    (dict(r=0.02, mu=0.101, sigma=0.3), 1e-3, TEN_DELTAS[1:]),
+])
+def test_coupled_paths_stay_within_the_largest_edge_gap(params, gamma, deltas):
+    """With y the impulse logit under (a, alpha, beta, b) and z the reflected
+    one under [A, B], both driven by the same increment dw from y = z,
+    |y - z| <= M = max(|a-A|, |alpha-A|, |beta-B|, |b-B|) (all in logits)
+    holds at every step.  Before the controls act, y' - z' = d, the previous
+    gap, with |d| <= M; after them:
+    - neither trades: d;
+    - only z is clipped, at A (z' <= A, a < y'): y' - A, which is at most d
+      and more than a - A; at B symmetrically;
+    - only y jumps, low (y' <= a, A < z'): alpha - z', which is below
+      alpha - A and at least alpha - a - M > -M, as z' <= a + M; high
+      symmetrically;
+    - both at the same side: alpha - A or beta - B;
+    - y jumps low while z is clipped at B: alpha - B, at most beta - B and
+      more than a - B >= y' - z' = d; the opposite sides symmetrically.
+    Only a < alpha <= beta < b and A <= B are used, so the bound holds for
+    any rows; the slack 1e-12 M covers the rounding of y + dw and z + dw."""
+    mp = gf.MarketParams(**params)
+    cfg = gf.SimConfig(horizon=2.0, dt=1e-3, n_paths=200, base_seed=9)
+    table = gf.sweep_delta(mp, gamma, deltas)  # the boundaries couple_paths solves
+    lo, hi = gf.to_centered(table.limit.candidate.A), gf.to_centered(table.limit.candidate.B)
+    rows = gf.couple_paths(mp, gamma, deltas, cfg)
+    bounds_y = [[gf.to_centered(v) for v in (r.a, r.alpha, r.beta, r.b)] for r in table.rows]
+    _assert_within_the_edge_gap(np.array([row.sup_distances for row in rows]), bounds_y, lo, hi)
+
+
+def test_coupled_random_rows_stay_within_the_largest_edge_gap(mp):
+    # rows on either side of each reflected edge, with the start inside all
+    rng = np.random.default_rng(20)
+    cfg = gf.SimConfig(horizon=2.0, dt=1e-3, n_paths=200, base_seed=21)
+    for _ in range(5):
+        lo = rng.uniform(-2.0, 2.0)
+        hi = lo + rng.uniform(1.2, 3.0)
+        a_al = lo + np.sort(rng.uniform(-0.5, 0.5, (8, 2)), axis=1)
+        be_b = hi + np.sort(rng.uniform(-0.5, 0.5, (8, 2)), axis=1)
+        bounds_y = np.hstack([a_al, be_b])
+        sup, _ = gf.couple_at_boundaries(mp, bounds_y, (lo, hi), cfg, 0.5 * (lo + hi))
+        _assert_within_the_edge_gap(sup, bounds_y, lo, hi)

@@ -5,9 +5,11 @@ core below them only the market, solvers that price in closed form only
 both solvers, one Newton run and no limit solve in a cold impulse solve, one
 residual call per damped Newton step, one grid verifier for both models, one
 kernel call of each kind per limit residual, quadrature rules built on first
-use, and no numpy.ma import in a verify."""
+use, and no numpy.ma import in a verify; and the rule of the source line
+counter."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -217,10 +219,10 @@ def test_a_limit_residual_is_one_slope_and_one_slope_derivative_call(mp, lim):
         return lambda *args: calls.append(name) or original(*args)
 
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("slope_g", "_slope_dx"):
+        for name in ("_g", "_slope_dx"):
             patch.setattr(limit, name, counting(name))
         gf.residual_system_limit(mp, GAMMA, lim.candidate)
-    assert calls == ["slope_g", "_slope_dx"]
+    assert calls == ["_g", "_slope_dx"]
 
 
 @dataclass(frozen=True)
@@ -302,3 +304,16 @@ def test_the_trade_cost_and_the_generator_are_written_only_in_market():
     assert not [node.lineno for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute) and node.attr == "sigma"
                 or isinstance(node, ast.Name) and node.id == "sigma"]
+
+
+def test_the_line_counter_skips_blanks_comments_and_docstrings():
+    # tools/src_lines.py: a code line holds a token that is not a comment,
+    # outside the docstrings of the module, its classes and its functions
+    spec = importlib.util.spec_from_file_location(
+        "src_lines", Path(__file__).resolve().parents[1] / "tools" / "src_lines.py")
+    src_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(src_lines)
+    source = ('"""Module\ndocstring."""\n\nimport os  # a comment\n# only a comment\n\n'
+              'class C:\n    """One line."""\n\n    def f(self):\n        """Two\n        lines."""\n'
+              '        return ("""not a\n        docstring""", os.sep)\n')
+    assert src_lines.count(source) == (14, 5)
