@@ -1,9 +1,10 @@
 """Slope function of the continuation region, the value function built from
 it and its grid check, and the damped Newton engine, which prices its start
 and each damped step with their Jacobian in one residual call on a stack of
-n+1 candidates, with the start loop of both solvers, their one cold start,
-the reflecting band of best exact growth, and the exact growth of boundary
-policies that the impulse seed ranks.
+n+1 candidates, with the start loop and start order of both solvers, their
+one cold start, the reflecting band of best exact growth, the exact growth
+of boundary policies that the impulse seed ranks, and the one floor test
+that names "no interior optimum".
 
 Inside the no-trade region the value function's derivative is an explicit
 function g(x, x0, l) anchored so that g(x0, x0, l) = 0.  The textbook form
@@ -161,6 +162,25 @@ def _g_integral(mp: MarketParams, pieces, l):
     return -(2.0 * l / (mp.sigma * mp.sigma)) * a + b - c
 
 
+def interior_optimum(mp: MarketParams, l: float, name: str) -> float:
+    """l, the most excess growth a cold start found (the best ``name``), if
+    it beats the floor max{f(0), f(1)} of never trading (or holding only
+    stock); else ParameterDegeneracy: there is no interior optimum."""
+    floor = no_trade_floor(mp)
+    if not l > floor:
+        raise ParameterDegeneracy(f"no interior optimum: best {name} growth {mp.r + l:.10g} "
+                                  f"does not exceed r + max{{f(0), f(1)}} = {mp.r + floor:.10g}")
+    return l
+
+
+def warm_then_cold(init, cold):
+    """The starts of both solvers in order: init when given, then cold(),
+    called only when there is no warm start or its run failed."""
+    if init is not None:
+        yield init
+    yield cold()
+
+
 def best_band(mp: MarketParams, gamma: float) -> tuple:
     """(l0, hhat, A, B) of the reflecting band of most excess growth l0 with
     edges inside (EPS, 1 - EPS) at 60 geometric logit offsets (1e-4 to 14)
@@ -178,10 +198,7 @@ def best_band(mp: MarketParams, gamma: float) -> tuple:
     c = (slope * x * (1.0 - x) + x) * np.exp(p_u)  # (slope + 1/(1-x))/e
     lo, hi = x[0] > EPS, x[1] < 1.0 - EPS
     l = (c[0, lo, None] - c[1, hi]) / (z[0, lo, None] - z[1, hi])
-    floor, best = no_trade_floor(mp), np.max(l, initial=-np.inf)
-    if not best > floor:
-        raise ParameterDegeneracy(f"no interior optimum: best band growth {mp.r + best:.10g} "
-                                  f"does not exceed r + max{{f(0), f(1)}} = {mp.r + floor:.10g}")
+    interior_optimum(mp, np.max(l, initial=-np.inf), "band")
     i, j = np.unravel_index(np.argmax(l), l.shape)
     return float(l[i, j]), hhat, float(x[0, lo][i]), float(x[1, hi][j])
 

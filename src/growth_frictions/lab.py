@@ -9,8 +9,8 @@ is a classical two-boundary exit problem: the exit split comes from the
 scale function, and the mean duration and the accumulated growth
 integrand from one Green-function quadrature for the two-point boundary
 value problem sigma^2 w''/2 + c w' = -fbar, w = 0 at both edges (the
-duration is the case fbar = 1), whose Gauss-Legendre order follows each
-side's width.
+duration is the case fbar = 1), by one 96-node Gauss-Legendre rule on each
+side of the restart point.
 Chaining the two restart states through their stationary law turns
 (reward per cycle)/(length per cycle) into the long-run growth rate.
 
@@ -45,21 +45,6 @@ __all__ = [
     "brute_force_boundaries", "sweep_delta", "convergence_report",
 ]
 
-# The width rule.  The growth integrand's only singularities are the
-# logistic poles at distance pi from the real axis, so Gauss-Legendre with n
-# nodes on an interval of half-width r errs by about rho^(-2n), where
-# rho = beta + sqrt(beta^2 + 1) = exp(asinh(beta)) and beta = pi/r (the
-# Bernstein-ellipse bound).  Each side of the restart point gets the fewest
-# nodes of _GL_ORDERS that reach _GL_TARGET with beta halved for safety,
-# i.e. n is allowed up to the half-width _GL_MAX_HALF_WIDTH; wider sides
-# get 96 nodes.
-_GL_ORDERS = np.array([8, 12, 16, 24, 32, 48, 64, 96])
-_GL_SAFETY = 0.5
-_GL_TARGET = 1e-18
-_GL_MAX_HALF_WIDTH = np.array([
-    _GL_SAFETY * np.pi / np.sinh(-np.log(_GL_TARGET) / (2 * n)) for n in _GL_ORDERS[:-1]])
-
-
 class DegenerateChain(RuntimeError):
     """The two-state restart chain has a numerically absorbing state."""
 
@@ -90,14 +75,11 @@ def expected_running_reward(fn, drift: float, vol: float, lo, hi, y):
     """E[ integral of fn(path) until exit of (lo, hi) ], start y.
 
     Green-function solution of sigma^2 w''/2 + drift w' = -fn with
-    w(lo) = w(hi) = 0, by Gauss-Legendre quadrature on each side of y with
-    the width rule's order: the fewest nodes of _GL_ORDERS whose
-    Bernstein-ellipse bound rho^(-2n) for the logistic poles at distance pi
-    reaches _GL_TARGET, and 96 beyond the 64-node width.  Exact to
-    quadrature accuracy (far below 1e-10 for the growth integrand on the
-    region widths that arise here).  lo, hi, y may be broadcastable arrays;
-    fn must accept arrays.  A row's order depends only on its own widths,
-    so its bits do not depend on the batch it is priced in.
+    w(lo) = w(hi) = 0, by 96-node Gauss-Legendre quadrature on each side of
+    y.  Exact to quadrature accuracy (far below 1e-10 for the growth
+    integrand on the region widths that arise here).  lo, hi, y may be
+    broadcastable arrays; fn must accept arrays.  Each row is integrated on
+    its own nodes, so its bits do not depend on the batch it is priced in.
     """
     return _exit_problems(fn, drift, vol, lo, hi, y)[1]
 
@@ -120,35 +102,27 @@ def _exit_problems(fn, drift, vol, lo, hi, y):
 
 
 @cache
-def _gauss_legendre(n: int):
-    """The n-node Gauss-Legendre rule on [-1, 1], built on first use."""
-    return leggauss(n)
-
-
-def _gl_order(half_width):
-    """The width rule: the Gauss-Legendre order for each half-width."""
-    return _GL_ORDERS[np.searchsorted(_GL_MAX_HALF_WIDTH, half_width)]
+def _gauss_legendre():
+    """The 96-node Gauss-Legendre rule on [-1, 1], built on first use."""
+    return leggauss(96)
 
 
 def _green_side(fn, za, zb, kernel):
     """Integrals over [za, zb] of kernel(z, za, zb) alone (the duration) and
     times fn (the reward), stacked, on the broadcast shape of za and zb.
-    Rows with za <= zb are integrated in one pass per Gauss-Legendre order,
-    over contiguous nodes, so a row's bits depend only on its own width; the
-    others are not integrated and read NaN."""
+    Rows with za <= zb are integrated in one pass over contiguous nodes, so
+    a row's bits depend only on its own ends; the others are not integrated
+    and read NaN."""
     za, zb = np.broadcast_arrays(za, zb)
     out = np.full((2,) + za.shape, np.nan)
     rows = np.flatnonzero(za <= zb)
-    za, zb = za.ravel()[rows], zb.ravel()[rows]
+    za, zb = za.ravel()[rows, None], zb.ravel()[rows, None]
+    nodes, weights = _gauss_legendre()
     hw = 0.5 * (zb - za)
-    order = _gl_order(hw)
-    for n in set(order.tolist()):
-        i = order == n
-        nodes, weights = _gauss_legendre(n)
-        z = 0.5 * (za[i] + zb[i])[:, None] + hw[i, None] * nodes
-        k = kernel(z, za[i, None], zb[i, None])
-        out.reshape(2, -1)[:, rows[i]] = (hw[i] * (weights * k).sum(axis=1),
-                                          hw[i] * (weights * (k * fn(z))).sum(axis=1))
+    z = 0.5 * (za + zb) + hw * nodes
+    k = kernel(z, za, zb)
+    out.reshape(2, -1)[:, rows] = (hw[:, 0] * (weights * k).sum(axis=1),
+                                   hw[:, 0] * (weights * (k * fn(z))).sum(axis=1))
     return out
 
 

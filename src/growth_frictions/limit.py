@@ -34,7 +34,7 @@ import numpy as np
 
 from ._slope import (NewtonUnknowns, NonConvergence, ParameterDegeneracy, ValueFunction,
                      VerificationReport, _g, _slope_dx, best_band, newton_from_starts,
-                     slope_g_dx, verify_qvi)
+                     slope_g_dx, verify_qvi, warm_then_cold)
 from .market import (CostParams, MarketParams, ParameterError, _logit, check_growth_excess,
                      edge_slopes)
 
@@ -105,9 +105,9 @@ def solve_limit(mp: MarketParams, gamma: float,
     if gamma <= 0.0:
         raise ParameterDegeneracy("limit solver requires gamma > 0")
     CostParams(0.0, gamma)  # an inadmissible gamma is named before any Newton work
-    starts = ([init] if init is not None else []) + [LimitCandidate(*best_band(mp, gamma))]
     cand, iters, norm = newton_from_starts(
-        LimitCandidate, lambda c: residual_system_limit(mp, gamma, c), starts,
+        LimitCandidate, lambda c: residual_system_limit(mp, gamma, c),
+        warm_then_cold(init, lambda: LimitCandidate(*best_band(mp, gamma))),
         lambda c: c.check_invariants(mp))
     return LimitSolution(candidate=cand, residual_norm=norm, newton_iters=iters)
 

@@ -32,10 +32,11 @@ import numpy as np
 
 from ._slope import (PASTING_TOL, RESIDUAL_TOL, NewtonUnknowns, NonConvergence,
                      ParameterDegeneracy, ValueFunction, VerificationReport, _g, _g_integral,
-                     _pasting_rows, _pieces, _power, _slope_gaps, best_band, newton_from_starts,
-                     policy_value, slope_g, slope_g_dx, slope_g_integral, verify_qvi)
+                     _pasting_rows, _pieces, _power, _slope_gaps, best_band, interior_optimum,
+                     newton_from_starts, policy_value, slope_g, slope_g_dx, slope_g_integral,
+                     verify_qvi, warm_then_cold)
 from .market import (EPS, CostParams, MarketParams, ParameterError, _log_cost, _logit, buys,
-                     check_growth_excess, from_centered, no_trade_floor, to_centered)
+                     check_growth_excess, from_centered, to_centered)
 
 __all__ = [
     "BoundaryCandidate", "BoundarySolution", "ValueFunction", "VerificationReport",
@@ -125,10 +126,9 @@ def _oracle_seed(mp, cp, A, B):
     it in closed form on those two axes; insets that cross (alpha > beta)
     read -inf.  Round 2 refines each of the four offsets by
     geomspace(0.5, 2, 7) times its own round-1 best.  If the winner's growth
-    on round 2's matrix does not beat the floor r + max{f(0), f(1)} of never
-    trading (or holding only stock), there is no interior optimum to seed
-    and ParameterDegeneracy is raised.  The seed's l is that growth less r,
-    and its x0 the logit midpoint of (alpha, beta).
+    on round 2's matrix does not beat the floor, there is no interior
+    optimum to seed (``interior_optimum``).  The seed's l is that growth
+    less r, and its x0 the logit midpoint of (alpha, beta).
     """
     a_lim, b_lim = to_centered(A), to_centered(B)
     u1, u2, v1, v2 = _WIDEN, _WIDEN, _INSET, _INSET
@@ -146,22 +146,9 @@ def _oracle_seed(mp, cp, A, B):
         a_k, al_k, be_k, b_k = to_centered(np.array(best))
         u1, u2, v1, v2 = (gap * _REFINE for gap in
                           (a_lim - a_k, b_k - b_lim, al_k - a_k, b_k - be_k))
-    (a, al, be, b), value = best, float(values[i, j])
-    floor = no_trade_floor(mp)
-    if not value - mp.r > floor:
-        raise ParameterDegeneracy(
-            f"no interior optimum: best renewal growth {value:.10g} does not exceed "
-            f"r + max{{f(0), f(1)}} = {mp.r + floor:.10g}")
+    (a, al, be, b), l = best, interior_optimum(mp, float(values[i, j]) - mp.r, "policy")
     x0 = from_centered(0.5 * (al_k + be_k))
-    return BoundaryCandidate(l=value - mp.r, x0=x0, a=a, alpha=al, beta=be, b=b)
-
-
-def _starts(mp, cp, init):
-    """The seeds of solve_boundaries in order, built lazily so the band and
-    renewal searches around it run only when the warm start fails."""
-    if init is not None:
-        yield init
-    yield _oracle_seed(mp, cp, *best_band(mp, cp.gamma)[2:])
+    return BoundaryCandidate(l=l, x0=x0, a=a, alpha=al, beta=be, b=b)
 
 
 def solve_boundaries(mp: MarketParams, cp: CostParams,
@@ -169,18 +156,19 @@ def solve_boundaries(mp: MarketParams, cp: CostParams,
     """Solve the six-unknown system; requires delta > 0 and gamma > 0.
 
     One damped Newton run from ``init`` when given (the warm start), then
-    from the renewal-search seed around the reflecting band of best exact
-    growth (the cold start); the first valid root wins, and nothing is
-    retried or perturbed.  Raises ParameterDegeneracy ("no interior
-    optimum") when neither search finds a policy beating the no-trade
-    floor, and NonConvergence when every start fails.
+    from the policy seed around the reflecting band of best exact growth
+    (the cold start, built only when needed); the first valid root wins,
+    and nothing is retried or perturbed.  Raises ParameterDegeneracy ("no
+    interior optimum") when neither search finds a policy beating the
+    no-trade floor, and NonConvergence when every start fails.
     """
     if cp.delta <= 0.0:
         raise ParameterDegeneracy("impulse boundary solver requires delta > 0")
     if cp.gamma <= 0.0:
         raise ParameterDegeneracy("impulse boundary solver requires gamma > 0")
     cand, iters, norm = newton_from_starts(
-        BoundaryCandidate, lambda c: residual_system(mp, cp, c), _starts(mp, cp, init),
+        BoundaryCandidate, lambda c: residual_system(mp, cp, c),
+        warm_then_cold(init, lambda: _oracle_seed(mp, cp, *best_band(mp, cp.gamma)[2:])),
         lambda c: c.check_invariants(mp))
     return BoundarySolution(candidate=cand, residual_norm=norm, newton_iters=iters,
                             original_cost_optimal=bool(buys(cp, cand.a, cand.alpha)))

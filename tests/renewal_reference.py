@@ -92,7 +92,7 @@ def oracle_seed(mp, cp, A, B):
     floor = no_trade_floor(mp)
     if not value - mp.r > floor:
         raise ParameterDegeneracy(
-            f"no interior optimum: best renewal growth {value:.10g} does not exceed "
+            f"no interior optimum: best policy growth {value:.10g} does not exceed "
             f"r + max{{f(0), f(1)}} = {mp.r + floor:.10g}")
     x0 = from_centered(0.5 * (to_centered(al) + to_centered(be)))
     return BoundaryCandidate(l=value - mp.r, x0=x0, a=a, alpha=al, beta=be, b=b)

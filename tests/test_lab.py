@@ -105,15 +105,15 @@ def test_running_reward_against_quadrature_reference(mp):
 
 
 @pytest.mark.parametrize("width", [0.05, 4.0, 20.0])
-def test_width_rule_against_quadrature_reference(mp, width):
-    # narrow and wide regions, whose sides get 8 to 96 nodes
+def test_quadrature_against_adaptive_reference(mp, width):
+    # a narrow and two wide regions
     lo = -0.3 * width
     reference, w = _adaptive_reference(mp, lo, lo + width, lo + 0.4 * width)
     assert w == pytest.approx(reference, abs=1e-10)
 
 
 def _green_96(fn, theta, vol, lo, hi, y):
-    # the fixed 96-node rule on every row, the reference for the width rule
+    # the 96-node rule on every row, written out apart from lab's quadrature
     nodes, weights = np.polynomial.legendre.leggauss(96)
 
     def half_integral(za, zb, kernel):
@@ -130,7 +130,7 @@ def _green_96(fn, theta, vol, lo, hi, y):
 @pytest.mark.parametrize("market", [(0.0, 0.096, 0.4), (0.02, 0.1, 0.4), (0.0, 0.0081, 0.4),
                                     (0.0, 0.1576, 0.4), (0.03, 0.09, 0.3)],
                          ids=["theta>0", "knife_edge", "theta<<0", "theta>>0", "heavy"])
-def test_width_rule_matches_96_node_rule(market):
+def test_quadrature_matches_96_node_rule(market):
     # half-intervals from 1e-3 to 60 logit wide, at drifts of both signs and zero
     mp = gf.MarketParams(*market)
     c = mp.mu - mp.r - 0.5 * mp.sigma**2
@@ -144,14 +144,6 @@ def test_width_rule_matches_96_node_rule(market):
     reference = _green_96(fbar, 2 * c / mp.sigma**2, mp.sigma, lo, hi, y)
     w = gf.expected_running_reward(fbar, c, mp.sigma, lo, hi, y)
     assert np.max(np.abs(w - reference)) <= 1e-13 * np.max(np.abs(reference))
-
-
-def test_width_rule_order_grows_with_width():
-    half_width = np.concatenate([[0.0], np.geomspace(1e-6, 1e4, 2001), [np.inf]])
-    order = lab._gl_order(half_width)
-    assert np.all(np.diff(order) >= 0)
-    assert order.max() == 96 and order.min() == lab._GL_ORDERS[0]
-    assert set(order.tolist()) == set(lab._GL_ORDERS)
 
 
 def test_running_reward_blocks_are_exact(mp):

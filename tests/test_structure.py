@@ -2,15 +2,17 @@
 module level, in which the two solvers import neither each other and the
 core below them only the market, solvers that price in closed form only
 (the renewal quadrature is the oracle's), one Newton start loop shared by
-both solvers, one Newton run and no limit solve in a cold impulse solve, one
-residual call per damped Newton step, one grid verifier for both models, one
-kernel call of each kind per limit residual, quadrature rules built on first
-use, and no numpy.ma import in a verify; and the rule of the source line
-counter."""
+both solvers, whose cold start is built only when no warm start converges,
+one Newton run and no limit solve in a cold impulse solve, one residual call
+per damped Newton step, one grid verifier for both models, one kernel call
+of each kind per limit residual, the quadrature rule built on first use, and
+no numpy.ma import in a verify; the rule of the source line counter; and a
+test extra that names every third-party package the tests import."""
 
 import ast
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -104,7 +106,7 @@ def _probe_env():
 
 
 def test_import_builds_no_gauss_legendre_rule():
-    # each rule is built on first use; a fresh import builds none
+    # the rule is built on first use; a fresh import builds none
     probe = ("import numpy.polynomial.legendre as leg\n"
              "built = []\n"
              "leggauss = leg.leggauss\n"
@@ -140,15 +142,30 @@ def test_every_start_failing_is_one_non_convergence(solver, norm, shown, mp, cp,
 
     monkeypatch.setattr(_slope, "damped_newton", stalled)
     if solver == "boundaries":
-        # two warm starts, so the failure is the impulse loop's own
-        monkeypatch.setattr(qvi, "_starts", lambda mp, cp, init: iter([init, init]))
-        solve = lambda: gf.solve_boundaries(mp, cp, init=sol.candidate)
+        # the cold seed is the warm start again, so the failure is the loop's own
+        monkeypatch.setattr(qvi, "_oracle_seed", lambda mp, cp, A, B: sol.candidate)
+        solve = lambda: gf.solve_boundaries(mp, cp, init=sol.candidate)  # warm, then cold
     else:
         solve = lambda: gf.solve_limit(mp, GAMMA, init=lim.candidate)  # warm, then cold
     with pytest.raises(gf.NonConvergence,
                        match=rf"^no start converged: residual {shown} after 0 iterations$"):
         solve()
     assert len(runs) == 2
+
+
+@pytest.mark.parametrize("solver", ["boundaries", "limit"])
+def test_a_converging_warm_start_builds_no_cold_start(solver, mp, cp, sol, lim, monkeypatch):
+    # the cold start is built only when the warm run fails
+    def cold(*args):
+        raise AssertionError("a warm solve built its cold start")
+
+    for module in (qvi, limit):
+        monkeypatch.setattr(module, "best_band", cold)
+    cold_sol, warm = ((sol, gf.solve_boundaries(mp, cp, init=sol.candidate))
+                      if solver == "boundaries" else
+                      (lim, gf.solve_limit(mp, GAMMA, init=lim.candidate)))
+    assert warm.residual_norm <= _slope.RESIDUAL_TOL
+    assert warm.candidate.as_vector() == pytest.approx(cold_sol.candidate.as_vector(), abs=1e-12)
 
 
 def _cold_fig2_calls(solver, mp, cp):
@@ -317,3 +334,27 @@ def test_the_line_counter_skips_blanks_comments_and_docstrings():
               'class C:\n    """One line."""\n\n    def f(self):\n        """Two\n        lines."""\n'
               '        return ("""not a\n        docstring""", os.sep)\n')
     assert src_lines.count(source) == (14, 5)
+
+
+def _test_extra():
+    """The distribution names of pyproject.toml's test extra, as import names."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    extra = ast.literal_eval(re.search(r"^test = (\[.*\])$", text, re.MULTILINE).group(1))
+    return {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+            for req in extra}
+
+
+def test_every_third_party_test_import_is_in_the_test_extra():
+    # a fresh `pip install -e ".[test]"` must be able to collect every test module
+    tests = Path(__file__).parent
+    local = {path.stem for path in tests.glob("*.py")} | {"growth_frictions"}
+    imported = {}
+    for path in sorted(tests.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) and not node.level
+                     else [])
+            for name in names:
+                imported.setdefault(name.split(".")[0], path.name)
+    known = set(sys.stdlib_module_names) | local | _test_extra() | {"numpy"}
+    assert {name: path for name, path in imported.items() if name not in known} == {}
