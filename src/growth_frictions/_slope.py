@@ -481,14 +481,11 @@ def verify_qvi(mp: MarketParams, cp: CostParams, vf: ValueFunction,
 def _priced(residual, v):
     """(f, J) at v from one residual call on the (n, n+1) block whose column 0
     is v and column j + 1 is v + h_j e_j, the forward-difference Jacobian J
-    bit for bit that of n calls.  When the block raises ValueError, v is
-    priced alone (whose ValueError propagates) and J is the block's error."""
+    bit for bit that of n calls.  A ValueError of the block propagates: a
+    point whose difference columns leave the domain is not priced."""
     h = _FD_STEP * np.fmax(1.0, np.abs(v))
     block = np.where(np.eye(v.size, v.size + 1, 1, dtype=bool), (v + h)[:, None], v[:, None])
-    try:
-        out = np.asarray(residual(block), dtype=float)
-    except ValueError as err:
-        return np.asarray(residual(v), dtype=float), err
+    out = np.asarray(residual(block), dtype=float)
     return out[:, 0], (out[:, 1:] - out[:, :1]) / h
 
 
@@ -498,15 +495,18 @@ def damped_newton(residual, v0):
     where it started.
 
     While the residual max-norm is above RESIDUAL_TOL each step is damped:
-    the Jacobian at the iterate, whose ValueError propagates to the start
-    loop, and a step halved up to _MAX_HALVINGS times, while residual raises
-    ValueError (an out-of-domain iterate) or the norm does not drop.  The
-    start and each full step are priced with their Jacobian in one residual
-    call of n+1 points (``_priced``); a halved step is priced alone, and its
-    Jacobian is priced when the next damped step needs it.  Within
-    RESIDUAL_TOL each step is a chord step: the last Jacobian used (the
-    start's for a start already there) and one residual call, kept only if
-    it more than halves the norm; the first that does not ends the run.
+    the Jacobian at the iterate, and a step halved up to _MAX_HALVINGS times
+    while the norm does not drop.  One domain rule: a residual call that
+    raises ValueError is a failed trial, so a full step whose block leaves
+    the domain is halved like a halved step that does, while a start or a
+    Jacobian that raises ends the run, its ValueError propagating to the
+    start loop.  The start and each full step are priced with their
+    Jacobian in one residual call of n+1 points (``_priced``); a halved
+    step is priced alone, and its Jacobian is priced when the next damped
+    step needs it.  Within RESIDUAL_TOL each step is a chord step: the
+    last Jacobian used (the start's for a start already there) and one
+    residual call, kept only if it more than halves the norm; the first
+    that does not ends the run.
     Returns (v, steps, residual_norm), steps counting every kept step; the
     caller decides whether the final norm is good enough.
     """
@@ -517,8 +517,6 @@ def damped_newton(residual, v0):
         chord = norm <= RESIDUAL_TOL
         if jac is None or not chord:
             jac = _priced(residual, v)[1] if jac_v is None else jac_v
-            if isinstance(jac, ValueError):
-                raise jac
         try:
             dv = np.linalg.solve(jac, -fv)
         except np.linalg.LinAlgError:

@@ -12,7 +12,6 @@ images.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from dataclasses import dataclass
@@ -475,29 +474,34 @@ _FAILURES = (
 )
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="growth-frictions",
-        description="Constant-boundary trading strategies under fixed plus "
-                    "proportional transaction costs",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="flat key = value file")
-        p.add_argument("--out", default=".", help="output directory")
-        for key in _KEYS:
-            p.add_argument(f"--{key}", default=None, dest=f"key_{key}")
-    return parser
+def _parse_argv(argv: list) -> tuple:
+    """(subcommand, config path, output directory, flag overrides) of argv: a
+    subcommand, then flags --key value or --key=value.  A value may start with
+    '-', as a negative number does, but not with '--'; the keys are checked
+    by parse_config, so any bad word is one ConfigError."""
+    if not argv or argv[0] not in _COMMANDS:
+        raise ConfigError(f"expected a subcommand first, one of {', '.join(_COMMANDS)}")
+    flags, words = {}, iter(argv[1:])
+    for word in words:
+        key, eq, value = word[2:].partition("=")
+        if not (word.startswith("--") and key):
+            raise ConfigError(f"unexpected argument {word!r}: flags are --key value")
+        if not eq and (value := next(words, "--")).startswith("--"):
+            raise ConfigError(f"flag --{key} expects a value")
+        flags[key] = value
+    return argv[0], flags.pop("config", None), flags.pop("out", "."), flags
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    overrides = {key: getattr(args, f"key_{key}")
-                 for key in _KEYS if getattr(args, f"key_{key}") is not None}
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        print(f"usage: growth-frictions <{'|'.join(_COMMANDS)}> --config FILE "
+              f"[--key value ...] --out DIR\nkeys: {', '.join(_KEYS)}")
+        return 0
     try:
-        cfg = parse_config(args.config, overrides, out_dir=args.out)
-        status = _COMMANDS[args.subcommand](cfg)
+        command, config, out_dir, overrides = _parse_argv(argv)
+        cfg = parse_config(config, overrides, out_dir=out_dir)
+        status = _COMMANDS[command](cfg)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
         return status
     except BrokenPipeError:

@@ -54,6 +54,8 @@ class MarketParams:
 
     def __post_init__(self) -> None:
         _check(self.sigma > 0, "sigma > 0")
+        # a sigma whose square underflows to 0 is rejected before it divides
+        _check(self.sigma * self.sigma > 0, "sigma**2 > 0")
         frac = (self.mu - self.r) / (self.sigma * self.sigma)
         _check(1e-12 < frac < 1.0 - 1e-12, "0 < (mu - r)/sigma**2 < 1")
 

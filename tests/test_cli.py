@@ -1,11 +1,16 @@
+import contextlib
+import io
 import os
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growth_frictions import NonConvergence, ParameterDegeneracy, cli, lab, limit, qvi, simulate
 from renewal_reference import box_rows
@@ -48,6 +53,151 @@ def test_missing_key_named(config_file, tmp_path):
     cfg = cli.parse_config(str(path), {})
     with pytest.raises(cli.ConfigError, match="missing key 'mu'"):
         cfg.market()
+
+
+def test_blank_and_comment_lines_are_skipped(tmp_path):
+    path = tmp_path / "commented.conf"
+    path.write_text("# the fig2 market\n\n   \nr = 0.0\n  # indented comment\nmu = 0.096\n"
+                    "sigma = 0.4\n#gamma = 0.5\n")
+    cfg = cli.parse_config(str(path), {})
+    assert (cfg.get("r"), cfg.get("mu"), cfg.get("sigma"), cfg.get("gamma")) == (0.0, 0.096, 0.4,
+                                                                                None)
+
+
+@pytest.mark.parametrize("raw, value", [("off", False), ("No", False), ("0", False),
+                                        ("on", True), ("TRUE", True)])
+def test_boolean_keys_read_both_values(raw, value, tmp_path):
+    path = tmp_path / "flags.conf"
+    path.write_text(f"dump_paths = {raw}\n")
+    assert cli.parse_config(str(path), {"bridge_correction": raw}).get("dump_paths") is value
+
+
+def test_a_bad_boolean_is_one_config_error(tmp_path):
+    path = tmp_path / "flags.conf"
+    path.write_text("dump_paths = maybe\n")
+    with pytest.raises(cli.ConfigError, match=rf"^{path}:1: bad value for 'dump_paths': "
+                                              "expected a boolean, got 'maybe'$"):
+        cli.parse_config(str(path), {})
+
+
+def test_an_unreadable_config_file_is_one_config_error(tmp_path, capsys):
+    missing = tmp_path / "missing.conf"
+    code = cli.main(["solve", "--config", str(missing), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"ERROR: config: cannot read config file {missing}: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags", [["--r", "-1e-3"], ["--r=-1e-3"], ["--r", "-0.001"]],
+                         ids=["spaced", "joined", "decimal"])
+def test_a_negative_value_in_exponent_form_is_read_as_a_value(flags, config_file, tmp_path,
+                                                              capsys):
+    out = tmp_path / "run"
+    code = cli.main(["solve", "--config", config_file, "--out", str(out), "--grid_n", "501",
+                     *flags])
+    assert code == 0 and capsys.readouterr().err == ""
+    header, row = (out / "solution.csv").read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["r"] == "-0.001"
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["solve", "--help"],
+                                  ["sweep", "--config", "missing.conf", "-h"]])
+def test_help_prints_usage_and_exits_zero(argv, capsys):
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: growth-frictions <solve|limit|sweep|") and err == ""
+
+
+def test_a_sigma_whose_square_underflows_is_one_invariant_violation(config_file, tmp_path,
+                                                                     capsys):
+    code = cli.main(["solve", "--config", config_file, "--out", str(tmp_path / "out"),
+                     "--sigma", "1e-170"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "ERROR: invariant_violation: sigma**2 > 0"]
+    assert not (tmp_path / "out").exists()
+
+
+# the tags of README.md's CLI section: its failure tags, then its final checks
+README_TAGS = {"config", "invariant_violation", "non_convergence", "degenerate_chain",
+               "numerical_blowup", "out_of_memory", "broken_pipe", "qvi_violation",
+               "hjb_violation", "monotonicity_violation", "coupling_not_decreasing",
+               "oracle_mismatch"}
+EDGE_VALUES = ("0", "-0", "-0.0", "5e-324", "-5e-324", "2.2250738585072014e-308", "inf", "-inf",
+               "nan", "-nan", "-1e-3", "-2.5E+2", "-7", "1e308", "-1e308", "1e400", "")
+
+
+def _decimal(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+# keys that buy work draw only from bounded ranges: at most 400 steps of
+# 16 paths, a 2001-point grid, a box of 7**4 policies and four deltas
+_DELTAS = st.lists(st.floats(1e-4, 0.05), min_size=1, max_size=4).map(
+    lambda ds: ",".join(map(repr, sorted(ds, reverse=True))))
+_WORK = {
+    "horizon": _decimal(0.5, 2.0) | st.sampled_from(["1", "0", "-1"]),
+    "dt": _decimal(5e-3, 1e-2) | st.sampled_from(["0", "-5e-3"]),
+    "n_paths": st.integers(-1, 16).map(str),
+    "grid_n": st.integers(50, 2001).map(str),
+    "radius": _decimal(-1e-3, 6e-3),
+    "step": _decimal(2e-3, 1e-2),
+    "deltas": _DELTAS | st.sampled_from(["1e-2,nan", "-1e-3", ","]),
+}
+# every other key: its valid box, or an edge value
+_VALID = {
+    "r": _decimal(-0.05, 0.05), "mu": _decimal(0.0, 0.3), "sigma": _decimal(0.05, 1.0),
+    "delta": _decimal(1e-6, 0.05), "gamma": _decimal(0.0, 0.1), "tol": _decimal(1e-9, 1e-3),
+    "v0": _decimal(1e-3, 1e3), "h0": _decimal(0.01, 0.99),
+    "seed": st.integers(0, 2**64 - 1).map(str),
+    "bridge_correction": st.sampled_from(["on", "off", "maybe"]),
+    "dump_paths": st.sampled_from(["on", "off", "maybe"]),
+    "solution": st.sampled_from(["solve/solution.csv", "no_such_solution.csv"]),
+}
+assert set(_WORK) | set(_VALID) == set(cli._KEYS)
+_SMALL_RUN = ["--horizon", "0.5", "--dt", "0.005", "--n_paths", "4", "--grid_n", "201",
+              "--radius", "0.004", "--step", "0.002", "--solution", "solve/solution.csv"]
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    """A directory holding fig2.conf and the fig2 solution.csv under solve/."""
+    path = tmp_path_factory.mktemp("contract")
+    (path / "fig2.conf").write_text(FIG2)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["solve", "--config", str(path / "fig2.conf"),
+                         "--out", str(path / "solve")]) == 0
+    return path
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(list(cli._COMMANDS)), data=st.data(),
+       keys=st.lists(st.sampled_from(list(cli._KEYS)), min_size=1, max_size=2, unique=True))
+def test_every_run_exits_0_quietly_or_1_with_one_readme_tagged_line(run_dir, command, keys,
+                                                                      data):
+    argv = [command, "--config", str(run_dir / "fig2.conf"), "--out", str(run_dir / "out"),
+            *_SMALL_RUN]
+    for key in keys:
+        value = data.draw(_WORK[key] if key in _WORK
+                          else _VALID[key] | st.sampled_from(EDGE_VALUES), label=key)
+        if key == "solution" and value.endswith(".csv"):
+            value = str(run_dir / value)
+        joined = data.draw(st.booleans(), label="joined")
+        argv += [f"--{key}={value}"] if joined else [f"--{key}", value]
+    out, err = io.StringIO(), io.StringIO()
+    # a warning would reach the user's stderr, so it fails the run here
+    with (warnings.catch_warnings(), contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(err)):
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert code == 1 and len(lines) == 1 and lines[0].startswith("ERROR: "), lines
+        assert lines[0][len("ERROR: "):].split(":")[0] in README_TAGS, lines
 
 
 def test_invariant_violation_names_constraint(tmp_path, capsys):
@@ -377,6 +527,14 @@ def test_seventeen_digit_round_trip(config_file, tmp_path):
     ["simulate", "--seed", "-3"],
     ["simulate", "--seed", "18446744073709551616"],  # 2**64: past a Philox key word
     ["GF_SEED=18446744073709551616", "simulate"],
+    # usage errors, and exponent-form negatives read as values, not as flags
+    [],  # no subcommand
+    ["resolve"],
+    ["solve", "stray"],
+    ["solve", "--grid_n"],  # a flag without its value, here followed by --config
+    ["solve", "--no_such_key", "1"],
+    ["solve", "--tol", "-1e-3"],
+    ["simulate", "--n_paths", "-1e3"],
 ])
 def test_bad_input_is_one_config_error_before_solving(argv, config_file, tmp_path,
                                                       capsys, monkeypatch):

@@ -31,6 +31,13 @@ def test_merton_fraction_out_of_range_rejected():
         gf.MarketParams(r=0.1, mu=0.1, sigma=0.4)   # hhat = 0
 
 
+@pytest.mark.parametrize("sigma", [1e-170, 5e-324], ids=["square-underflows", "subnormal"])
+def test_a_sigma_whose_square_underflows_is_named(sigma):
+    # sigma > 0, but sigma**2 is 0.0: the Merton fraction would divide by zero
+    with pytest.raises(gf.ParameterError, match=r"^sigma\*\*2 > 0$"):
+        gf.MarketParams(r=0.0, mu=0.1, sigma=sigma)
+
+
 def test_cost_params_invariants():
     gf.CostParams(delta=0.0, gamma=0.0)
     with pytest.raises(gf.ParameterError, match="gamma < 1 - delta"):

@@ -63,7 +63,7 @@ DRAWS = {"interior": interior_draw(), "edges": edge_draw()}
 LISTED = {
     ("interior", "impulse"): dict.fromkeys([39, 154, 186, 208, 218, 289], NON_CONVERGENCE),
     ("interior", "limit"): {},
-    ("edges", "impulse"): {**dict.fromkeys([23, 105, 282], NON_CONVERGENCE),
+    ("edges", "impulse"): {282: NON_CONVERGENCE,
                            **dict.fromkeys([81, 90, 93, 115, 117, 191], NO_GRID_POINT)},
     ("edges", "limit"): {
         **dict.fromkeys([13, 15, 39, 42, 44, 64, 89, 109, 126, 169, 188, 202, 231, 247, 255,
@@ -78,7 +78,7 @@ LISTED = {
 COUNTS = {
     ("interior", "impulse"): {VERIFIED: 380, NAMED: 14, NON_CONVERGENCE: 6},
     ("interior", "limit"): {VERIFIED: 400},
-    ("edges", "impulse"): {VERIFIED: 63, NAMED: 228, NO_GRID_POINT: 6, NON_CONVERGENCE: 3},
+    ("edges", "impulse"): {VERIFIED: 65, NAMED: 228, NO_GRID_POINT: 6, NON_CONVERGENCE: 1},
     ("edges", "limit"): {VERIFIED: 85, NAMED: 131, NO_GRID_POINT: 64, C2_ONLY: 3,
                          NON_CONVERGENCE: 17},
 }

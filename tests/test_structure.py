@@ -250,8 +250,7 @@ class _Pair(_slope.NewtonUnknowns):
 
 def test_a_start_whose_jacobian_raises_falls_over_to_the_next_start():
     # the domain y <= 1 ends at the first start, so the start's stacked call
-    # raises; the start alone is priced, its run ends when the Jacobian is
-    # needed, and the loop takes the next
+    # raises and ends its run with no single-point call; the loop takes the next
     calls = []
 
     def residual(c):
@@ -262,12 +261,31 @@ def test_a_start_whose_jacobian_raises_falls_over_to_the_next_start():
 
     cand, iters, norm = _slope.newton_from_starts(
         _Pair, residual, [_Pair(1.0, 1.0), _Pair(1.0, 0.9)], lambda c: None)
-    assert calls[:3] == [1, 0, 1]  # first start's block, that start alone, second start's block
+    assert calls[:2] == [1, 1]  # first start's block, second start's block
     assert iters > 0 and norm <= _slope.RESIDUAL_TOL
     assert (cand.x, cand.y) == pytest.approx((np.sqrt(2.0), 0.5), abs=1e-9)
-    # when every start fails so, NonConvergence reports the Jacobian's error
+    # when every start fails so, NonConvergence reports the block's error
     with pytest.raises(gf.NonConvergence, match="^no start converged: outside the domain$"):
         _slope.newton_from_starts(_Pair, residual, [_Pair(1.0, 1.0)] * 2, lambda c: None)
+
+
+def test_a_full_step_whose_block_leaves_the_domain_is_halved():
+    # from x = 1 the full step lands at x = 1.5 - 2.5e-8, inside the domain
+    # x <= 1.5 + 1e-7 and above RESIDUAL_TOL, but its difference column
+    # x + 1.5e-7 is not: the trial fails, and its half step, priced alone, is kept
+    calls = []
+
+    def residual(c):
+        calls.append(np.ndim(c.x))
+        if np.any(np.asarray(c.x) > 1.5 + 1e-7):
+            raise ValueError("outside the domain")
+        return np.array([c.x ** 2 - 2.0, c.y ** 3 - 0.125])
+
+    cand, iters, norm = _slope.newton_from_starts(
+        _Pair, residual, [_Pair(1.0, 0.5)], lambda c: None)
+    assert calls[:4] == [1, 1, 0, 1]  # start, failed full step, half step, its Jacobian
+    assert iters > 0 and norm <= _slope.RESIDUAL_TOL
+    assert (cand.x, cand.y) == pytest.approx((np.sqrt(2.0), 0.5), abs=1e-9)
 
 
 def test_the_limit_check_is_one_qvi_check_at_delta_zero(mp, lim):
