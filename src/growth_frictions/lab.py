@@ -264,7 +264,7 @@ def sweep_delta(mp: MarketParams, gamma: float, deltas) -> SweepTable:
     """
     deltas = check_deltas(deltas, gamma)
     lim = _limit.solve_limit(mp, gamma)
-    A, B, l0 = lim.candidate.A, lim.candidate.B, lim.candidate.l0
+    A, B = lim.candidate.A, lim.candidate.B
     rows = []
     prev = None
     for delta in deltas:

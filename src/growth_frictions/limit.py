@@ -142,9 +142,9 @@ def verify_hjb_limit(mp: MarketParams, gamma: float, sol: LimitSolution,
     """
     vf = replace(build_limit_value(mp, gamma, sol), candidate=sol.candidate)
     report = verify_qvi(mp, CostParams(0.0, gamma), vf, grid_n, tol)
-    l0, x0, A, _, _, B = vf.anchor
-    s = edge_slopes(gamma, 0.0, A, B)
-    mism = (float(np.max(np.abs(slope_g_dx(mp, np.array([A, B]), x0, l0) + s * s)))
-            if LimitCandidate(l0, x0, A, B).ordering_ok() else np.nan)  # no C2 row then
+    c = sol.candidate
+    s = edge_slopes(gamma, 0.0, c.A, c.B)
+    mism = (float(np.max(np.abs(slope_g_dx(mp, np.array([c.A, c.B]), c.x0, c.l0) + s * s)))
+            if c.ordering_ok() else np.nan)  # no C2 row then
     return HJBReport(**{**vars(report), "passed": report.passed and mism <= SECOND_ORDER_TOL},
                      second_deriv_mismatch=mism)

@@ -25,6 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = [
+    "MarketParams", "CostParams", "ParameterError", "merton_fraction", "growth_integrand",
+    "to_centered", "from_centered", "growth_integrand_transformed", "trade_cost_gamma",
+    "wealth_factor", "trade_cost_transformed", "apply_generator", "apply_generator_transformed",
+]
+
 # Fraction-space grids stay inside [EPS, 1-EPS]: the optimal region is
 # strictly interior and the logit transform is undefined at the endpoints.
 EPS = 1e-9

@@ -153,6 +153,28 @@ def test_c2_row_is_the_second_order_pasting_gap(mp, lim):
     assert gap > limit.SECOND_ORDER_TOL and not report.passed
 
 
+# claims that the true fig2 curve does not satisfy: two break the ordering
+WRONG_CLAIMS = {
+    "A>B": lambda c: dataclasses.replace(c, A=c.B, B=c.A),
+    "x0=1.5": lambda c: dataclasses.replace(c, x0=1.5),
+    "l0+1e-4": lambda c: dataclasses.replace(c, l0=c.l0 + 1e-4),
+}
+
+
+@pytest.mark.parametrize("claim", list(WRONG_CLAIMS))
+def test_c2_row_reads_the_claim_not_the_curve(mp, lim, claim, monkeypatch):
+    # the true curve checked against a wrong claim: the C2 row is the
+    # claim's, nan when it is unordered and above tolerance when it is off
+    value = gf.build_limit_value(mp, GAMMA, lim)
+    wrong = dataclasses.replace(lim, candidate=WRONG_CLAIMS[claim](lim.candidate))
+    monkeypatch.setattr(limit, "build_limit_value", lambda *args: value)
+    mism = gf.verify_hjb_limit(mp, GAMMA, wrong, 501).second_deriv_mismatch
+    if wrong.candidate.ordering_ok():
+        assert mism > limit.SECOND_ORDER_TOL
+    else:
+        assert np.isnan(mism)
+
+
 @pytest.mark.parametrize("hhat, gamma", [(0.6, GAMMA), (0.99, 0.03)], ids=["fig2", "hhat0.99"])
 def test_c2_row_vanishes_at_a_solved_band(hhat, gamma):
     # at hhat 0.99 the band's upper edge is within 1.5e-4 of 1

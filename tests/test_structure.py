@@ -6,8 +6,10 @@ both solvers, whose cold start is built only when no warm start converges,
 one Newton run and no limit solve in a cold impulse solve, one residual call
 per damped Newton step, one grid verifier for both models, one kernel call
 of each kind per limit residual, the quadrature rule built on first use, and
-no numpy.ma import in a verify; the rule of the source line counter; and a
-test extra that names every third-party package the tests import."""
+no numpy.ma import in a verify; a package namespace that is the union of
+its modules' __all__ and holds every exception type the CLI tags; the rule
+of the source line counter; and a test extra that names every third-party
+package the tests import."""
 
 import ast
 import importlib.util
@@ -15,6 +17,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,7 +25,7 @@ import numpy as np
 import pytest
 
 import growth_frictions as gf
-from growth_frictions import _slope, lab, limit, qvi
+from growth_frictions import _slope, cli, lab, limit, market, qvi, simulate
 from newton_reference import ANCHORS, column_jacobian, is_stacked, record_residual
 
 PACKAGE = Path(gf.__file__).parent
@@ -339,6 +342,24 @@ def test_the_trade_cost_and_the_generator_are_written_only_in_market():
     assert not [node.lineno for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute) and node.attr == "sigma"
                 or isinstance(node, ast.Name) and node.id == "sigma"]
+
+
+PUBLIC_MODULES = (market, qvi, limit, simulate, lab)
+
+
+def test_the_package_exports_the_union_of_the_modules_all():
+    # each public name is declared once, in its module's __all__, and the
+    # package holds the same object
+    public = {name for name in dir(gf) if not name.startswith("_")
+              and not isinstance(getattr(gf, name), types.ModuleType)}
+    assert public == {name for module in PUBLIC_MODULES for name in module.__all__}
+    assert [f"{module.__name__}.{name}" for module in PUBLIC_MODULES for name in module.__all__
+            if getattr(gf, name) is not getattr(module, name)] == []
+
+
+def test_every_failure_the_cli_tags_has_its_type_in_the_package():
+    kinds = {kind for kind, _ in cli._FAILURES} - {MemoryError, ValueError}
+    assert {kind.__name__ for kind in kinds if getattr(gf, kind.__name__, None) is not kind} == set()
 
 
 def test_the_line_counter_skips_blanks_comments_and_docstrings():
