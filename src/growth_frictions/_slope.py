@@ -33,11 +33,13 @@ separable, log num(x) - log den(y) (``market.cost_terms``) with the branch
 set by y > x, so the intervention operator Mu and its argmax target are a
 suffix and a prefix scan over the sorted trade targets.
 
-Public primitives check their inputs and then call their one kernel (``_g``,
-``_pieces``, ``market._logit``, ...); the residuals and the seed call the
-kernels below a check that implies the kernels' own: an ordering inside
-(0, 1), under which ``CostParams``' invariants keep every cost term positive.
-So does the value function, below its check of x in [0, 1].
+Public primitives check their inputs with the one domain rule
+``market._within`` and then call their one kernel (``_g``, ``_pieces``,
+``market._logit``, ...); the residuals and the seed call the kernels below a
+check that implies the kernels' own: an ordering inside (0, 1), under which
+``CostParams``' invariants keep every cost term positive.  So do the value
+function, below its check of x in [0, 1], ``policy_value``, below its one
+check of the four fractions, and ``verify_qvi``, below its claim check.
 """
 
 from __future__ import annotations
@@ -46,10 +48,9 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .market import (EPS, CostParams, MarketParams, _growth, _log_cost, _logit, _wealth,
-                     apply_generator, cost_terms, edge_slopes, from_centered,
-                     generator_coefficients, merton_fraction, no_trade_floor, to_centered,
-                     trade_cost_gamma)
+from .market import (EPS, CostParams, MarketParams, _growth, _log_cost, _logit, _plain, _wealth,
+                     _within, cost_terms, edge_slopes, from_centered, generator_coefficients,
+                     merton_fraction, no_trade_floor, to_centered, trade_cost_gamma)
 
 
 # A solve is accepted when the residual max-norm is at most RESIDUAL_TOL; a
@@ -102,11 +103,11 @@ def slope_g(mp: MarketParams, x, x0: float, l: float):
     Vanishes at x = x0 by construction; x and x0 (a scalar, or one value
     per x) must be strictly inside (0, 1).
     """
-    x, x0 = np.asarray(x, dtype=float), np.asarray(x0, dtype=float)
-    if ((x <= 0.0) | (x >= 1.0) | ~((x0 > 0.0) & (x0 < 1.0))).any():
-        raise ValueError("slope_g requires x and x0 strictly inside (0, 1)")
-    out = _g(mp, x, _logit(x), x0, _logit(x0), l)
-    return out if out.ndim else float(out)
+    error = "slope_g requires x and x0 strictly inside (0, 1)"
+    x, x0 = _within(error, x, x0, open_=True)
+    if np.isnan(x0).any():  # the anchor, unlike x, may not be NaN
+        raise ValueError(error)
+    return _plain(_g(mp, x, _logit(x), x0, _logit(x0), l))
 
 
 def _g(mp: MarketParams, x, t, x0, t0, l):
@@ -120,8 +121,7 @@ def _g(mp: MarketParams, x, t, x0, t0, l):
 def slope_g_dx(mp: MarketParams, x, x0: float, l: float):
     """x-derivative of slope_g, via the continuation ODE rearranged."""
     x = np.asarray(x, dtype=float)
-    out = _slope_dx(mp, x, np.asarray(slope_g(mp, x, x0, l)), l)[0]
-    return out if out.ndim else float(out)
+    return _plain(_slope_dx(mp, x, np.asarray(slope_g(mp, x, x0, l)), l)[0])
 
 
 def _slope_dx(mp: MarketParams, x, g, l):
@@ -139,12 +139,10 @@ def slope_g_integral(mp: MarketParams, x_from, x_to, x0: float, l: float):
     which integrates in closed form; the expm1-style helpers keep the
     p -> 0 limit exact.
     """
-    x_from, x_to = np.asarray(x_from, dtype=float), np.asarray(x_to, dtype=float)
-    if ((x_from <= 0.0) | (x_from >= 1.0) | (x_to <= 0.0) | (x_to >= 1.0)).any():
-        raise ValueError("slope_g_integral requires endpoints strictly inside (0, 1)")
+    x_from, x_to = _within("slope_g_integral requires endpoints strictly inside (0, 1)",
+                           x_from, x_to, open_=True)
     pieces = _pieces(_power(mp), to_centered(x0), x0, _logit(x_from), _logit(x_to))
-    out = _g_integral(mp, pieces, l)
-    return out if out.ndim else float(out)
+    return _plain(_g_integral(mp, pieces, l))
 
 
 def _pieces(p, t0, x0, t1, t2):
@@ -191,7 +189,7 @@ def best_band(mp: MarketParams, gamma: float) -> tuple:
     rows over e are priced on each edge's own axis.  ParameterDegeneracy
     when no band beats the floor max{f(0), f(1)}."""
     hhat, p, u = merton_fraction(mp), _power(mp), _BAND_OFFSETS
-    x = from_centered(to_centered(hhat) - u)
+    x = from_centered(_logit(hhat) - u)
     slope = edge_slopes(gamma, 0.0, *x)
     p_u = -p * u
     z = -(2.0 / (mp.sigma * mp.sigma)) * u * _e1(p_u)  # z/e < 0 at A, > 0 at B
@@ -211,8 +209,9 @@ def policy_value(mp: MarketParams, cp: CostParams, a, al, be, b):
     across both jumps is a 2x2 system in (l, C), each row priced on the shape
     of its own two ends: pass a grid's axes, not broadcast views."""
     hhat, p = merton_fraction(mp), _power(mp)
-    lo, y_low, y_high, hi = (np.asarray(to_centered(v)) for v in (a, al, be, b))
-    t_hhat = to_centered(hhat)
+    a, al, be, b = _within("policy_value requires fractions strictly inside (0, 1)",
+                           a, al, be, b, open_=True)
+    lo, y_low, y_high, hi, t_hhat = (_logit(v) for v in (a, al, be, b, hhat))
 
     def rows(t1, t2, cost):
         """(k, r) of the rows k l + C + r = 0 of int_x1^x2 w' + cost = 0."""
@@ -274,16 +273,14 @@ class ValueFunction:
 
     def _piecewise(self, x, low, mid, high):
         """low(x) below a, mid(x) on [a, b] and high(x) above b, on [0, 1]."""
-        x = np.asarray(x, dtype=float)
-        if ((x < 0.0) | (x > 1.0)).any():
-            raise ValueError("value function is defined on [0, 1]")
+        x = _within("value function is defined on [0, 1]", x)
         _, _, a, _, _, b = self.anchor
         below, above = x < a, x > b
         out = np.empty_like(x)
         for mask, piece in ((below, low), (~(below | above), mid), (above, high)):
             if mask.any():
                 out[mask] = piece(x[mask])
-        return out if out.ndim else float(out)
+        return _plain(out)
 
     def u(self, x):
         mp, cp, (l, x0, a, al, be, _) = self.market, self.costs, self.anchor
@@ -318,7 +315,7 @@ class ValueFunction:
         x, du = np.asarray(x, dtype=float), np.asarray(du, dtype=float)
         out, mid = np.array(-du ** 2), ~((x < a) | (x > b))
         out[mid] = _slope_dx(self.market, x[mid], du[mid], l)[0]
-        return out if out.ndim else float(out)
+        return _plain(out)
 
 
 def _pasting_rows(mp: MarketParams, cp: CostParams, l, x0, a, alpha, beta, b):
@@ -422,9 +419,10 @@ def verify_qvi(mp: MarketParams, cp: CostParams, vf: ValueFunction,
                                   "beta <= b < 1, a < b, 0 < x0 < 1: (x0, a, alpha, beta, b) = "
                                   f"{x0, a, alpha, beta, b}", False)
 
-    def hjb(x):
+    def hjb(x):  # the claim check puts the grid and the band's midpoint in [0, 1]
         du = vf.du(x)
-        return apply_generator(mp, 0.0, du, vf._ddu(x, du), x) + _growth(mp, x) - l
+        drift, half = generator_coefficients(mp, x)
+        return drift * du + half * vf._ddu(x, du) + _growth(mp, x) - l
 
     grid = np.linspace(EPS, 1.0 - EPS, grid_n)
     spacing = float(grid[1] - grid[0])

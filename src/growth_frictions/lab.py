@@ -35,8 +35,8 @@ from numpy.polynomial.legendre import leggauss
 from . import limit as _limit
 from . import qvi as _qvi
 from ._slope import NonConvergence
-from .market import (CostParams, MarketParams, _wealth, check_deltas,
-                     growth_integrand_transformed, to_centered)
+from .market import (CostParams, MarketParams, _growth, _logit, _plain, _wealth, _within,
+                     check_deltas, from_centered)
 
 __all__ = [
     "DegenerateChain", "SweepRow", "SweepTable", "BruteForceResult",
@@ -61,8 +61,7 @@ def _scale_increment(u, theta):
 def exit_prob_up(drift: float, vol: float, lo, hi, y):
     """P(Brownian motion with the given drift hits hi before lo | start y)."""
     theta = 2.0 * drift / (vol * vol)
-    out = _scale_increment(np.asarray(y) - lo, theta) / _scale_increment(hi - lo, theta)
-    return out if out.ndim else float(out)
+    return _plain(_scale_increment(np.asarray(y) - lo, theta) / _scale_increment(hi - lo, theta))
 
 
 def expected_exit_time(drift: float, vol: float, lo, hi, y):
@@ -144,11 +143,12 @@ def _renewal_batch(mp: MarketParams, cp: CostParams, a, al, be, b) -> np.ndarray
     (compared in logit coordinates) is not priced and reads -inf, so no
     caller needs an ordering rule of its own.
     """
-    a, al, be, b = (_own_axes(v) for v in np.broadcast_arrays(a, al, be, b))
-    lo, y_low, y_high, hi = (np.asarray(to_centered(v)) for v in (a, al, be, b))
+    a, al, be, b = _within("_renewal_batch requires fractions strictly inside (0, 1)",
+                           *(_own_axes(v) for v in np.broadcast_arrays(a, al, be, b)), open_=True)
+    lo, y_low, y_high, hi = (_logit(v) for v in (a, al, be, b))
     valid = (lo < y_low) & (y_low <= y_high) & (y_high < hi)
     c = mp.mu - mp.r - 0.5 * mp.sigma * mp.sigma
-    fbar = lambda z: growth_integrand_transformed(mp, z)
+    fbar = lambda z: _growth(mp, from_centered(z))
     m_low, w_low, p_low = _exit_problems(fbar, c, mp.sigma, lo, hi, y_low)
     m_high, w_high, p_high = _exit_problems(fbar, c, mp.sigma, lo, hi, y_high)
     bad = valid & ((p_low <= 1e-12) | (p_low >= 1.0 - 1e-12)
@@ -212,8 +212,12 @@ def brute_force_boundaries(mp: MarketParams, cp: CostParams, center,
     center, must stay inside (0, 1) with every a below every alpha and every
     beta below every b; its candidates with alpha > beta read -inf.  l and
     x0 are not searched (the evaluator does not need them) and are copied
-    from center into the reported argmax.
+    from center into the reported argmax.  step must lie in (0, inf) and
+    radius in [0, inf).
     """
+    if not (0.0 < step < np.inf and 0.0 <= radius < np.inf):
+        raise ValueError("the search box needs 0 < step < inf and 0 <= radius < inf; "
+                         f"got step={step:g}, radius={radius:g}")
     k = int(round(radius / step))
     half = k * step
     offs = np.arange(-k, k + 1) * step

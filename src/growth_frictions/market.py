@@ -96,6 +96,23 @@ def check_deltas(deltas, gamma: float) -> list:
     return deltas
 
 
+def _within(error: str, *values, open_: bool = False):
+    """values as float arrays (one array for one value), the one domain rule
+    of the public primitives: ValueError(error) when an entry lies outside
+    [0, 1], or outside (0, 1) with open_.  A NaN fails every comparison and
+    so passes."""
+    out = [np.asarray(v, dtype=float) for v in values]
+    for v in out:
+        if ((v <= 0.0) | (v >= 1.0) if open_ else (v < 0.0) | (v > 1.0)).any():
+            raise ValueError(error)
+    return out if len(out) > 1 else out[0]
+
+
+def _plain(out):
+    """A 0-d result as a float; any other result as it is."""
+    return out if np.ndim(out) else float(out)
+
+
 def merton_fraction(mp: MarketParams) -> float:
     """Frictionless optimal risky fraction (mu - r)/sigma^2."""
     return (mp.mu - mp.r) / (mp.sigma * mp.sigma)
@@ -107,11 +124,7 @@ def growth_integrand(mp: MarketParams, h):
     Strictly concave with maximum value sigma^2 * hhat^2 / 2 at the
     Merton fraction hhat.
     """
-    h = np.asarray(h, dtype=float)
-    if ((h < 0.0) | (h > 1.0)).any():
-        raise ValueError("growth_integrand requires h in [0, 1]")
-    out = _growth(mp, h)
-    return out if out.ndim else float(out)
+    return _plain(_growth(mp, _within("growth_integrand requires h in [0, 1]", h)))
 
 
 def _growth(mp: MarketParams, h):
@@ -133,11 +146,7 @@ def check_growth_excess(mp: MarketParams, l: float, name: str) -> None:
 
 def to_centered(h):
     """Logit transform log(h) - log(1-h); rejects h at or beyond {0, 1}."""
-    h = np.asarray(h, dtype=float)
-    if ((h <= 0.0) | (h >= 1.0)).any():
-        raise ValueError("to_centered requires h strictly inside (0, 1)")
-    out = _logit(h)
-    return out if out.ndim else float(out)
+    return _plain(_logit(_within("to_centered requires h strictly inside (0, 1)", h, open_=True)))
 
 
 def _logit(h):
@@ -157,8 +166,7 @@ def from_centered(y):
     # exp(-|y|) never overflows; the quotient is 1/(1 + exp(-y)) for y >= 0
     # and exp(y)/(1 + exp(y)) below, bit for bit
     e = np.exp(-np.abs(y))
-    out = np.where(y >= 0.0, 1.0, e) / (1.0 + e)
-    return out if out.ndim else float(out)
+    return _plain(np.where(y >= 0.0, 1.0, e) / (1.0 + e))
 
 
 def growth_integrand_transformed(mp: MarketParams, y):
@@ -195,11 +203,7 @@ def trade_cost_gamma(cp: CostParams, x, y):
     every trade with y >= x/(1-delta) or y <= x.  Always <= 0 when
     delta > 0 or x != y.
     """
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if ((x < 0.0) | (x > 1.0) | (y < 0.0) | (y > 1.0)).any():
-        raise ValueError("trade_cost_gamma requires fractions in [0, 1]")
-    out = _log_cost(cp, x, y)
-    return out if out.ndim else float(out)
+    return _plain(_log_cost(cp, *_within("trade_cost_gamma requires fractions in [0, 1]", x, y)))
 
 
 def _log_cost(cp: CostParams, x, y):
@@ -218,11 +222,7 @@ def wealth_factor(cp: CostParams, h, xi):
     1.0 when delta = 0 and the proportional loss gamma |xi - h| is below
     float64 resolution at 1 (about 1e-16).
     """
-    h, xi = np.asarray(h, dtype=float), np.asarray(xi, dtype=float)
-    if ((h < 0.0) | (h > 1.0) | (xi < 0.0) | (xi > 1.0)).any():
-        raise ValueError("wealth_factor requires fractions in [0, 1]")
-    out = _wealth(cp, h, xi)
-    return out if out.ndim else float(out)
+    return _plain(_wealth(cp, *_within("wealth_factor requires fractions in [0, 1]", h, xi)))
 
 
 def _wealth(cp: CostParams, h, xi):
@@ -234,12 +234,12 @@ def _wealth(cp: CostParams, h, xi):
 def trade_cost_transformed(cp: CostParams, y, zeta):
     """Log wealth factor of the trade y -> y + zeta in transformed space.
 
-    Identical to log(wealth_factor(cp, phi(y), phi(y + zeta))).
+    Identical to log(wealth_factor(cp, phi(y), phi(y + zeta))); the logistic
+    map's check implies the wealth factor's, so its kernel is called.
     """
     y = np.asarray(y, dtype=float)
     zeta = np.asarray(zeta, dtype=float)
-    out = np.log(wealth_factor(cp, from_centered(y), from_centered(y + zeta)))
-    return out if out.ndim else float(out)
+    return _plain(np.log(_wealth(cp, from_centered(y), from_centered(y + zeta))))
 
 
 def generator_coefficients(mp: MarketParams, x):
@@ -259,12 +259,8 @@ def apply_generator(mp: MarketParams, u_val, du, ddu, x):
     obstacle side of the variational inequality.
     """
     del u_val
-    x, du, ddu = (np.asarray(a, dtype=float) for a in (x, du, ddu))
-    if ((x < 0.0) | (x > 1.0)).any():
-        raise ValueError("apply_generator requires x in [0, 1]")
-    drift, half = generator_coefficients(mp, x)
-    out = drift * du + half * ddu
-    return out if out.ndim else float(out)
+    drift, half = generator_coefficients(mp, _within("apply_generator requires x in [0, 1]", x))
+    return _plain(drift * np.asarray(du, dtype=float) + half * np.asarray(ddu, dtype=float))
 
 
 def apply_generator_transformed(mp: MarketParams, du, ddu):
@@ -275,5 +271,4 @@ def apply_generator_transformed(mp: MarketParams, du, ddu):
     du = np.asarray(du, dtype=float)
     ddu = np.asarray(ddu, dtype=float)
     s2 = mp.sigma * mp.sigma
-    out = 0.5 * s2 * ddu + (mp.mu - mp.r - 0.5 * s2) * du
-    return out if out.ndim else float(out)
+    return _plain(0.5 * s2 * ddu + (mp.mu - mp.r - 0.5 * s2) * du)

@@ -343,10 +343,15 @@ def _trade_volume(v_after, y_from, y_to, log_factor):
 
 def _walk(mp, cp, bounds, cfg, paths):
     """The walk of the given paths under the band (a, alpha, beta, b) from h0
-    in (a, b).  The band (A, A, B, B) under CostParams(0, gamma) reflects at
-    [A, B]: only there may h0 lie on an edge, and no bridge is sampled."""
-    reflect = bounds[0] == bounds[1] and bounds[2] == bounds[3]
-    y0 = to_centered(_start(mp, cfg, bounds[0], bounds[3], reflect))
+    in (a, b), a band that verify_qvi's claim rule admits (else ValueError).
+    The band (A, A, B, B) under CostParams(0, gamma) reflects at [A, B]:
+    only there may h0 lie on an edge, and no bridge is sampled."""
+    a, alpha, beta, b = bounds
+    if not (0.0 < a <= alpha <= beta <= b < 1.0 and a < b):
+        raise ValueError("band breaks 0 < a <= alpha <= beta <= b < 1, a < b: "
+                         f"(a, alpha, beta, b) = {tuple(map(float, bounds))}")
+    reflect = a == alpha and beta == b
+    y0 = to_centered(_start(mp, cfg, a, b, reflect))
     return _Band(mp, cfg, paths, to_centered(bounds), y0, cp).run(
         cfg.bridge_correction and not reflect)
 
@@ -383,11 +388,15 @@ def couple_at_boundaries(mp: MarketParams, impulse_bounds_y, limits_y,
     impulse_bounds_y is one (a, alpha, beta, b) in log coordinates or a
     (k, 4) stack of them, walked over the reflected row (lo, lo, hi, hi) of
     limits_y: an impulse process jumps to its restart target, the reflected
-    one is clipped.  Returns per-path sup distances and trade counts as
-    (k, n_paths) arrays.
+    one is clipped.  Every row, the reflected one included, must satisfy
+    lo <= lo_target <= hi_target <= hi and lo < hi (else ValueError).
+    Returns per-path sup distances and trade counts as (k, n_paths) arrays.
     """
     lo, hi = limits_y
     rows = np.vstack((np.atleast_2d(impulse_bounds_y), [(lo, lo, hi, hi)]))
+    if not ((np.diff(rows) >= 0.0).all() and (rows[:, 0] < rows[:, 3]).all()):
+        raise ValueError("coupling rows, the reflected (lo, lo, hi, hi) last, break "
+                         f"lo <= lo_target <= hi_target <= hi, lo < hi: {rows.tolist()}")
     band = _Band(mp, cfg, range(cfg.n_paths), rows, y_start).run()
     return band.sup, band.trades[:-1]
 

@@ -306,6 +306,18 @@ def test_brute_force_rejects_bad_grid(mp, cp, sol):
         gf.brute_force_boundaries(mp, cp, sol.candidate, radius=0.2, step=0.05)
 
 
+@pytest.mark.parametrize("radius, step", [
+    (0.02, 0.0), (0.02, -2e-3), (0.02, np.inf), (0.02, np.nan),
+    (-0.02, 2e-3), (np.inf, 2e-3), (np.nan, 2e-3),
+], ids=["step=0", "step<0", "step=inf", "step=nan", "radius<0", "radius=inf", "radius=nan"])
+def test_brute_force_checks_its_step_and_radius(mp, cp, sol, radius, step, monkeypatch):
+    # named before the box is built, where each failed in its own way
+    monkeypatch.setattr(lab, "_renewal_batch", lambda *args: pytest.fail("priced a box"))
+    with pytest.raises(ValueError, match=r"^the search box needs 0 < step < inf and "
+                                         r"0 <= radius < inf; got step="):
+        gf.brute_force_boundaries(mp, cp, sol.candidate, radius=radius, step=step)
+
+
 def test_brute_force_checks_the_box_it_prices():
     # at the hhat = 0.9 anchor, radius/step = 1.6 rounds to k = 2 steps, so
     # the priced box reaches 1.25 radius past b and leaves (0, 1) although
@@ -326,6 +338,21 @@ def test_sweep_monotone(sweep, mp):
     limit_rho = mp.r + sweep.limit.candidate.l0
     assert all(r.rho < limit_rho for r in rows)
     assert rows[-1].dist_A < 1e-2 and rows[-1].dist_B < 1e-2
+
+
+@pytest.mark.parametrize("gap, rate", [
+    (lambda table, row: row.gap_lo, 1 / 3),
+    (lambda table, row: row.gap_hi, 1 / 3),
+    (lambda table, row: table.limit.candidate.l0 - row.l, 2 / 3),
+], ids=["gap_lo", "gap_hi", "l0-l"])
+def test_the_sweep_reaches_the_papers_rates(sweep, gap, rate):
+    # the boundary gaps scale as delta^(1/3) and the growth as delta^(2/3):
+    # each row-to-row log-log slope rises towards its rate, and the last,
+    # between delta = 1e-5 and 1e-6, lies within 0.01 of it
+    deltas = [row.delta for row in sweep.rows]
+    slopes = np.diff(np.log([gap(sweep, row) for row in sweep.rows])) / np.diff(np.log(deltas))
+    assert np.all(np.diff(slopes) > 0.0)
+    assert abs(slopes[-1] - rate) <= 0.01
 
 
 def test_sweep_rows_satisfy_candidate_invariants(sweep):

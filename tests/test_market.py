@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -137,6 +138,75 @@ def test_domain_checks_reject_exactly_their_comparisons(mp, vf, x):
     for k, (check, accepted) in enumerate(checks):
         assert _accepts(lambda: check(x)) == accepted, k
         assert _accepts(lambda: check(np.array([0.5, x]))) == accepted, k
+
+
+ON_UNIT, INSIDE = "requires fractions in [0, 1]", "strictly inside (0, 1)"
+FINITE = "from_centered requires finite y"
+# (primitive and argument, a value just outside its domain, the message, and
+# None where NaN passes, else NaN's message); apply_generator_transformed
+# takes any du and ddu, so it has no row
+PRIMITIVES = [
+    ("growth_integrand", lambda mp, cp, vf, v: gf.growth_integrand(mp, v), 1.0 + 2 ** -52,
+     "growth_integrand requires h in [0, 1]", None),
+    ("to_centered", lambda mp, cp, vf, v: gf.to_centered(v), 0.0,
+     "to_centered requires h " + INSIDE, None),
+    ("from_centered", lambda mp, cp, vf, v: gf.from_centered(v), np.inf, FINITE, FINITE),
+    ("growth_integrand_transformed", lambda mp, cp, vf, v: gf.growth_integrand_transformed(mp, v),
+     -np.inf, FINITE, FINITE),
+    ("trade_cost_gamma.x", lambda mp, cp, vf, v: gf.trade_cost_gamma(cp, v, 0.5), -5e-324,
+     "trade_cost_gamma " + ON_UNIT, None),
+    ("trade_cost_gamma.y", lambda mp, cp, vf, v: gf.trade_cost_gamma(cp, 0.5, v), 1.0 + 2 ** -52,
+     "trade_cost_gamma " + ON_UNIT, None),
+    ("wealth_factor.h", lambda mp, cp, vf, v: gf.wealth_factor(cp, v, 0.5), 1.0 + 2 ** -52,
+     "wealth_factor " + ON_UNIT, None),
+    ("wealth_factor.xi", lambda mp, cp, vf, v: gf.wealth_factor(cp, 0.5, v), -5e-324,
+     "wealth_factor " + ON_UNIT, None),
+    ("trade_cost_transformed.y", lambda mp, cp, vf, v: gf.trade_cost_transformed(cp, v, 0.1),
+     np.inf, FINITE, FINITE),
+    ("trade_cost_transformed.zeta", lambda mp, cp, vf, v: gf.trade_cost_transformed(cp, 0.1, v),
+     -np.inf, FINITE, FINITE),
+    ("apply_generator", lambda mp, cp, vf, v: gf.apply_generator(mp, 0.0, 0.1, 0.1, v),
+     -5e-324, "apply_generator requires x in [0, 1]", None),
+    ("slope_g.x", lambda mp, cp, vf, v: gf.slope_g(mp, v, 0.5, 0.02), 1.0,
+     "slope_g requires x and x0 " + INSIDE, None),
+    ("slope_g.x0", lambda mp, cp, vf, v: gf.slope_g(mp, 0.5, v, 0.02), 0.0,
+     "slope_g requires x and x0 " + INSIDE, "slope_g requires x and x0 " + INSIDE),
+    ("slope_g_dx.x", lambda mp, cp, vf, v: gf.slope_g_dx(mp, v, 0.5, 0.02), 0.0,
+     "slope_g requires x and x0 " + INSIDE, None),
+    ("slope_g_dx.x0", lambda mp, cp, vf, v: gf.slope_g_dx(mp, 0.5, v, 0.02), 1.0,
+     "slope_g requires x and x0 " + INSIDE, "slope_g requires x and x0 " + INSIDE),
+    ("slope_g_integral.x_from", lambda mp, cp, vf, v: gf.slope_g_integral(mp, v, 0.5, 0.5, 0.02),
+     0.0, "slope_g_integral requires endpoints " + INSIDE, None),
+    ("slope_g_integral.x_to", lambda mp, cp, vf, v: gf.slope_g_integral(mp, 0.5, v, 0.5, 0.02),
+     1.0, "slope_g_integral requires endpoints " + INSIDE, None),
+    ("slope_g_integral.x0", lambda mp, cp, vf, v: gf.slope_g_integral(mp, 0.4, 0.5, v, 0.02),
+     1.0, "to_centered requires h " + INSIDE, None),
+    ("ValueFunction.u", lambda mp, cp, vf, v: vf.u(v), -5e-324,
+     "value function is defined on [0, 1]", None),
+    ("ValueFunction.du", lambda mp, cp, vf, v: vf.du(v), 1.0 + 2 ** -52,
+     "value function is defined on [0, 1]", None),
+    ("ValueFunction.ddu", lambda mp, cp, vf, v: vf.ddu(v), -5e-324,
+     "value function is defined on [0, 1]", None),
+]
+
+
+@pytest.mark.parametrize("call, outside, message, nan_message",
+                         [row[1:] for row in PRIMITIVES], ids=[row[0] for row in PRIMITIVES])
+def test_each_primitive_keeps_its_message_and_its_nan_outcome(mp, cp, vf, call, outside,
+                                                              message, nan_message):
+    # just outside the domain, alone or in an array, the primitive names
+    # itself (slope_g_integral's x0 names to_centered); a NaN passes to the
+    # formula, except where the domain is the finite reals and at slope_g's
+    # anchor x0; a float in gives a float out
+    assert type(call(mp, cp, vf, 0.5)) is float
+    for value in (outside, np.array([0.5, outside])):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(mp, cp, vf, value)
+    if nan_message is None:
+        assert math.isnan(call(mp, cp, vf, np.nan))
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(nan_message)}$"):
+            call(mp, cp, vf, np.nan)
 
 
 def _logistic_two_branch(y):

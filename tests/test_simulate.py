@@ -127,6 +127,52 @@ def test_invalid_start_rejected(mp, cp, sol):
         gf.simulate_impulse_path(mp, cp, sol.candidate, cfg, 0)
 
 
+def _no_generator(*args, **kwargs):
+    raise AssertionError("built a generator before checking the band")
+
+
+@pytest.mark.parametrize("simulator, band", [
+    ("impulse_path", (0.5, 0.4, 0.7, 0.8)),  # a > alpha
+    ("impulse", (0.02, 0.6, 0.5, 0.8)),  # alpha > beta, which walked to a growth of -0.235
+    ("impulse", (0.2, 0.3, 0.7, 1.0)),  # b on 1
+    ("impulse", (0.2, np.nan, 0.7, 0.8)),
+    ("reflected_path", (0.7, 0.7, 0.5, 0.5)),  # A > B
+    ("reflected", (0.5, 0.5, 0.5, 0.5)),  # A = B
+], ids=["a>alpha", "alpha>beta", "b=1", "nan", "A>B", "A=B"])
+def test_the_band_walk_rejects_a_band_outside_the_claim_rule(simulator, band, mp, cp,
+                                                             monkeypatch):
+    # one ValueError naming verify_qvi's rule 0 < a <= alpha <= beta <= b < 1,
+    # a < b, before any path generator is built
+    monkeypatch.setattr(simulate, "path_generator", _no_generator)
+    cfg = gf.SimConfig(horizon=1.0, dt=1e-3, n_paths=10, base_seed=1)
+    a, al, be, b = band
+    cand = gf.BoundaryCandidate(l=0.02, x0=0.6, a=a, alpha=al, beta=be, b=b)
+    run = {"impulse_path": lambda: gf.simulate_impulse_path(mp, cp, cand, cfg, 0),
+           "impulse": lambda: gf.estimate_growth_impulse(mp, cp, cand, cfg),
+           "reflected_path": lambda: gf.simulate_reflected_path(mp, GAMMA, a, b, cfg, 0),
+           "reflected": lambda: gf.estimate_growth_reflected(mp, GAMMA, a, b, cfg)}[simulator]
+    with pytest.raises(ValueError, match=r"^band breaks 0 < a <= alpha <= beta <= b < 1, "
+                                         r"a < b: \(a, alpha, beta, b\) = \("):
+        run()
+
+
+@pytest.mark.parametrize("rows, limits", [
+    ([(0.5, -0.5, 0.2, 0.1)], (-1.0, 1.0)),  # traded at every one of its 1,000 steps
+    ([(-1.0, -0.5, 0.5, 1.0), (-0.5, -1.0, 0.5, 1.0)], (-1.0, 1.0)),  # lo > lo_target
+    ([(-1.0, -0.5, 0.5, 1.0)], (1.0, -1.0)),  # reference lo > hi
+    ([(-1.0, -0.5, 0.5, 1.0)], (0.3, 0.3)),  # reference lo = hi
+    ([(0.2, 0.2, 0.2, 0.2)], (-1.0, 1.0)),  # lo = hi
+    ([(-1.0, np.nan, 0.5, 1.0)], (-1.0, 1.0)),
+], ids=["unordered", "second-row", "reference-reversed", "reference-empty", "empty", "nan"])
+def test_the_coupling_rejects_rows_outside_the_band_rule(rows, limits, mp, monkeypatch):
+    monkeypatch.setattr(simulate, "path_generator", _no_generator)
+    cfg = gf.SimConfig(horizon=1.0, dt=1e-3, n_paths=10, base_seed=1)
+    with pytest.raises(ValueError, match=r"^coupling rows, the reflected \(lo, lo, hi, hi\) "
+                                         r"last, break lo <= lo_target <= hi_target <= hi, "
+                                         r"lo < hi: "):
+        gf.couple_at_boundaries(mp, rows, limits, cfg, 0.0)
+
+
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         gf.SimConfig(horizon=0.0, dt=1e-3)

@@ -5,8 +5,10 @@ core below them only the market, solvers that price in closed form only
 both solvers, whose cold start is built only when no warm start converges,
 one Newton run and no limit solve in a cold impulse solve, one residual call
 per damped Newton step, one grid verifier for both models, one kernel call
-of each kind per limit residual, the quadrature rule built on first use, and
-no numpy.ma import in a verify; a package namespace that is the union of
+of each kind per limit residual, the quadrature rule built on first use,
+no numpy.ma import in a verify, one domain check and then kernels when a
+policy is priced, and kernels below the band search's and the grid check's
+own checks; a package namespace that is the union of
 its modules' __all__ and holds every exception type the CLI tags; the rule
 of the source line counter; and a test extra that names every third-party
 package the tests import."""
@@ -311,6 +313,48 @@ def test_the_limit_check_is_one_qvi_check_at_delta_zero(mp, lim):
     used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert used.isdisjoint({"grid", "linspace", "EPS", "apply_generator", "du", "ddu",
                             "_intervention", "trade_cost_gamma"})
+
+
+def _forbidden(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"called the checked {name} below an entry check")
+    return call
+
+
+@pytest.mark.parametrize("module, price, name", [
+    (_slope, _slope.policy_value, "policy_value"), (lab, lab._renewal_batch, "_renewal_batch"),
+], ids=["policy_value", "_renewal_batch"])
+def test_a_policy_is_priced_below_one_domain_check(module, price, name, mp, cp, sol):
+    # one _within call checks the four fractions, and the logits are the
+    # kernel's: no to_centered call, checked or through market
+    calls = []
+    within = module._within
+    c = sol.candidate
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "_within", lambda *args, **kwargs:
+                      calls.append(args[0]) or within(*args, **kwargs))
+        for owner in (module, market):
+            patch.setattr(owner, "to_centered", _forbidden("to_centered"), raising=False)
+        assert np.isfinite(price(mp, cp, c.a, c.alpha, c.beta, c.b))
+    assert calls == [f"{name} requires fractions strictly inside (0, 1)"]
+    with pytest.raises(ValueError, match=rf"^{name} requires fractions strictly inside \(0, 1\)$"):
+        price(mp, cp, 0.0, c.alpha, c.beta, c.b)
+
+
+def test_the_band_search_and_the_grid_check_call_kernels(mp, cp, vf):
+    # best_band takes the Merton fraction's logit from the kernel, and
+    # verify_qvi applies the generator's coefficients below its claim check
+    # (the value function's u and du keep their to_centered check of the anchor)
+    expected = (_slope.best_band(mp, GAMMA), gf.verify_qvi(mp, cp, vf, 501))
+    with pytest.MonkeyPatch.context() as patch:
+        for owner in (_slope, market):
+            patch.setattr(owner, "to_centered", _forbidden("to_centered"), raising=False)
+        assert _slope.best_band(mp, GAMMA) == expected[0]
+    with pytest.MonkeyPatch.context() as patch:
+        for owner in (_slope, market):
+            patch.setattr(owner, "apply_generator", _forbidden("apply_generator"), raising=False)
+        report = _slope.verify_qvi(mp, cp, vf, 501)
+    assert report == expected[1] and report.passed
 
 
 COST_NAMES = {"gamma", "delta", "gm", "dl"}
