@@ -97,7 +97,7 @@ def _exit_problems(fn, drift, vol, lo, hi, y):
     s_high, s_low, s_all = (_scale_increment(u, theta) for u in (hi - y, y - lo, hi - lo))
     out = [(2.0 / (vol * vol)) * (w_lo * s_high + w_hi * s_low) / s_all
            for w_lo, w_hi in zip(low, high)] + [s_low / s_all]
-    return out if out[0].ndim else [float(v) for v in out]
+    return [_plain(v) for v in out]
 
 
 @cache

@@ -134,13 +134,13 @@ def _growth(mp: MarketParams, h):
 
 def no_trade_floor(mp: MarketParams) -> float:
     """max{f(0), f(1)}: the growth excess of holding only bond or only stock."""
-    return max(growth_integrand(mp, 0.0), growth_integrand(mp, 1.0))
+    return max(_growth(mp, 0.0), _growth(mp, 1.0))
 
 
 def check_growth_excess(mp: MarketParams, l: float, name: str) -> None:
     """An interior optimum's growth excess lies strictly between the no-trade
     floor and the Merton rate; raises ParameterError naming ``name``."""
-    _check(no_trade_floor(mp) < l < growth_integrand(mp, merton_fraction(mp)),
+    _check(no_trade_floor(mp) < l < _growth(mp, merton_fraction(mp)),
            f"max{{f(0), f(1)}} < {name} < f(hhat)")
 
 

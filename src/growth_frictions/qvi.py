@@ -36,7 +36,7 @@ from ._slope import (PASTING_TOL, RESIDUAL_TOL, NewtonUnknowns, NonConvergence,
                      newton_from_starts, policy_value, slope_g, slope_g_dx, slope_g_integral,
                      verify_qvi, warm_then_cold)
 from .market import (EPS, CostParams, MarketParams, ParameterError, _log_cost, _logit, buys,
-                     check_growth_excess, from_centered, to_centered)
+                     check_growth_excess, from_centered)
 
 __all__ = [
     "BoundaryCandidate", "BoundarySolution", "ValueFunction", "VerificationReport",
@@ -130,7 +130,7 @@ def _oracle_seed(mp, cp, A, B):
     optimum to seed (``interior_optimum``).  The seed's l is that growth
     less r, and its x0 the logit midpoint of (alpha, beta).
     """
-    a_lim, b_lim = to_centered(A), to_centered(B)
+    a_lim, b_lim = _logit(A), _logit(B)
     u1, u2, v1, v2 = _WIDEN, _WIDEN, _INSET, _INSET
     for _ in range(2):
         a_y, b_y = a_lim - u1[:, None], b_lim + u2[:, None]
@@ -143,7 +143,7 @@ def _oracle_seed(mp, cp, A, B):
         values = policy_value(mp, cp, a[:, None], al[:, None], be, b)
         i, j = np.unravel_index(int(np.argmax(values)), values.shape)
         best = (float(a[i]), float(al[i]), float(be[j]), float(b[j]))
-        a_k, al_k, be_k, b_k = to_centered(np.array(best))
+        a_k, al_k, be_k, b_k = _logit(np.array(best))
         u1, u2, v1, v2 = (gap * _REFINE for gap in
                           (a_lim - a_k, b_k - b_lim, al_k - a_k, b_k - be_k))
     (a, al, be, b), l = best, interior_optimum(mp, float(values[i, j]) - mp.r, "policy")

@@ -39,8 +39,8 @@ import numpy as np
 
 from . import limit as _limit
 from . import qvi as _qvi
-from .market import (CostParams, MarketParams, check_deltas, from_centered, merton_fraction,
-                     to_centered, trade_cost_transformed)
+from .market import (CostParams, MarketParams, _logit, check_deltas, from_centered,
+                     merton_fraction, trade_cost_transformed)
 
 __all__ = [
     "SimConfig", "TradeEvent", "PathRecord", "GrowthEstimate",
@@ -212,8 +212,11 @@ class _Band:
 
     def _run_chunk(self, cols: slice, bridge: bool) -> None:
         """Walk the paths in cols through every block of steps."""
-        mp, cfg, lo, hi = self.mp, self.cfg, self.lo, self.hi
+        mp, cfg = self.mp, self.cfg
         y = self.y[:, cols]
+        # the band rows at the chunk's (k, n) shape, so that no step broadcasts them
+        lo, lo_to, hi_to, hi = (np.repeat(v, y.shape[1], axis=1)
+                                for v in (self.lo, self.lo_to, self.hi_to, self.hi))
         held = (y,) if self.cp is None else (y, self.bond[:, cols])
         sup = None if self.sup is None else self.sup[:, cols]
         c, sq = (mp.mu - mp.r - 0.5 * mp.sigma * mp.sigma) * cfg.dt, mp.sigma * math.sqrt(cfg.dt)
@@ -255,8 +258,8 @@ class _Band:
                     low[j] |= cross_lo
                     high[j] |= inside & ~cross_lo & ((y - hi) * (yj - hi) < touch[j, 1])
                 np.copyto(y, yj)
-                np.copyto(y, self.lo_to, where=low[j])
-                np.copyto(y, self.hi_to, where=high[j])
+                np.copyto(y, lo_to, where=low[j])
+                np.copyto(y, hi_to, where=high[j])
                 if gap is not None:
                     np.abs(np.subtract(y[:-1], y[-1], out=gap), out=gap)
                     np.maximum(sup, gap, out=sup)
@@ -351,8 +354,8 @@ def _walk(mp, cp, bounds, cfg, paths):
         raise ValueError("band breaks 0 < a <= alpha <= beta <= b < 1, a < b: "
                          f"(a, alpha, beta, b) = {tuple(map(float, bounds))}")
     reflect = a == alpha and beta == b
-    y0 = to_centered(_start(mp, cfg, a, b, reflect))
-    return _Band(mp, cfg, paths, to_centered(bounds), y0, cp).run(
+    y0 = _logit(_start(mp, cfg, a, b, reflect))
+    return _Band(mp, cfg, paths, _logit(np.asarray(bounds, dtype=float)), y0, cp).run(
         cfg.bridge_correction and not reflect)
 
 
@@ -415,7 +418,7 @@ def couple_paths(mp: MarketParams, gamma: float, deltas, cfg: SimConfig) -> list
     deltas = check_deltas(deltas, gamma)
     lim = _limit.solve_limit(mp, gamma)
     A, B = lim.candidate.A, lim.candidate.B
-    lo_y, hi_y = to_centered(A), to_centered(B)
+    lo_y, hi_y = _logit(A), _logit(B)
     h_start = _start(mp, cfg, A, B, closed=True, region="reflected band")
     bounds_y = []
     cand = None
@@ -423,8 +426,8 @@ def couple_paths(mp: MarketParams, gamma: float, deltas, cfg: SimConfig) -> list
         cand = _qvi.solve_boundaries(mp, CostParams(delta=delta, gamma=gamma), init=cand).candidate
         if not cand.a < h_start < cand.b:
             raise ValueError(f"h0={h_start:g} outside the no-trade region at delta={delta:g}")
-        bounds_y.append([to_centered(v) for v in (cand.a, cand.alpha, cand.beta, cand.b)])
-    sup, trades = couple_at_boundaries(mp, bounds_y, (lo_y, hi_y), cfg, to_centered(h_start))
+        bounds_y.append([_logit(v) for v in (cand.a, cand.alpha, cand.beta, cand.b)])
+    sup, trades = couple_at_boundaries(mp, bounds_y, (lo_y, hi_y), cfg, _logit(h_start))
     return [CouplingRow(delta=delta, mean_sup_distance=float(s.mean()), n_paths=cfg.n_paths,
                         sup_distances=s, trade_counts=t,
                         jump_low=float(by[1] - by[0]), jump_high=float(by[3] - by[2]))

@@ -385,3 +385,16 @@ def test_report_flags_swapped_rows(sweep):
     swapped = dataclasses.replace(sweep, rows=tuple(rows))
     report = gf.convergence_report(swapped)
     assert len(report.flags) == 1
+
+
+def test_report_needs_three_rows(sweep):
+    with pytest.raises(ValueError, match=r"^report needs at least 3 sweep rows$"):
+        gf.convergence_report(dataclasses.replace(sweep, rows=sweep.rows[:2]))
+
+
+def test_report_flags_a_row_that_reaches_the_limit_value(sweep):
+    # the last row's rho raised to r + l0: only the limit flag, since rho still increases
+    rows = list(sweep.rows)
+    rows[-1] = dataclasses.replace(rows[-1], rho=sweep.market.r + sweep.limit.candidate.l0)
+    report = gf.convergence_report(dataclasses.replace(sweep, rows=tuple(rows)))
+    assert report.flags == (f"row {len(rows) - 1}: rho does not stay below the limit value",)

@@ -501,6 +501,47 @@ def test_band_walk_matches_holdings_reference(rule, mp, cp, sol, lim, monkeypatc
     assert np.max(np.abs(band.growth() - reference)) <= 1e-12
 
 
+def _band_reference(mp, cfg, rows, y0):
+    """The band step path by path in plain floats: y + (z sq + c), then
+    y <= lo to lo_target and y >= hi to hi_target.  Each row's final y and
+    trade count, and sup |y - y_last| over the steps of every row but the last."""
+    c = (mp.mu - mp.r - 0.5 * mp.sigma * mp.sigma) * cfg.dt
+    sq = mp.sigma * math.sqrt(cfg.dt)
+    y, trades, sup = (np.zeros((len(rows), cfg.n_paths)) for _ in range(3))
+    for i in range(cfg.n_paths):
+        ys, counts, sups = [y0] * len(rows), [0] * len(rows), [0.0] * len(rows)
+        for z in gf.path_generator(cfg.base_seed, i).standard_normal(cfg.n_steps).tolist():
+            dw = z * sq + c
+            for k, (lo, lo_to, hi_to, hi) in enumerate(rows):
+                ys[k] += dw
+                if ys[k] <= lo:
+                    ys[k], counts[k] = lo_to, counts[k] + 1
+                elif ys[k] >= hi:
+                    ys[k], counts[k] = hi_to, counts[k] + 1
+            sups = [max(s, abs(v - ys[-1])) for s, v in zip(sups, ys)]
+        y[:, i], trades[:, i], sup[:, i] = ys, counts, sups
+    return y, trades, sup[:-1]
+
+
+@pytest.mark.parametrize("rule", ["impulse", "reflected", "coupled"])
+def test_band_walk_matches_a_plain_step_reference_bit_for_bit(rule, mp, cp, sol, lim):
+    # the vectorised step is the plain one, not a reassociation of it: the
+    # final y, the trade counts and the coupling's sup agree exactly
+    cfg = gf.SimConfig(horizon=20.0, dt=1e-2, n_paths=3, base_seed=41)
+    c, A, B = sol.candidate, lim.candidate.A, lim.candidate.B
+    impulse, reflected = ([float(v) for v in gf.to_centered(np.array(band))]
+                          for band in ((c.a, c.alpha, c.beta, c.b), (A, A, B, B)))
+    rows, costs = {"impulse": ([impulse], cp), "coupled": ([impulse, reflected], None),
+                   "reflected": ([reflected], gf.CostParams(0.0, GAMMA))}[rule]
+    y0 = gf.to_centered(0.6)
+    band = simulate._Band(mp, cfg, range(3), rows, y0, costs).run()
+    y, trades, sup = _band_reference(mp, cfg, rows, y0)
+    assert (trades > 0).all()
+    assert np.array_equal(band.y, y) and np.array_equal(band.trades, trades)
+    if costs is None:
+        assert np.array_equal(band.sup, sup) and (sup > 0).all()
+
+
 def test_coupling_stack_equals_single_deltas(mp, monkeypatch):
     # given the same boundaries, the stacked walk gives each delta exactly
     # the numbers of a walk of that delta alone; the solve is pinned to its

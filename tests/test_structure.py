@@ -6,12 +6,13 @@ both solvers, whose cold start is built only when no warm start converges,
 one Newton run and no limit solve in a cold impulse solve, one residual call
 per damped Newton step, one grid verifier for both models, one kernel call
 of each kind per limit residual, the quadrature rule built on first use,
-no numpy.ma import in a verify, one domain check and then kernels when a
-policy is priced, and kernels below the band search's and the grid check's
-own checks; a package namespace that is the union of
-its modules' __all__ and holds every exception type the CLI tags; the rule
-of the source line counter; and a test extra that names every third-party
-package the tests import."""
+no numpy.ma import in a verify, a singular Jacobian that ends its run at the
+start, one domain check and then kernels when a policy is priced, and
+kernels below the band search's, the grid check's, the cold seed's, the
+no-trade floor's and the walks' own checks; a package namespace that is the
+union of its modules' __all__ and holds every exception type the CLI
+tags; the rule of the source line counter; and a test extra that names
+every third-party package the tests import."""
 
 import ast
 import importlib.util
@@ -293,6 +294,24 @@ def test_a_full_step_whose_block_leaves_the_domain_is_halved():
     assert (cand.x, cand.y) == pytest.approx((np.sqrt(2.0), 0.5), abs=1e-9)
 
 
+def test_a_singular_jacobian_ends_the_run_at_its_start():
+    # a residual that ignores y has a zero Jacobian column: the solve raises
+    # LinAlgError, the run ends at its start with 0 steps after the start's
+    # one stacked call, and the start loop reports it as no convergence
+    calls = []
+
+    def residual(c):
+        calls.append(np.ndim(c.x))
+        return np.array([c.x ** 2 - 2.0, c.x ** 3 - 0.125])
+
+    v, steps, norm = _slope.damped_newton(lambda v: residual(_Pair.from_vector(v)), [1.0, 1.0])
+    assert calls == [1]
+    assert v.tolist() == [1.0, 1.0] and steps == 0 and norm == 1.0
+    with pytest.raises(gf.NonConvergence,
+                       match=r"^no start converged: residual 1\.000e\+00 after 0 iterations$"):
+        _slope.newton_from_starts(_Pair, residual, [_Pair(1.0, 1.0)], lambda c: None)
+
+
 def test_the_limit_check_is_one_qvi_check_at_delta_zero(mp, lim):
     # verify_hjb_limit adds only the C2 row to one verify_qvi call at delta = 0
     calls = []
@@ -355,6 +374,31 @@ def test_the_band_search_and_the_grid_check_call_kernels(mp, cp, vf):
             patch.setattr(owner, "apply_generator", _forbidden("apply_generator"), raising=False)
         report = _slope.verify_qvi(mp, cp, vf, 501)
     assert report == expected[1] and report.passed
+
+
+def _cold_runs(mp, cp):
+    """A cold fig2 impulse and limit solve, both Monte Carlo estimates at
+    horizon 1 on their bands, with their first paths, and a coupling."""
+    sol, lim = gf.solve_boundaries(mp, cp), gf.solve_limit(mp, GAMMA)
+    cfg = gf.SimConfig(horizon=1.0, dt=1e-2, n_paths=20, base_seed=5)
+    estimates = (gf.estimate_growth_impulse(mp, cp, sol.candidate, cfg),
+                 gf.estimate_growth_reflected(mp, GAMMA, lim.candidate.A, lim.candidate.B, cfg))
+    rows = gf.couple_paths(mp, GAMMA, [1e-2, 1e-3], cfg)
+    return (sol, lim, estimates, [e.first_path.fractions.tolist() for e in estimates],
+            [(r.delta, r.mean_sup_distance, r.sup_distances.tolist(), r.trade_counts.tolist(),
+              r.jump_low, r.jump_high) for r in rows])
+
+
+def test_the_seed_the_floor_and_the_walks_call_kernels(mp, cp):
+    # below a check that already put its values inside a kernel's domain the
+    # kernel is called: the cold seed's logits, the growth of the no-trade
+    # floor and of the Merton rate, and the logits of each walked band and start
+    expected = _cold_runs(mp, cp)
+    with pytest.MonkeyPatch.context() as patch:
+        for owner in (market, qvi, _slope, limit, simulate):
+            for name in ("to_centered", "growth_integrand"):
+                patch.setattr(owner, name, _forbidden(name), raising=False)
+        assert _cold_runs(mp, cp) == expected
 
 
 COST_NAMES = {"gamma", "delta", "gm", "dl"}
