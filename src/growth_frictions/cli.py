@@ -439,8 +439,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
         vf = qvi.build_value(mp, cp, sol)
         report = qvi.verify_qvi(mp, cp, vf, cfg.get("grid_n"), tol=cfg.get("tol"))
     except (ParameterError, ParameterDegeneracy, ValueError) as err:
-        print(f"ERROR: qvi_violation: {err}", file=sys.stderr)
-        return 1
+        return _verdict(False, f"qvi_violation: {err}")
     print(report.summary())
     if report.passed:
         print(f"verified: residual_norm={res_norm:.3e}")

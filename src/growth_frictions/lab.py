@@ -262,30 +262,25 @@ class SweepTable:
 def sweep_delta(mp: MarketParams, gamma: float, deltas) -> SweepTable:
     """Solve the boundary system along a decreasing delta grid.
 
-    Each row warm starts from the previous one (the solver falls back to
-    its cold start if that fails).  A failed row aborts the sweep; the
-    raised NonConvergence carries the completed rows as .partial.
+    The rows are the warm-started delta ladder ``qvi._ladder``.  A failed
+    row aborts the sweep; the raised NonConvergence carries the completed
+    rows as .partial.
     """
     deltas = check_deltas(deltas, gamma)
     lim = _limit.solve_limit(mp, gamma)
     A, B = lim.candidate.A, lim.candidate.B
     rows = []
-    prev = None
-    for delta in deltas:
-        cp = CostParams(delta=delta, gamma=gamma)
-        try:
-            sol = _qvi.solve_boundaries(mp, cp, init=prev)
-        except NonConvergence as err:
-            err.partial = SweepTable(market=mp, gamma=gamma, rows=tuple(rows), limit=lim)
-            raise
-        cand = sol.candidate
-        prev = cand
-        rows.append(SweepRow(
-            delta=delta, a=cand.a, alpha=cand.alpha, beta=cand.beta, b=cand.b,
-            l=cand.l, rho=mp.r + cand.l,
-            gap_lo=cand.alpha - cand.a, gap_hi=cand.b - cand.beta,
-            dist_A=abs(cand.a - A), dist_B=abs(cand.b - B),
-        ))
+    try:
+        for delta, cand in _qvi._ladder(mp, gamma, deltas):
+            rows.append(SweepRow(
+                delta=delta, a=cand.a, alpha=cand.alpha, beta=cand.beta, b=cand.b,
+                l=cand.l, rho=mp.r + cand.l,
+                gap_lo=cand.alpha - cand.a, gap_hi=cand.b - cand.beta,
+                dist_A=abs(cand.a - A), dist_B=abs(cand.b - B),
+            ))
+    except NonConvergence as err:
+        err.partial = SweepTable(market=mp, gamma=gamma, rows=tuple(rows), limit=lim)
+        raise
     return SweepTable(market=mp, gamma=gamma, rows=tuple(rows), limit=lim)
 
 

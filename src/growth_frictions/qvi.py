@@ -174,6 +174,15 @@ def solve_boundaries(mp: MarketParams, cp: CostParams,
                             original_cost_optimal=bool(buys(cp, cand.a, cand.alpha)))
 
 
+def _ladder(mp: MarketParams, gamma: float, deltas):
+    """Yield (delta, candidate) along deltas, each solve warm-started from the
+    root before it: the one delta ladder of the sweep and the coupling."""
+    cand = None
+    for delta in deltas:
+        cand = solve_boundaries(mp, CostParams(delta=delta, gamma=gamma), init=cand).candidate
+        yield delta, cand
+
+
 def build_value(mp: MarketParams, cp: CostParams, sol: BoundarySolution) -> ValueFunction:
     """Assemble the piecewise value function from a converged solution.
 

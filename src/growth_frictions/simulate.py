@@ -408,8 +408,8 @@ def couple_paths(mp: MarketParams, gamma: float, deltas, cfg: SimConfig) -> list
     """Common-noise coupling of impulse paths against the reflected limit.
 
     deltas must be positive, decreasing and below 1 - gamma, which is
-    checked before anything is solved; each is solved by the boundary
-    solver (warm started along the list).  The start fraction is checked
+    checked before anything is solved; each is solved along the
+    warm-started delta ladder ``qvi._ladder``.  The start fraction is checked
     against the reflected band [A, B] before any delta is solved, and
     against every no-trade region before any path is walked.
     One CouplingRow per delta, reporting the mean over paths of
@@ -421,9 +421,7 @@ def couple_paths(mp: MarketParams, gamma: float, deltas, cfg: SimConfig) -> list
     lo_y, hi_y = _logit(A), _logit(B)
     h_start = _start(mp, cfg, A, B, closed=True, region="reflected band")
     bounds_y = []
-    cand = None
-    for delta in deltas:
-        cand = _qvi.solve_boundaries(mp, CostParams(delta=delta, gamma=gamma), init=cand).candidate
+    for delta, cand in _qvi._ladder(mp, gamma, deltas):
         if not cand.a < h_start < cand.b:
             raise ValueError(f"h0={h_start:g} outside the no-trade region at delta={delta:g}")
         bounds_y.append([_logit(v) for v in (cand.a, cand.alpha, cand.beta, cand.b)])

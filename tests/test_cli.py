@@ -667,21 +667,33 @@ def test_a_market_without_interior_optimum_is_one_named_error(command, mu, gamma
     assert not (tmp_path / "out").exists()
 
 
-def test_sweep_failure_keeps_the_solved_rows(config_file, tmp_path, capsys, monkeypatch):
+def _sweep_failing_at(failing, config_file, out, capsys, monkeypatch):
+    """Run the sweep CLI with solve call number `failing` raising
+    NonConvergence; it exits 1 with one ERROR line."""
     solve_boundaries = qvi.solve_boundaries
     calls = []
 
-    def third_fails(*args, **kwargs):
+    def one_fails(*args, **kwargs):
         calls.append(args)
-        if len(calls) == 3:
+        if len(calls) == failing:
             raise NonConvergence("injected failure")
         return solve_boundaries(*args, **kwargs)
 
-    monkeypatch.setattr(qvi, "solve_boundaries", third_fails)
-    out = tmp_path / "out"
+    monkeypatch.setattr(qvi, "solve_boundaries", one_fails)
     code = cli.main(["sweep", "--config", config_file, "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err.splitlines() == ["ERROR: non_convergence: injected failure"]
+
+
+def test_a_sweep_whose_first_delta_fails_writes_no_rows(config_file, tmp_path, capsys,
+                                                       monkeypatch):
+    _sweep_failing_at(1, config_file, tmp_path / "out", capsys, monkeypatch)
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+def test_sweep_failure_keeps_the_solved_rows(config_file, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    _sweep_failing_at(3, config_file, out, capsys, monkeypatch)
     rows = (out / "sweep.csv").read_text().splitlines()[1:]
     deltas = [float(row.split(",")[0]) for row in rows]
     assert deltas == [*cli.DEFAULT_SWEEP_DELTAS[:2], 0.0]  # two solved rows, then the limit

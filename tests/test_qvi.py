@@ -132,6 +132,19 @@ def test_x0_outside_the_open_targets_breaks_the_invariants(mp, sol, x0):
     c.check_invariants(mp)
 
 
+@pytest.mark.parametrize("moved, onto", [("alpha", "a"), ("b", "beta")])
+def test_a_target_on_its_trigger_breaks_the_ordering_invariant(mp, sol, moved, onto):
+    c = sol.candidate
+    with pytest.raises(gf.ParameterError, match=r"^0 < a < alpha <= beta < b < 1$"):
+        dataclasses.replace(c, **{moved: getattr(c, onto)}).check_invariants(mp)
+
+
+def test_verify_qvi_requires_a_hundred_grid_points(mp, cp, vf):
+    with pytest.raises(ValueError, match="^verify_qvi requires grid_n >= 100$"):
+        gf.verify_qvi(mp, cp, vf, 99)
+    assert gf.verify_qvi(mp, cp, vf, 100).grid_n == 100
+
+
 def test_tiny_gamma_closes_target_gap(mp):
     sol = gf.solve_boundaries(mp, gf.CostParams(delta=1e-3, gamma=1e-8))
     assert sol.candidate.beta - sol.candidate.alpha < 1e-3

@@ -96,13 +96,22 @@ def test_a_warm_started_sweep_row_is_the_cold_root(mp, sweep):
 TEN_DELTAS = (0.02, 0.01, 0.005, 0.002, 0.001, 5e-4, 2e-4, 1e-4, 5e-5, 2e-5)
 
 
+def _sweep_rows(mp, deltas):
+    return lab.sweep_delta(mp, 0.05, deltas).rows
+
+
+def _coupling_rows(mp, deltas):
+    return gf.couple_paths(mp, 0.05, deltas, gf.SimConfig(horizon=0.1, dt=1e-3, n_paths=2))
+
+
+@pytest.mark.parametrize("walk", [_sweep_rows, _coupling_rows], ids=["sweep", "couple"])
 @pytest.mark.parametrize("mu, deltas, delta", [(0.040, DEFAULT_SWEEP_DELTAS, 1e-4),
                                                (0.064, TEN_DELTAS, 2e-5)])
-def test_the_warm_delta_ladder_solves_where_the_cold_start_does_not(mu, deltas, delta,
+def test_the_warm_delta_ladder_solves_where_the_cold_start_does_not(mu, deltas, delta, walk,
                                                                     monkeypatch):
     # hhat 0.25 and 0.4 at gamma 0.05: the cold start's Newton run fails at
-    # delta, yet every row of the warm-started sweep solves and that row
-    # verifies, so sweep_delta's (and couple_paths') init is needed
+    # delta, yet every row of the warm-started sweep and coupling solves and
+    # that row verifies, so the ladder's init (qvi._ladder) is needed
     mp = gf.MarketParams(r=0.0, mu=mu, sigma=0.4)
     with pytest.raises(gf.NonConvergence, match="^no start converged"):
         gf.solve_boundaries(mp, gf.CostParams(delta=delta, gamma=0.05))
@@ -113,7 +122,7 @@ def test_the_warm_delta_ladder_solves_where_the_cold_start_does_not(mu, deltas, 
         return solved[cp_.delta]
 
     monkeypatch.setattr(qvi, "solve_boundaries", keep)
-    assert len(lab.sweep_delta(mp, 0.05, deltas).rows) == len(deltas)
+    assert len(walk(mp, deltas)) == len(deltas)
     cp = gf.CostParams(delta=delta, gamma=0.05)
     assert gf.verify_qvi(mp, cp, gf.build_value(mp, cp, solved[delta]), 2001).passed
 

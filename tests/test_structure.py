@@ -11,8 +11,10 @@ start, one domain check and then kernels when a policy is priced, and
 kernels below the band search's, the grid check's, the cold seed's, the
 no-trade floor's and the walks' own checks; a package namespace that is the
 union of its modules' __all__ and holds every exception type the CLI
-tags; the rule of the source line counter; and a test extra that names
-every third-party package the tests import."""
+tags; one warm-started delta ladder, in the solver module; the CLI's ERROR
+lines printed only by its verdict and its main; the rule of the source
+line counter; and a test extra that names every third-party package the
+tests import."""
 
 import ast
 import importlib.util
@@ -448,6 +450,41 @@ def test_the_package_exports_the_union_of_the_modules_all():
 def test_every_failure_the_cli_tags_has_its_type_in_the_package():
     kinds = {kind for kind, _ in cli._FAILURES} - {MemoryError, ValueError}
     assert {kind.__name__ for kind in kinds if getattr(gf, kind.__name__, None) is not kind} == set()
+
+
+def _called(call):
+    """The name a call node calls: f(...) and m.f(...) both give f."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_only_the_solver_module_warm_starts_the_boundary_solver():
+    # the sweep and the coupling walk qvi._ladder, the one warm-started delta
+    # ladder; a warm start is a third positional argument, init= or **kwargs
+    sites = [(path.name, node.lineno) for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and _called(node) == "solve_boundaries"
+             and (len(node.args) > 2 or any(kw.arg in ("init", None) for kw in node.keywords))]
+    assert {name for name, _ in sites} == {"qvi.py"}, sites
+
+
+def _leading_text(node):
+    """The literal text a str or f-string node starts with, else ""."""
+    if isinstance(node, ast.JoinedStr) and node.values:
+        node = node.values[0]
+    return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else ""
+
+
+def test_every_error_line_of_the_cli_is_printed_by_the_verdict_or_main():
+    # _verdict names a failed check and main a raised failure; no subcommand
+    # prints its own ERROR line
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    owner = {id(node): fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn)}
+    sites = [(owner.get(id(node), "<module>"), node.lineno) for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and _called(node) == "print" and node.args
+             and _leading_text(node.args[0]).startswith("ERROR:")]
+    assert {name for name, _ in sites} == {"_verdict", "main"}, sites
 
 
 def test_the_line_counter_skips_blanks_comments_and_docstrings():
