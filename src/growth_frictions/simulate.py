@@ -226,17 +226,16 @@ class _Band:
         step_bytes = y.shape[1] * (8 + 2 * y.shape[0] + (16 if bridge else 0))
         block = (min(max(_TILE // step_bytes, 1), cfg.n_steps),) + y.shape
         low, high = np.empty(block, dtype=bool), np.empty(block, dtype=bool)
-        if self.cp is None:  # a coupling only counts trades, so it keeps no pre-jump y
-            pre, dw, scratch = None, np.empty(block[:1] + block[2:]), np.empty(y.shape)
-        else:  # one row: the increments are drawn where the pre-jump y goes
-            pre = np.empty(block)
-            dw = pre[:, 0]
+        # the increments, one (1, n) slot a step; a priced walk (one row) then
+        # keeps its pre-jump y in the slot, while a coupling keeps none
+        dw = np.empty(block[:1] + (1,) + block[2:])
+        pre = None if self.cp is None else dw
         touch = np.empty((block[0], 2, len(paths))) if bridge else None
         gap = None if sup is None else np.empty_like(sup)
         for done in range(0, cfg.n_steps, block[0]):
             nb = min(block[0], cfg.n_steps - done)
             for i, gen in enumerate(gens):
-                dw[:nb, i] = gen.standard_normal(nb)
+                dw[:nb, 0, i] = gen.standard_normal(nb)
             dw[:nb] *= sq
             dw[:nb] += c
             if bridge:  # u < P(touch) in log form, per step and side
@@ -245,19 +244,18 @@ class _Band:
                 np.log(touch[:nb], out=touch[:nb])
                 touch[:nb] *= -0.5 * mp.sigma * mp.sigma * cfg.dt
             for j in range(nb):
-                if pre is None:
-                    yj = np.add(y, dw[j], out=scratch)
-                else:  # dw[j] is a view of pre[j], and numpy would copy it for out=pre[j]
-                    yj = pre[j]
-                    yj += y
-                np.less_equal(yj, lo, out=low[j])
-                np.greater_equal(yj, hi, out=high[j])
+                if bridge:  # y's gaps to the edges before the step, for the touch test
+                    below, above = y - lo, y - hi
+                np.add(y, dw[j], out=y)
+                if pre is not None:
+                    np.copyto(pre[j], y)
+                np.less_equal(y, lo, out=low[j])
+                np.greater_equal(y, hi, out=high[j])
                 if bridge:  # a sampled within-step touch trades from the boundary value
                     inside = ~(low[j] | high[j])
-                    cross_lo = inside & ((y - lo) * (yj - lo) < touch[j, 0])
+                    cross_lo = inside & (below * (y - lo) < touch[j, 0])
                     low[j] |= cross_lo
-                    high[j] |= inside & ~cross_lo & ((y - hi) * (yj - hi) < touch[j, 1])
-                np.copyto(y, yj)
+                    high[j] |= inside & ~cross_lo & (above * (y - hi) < touch[j, 1])
                 np.copyto(y, lo_to, where=low[j])
                 np.copyto(y, hi_to, where=high[j])
                 if gap is not None:

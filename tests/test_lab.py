@@ -355,6 +355,37 @@ def test_the_sweep_reaches_the_papers_rates(sweep, gap, rate):
     assert abs(slopes[-1] - rate) <= 0.01
 
 
+@pytest.mark.parametrize("mu, gamma", [
+    (0.096, GAMMA), (0.144, 1e-2), (0.016, 2e-2),
+    (0.0164, 4.86e-4),  # M16, hhat 0.1025
+], ids=["fig2", "mu0.144", "mu0.016", "M16"])
+def test_the_value_functions_converge_at_the_papers_rate(mu, gamma):
+    # the HJB solutions converge: on 20,001 points of [0.01, 0.99], with u
+    # less its value at A, sup |u'_delta - u'_0| and sup |u_delta - u_0|
+    # fall as delta^(2/3), like l0 - l, so their ratio to l0 - l settles;
+    # the 1e-7 -> 1e-8 slopes read 0.665 to 0.669 and the u' ratio moves by
+    # 0.1 % (fig2, 14.806 -> 14.792) to 0.74 % (M16, 31.05 -> 30.82)
+    mp, deltas = gf.MarketParams(r=0.0, mu=mu, sigma=0.4), (1e-6, 1e-7, 1e-8)
+    x = np.linspace(0.01, 0.99, 20001)
+    lim = gf.solve_limit(mp, gamma)
+    u0 = gf.build_limit_value(mp, gamma, lim)
+    A = lim.candidate.A
+    gaps = []
+    for delta in deltas:
+        cp = gf.CostParams(delta=delta, gamma=gamma)
+        sol = gf.solve_boundaries(mp, cp)
+        u = gf.build_value(mp, cp, sol)
+        gaps.append((np.max(np.abs(u.du(x) - u0.du(x))),
+                     np.max(np.abs(u.u(x) - u.u(A) - u0.u(x) + u0.u(A))),
+                     lim.candidate.l0 - sol.candidate.l))
+    du_gap, u_gap, l_gap = np.array(gaps).T
+    for sup in (du_gap, u_gap):
+        slope = math.log(sup[2] / sup[1]) / math.log(deltas[2] / deltas[1])
+        assert abs(slope - 2 / 3) <= 0.01
+    ratio = du_gap / l_gap
+    assert abs(ratio[2] / ratio[1] - 1.0) < 0.01
+
+
 def test_sweep_rows_satisfy_candidate_invariants(sweep):
     for row in sweep.rows:
         assert 0 < row.a < row.alpha < row.beta < row.b < 1

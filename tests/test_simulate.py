@@ -501,29 +501,38 @@ def test_band_walk_matches_holdings_reference(rule, mp, cp, sol, lim, monkeypatc
     assert np.max(np.abs(band.growth() - reference)) <= 1e-12
 
 
-def _band_reference(mp, cfg, rows, y0):
+def _band_reference(mp, cfg, rows, y0, bridge=False):
     """The band step path by path in plain floats: y + (z sq + c), then
-    y <= lo to lo_target and y >= hi to hi_target.  Each row's final y and
-    trade count, and sup |y - y_last| over the steps of every row but the last."""
+    y <= lo to lo_target and y >= hi to hi_target; with bridge, a path still
+    inside trades low if (y_prev - lo)(y - lo) < t_lo, else high if
+    (y_prev - hi)(y - hi) < t_hi, with t = log(u) sigma^2 dt / -2 from the
+    uniform stream.  Each row's final y and trade count, and sup |y - y_last|
+    over the steps of every row but the last."""
     c = (mp.mu - mp.r - 0.5 * mp.sigma * mp.sigma) * cfg.dt
     sq = mp.sigma * math.sqrt(cfg.dt)
     y, trades, sup = (np.zeros((len(rows), cfg.n_paths)) for _ in range(3))
     for i in range(cfg.n_paths):
         ys, counts, sups = [y0] * len(rows), [0] * len(rows), [0.0] * len(rows)
-        for z in gf.path_generator(cfg.base_seed, i).standard_normal(cfg.n_steps).tolist():
+        # numpy's log gives the same bits whatever the array's length, so one
+        # call over the path's uniforms equals the walker's block-wise calls
+        u = gf.path_generator(cfg.base_seed, i, stream=1).random(2 * cfg.n_steps)
+        touch = (np.log(u) * (-0.5 * mp.sigma * mp.sigma * cfg.dt)).reshape(-1, 2).tolist()
+        normals = gf.path_generator(cfg.base_seed, i).standard_normal(cfg.n_steps).tolist()
+        for z, (t_lo, t_hi) in zip(normals, touch):
             dw = z * sq + c
             for k, (lo, lo_to, hi_to, hi) in enumerate(rows):
+                prev = ys[k]
                 ys[k] += dw
-                if ys[k] <= lo:
+                if ys[k] <= lo or bridge and lo < ys[k] < hi and (prev - lo) * (ys[k] - lo) < t_lo:
                     ys[k], counts[k] = lo_to, counts[k] + 1
-                elif ys[k] >= hi:
+                elif ys[k] >= hi or bridge and (prev - hi) * (ys[k] - hi) < t_hi:
                     ys[k], counts[k] = hi_to, counts[k] + 1
             sups = [max(s, abs(v - ys[-1])) for s, v in zip(sups, ys)]
         y[:, i], trades[:, i], sup[:, i] = ys, counts, sups
     return y, trades, sup[:-1]
 
 
-@pytest.mark.parametrize("rule", ["impulse", "reflected", "coupled"])
+@pytest.mark.parametrize("rule", ["impulse", "bridge", "reflected", "coupled"])
 def test_band_walk_matches_a_plain_step_reference_bit_for_bit(rule, mp, cp, sol, lim):
     # the vectorised step is the plain one, not a reassociation of it: the
     # final y, the trade counts and the coupling's sup agree exactly
@@ -531,15 +540,27 @@ def test_band_walk_matches_a_plain_step_reference_bit_for_bit(rule, mp, cp, sol,
     c, A, B = sol.candidate, lim.candidate.A, lim.candidate.B
     impulse, reflected = ([float(v) for v in gf.to_centered(np.array(band))]
                           for band in ((c.a, c.alpha, c.beta, c.b), (A, A, B, B)))
-    rows, costs = {"impulse": ([impulse], cp), "coupled": ([impulse, reflected], None),
+    rows, costs = {"impulse": ([impulse], cp), "bridge": ([impulse], cp),
+                   "coupled": ([impulse, reflected], None),
                    "reflected": ([reflected], gf.CostParams(0.0, GAMMA))}[rule]
-    y0 = gf.to_centered(0.6)
-    band = simulate._Band(mp, cfg, range(3), rows, y0, costs).run()
-    y, trades, sup = _band_reference(mp, cfg, rows, y0)
+    y0, bridge = gf.to_centered(0.6), rule == "bridge"
+    band = simulate._Band(mp, cfg, range(3), rows, y0, costs).run(bridge)
+    y, trades, sup = _band_reference(mp, cfg, rows, y0, bridge)
     assert (trades > 0).all()
     assert np.array_equal(band.y, y) and np.array_equal(band.trades, trades)
     if costs is None:
         assert np.array_equal(band.sup, sup) and (sup > 0).all()
+    if bridge:  # the touch rule traded where the plain step did not
+        assert (trades > _band_reference(mp, cfg, rows, y0)[1]).any()
+
+
+def test_the_walk_raises_when_wealth_leaves_the_positive_cone(mp, lim, monkeypatch):
+    # a trade whose wealth factor is not finite stops the walk at its block
+    monkeypatch.setattr(simulate, "trade_cost_transformed",
+                        lambda cp, y, dy: np.full_like(y, np.nan))
+    cfg = gf.SimConfig(horizon=1.0, dt=1e-3, n_paths=4)
+    with pytest.raises(gf.NumericalBlowup, match="wealth left the positive cone"):
+        gf.estimate_growth_reflected(mp, GAMMA, lim.candidate.A, lim.candidate.B, cfg)
 
 
 def test_coupling_stack_equals_single_deltas(mp, monkeypatch):
@@ -604,6 +625,24 @@ def test_coupled_paths_stay_within_the_largest_edge_gap(params, gamma, deltas):
     rows = gf.couple_paths(mp, gamma, deltas, cfg)
     bounds_y = [[gf.to_centered(v) for v in (r.a, r.alpha, r.beta, r.b)] for r in table.rows]
     _assert_within_the_edge_gap(np.array([row.sup_distances for row in rows]), bounds_y, lo, hi)
+
+
+def test_coupled_paths_reach_the_largest_edge_gap(mp):
+    # the bound above is tight from below: over 10 years the mean of
+    # sup |Y_delta - Y| comes within a few % of M_delta.  Measured on fig2
+    # (200 paths, seed 3), in units of M_delta: 0.824 (SE 0.013) at 1e-2,
+    # 0.9725 (SE 0.0025) at 1e-3 and 0.9835 (SE 0.0014) at 1e-4; the rows
+    # with delta <= 1e-3 are pinned at the measured value less 3 SE, which
+    # is above 0.95 on both
+    deltas, floors = (1e-2, 1e-3, 1e-4), (0.0, 0.964, 0.979)
+    cfg = gf.SimConfig(horizon=10.0, dt=1e-3, n_paths=200, base_seed=3)
+    table = gf.sweep_delta(mp, GAMMA, deltas)  # the boundaries couple_paths solves
+    lo, hi = gf.to_centered(table.limit.candidate.A), gf.to_centered(table.limit.candidate.B)
+    rows = gf.couple_paths(mp, GAMMA, deltas, cfg)
+    for r, row, floor in zip(table.rows, rows, floors):
+        bounds_y = [gf.to_centered(v) for v in (r.a, r.alpha, r.beta, r.b)]
+        gap = np.max(np.abs(np.subtract(bounds_y, [lo, lo, hi, hi])))
+        assert row.mean_sup_distance >= floor * gap
 
 
 def test_coupled_random_rows_stay_within_the_largest_edge_gap(mp):
