@@ -494,27 +494,23 @@ def damped_newton(residual, v0):
 
     While the residual max-norm is above RESIDUAL_TOL each step is damped:
     the Jacobian at the iterate, and a step halved up to _MAX_HALVINGS times
-    while the norm does not drop.  One domain rule: a residual call that
-    raises ValueError is a failed trial, so a full step whose block leaves
-    the domain is halved like a halved step that does, while a start or a
-    Jacobian that raises ends the run, its ValueError propagating to the
-    start loop.  The start and each full step are priced with their
-    Jacobian in one residual call of n+1 points (``_priced``); a halved
-    step is priced alone, and its Jacobian is priced when the next damped
-    step needs it.  Within RESIDUAL_TOL each step is a chord step: the
-    last Jacobian used (the start's for a start already there) and one
-    residual call, kept only if it more than halves the norm; the first
-    that does not ends the run.
+    while the norm does not drop.  The start and every damped trial, full
+    or halved, are priced with their Jacobian in one residual call of n+1
+    points (``_priced``), and a kept trial's Jacobian is the next step's.
+    One domain rule: a trial whose call raises ValueError is a failed trial
+    and is halved, while a start that raises ends the run, its ValueError
+    propagating to the start loop.  Within RESIDUAL_TOL each step is a
+    chord step: the Jacobian of the last damped point (the start's for a
+    start already there) and one residual call, kept only if it more than
+    halves the norm; the first that does not ends the run.
     Returns (v, steps, residual_norm), steps counting every kept step; the
     caller decides whether the final norm is good enough.
     """
     v = np.array(v0, dtype=float)
-    fv, jac_v = _priced(residual, v)
-    norm, steps, jac = float(np.abs(fv).max()), 0, None
+    fv, jac = _priced(residual, v)
+    norm, steps = float(np.abs(fv).max()), 0
     while steps < _MAX_ITER:
         chord = norm <= RESIDUAL_TOL
-        if jac is None or not chord:
-            jac = _priced(residual, v)[1] if jac_v is None else jac_v
         try:
             dv = np.linalg.solve(jac, -fv)
         except np.linalg.LinAlgError:
@@ -522,7 +518,7 @@ def damped_newton(residual, v0):
         for halvings in range(1 if chord else _MAX_HALVINGS):
             try:
                 trial = v + 0.5 ** halvings * dv
-                ft, jt = ((np.asarray(residual(trial), dtype=float), None) if chord or halvings
+                ft, jt = ((np.asarray(residual(trial), dtype=float), jac) if chord
                           else _priced(residual, trial))
             except ValueError:
                 continue
@@ -531,7 +527,7 @@ def damped_newton(residual, v0):
                 break
         else:
             break
-        v, fv, jac_v, norm, steps = trial, ft, jt, trial_norm, steps + 1
+        v, fv, jac, norm, steps = trial, ft, jt, trial_norm, steps + 1
     return v, steps, norm
 
 

@@ -98,8 +98,9 @@ def solve_limit(mp: MarketParams, gamma: float,
     One Newton run from ``init`` when given (the warm start), then from
     ``best_band``, x0 at the Merton fraction (its "no interior optimum"
     propagates); the first valid root wins, else NonConvergence.  Each run
-    goes on below RESIDUAL_TOL by chord steps to the rounding floor
-    (``_slope.damped_newton``), so a warm and a cold root agree to rounding.
+    goes on below RESIDUAL_TOL by chord steps on the Jacobian of its last
+    damped point to the rounding floor (``_slope.damped_newton``), so a warm
+    and a cold root agree to rounding.
     At gamma = 0 the no-trade region collapses to the Merton point.
     """
     if gamma <= 0.0:

@@ -13,8 +13,8 @@ no-trade floor's and the walks' own checks; a package namespace that is the
 union of its modules' __all__ and holds every exception type the CLI
 tags; one warm-started delta ladder, in the solver module; the CLI's ERROR
 lines printed only by its verdict and its main; the rule of the source
-line counter; and a test extra that names every third-party package the
-tests import."""
+line counter; the outcome ledger's markets, taken from the tests; and a
+test extra that names every third-party package the tests import."""
 
 import ast
 import importlib.util
@@ -23,6 +23,7 @@ import re
 import subprocess
 import sys
 import types
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -189,7 +190,7 @@ def _cold_fig2_calls(solver, mp, cp):
 
 @pytest.mark.parametrize("solver", ["boundaries", "limit"])
 def test_each_jacobian_is_one_stacked_residual_call(solver, mp, cp):
-    # a cold fig2 solve is one Newton run; the start and each damped full step
+    # a cold fig2 solve is one Newton run; the start and each damped trial
     # are priced with their Jacobian in one call of n+1 points, the point
     # first, and the chord steps below RESIDUAL_TOL add single-point calls only
     result, calls, residual = _cold_fig2_calls(solver, mp, cp)
@@ -280,7 +281,8 @@ def test_a_start_whose_jacobian_raises_falls_over_to_the_next_start():
 def test_a_full_step_whose_block_leaves_the_domain_is_halved():
     # from x = 1 the full step lands at x = 1.5 - 2.5e-8, inside the domain
     # x <= 1.5 + 1e-7 and above RESIDUAL_TOL, but its difference column
-    # x + 1.5e-7 is not: the trial fails, and its half step, priced alone, is kept
+    # x + 1.5e-7 is not: the trial fails, and its half step, priced with its
+    # Jacobian in one stacked call, is kept
     calls = []
 
     def residual(c):
@@ -291,8 +293,28 @@ def test_a_full_step_whose_block_leaves_the_domain_is_halved():
 
     cand, iters, norm = _slope.newton_from_starts(
         _Pair, residual, [_Pair(1.0, 0.5)], lambda c: None)
-    assert calls[:4] == [1, 1, 0, 1]  # start, failed full step, half step, its Jacobian
+    assert calls[:3] == [1, 1, 1]  # start, failed full step, half step
     assert iters > 0 and norm <= _slope.RESIDUAL_TOL
+    assert (cand.x, cand.y) == pytest.approx((np.sqrt(2.0), 0.5), abs=1e-9)
+
+
+def test_a_half_step_whose_block_leaves_the_domain_is_halved_again():
+    # from x = 0.449 the full step leaves the domain x <= 1.45; the half step
+    # lands at x = 1.45 - 4.9e-8, inside it, but its difference column
+    # x + 1.45e-7 is not: that trial fails too and is halved again, so no
+    # kept iterate is one whose Jacobian cannot be priced
+    calls = []
+
+    def residual(c):
+        calls.append(np.ndim(c.x))
+        if np.any(np.asarray(c.x) > 1.45):
+            raise ValueError("outside the domain")
+        return np.array([c.x ** 2 - 2.0, c.y ** 3 - 0.125])
+
+    cand, iters, norm = _slope.newton_from_starts(
+        _Pair, residual, [_Pair(0.4491941411627431, 0.5)], lambda c: None)
+    assert calls[:4] == [1, 1, 1, 1]  # start, failed full step, failed half step, quarter step
+    assert iters == 6 and norm <= _slope.RESIDUAL_TOL
     assert (cand.x, cand.y) == pytest.approx((np.sqrt(2.0), 0.5), abs=1e-9)
 
 
@@ -487,17 +509,42 @@ def test_every_error_line_of_the_cli_is_printed_by_the_verdict_or_main():
     assert {name for name, _ in sites} == {"_verdict", "main"}, sites
 
 
+def _tool(name):
+    """tools/<name>.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parents[1] / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_the_line_counter_skips_blanks_comments_and_docstrings():
     # tools/src_lines.py: a code line holds a token that is not a comment,
     # outside the docstrings of the module, its classes and its functions
-    spec = importlib.util.spec_from_file_location(
-        "src_lines", Path(__file__).resolve().parents[1] / "tools" / "src_lines.py")
-    src_lines = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(src_lines)
+    src_lines = _tool("src_lines")
     source = ('"""Module\ndocstring."""\n\nimport os  # a comment\n# only a comment\n\n'
               'class C:\n    """One line."""\n\n    def f(self):\n        """Two\n        lines."""\n'
               '        return ("""not a\n        docstring""", os.sep)\n')
     assert src_lines.count(source) == (14, 5)
+
+
+def test_the_ledger_takes_its_markets_from_the_tests():
+    # tools/ledger.py: the anchors, both draws, the 84-point grid (both
+    # solvers) and the lopsided grids, and a record's outcome and detail
+    ledger = _tool("ledger")
+    markets = {(name, i, solver): (mp, costs)
+               for name, i, solver, mp, costs in ledger.markets(gf)}
+    assert Counter((name, solver) for name, _, solver in markets) == {
+        ("anchors", "impulse"): 7, ("anchors", "limit"): 7,
+        ("interior", "impulse"): 400, ("interior", "limit"): 400,
+        ("edges", "impulse"): 300, ("edges", "limit"): 300,
+        ("grid", "impulse"): 84, ("grid", "limit"): 84,
+        ("lopsided", "impulse"): 104, ("lopsided", "limit"): 130}
+    outcome, detail = ledger.record(gf, "limit", *markets["anchors", 0, "limit"])
+    assert outcome == "verified" and detail.startswith("l0=") and " newton_iters=" in detail
+    # the benchmark's infeasible anchor, which the cold impulse solve names
+    outcome, detail = ledger.record(gf, "impulse", *markets["anchors", 6, "impulse"])
+    assert outcome == "ParameterDegeneracy" and detail.startswith("no interior optimum")
 
 
 def _test_extra():
