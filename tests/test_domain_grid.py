@@ -13,7 +13,8 @@ The lopsided grids reach hhat 0.005 and 0.995 and gamma 0.2.  There every
 cold impulse solve verifies or is rejected by name; the limit points that
 do neither, and those whose best reflecting band does not beat the floor,
 are listed with their current outcome, so a change that moves one has to
-edit its list.
+edit its list.  Each cold solve is classified at 501 grid points by the
+draw gauges' impulse_outcome or limit_outcome.
 """
 
 import itertools
@@ -21,10 +22,11 @@ import itertools
 import pytest
 
 import growth_frictions as gf
-from growth_frictions import _slope, lab, limit, qvi
+from growth_frictions import _slope, lab, qvi
 from growth_frictions.market import from_centered, no_trade_floor, to_centered
 from asymptotics_reference import edge_distance
 from renewal_reference import assert_seed_names_as_the_oracle, oracle_seed, seed_outcome
+import test_random_draws as draws
 
 SIGMA = 0.4
 HHATS = (0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9)
@@ -52,21 +54,21 @@ NO_INTERIOR_BAND = {(0.005, 0.1), (0.005, 0.2), (0.01, 0.2), (0.99, 0.2), (0.995
 LIMIT_NON_CONVERGENCE = {(0.98, 0.2), (0.99, 0.1), (0.995, 5e-2)}
 
 
+def _grid_market(hhat):
+    return gf.MarketParams(r=0.0, mu=hhat * SIGMA * SIGMA, sigma=SIGMA)
+
+
 def _market(hhat):
     return gf.MarketParams(r=0.0, mu=hhat * 0.16, sigma=SIGMA)
 
 
 @pytest.mark.parametrize("hhat, gamma, delta", itertools.product(HHATS, GAMMAS, DELTAS))
 def test_cold_solve_verifies_or_is_rejected_by_name(hhat, gamma, delta):
-    mp = gf.MarketParams(r=0.0, mu=hhat * SIGMA * SIGMA, sigma=SIGMA)
-    cp = gf.CostParams(delta=delta, gamma=gamma)
+    outcome, found = draws.impulse_outcome(_grid_market(hhat), gf.CostParams(delta, gamma), 501)
     if (hhat, gamma, delta) in NO_INTERIOR_OPTIMUM:
-        with pytest.raises(gf.ParameterDegeneracy, match="no interior optimum"):
-            gf.solve_boundaries(mp, cp)
-        return
-    sol = gf.solve_boundaries(mp, cp)
-    vf = gf.build_value(mp, cp, sol)
-    assert gf.verify_qvi(mp, cp, vf, 501).passed
+        assert outcome == draws.NAMED and "no interior optimum" in str(found), found
+    else:
+        assert outcome == draws.VERIFIED, found
 
 
 @pytest.mark.parametrize("hhat, gamma, delta", sorted(BEATS_THE_FLOOR))
@@ -75,7 +77,7 @@ def test_the_named_points_have_an_interior_optimum(hhat, gamma, delta):
     # policy near the root verifies, and the closed form and the renewal
     # quadrature agree on a growth above the floor
     assert set(BEATS_THE_FLOOR) == NO_INTERIOR_OPTIMUM
-    mp = gf.MarketParams(r=0.0, mu=hhat * SIGMA * SIGMA, sigma=SIGMA)
+    mp = _grid_market(hhat)
     cp = gf.CostParams(delta=delta, gamma=gamma)
     with pytest.raises(gf.ParameterDegeneracy, match="no interior optimum"):
         gf.solve_boundaries(mp, cp)
@@ -96,7 +98,7 @@ def test_the_named_points_have_an_interior_optimum(hhat, gamma, delta):
 def test_seed_matches_the_flat_reference_seed(hhat, gamma, delta):
     # the axis-wise renewal search picks the seed, or names the failure,
     # exactly as the flattened candidate list did
-    mp = gf.MarketParams(r=0.0, mu=hhat * SIGMA * SIGMA, sigma=SIGMA)
+    mp = _grid_market(hhat)
     cp = gf.CostParams(delta=delta, gamma=gamma)
     band = _slope.best_band(mp, gamma)[2:]  # the band the cold solve seeds around
     assert seed_outcome(qvi._oracle_seed, mp, cp, band) == seed_outcome(oracle_seed, mp, cp, band)
@@ -107,7 +109,7 @@ def test_seed_names_its_winner_as_the_oracle_prices_it(hhat, gamma, delta, monke
     # the seed prices in closed form only, so its grid value is the growth
     # it seeds and names by: the renewal quadrature agrees within 1e-12 and
     # on which side of the floor it falls
-    mp = gf.MarketParams(r=0.0, mu=hhat * SIGMA * SIGMA, sigma=SIGMA)
+    mp = _grid_market(hhat)
     assert assert_seed_names_as_the_oracle(mp, gf.CostParams(delta=delta, gamma=gamma),
                                            monkeypatch)
 
@@ -123,23 +125,15 @@ def test_lopsided_seed_names_its_winner_as_the_oracle_prices_it(hhat, gamma, del
 
 @pytest.mark.parametrize("hhat, gamma", itertools.product(LOPSIDED_HHATS, LIMIT_GAMMAS))
 def test_cold_limit_solve_verifies_or_keeps_its_listed_outcome(hhat, gamma):
-    mp = _market(hhat)
-    if (hhat, gamma) in LIMIT_NON_CONVERGENCE:
-        with pytest.raises(gf.NonConvergence, match="^no start converged"):
-            gf.solve_limit(mp, gamma)
-        return
-    if (hhat, gamma) in NO_INTERIOR_BAND:
-        with pytest.raises(gf.ParameterDegeneracy, match="^no interior optimum"):
-            gf.solve_limit(mp, gamma)
-        return
-    sol = gf.solve_limit(mp, gamma)
-    report = gf.verify_hjb_limit(mp, gamma, sol, 501)
-    assert report.passed == ((hhat, gamma) not in UNRESOLVED_BAND | C2_ONLY)
-    assert (report.unresolved_band != "") == ((hhat, gamma) in UNRESOLVED_BAND)
-    if (hhat, gamma) in C2_ONLY:
-        value = gf.build_limit_value(mp, gamma, sol)
-        assert gf.verify_qvi(mp, gf.CostParams(0.0, gamma), value, 501).passed
-        assert report.second_deriv_mismatch > limit.SECOND_ORDER_TOL
+    outcome, found = draws.limit_outcome(_market(hhat), gamma, 501)
+    point = hhat, gamma
+    if point in LIMIT_NON_CONVERGENCE:
+        assert outcome == draws.NON_CONVERGENCE and str(found).startswith("no start converged")
+    elif point in NO_INTERIOR_BAND:
+        assert outcome == draws.NAMED and str(found).startswith("no interior optimum")
+    else:
+        assert outcome == (draws.NO_GRID_POINT if point in UNRESOLVED_BAND else
+                           draws.C2_ONLY if point in C2_ONLY else draws.VERIFIED), found
 
 
 def test_edge_distance_separates_named_from_verified_limit_points():
@@ -156,11 +150,6 @@ def test_edge_distance_separates_named_from_verified_limit_points():
 
 @pytest.mark.parametrize("hhat, gamma", itertools.product(LOPSIDED_HHATS, IMPULSE_GAMMAS))
 def test_cold_impulse_solve_verifies_or_is_named_on_the_lopsided_grid(hhat, gamma):
-    mp = _market(hhat)
-    cp = gf.CostParams(delta=1e-3, gamma=gamma)
-    try:
-        sol = gf.solve_boundaries(mp, cp)
-    except gf.ParameterDegeneracy as err:
-        assert str(err).startswith("no interior optimum"), err
-        return
-    assert gf.verify_qvi(mp, cp, gf.build_value(mp, cp, sol), 501).passed
+    outcome, found = draws.impulse_outcome(_market(hhat), gf.CostParams(1e-3, gamma), 501)
+    assert outcome == draws.VERIFIED or (
+        outcome == draws.NAMED and str(found).startswith("no interior optimum")), found

@@ -1,12 +1,13 @@
 """Cold solves at seeded random draws of (hhat, gamma, delta), at r = 0 and
-sigma = 0.4 (mu = 0.16 hhat).
+sigma = 0.4 (mu = hhat sigma^2).
 
 Every point either verifies at 2001 grid points or is rejected by name
 (ParameterDegeneracy), except the listed points.  Each listed point keeps its
 current outcome: a band that holds no grid point, a limit root that fails
 only the C2 gate, or NonConvergence.  So a change that moves a point in
 either direction has to edit its list, and never by re-seeding or resizing
-a draw.
+a draw.  impulse_outcome and limit_outcome also classify the grid gauges
+and the ledger.
 
 A log-uniform value on (lo, hi) is 10 ** rng.uniform(log10 lo, log10 hi).
 Each draw takes its values in the order written below.
@@ -88,46 +89,44 @@ def _market(hhat):
     return gf.MarketParams(r=0.0, mu=hhat * SIGMA * SIGMA, sigma=SIGMA)
 
 
-def _impulse_outcome(hhat, gamma, delta):
-    """The outcome of a cold impulse solve, and its solution when verified."""
-    mp, cp = _market(hhat), gf.CostParams(delta=delta, gamma=gamma)
+def impulse_outcome(mp, cp, grid_n):
+    """(outcome, the solution or the raised error) of a cold impulse solve."""
     try:
         sol = gf.solve_boundaries(mp, cp)
-    except gf.ParameterDegeneracy:
-        return NAMED, None
-    except gf.NonConvergence:
-        return NON_CONVERGENCE, None
-    report = gf.verify_qvi(mp, cp, gf.build_value(mp, cp, sol), GRID_N)
+    except (gf.ParameterDegeneracy, gf.NonConvergence) as err:
+        return (NAMED if isinstance(err, gf.ParameterDegeneracy) else NON_CONVERGENCE), err
+    report = gf.verify_qvi(mp, cp, gf.build_value(mp, cp, sol), grid_n)
     if report.passed:
         return VERIFIED, sol
-    return (NO_GRID_POINT if report.unresolved_band else "failed"), None
+    return (NO_GRID_POINT if report.unresolved_band else "failed"), sol
 
 
-def _limit_outcome(hhat, gamma, delta):
-    mp = _market(hhat)
+def limit_outcome(mp, gamma, grid_n):
+    """(outcome, the solution or the raised error) of a cold limit solve; a
+    root that fails only the C2 gate and passes the QVI check is C2 only."""
     try:
         sol = gf.solve_limit(mp, gamma)
-    except gf.ParameterDegeneracy:
-        return NAMED, None
-    except gf.NonConvergence:
-        return NON_CONVERGENCE, None
-    report = gf.verify_hjb_limit(mp, gamma, sol, GRID_N)
+    except (gf.ParameterDegeneracy, gf.NonConvergence) as err:
+        return (NAMED if isinstance(err, gf.ParameterDegeneracy) else NON_CONVERGENCE), err
+    report = gf.verify_hjb_limit(mp, gamma, sol, grid_n)
     if report.passed:
         return VERIFIED, sol
     if report.unresolved_band:
-        return NO_GRID_POINT, None
+        return NO_GRID_POINT, sol
     value = gf.build_limit_value(mp, gamma, sol)
     if (report.second_deriv_mismatch > limit.SECOND_ORDER_TOL
-            and gf.verify_qvi(mp, gf.CostParams(0.0, gamma), value, GRID_N).passed):
-        return C2_ONLY, None
-    return "failed", None
+            and gf.verify_qvi(mp, gf.CostParams(0.0, gamma), value, grid_n).passed):
+        return C2_ONLY, sol
+    return "failed", sol
 
 
 @cache
 def _outcomes(draw, model):
-    """(outcome, solution) at each point of a draw, solved once per session."""
-    solve = _impulse_outcome if model == "impulse" else _limit_outcome
-    return [solve(*point) for point in DRAWS[draw]]
+    """impulse_outcome or limit_outcome at each point of a draw, once per session."""
+    if model == "impulse":
+        return [impulse_outcome(_market(hhat), gf.CostParams(delta=delta, gamma=gamma), GRID_N)
+                for hhat, gamma, delta in DRAWS[draw]]
+    return [limit_outcome(_market(hhat), gamma, GRID_N) for hhat, gamma, _ in DRAWS[draw]]
 
 
 @pytest.mark.parametrize("draw, model", list(COUNTS), ids=[f"{d}-{m}" for d, m in COUNTS])

@@ -13,8 +13,9 @@ no-trade floor's and the walks' own checks; a package namespace that is the
 union of its modules' __all__ and holds every exception type the CLI
 tags; one warm-started delta ladder, in the solver module; the CLI's ERROR
 lines printed only by its verdict and its main; the rule of the source
-line counter; the outcome ledger's markets, taken from the tests; and a
-test extra that names every third-party package the tests import."""
+line counter; the outcome ledger's markets and outcome rule, taken from
+the tests, and its CLI section, the same in two directories; and a test
+extra that names every third-party package the tests import."""
 
 import ast
 import importlib.util
@@ -530,8 +531,12 @@ def test_the_line_counter_skips_blanks_comments_and_docstrings():
 
 def test_the_ledger_takes_its_markets_from_the_tests():
     # tools/ledger.py: the anchors, both draws, the 84-point grid (both
-    # solvers) and the lopsided grids, and a record's outcome and detail
+    # solvers) and the lopsided grids, and a record's outcome and detail,
+    # classified by the draw gauges' rule and no verifier of its own
     ledger = _tool("ledger")
+    tree = ast.parse(Path(ledger.__file__).read_text(encoding="utf-8"))
+    called = {_called(node) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert called.isdisjoint({"verify_qvi", "verify_hjb_limit", "build_value"})
     markets = {(name, i, solver): (mp, costs)
                for name, i, solver, mp, costs in ledger.markets(gf)}
     assert Counter((name, solver) for name, _, solver in markets) == {
@@ -540,11 +545,27 @@ def test_the_ledger_takes_its_markets_from_the_tests():
         ("edges", "impulse"): 300, ("edges", "limit"): 300,
         ("grid", "impulse"): 84, ("grid", "limit"): 84,
         ("lopsided", "impulse"): 104, ("lopsided", "limit"): 130}
-    outcome, detail = ledger.record(gf, "limit", *markets["anchors", 0, "limit"])
+    outcome, detail = ledger.record("limit", *markets["anchors", 0, "limit"])
     assert outcome == "verified" and detail.startswith("l0=") and " newton_iters=" in detail
     # the benchmark's infeasible anchor, which the cold impulse solve names
-    outcome, detail = ledger.record(gf, "impulse", *markets["anchors", 6, "impulse"])
+    outcome, detail = ledger.record("impulse", *markets["anchors", 6, "impulse"])
     assert outcome == "ParameterDegeneracy" and detail.startswith("no interior optimum")
+    # a listed point of the edge draw
+    assert ledger.record("limit", *markets["edges", 190, "limit"])[0] == "C2 only"
+
+
+def test_the_ledgers_cli_section_is_the_same_in_two_directories(tmp_path_factory):
+    # tools/ledger.py's CLI section on fig2's solve and a verify of its
+    # solution.csv: each file written, stdout, stderr and the exit code
+    ledger = _tool("ledger")
+    runs = (("solve",), ("verify", "--grid_n", "201", "--solution", "{work}/0/solution.csv"))
+    lines, again = (list(ledger.cli_records(runs, tmp_path_factory.mktemp("cli")))
+                    for _ in range(2))
+    assert lines == again
+    assert [artifact for _, _, artifact, _ in lines] == [
+        "qvi_report.txt", "solution.csv", "stdout", "stderr", "exit",
+        "stdout", "stderr", "exit"]
+    assert (lines[4], lines[-1]) == ((0, "solve", "exit", 0), (1, "verify", "exit", 0))
 
 
 def _test_extra():

@@ -1,4 +1,5 @@
-"""Write the outcome ledger: one line per cold solve of the pinned markets.
+"""Write the outcome ledger: one line per cold solve of the pinned markets,
+then one line per artifact of the fig2 CLI runs.
 
     python tools/ledger.py [ROOT] > ledger.txt
 
@@ -15,24 +16,50 @@ ledger and the tests that pin these outcomes cannot drift apart:
   IMPULSE_GAMMAS at delta 1e-3, each numbered on its own.
 
 Each record is one tab-separated line: set, index, solver (impulse or
-limit), outcome and detail.  A root's outcome is its class at 2001 grid
-points, as ``test_random_draws`` classifies it (verified, no grid point,
-C2 only or failed), and its detail the repr of each candidate field, then
+limit), outcome and detail.  The outcome rule is the draw gauges' own,
+``test_random_draws.impulse_outcome`` and ``limit_outcome`` at 2001 grid
+points: a root's outcome is its class (verified, no grid point, C2 only or
+failed) and its detail the repr of each candidate field, then
 ``newton_iters`` and ``residual_norm``; a failed solve's outcome is its
 error's type (ParameterDegeneracy or NonConvergence) and its detail the
-message.  The per-(set, solver, outcome) counts go to stderr.  A diff of
-two ledgers lists every outcome, root or message that moved between the
-two trees.
+message.  The per-(set, solver, outcome) counts go to stderr.
+
+The CLI section follows: the fig2 runs of CLI_RUNS, on ``test_cli.FIG2``,
+each called in process with its own output directory inside one temporary
+directory.  Each line is ``cli``, the run's index, its subcommand, an
+artifact (each file it wrote, then stdout, stderr and exit) and the
+artifact's sha256, or the exit code.
+
+A diff of two ledgers lists every outcome, root, message or CLI output that
+moved between the two trees.
 """
 
+import contextlib
+import hashlib
 import importlib
+import io
 import itertools
 import sys
+import tempfile
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
 GRID_N = 2001
+# each run's words before --config and --out; {work} is the directory that
+# holds the config and each run's output directory, named by its index
+CLI_RUNS = (
+    ("solve",),
+    ("verify", "--grid_n", "4001", "--solution", "{work}/0/solution.csv"),
+    ("limit",),
+    ("sweep",),
+    ("oracle",),
+    ("simulate", "--horizon", "10", "--seed", "3", "--dump_paths", "1"),
+    ("reflect", "--horizon", "10", "--seed", "3", "--dump_paths", "1"),
+    ("couple", "--horizon", "10", "--seed", "3"),
+    ("couple", "--horizon", "2", "--seed", "3", "--deltas",
+     "0.02,0.01,0.005,0.002,0.001,0.0005,0.0002,0.0001,0.00005,0.00002"),
+)
 
 
 def markets(gf):
@@ -51,7 +78,7 @@ def markets(gf):
             yield name, i, "limit", mp, gamma
     for i, (hhat, gamma, delta) in enumerate(
             itertools.product(grid.HHATS, grid.GAMMAS, grid.DELTAS)):
-        mp = gf.MarketParams(r=0.0, mu=hhat * grid.SIGMA * grid.SIGMA, sigma=grid.SIGMA)
+        mp = grid._grid_market(hhat)
         yield "grid", i, "impulse", mp, gf.CostParams(delta=delta, gamma=gamma)
         yield "grid", i, "limit", mp, gamma
     for i, (hhat, gamma) in enumerate(
@@ -62,38 +89,39 @@ def markets(gf):
         yield "lopsided", i, "limit", grid._market(hhat), gamma
 
 
-def _impulse_class(gf, mp, cp, sol):
-    report = gf.verify_qvi(mp, cp, gf.build_value(mp, cp, sol), GRID_N)
-    if report.passed:
-        return "verified"
-    return "no grid point" if report.unresolved_band else "failed"
-
-
-def _limit_class(gf, mp, gamma, sol):
-    report = gf.verify_hjb_limit(mp, gamma, sol, GRID_N)
-    if report.passed:
-        return "verified"
-    if report.unresolved_band:
-        return "no grid point"
-    value = gf.build_limit_value(mp, gamma, sol)
-    if (report.second_deriv_mismatch > gf.limit.SECOND_ORDER_TOL
-            and gf.verify_qvi(mp, gf.CostParams(0.0, gamma), value, GRID_N).passed):
-        return "C2 only"
-    return "failed"
-
-
-def record(gf, solver, mp, costs):
+def record(solver, mp, costs):
     """(outcome, detail) of one cold solve."""
-    solve, classify = ((gf.solve_boundaries, _impulse_class) if solver == "impulse"
-                       else (gf.solve_limit, _limit_class))
-    try:
-        sol = solve(mp, costs)
-    except (gf.ParameterDegeneracy, gf.NonConvergence) as err:
-        return type(err).__name__, str(err)
-    c = sol.candidate
+    draws = importlib.import_module("test_random_draws")
+    classify = draws.impulse_outcome if solver == "impulse" else draws.limit_outcome
+    outcome, found = classify(mp, costs, GRID_N)
+    if isinstance(found, Exception):
+        return type(found).__name__, str(found)
+    c = found.candidate
     values = " ".join(f"{f.name}={getattr(c, f.name)!r}" for f in fields(c))
-    return (classify(gf, mp, costs, sol),
-            f"{values} newton_iters={sol.newton_iters} residual_norm={sol.residual_norm!r}")
+    return (outcome,
+            f"{values} newton_iters={found.newton_iters} residual_norm={found.residual_norm!r}")
+
+
+def cli_records(runs, work):
+    """(index, subcommand, artifact, sha256 or exit code) of each run, called
+    in process on test_cli.FIG2 in the directory work."""
+    cli = importlib.import_module("growth_frictions.cli")
+    config = work / "fig2.conf"
+    config.write_text(importlib.import_module("test_cli").FIG2, encoding="utf-8")
+    for i, (command, *words) in enumerate(runs):
+        out, stdout, stderr = work / str(i), io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main([command, *(word.format(work=work) for word in words),
+                             "--config", str(config), "--out", str(out)])
+        for path in sorted(path for path in out.rglob("*") if path.is_file()):
+            yield i, command, path.relative_to(out).as_posix(), _sha256(path.read_bytes())
+        yield i, command, "stdout", _sha256(stdout.getvalue().encode())
+        yield i, command, "stderr", _sha256(stderr.getvalue().encode())
+        yield i, command, "exit", code
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
 
 
 def main(argv) -> None:
@@ -103,9 +131,12 @@ def main(argv) -> None:
 
     counts = Counter()
     for name, i, solver, mp, costs in markets(gf):
-        outcome, detail = record(gf, solver, mp, costs)
+        outcome, detail = record(solver, mp, costs)
         counts[name, solver, outcome] += 1
         print(f"{name}\t{i}\t{solver}\t{outcome}\t{detail}")
+    with tempfile.TemporaryDirectory() as work:
+        for i, command, artifact, value in cli_records(CLI_RUNS, Path(work)):
+            print(f"cli\t{i}\t{command}\t{artifact}\t{value}")
     for (name, solver, outcome), n in sorted(counts.items()):
         print(f"{name:<9}{solver:<8}{outcome:<20}{n:>5}", file=sys.stderr)
 
