@@ -63,7 +63,8 @@ def _checked(caster, ok, rule: str):
     return cast
 
 
-# key -> (caster, default); None defaults mean "must be supplied where used"
+# key -> (caster, default); the walk keys take SimConfig's defaults, and any
+# other None default means "must be supplied where used" (seed's is GF_SEED's)
 _KEYS = {
     "r": (float, None),
     "mu": (float, None),
@@ -77,11 +78,11 @@ _KEYS = {
     "tol": (_checked(float, lambda v: 0 < v < np.inf, "tol must be positive and finite"), 1e-6),
     "horizon": (float, 200.0),
     "dt": (float, 1e-3),
-    "v0": (float, 1.0),
-    "h0": (float, None),
-    "n_paths": (int, 1000),
+    "v0": (float, simulate.SimConfig.v0),
+    "h0": (float, simulate.SimConfig.h0),
+    "n_paths": (int, simulate.SimConfig.n_paths),
     "seed": (_checked(int, lambda n: 0 <= n < 2**64, "seed must lie in [0, 2**64)"), None),
-    "bridge_correction": (_parse_bool, False),
+    "bridge_correction": (_parse_bool, simulate.SimConfig.bridge_correction),
     "dump_paths": (_parse_bool, False),
     # the four boundaries, each searched over +-radius, fit in order inside
     # (0, 1) only if radius < 1/6; the box around the solution is checked later
@@ -370,34 +371,33 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     return _verdict(not report.flags, "monotonicity_violation")
 
 
+def _report_walk(cfg: RunConfig, est: simulate.GrowthEstimate, walk: str, source: str,
+                 rho: float, event: str) -> int:
+    """simulate's and reflect's tail: growth.csv, paths.csv of path 0 (trades
+    named <event>_lo or <event>_hi) when dump_paths is set, and one growth line."""
+    _write(cfg.out_dir, "growth.csv", growth_csv(est))
+    if cfg.get("dump_paths"):
+        _write(cfg.out_dir, "paths.csv", paths_csv(est.first_path, event))
+    print(f"{walk} growth: {est.mean_growth:.8f} +- {est.std_error:.2e} "
+          f"({source} rho {rho:.8f})")
+    return 0
+
+
 def _cmd_simulate(cfg: RunConfig) -> int:
     mp, cp = cfg.market(), cfg.costs()
     sim = cfg.sim()
-    sol = qvi.solve_boundaries(mp, cp)
-    est = simulate.estimate_growth_impulse(mp, cp, sol.candidate, sim)
-    _write(cfg.out_dir, "growth.csv", growth_csv(est))
-    if cfg.get("dump_paths"):
-        _write(cfg.out_dir, "paths.csv", paths_csv(est.first_path, "trade"))
-    rho = mp.r + sol.candidate.l
-    print(f"impulse growth: {est.mean_growth:.8f} +- {est.std_error:.2e} "
-          f"(solver rho {rho:.8f})")
-    return 0
+    c = qvi.solve_boundaries(mp, cp).candidate
+    est = simulate.estimate_growth_impulse(mp, cp, c, sim)
+    return _report_walk(cfg, est, "impulse", "solver", mp.r + c.l, "trade")
 
 
 def _cmd_reflect(cfg: RunConfig) -> int:
     mp = cfg.market()
     gamma = cfg.require("gamma")
     sim = cfg.sim()
-    sol = limit.solve_limit(mp, gamma)
-    A, B = sol.candidate.A, sol.candidate.B
-    est = simulate.estimate_growth_reflected(mp, gamma, A, B, sim)
-    _write(cfg.out_dir, "growth.csv", growth_csv(est))
-    if cfg.get("dump_paths"):
-        _write(cfg.out_dir, "paths.csv", paths_csv(est.first_path, "reflect"))
-    rho = mp.r + sol.candidate.l0
-    print(f"reflected growth: {est.mean_growth:.8f} +- {est.std_error:.2e} "
-          f"(limit rho {rho:.8f})")
-    return 0
+    c = limit.solve_limit(mp, gamma).candidate
+    est = simulate.estimate_growth_reflected(mp, gamma, c.A, c.B, sim)
+    return _report_walk(cfg, est, "reflected", "limit", mp.r + c.l0, "reflect")
 
 
 def _cmd_couple(cfg: RunConfig) -> int:

@@ -350,6 +350,24 @@ def test_simulate_and_reflect(config_file, tmp_path):
     assert events <= {"", "reflect_lo", "reflect_hi"}
 
 
+@pytest.mark.parametrize("command, line", [
+    ("simulate", "impulse growth: {:.8f} +- {:.2e} (solver rho {:.8f})\n"),
+    ("reflect", "reflected growth: {:.8f} +- {:.2e} (limit rho {:.8f})\n")])
+def test_simulate_and_reflect_print_one_growth_line(command, line, config_file, tmp_path,
+                                                    capsys, sol, lim):
+    # without dump_paths the walk writes growth.csv alone and prints its estimate
+    # against the solved rho, on stdout only
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", config_file, "--out", str(out),
+                     "--horizon", "2", "--dt", "0.02", "--n_paths", "8"])
+    assert code == 0
+    printed = capsys.readouterr()
+    assert sorted(p.name for p in out.iterdir()) == ["growth.csv"]
+    mean, se = map(float, (out / "growth.csv").read_text().splitlines()[1].split(",")[:2])
+    rho = sol.candidate.l if command == "simulate" else lim.candidate.l0  # r = 0
+    assert (printed.out, printed.err) == (line.format(mean, se, rho), "")
+
+
 @pytest.mark.parametrize("command", ["simulate", "reflect"])
 def test_dump_paths_records_path_zero_in_the_batch_walk(command, config_file, tmp_path,
                                                         monkeypatch):
@@ -490,6 +508,13 @@ def test_env_seed_default(config_file, tmp_path, monkeypatch):
     monkeypatch.delenv("GF_SEED")
     assert cli.main(args + ["--out", str(out2), "--seed", "17"]) == 0
     assert (out1 / "growth.csv").read_bytes() == (out2 / "growth.csv").read_bytes()
+
+
+def test_the_walk_defaults_are_simconfigs(config_file, monkeypatch):
+    # no walk key given and GF_SEED unset: the CLI's walk is SimConfig's default walk
+    monkeypatch.delenv("GF_SEED", raising=False)
+    assert cli.parse_config(config_file).sim() == simulate.SimConfig(horizon=200.0, dt=1e-3,
+                                                                     base_seed=0)
 
 
 def test_seventeen_digit_round_trip(config_file, tmp_path):

@@ -8,7 +8,6 @@ from scipy.integrate import quad
 
 import growth_frictions as gf
 from growth_frictions import _slope, lab, qvi
-from mc_reference import exit_mc
 from renewal_reference import box_rows, renewal_batch
 
 GAMMA = 0.003
@@ -35,18 +34,6 @@ def test_exit_time_branches_agree():
         assert m == pytest.approx(direct, rel=1e-9)
     assert gf.expected_exit_time(0.0, vol, lo, hi, y) == pytest.approx(
         (y - lo) * (hi - y) / vol**2, rel=1e-12)
-
-
-def test_exit_helpers_vs_monte_carlo(mp):
-    c = mp.mu - mp.r - 0.5 * mp.sigma**2
-    lo, hi, y0 = -0.3, 0.4, 0.05
-    up, t_exit = exit_mc(c, mp.sigma, lo, hi, y0, 20000, 1e-3, 424242)
-    p_hat = up.mean()
-    se_p = up.std(ddof=1) / math.sqrt(up.size)
-    m_hat = t_exit.mean()
-    se_m = t_exit.std(ddof=1) / math.sqrt(t_exit.size)
-    assert abs(p_hat - gf.exit_prob_up(c, mp.sigma, lo, hi, y0)) <= 3 * se_p
-    assert abs(m_hat - gf.expected_exit_time(c, mp.sigma, lo, hi, y0)) <= 3 * se_m + 1e-3
 
 
 def _exit_time_decimal(drift, vol, lo, hi, y):
