@@ -64,7 +64,7 @@ def _market(hhat):
 
 @pytest.mark.parametrize("hhat, gamma, delta", itertools.product(HHATS, GAMMAS, DELTAS))
 def test_cold_solve_verifies_or_is_rejected_by_name(hhat, gamma, delta):
-    outcome, found = draws.impulse_outcome(_grid_market(hhat), gf.CostParams(delta, gamma), 501)
+    outcome, found, _ = draws.impulse_outcome(_grid_market(hhat), gf.CostParams(delta, gamma), 501)
     if (hhat, gamma, delta) in NO_INTERIOR_OPTIMUM:
         assert outcome == draws.NAMED and "no interior optimum" in str(found), found
     else:
@@ -125,7 +125,7 @@ def test_lopsided_seed_names_its_winner_as_the_oracle_prices_it(hhat, gamma, del
 
 @pytest.mark.parametrize("hhat, gamma", itertools.product(LOPSIDED_HHATS, LIMIT_GAMMAS))
 def test_cold_limit_solve_verifies_or_keeps_its_listed_outcome(hhat, gamma):
-    outcome, found = draws.limit_outcome(_market(hhat), gamma, 501)
+    outcome, found, _ = draws.limit_outcome(_market(hhat), gamma, 501)
     point = hhat, gamma
     if point in LIMIT_NON_CONVERGENCE:
         assert outcome == draws.NON_CONVERGENCE and str(found).startswith("no start converged")
@@ -150,6 +150,6 @@ def test_edge_distance_separates_named_from_verified_limit_points():
 
 @pytest.mark.parametrize("hhat, gamma", itertools.product(LOPSIDED_HHATS, IMPULSE_GAMMAS))
 def test_cold_impulse_solve_verifies_or_is_named_on_the_lopsided_grid(hhat, gamma):
-    outcome, found = draws.impulse_outcome(_market(hhat), gf.CostParams(1e-3, gamma), 501)
+    outcome, found, _ = draws.impulse_outcome(_market(hhat), gf.CostParams(1e-3, gamma), 501)
     assert outcome == draws.VERIFIED or (
         outcome == draws.NAMED and str(found).startswith("no interior optimum")), found

@@ -236,6 +236,19 @@ def test_value_second_derivative_matches_differences(sol, vf):
     assert np.max(np.abs(fd - vf.ddu(grid))) <= 1e-5
 
 
+@pytest.mark.parametrize("model", ["impulse", "limit"])
+def test_the_value_function_at_an_array_is_its_value_at_each_point(mp, cp, vf, lim, model):
+    # u, du and ddu at an unsorted array with repeats, holding the band's own
+    # points and points outside [a, b], give each point's one-point value bit
+    # for bit, on fig2's impulse and limit value functions
+    vf = vf if model == "impulse" else gf.build_limit_value(mp, cp.gamma, lim)
+    _, x0, a, alpha, beta, b = vf.anchor
+    x = np.array([0.9, b, 0.3, a, x0, alpha, 0.0, 1.0, beta, 0.3, b, 0.6, a, 0.05, 0.999, alpha,
+                  0.5 * (a + alpha), beta])
+    for fn in (vf.u, vf.du, vf.ddu):
+        assert fn(x).tobytes() == np.array([fn(v) for v in x]).tobytes(), fn.__name__
+
+
 def test_verification_passes(mp, cp, vf):
     report = gf.verify_qvi(mp, cp, vf, 2001, tol=1e-6)
     assert report.passed

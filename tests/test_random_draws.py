@@ -90,34 +90,36 @@ def _market(hhat):
 
 
 def impulse_outcome(mp, cp, grid_n):
-    """(outcome, the solution or the raised error) of a cold impulse solve."""
+    """(outcome, the solution or the raised error, the report it was
+    classified by or None for an error) of a cold impulse solve."""
     try:
         sol = gf.solve_boundaries(mp, cp)
     except (gf.ParameterDegeneracy, gf.NonConvergence) as err:
-        return (NAMED if isinstance(err, gf.ParameterDegeneracy) else NON_CONVERGENCE), err
+        return (NAMED if isinstance(err, gf.ParameterDegeneracy) else NON_CONVERGENCE), err, None
     report = gf.verify_qvi(mp, cp, gf.build_value(mp, cp, sol), grid_n)
     if report.passed:
-        return VERIFIED, sol
-    return (NO_GRID_POINT if report.unresolved_band else "failed"), sol
+        return VERIFIED, sol, report
+    return (NO_GRID_POINT if report.unresolved_band else "failed"), sol, report
 
 
 def limit_outcome(mp, gamma, grid_n):
-    """(outcome, the solution or the raised error) of a cold limit solve; a
-    root that fails only the C2 gate and passes the QVI check is C2 only."""
+    """(outcome, the solution or the raised error, the HJB report it was
+    classified by or None for an error) of a cold limit solve; a root that
+    fails only the C2 gate and passes the QVI check is C2 only."""
     try:
         sol = gf.solve_limit(mp, gamma)
     except (gf.ParameterDegeneracy, gf.NonConvergence) as err:
-        return (NAMED if isinstance(err, gf.ParameterDegeneracy) else NON_CONVERGENCE), err
+        return (NAMED if isinstance(err, gf.ParameterDegeneracy) else NON_CONVERGENCE), err, None
     report = gf.verify_hjb_limit(mp, gamma, sol, grid_n)
     if report.passed:
-        return VERIFIED, sol
+        return VERIFIED, sol, report
     if report.unresolved_band:
-        return NO_GRID_POINT, sol
+        return NO_GRID_POINT, sol, report
     value = gf.build_limit_value(mp, gamma, sol)
     if (report.second_deriv_mismatch > limit.SECOND_ORDER_TOL
             and gf.verify_qvi(mp, gf.CostParams(0.0, gamma), value, grid_n).passed):
-        return C2_ONLY, sol
-    return "failed", sol
+        return C2_ONLY, sol, report
+    return "failed", sol, report
 
 
 @cache
@@ -131,7 +133,7 @@ def _outcomes(draw, model):
 
 @pytest.mark.parametrize("draw, model", list(COUNTS), ids=[f"{d}-{m}" for d, m in COUNTS])
 def test_every_drawn_point_verifies_or_is_named_or_keeps_its_listed_outcome(draw, model):
-    outcomes = [outcome for outcome, _ in _outcomes(draw, model)]
+    outcomes = [outcome for outcome, _, _ in _outcomes(draw, model)]
     others = {i: outcome for i, outcome in enumerate(outcomes)
               if outcome not in (VERIFIED, NAMED)}
     assert others == LISTED[draw, model]
@@ -142,7 +144,7 @@ def test_every_drawn_point_verifies_or_is_named_or_keeps_its_listed_outcome(draw
 def test_the_oracle_prices_every_verified_impulse_root_at_its_growth(draw):
     # lab's renewal quadrature is independent of the solvers' closed forms
     worst, verified = 0.0, 0
-    for (hhat, gamma, delta), (outcome, sol) in zip(DRAWS[draw], _outcomes(draw, "impulse")):
+    for (hhat, gamma, delta), (outcome, sol, _) in zip(DRAWS[draw], _outcomes(draw, "impulse")):
         if outcome != VERIFIED:
             continue
         mp, c = _market(hhat), sol.candidate
@@ -156,7 +158,7 @@ def test_the_oracle_prices_every_verified_impulse_root_at_its_growth(draw):
 def test_edge_distance_separates_named_from_verified_limit_points_of_the_edge_draw():
     # every named point lies nearer an edge, in rho, than every verified one
     rho = {VERIFIED: [], NAMED: []}
-    for (hhat, gamma, _), (outcome, _) in zip(DRAWS["edges"], _outcomes("edges", "limit")):
+    for (hhat, gamma, _), (outcome, _, _) in zip(DRAWS["edges"], _outcomes("edges", "limit")):
         if outcome in rho:
             rho[outcome].append(edge_distance(hhat, gamma))
     assert (len(rho[NAMED]), round(max(rho[NAMED]), 3)) == (131, 0.416)

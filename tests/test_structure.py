@@ -14,7 +14,8 @@ union of its modules' __all__ and holds every exception type the CLI
 tags; one warm-started delta ladder, in the solver module; the CLI's ERROR
 lines printed only by its verdict and its main; the rule of the source
 line counter; the outcome ledger's markets and outcome rule, taken from
-the tests, and its CLI section, the same in two directories; and a test
+the tests, its CLI section, the same in two directories, and its diff of
+moved records; and a test
 extra that names every third-party package the tests import."""
 
 import ast
@@ -552,6 +553,31 @@ def test_the_ledger_takes_its_markets_from_the_tests():
     assert outcome == "ParameterDegeneracy" and detail.startswith("no interior optimum")
     # a listed point of the edge draw
     assert ledger.record("limit", *markets["edges", 190, "limit"])[0] == "C2 only"
+
+
+def test_the_ledger_prints_only_the_moved_records():
+    # tools/ledger.py --against's diff of two ledgers: a record is named by
+    # its set, index and solver, a cli line by its index, subcommand and
+    # artifact; a moved record is its old line and then its new one
+    ledger = _tool("ledger")
+    old = ["anchors\t0\timpulse\tverified\tl=1.0 renewal=1.0",
+           "anchors\t0\tlimit\tverified\tl0=2.0",
+           "grid\t3\timpulse\tNonConvergence\tno start converged",
+           "cli\t0\tsolve\tsolution.csv\tabc",
+           "cli\t0\tsolve\texit\t0"]
+    new = ["anchors\t0\timpulse\tverified\tl=1.0 renewal=1.0",
+           "anchors\t0\tlimit\tverified\tl0=2.0000000000000004",
+           "cli\t0\tsolve\tsolution.csv\tabd",
+           "cli\t0\tsolve\tstdout\tdef",
+           "cli\t0\tsolve\texit\t0"]
+    assert list(ledger.moved(old, new)) == [
+        "- anchors\t0\tlimit\tverified\tl0=2.0",
+        "+ anchors\t0\tlimit\tverified\tl0=2.0000000000000004",
+        "- cli\t0\tsolve\tsolution.csv\tabc",
+        "+ cli\t0\tsolve\tsolution.csv\tabd",
+        "+ cli\t0\tsolve\tstdout\tdef",
+        "- grid\t3\timpulse\tNonConvergence\tno start converged"]
+    assert list(ledger.moved(old, old)) == [] == list(ledger.moved(new, new))
 
 
 def test_the_ledgers_cli_section_is_the_same_in_two_directories(tmp_path_factory):

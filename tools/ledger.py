@@ -2,6 +2,7 @@
 then one line per artifact of the fig2 CLI runs.
 
     python tools/ledger.py [ROOT] > ledger.txt
+    python tools/ledger.py --against REV
 
 ROOT is the repository to run (default: the one holding this script).  Its
 package is imported from ROOT/src and its markets from ROOT/tests, so the
@@ -20,9 +21,11 @@ limit), outcome and detail.  The outcome rule is the draw gauges' own,
 ``test_random_draws.impulse_outcome`` and ``limit_outcome`` at 2001 grid
 points: a root's outcome is its class (verified, no grid point, C2 only or
 failed) and its detail the repr of each candidate field, then
-``newton_iters`` and ``residual_norm``; a failed solve's outcome is its
-error's type (ParameterDegeneracy or NonConvergence) and its detail the
-message.  The per-(set, solver, outcome) counts go to stderr.
+``newton_iters`` and ``residual_norm``, then each numeric field of the report
+it was classified by and, for an impulse root, its renewal growth
+(``lab.evaluate_policy_renewal``); a failed solve's outcome is its error's
+type (ParameterDegeneracy or NonConvergence) and its detail the message.
+The per-(set, solver, outcome) counts go to stderr.
 
 The CLI section follows: the fig2 runs of CLI_RUNS, on ``test_cli.FIG2``,
 each called in process with its own output directory inside one temporary
@@ -30,8 +33,12 @@ directory.  Each line is ``cli``, the run's index, its subcommand, an
 artifact (each file it wrote, then stdout, stderr and exit) and the
 artifact's sha256, or the exit code.
 
-A diff of two ledgers lists every outcome, root, message or CLI output that
-moved between the two trees.
+``--against REV`` writes the ledger of this tree and that of REV, each by
+its own tree's script (REV checked out with ``git worktree add --detach`` in
+a temporary directory, removed on every exit), and prints only the moved
+records: a ``-`` line with REV's record and a ``+`` line with this tree's,
+per record whose line differs or that one side lacks.  ``--against HEAD``
+on a clean tree prints nothing.
 """
 
 import contextlib
@@ -39,6 +46,7 @@ import hashlib
 import importlib
 import io
 import itertools
+import subprocess
 import sys
 import tempfile
 from collections import Counter
@@ -93,13 +101,18 @@ def record(solver, mp, costs):
     """(outcome, detail) of one cold solve."""
     draws = importlib.import_module("test_random_draws")
     classify = draws.impulse_outcome if solver == "impulse" else draws.limit_outcome
-    outcome, found = classify(mp, costs, GRID_N)
-    if isinstance(found, Exception):
+    outcome, found, report = classify(mp, costs, GRID_N)
+    if report is None:
         return type(found).__name__, str(found)
     c = found.candidate
-    values = " ".join(f"{f.name}={getattr(c, f.name)!r}" for f in fields(c))
-    return (outcome,
-            f"{values} newton_iters={found.newton_iters} residual_norm={found.residual_norm!r}")
+    values = [f"{f.name}={getattr(c, f.name)!r}" for f in fields(c)]
+    values += [f"newton_iters={found.newton_iters}", f"residual_norm={found.residual_norm!r}"]
+    values += [f"{f.name}={getattr(report, f.name)!r}" for f in fields(report)
+               if type(getattr(report, f.name)) in (int, float)]
+    if solver == "impulse":
+        lab = importlib.import_module("growth_frictions.lab")
+        values.append(f"renewal={lab.evaluate_policy_renewal(mp, costs, c)!r}")
+    return outcome, " ".join(values)
 
 
 def cli_records(runs, work):
@@ -124,7 +137,54 @@ def _sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def _key(line):
+    """A record's name: its set, index and solver, or for a cli line its
+    index, subcommand and artifact."""
+    words = line.split("\t")
+    return tuple(words[:4 if words[0] == "cli" else 3])
+
+
+def moved(old, new):
+    """The records that differ between two ledgers (their lines): per moved
+    record in new's order, then those only old holds, ``- `` and old's line,
+    then ``+ `` and new's; a record one side lacks has one line."""
+    before, after = ({_key(line): line for line in lines} for lines in (old, new))
+    for key in dict.fromkeys([*after, *before]):
+        if before.get(key) != after.get(key):
+            yield from ([f"- {before[key]}"] if key in before else [])
+            yield from ([f"+ {after[key]}"] if key in after else [])
+
+
+def _ledger(script):
+    """The lines of one tree's ledger, written by that tree's script."""
+    run = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+    if run.returncode:
+        raise SystemExit(f"{script} exited with {run.returncode}:\n{run.stderr}")
+    return run.stdout.splitlines()
+
+
+def against(rev):
+    """(rev's ledger, this tree's ledger), rev checked out in a temporary
+    git worktree that is removed on every exit."""
+    here = Path(__file__).resolve()
+    root = here.parent.parent
+    git = ["git", "-C", str(root)]
+    with tempfile.TemporaryDirectory() as work:
+        tree = Path(work) / "tree"
+        subprocess.run([*git, "worktree", "add", "--quiet", "--detach", str(tree), rev],
+                       check=True)
+        try:
+            old = _ledger(tree / here.relative_to(root))
+        finally:
+            subprocess.run([*git, "worktree", "remove", "--force", str(tree)], check=True)
+    return old, _ledger(here)
+
+
 def main(argv) -> None:
+    if argv[1:2] == ["--against"]:
+        for line in moved(*against(argv[2])):
+            print(line)
+        return
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent
     sys.path[:0] = [str(root / "src"), str(root / "tests")]
     gf = importlib.import_module("growth_frictions")
