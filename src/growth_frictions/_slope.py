@@ -83,8 +83,12 @@ def _e1(z):
 def _e2(z):
     """(expm1(z) - z)/z^2 -> 1/2; series below 1e-3 to dodge cancellation."""
     z = np.asarray(z, dtype=float)
-    out = np.asarray(0.5 + z * (1.0 / 6.0 + z * (1.0 / 24.0 + z * (1.0 / 120.0 + z / 720.0))))
-    return np.divide(np.expm1(z) - z, z * z, out=out, where=~(np.abs(z) < 1e-3))
+    small = np.abs(z) < 1e-3
+    out = np.divide(np.expm1(z) - z, z * z, out=np.empty(z.shape), where=~small)
+    if small.any():
+        s = z[small]
+        out[small] = 0.5 + s * (1.0 / 6.0 + s * (1.0 / 24.0 + s * (1.0 / 120.0 + s / 720.0)))
+    return out
 
 
 def _softplus(t):
@@ -211,24 +215,30 @@ def policy_value(mp: MarketParams, cp: CostParams, a, al, be, b):
     hhat, p = merton_fraction(mp), _power(mp)
     a, al, be, b = _within("policy_value requires fractions strictly inside (0, 1)",
                            a, al, be, b, open_=True)
-    lo, y_low, y_high, hi, t_hhat = (_logit(v) for v in (a, al, be, b, hhat))
-
-    def rows(t1, t2, cost):
-        """(k, r) of the rows k l + C + r = 0 of int_x1^x2 w' + cost = 0."""
-        pieces = _pieces(p, t_hhat, hhat, t1, t2)
-        base = _g_integral(mp, pieces, 0.0)
-        return (_g_integral(mp, pieces, 1.0) - base) / pieces[3], (base + cost) / pieces[3]
-
+    (a, al), (be, b) = np.broadcast_arrays(a, al), np.broadcast_arrays(be, b)
+    n, (shape_low, shape_high) = a.size, (a.shape, b.shape)
+    # one logit call: t1 of every low row (a to alpha) and high row (beta to b),
+    # then their t2, then hhat's; one cost call: a to alpha, then b to beta
+    t = _logit(np.concatenate([v.ravel() for v in (a, be, al, b)] + [[hhat]]))
+    m = t.size // 2
+    cost = np.log(_wealth(cp, np.concatenate([a.ravel(), b.ravel()]),
+                          np.concatenate([al.ravel(), be.ravel()])))
+    np.negative(cost[n:], out=cost[n:])
     with np.errstate(divide="ignore", invalid="ignore"):
-        # (t1, t2, cost) of every low row, a to alpha, and every high row, beta to b
-        low = np.broadcast_arrays(lo, y_low, np.log(_wealth(cp, a, al)))
-        high = np.broadcast_arrays(y_high, hi, -np.log(_wealth(cp, b, be)))
-        k, r = rows(*(np.concatenate([u.ravel(), v.ravel()]) for u, v in zip(low, high)))
-        n, (shape_low, shape_high) = low[0].size, (low[0].shape, high[0].shape)
+        # the rows k l + C + r = 0 of int_x1^x2 w' + cost = 0
+        pieces = _pieces(p, t[-1], hhat, t[:m], t[m:-1])
+        base = _g_integral(mp, pieces, 0.0)
+        k, r = (_g_integral(mp, pieces, 1.0) - base) / pieces[3], (base + cost) / pieces[3]
         l = np.asarray(r[n:].reshape(shape_high) - r[:n].reshape(shape_low))
-        l /= k[:n].reshape(shape_low) - k[n:].reshape(shape_high)
+        # the divisor 32 rows at a time: no second temporary spans the matrix
+        k_low, k_high = (np.broadcast_to(v, l.shape) for v in
+                         (k[:n].reshape(shape_low), k[n:].reshape(shape_high)))
+        for rows in [slice(i, i + 32) for i in range(0, len(l), 32)] if l.ndim else [()]:
+            l[rows] /= k_low[rows] - k_high[rows]
     l += mp.r
     # a < alpha <= beta < b in one pass: a restart point off its side goes to +-inf
+    lo, y_low, y_high, hi = (t[:n].reshape(shape_low), t[m:m + n].reshape(shape_low),
+                             t[n:m].reshape(shape_high), t[m + n:-1].reshape(shape_high))
     np.copyto(l, -np.inf, where=np.where(lo < y_low, y_low, np.inf)
               > np.where(y_high < hi, y_high, -np.inf))
     return l
@@ -271,51 +281,40 @@ class ValueFunction:
     candidate: object
     anchor: tuple = field(repr=False)
 
-    def _piecewise(self, x, low, mid, high):
-        """low(x) below a, mid(x) on [a, b] and high(x) above b, on [0, 1]."""
+    def _curves(self, x):
+        """u, u' and u'' at x in [0, 1] as one (3, ...) array, from one
+        partition of x at a and b: below a the trade cost to alpha, above b
+        u(beta) plus the cost to beta, both with u'' = -u'^2; on [a, b] u(a)
+        plus the integral of g from a, g, and g' by the continuation ODE.
+        One cost call prices the trades and u(a), one integral call the
+        integrals and u(beta)."""
         x = _within("value function is defined on [0, 1]", x)
-        _, _, a, _, _, b = self.anchor
-        below, above = x < a, x > b
-        out = np.empty_like(x)
-        for mask, piece in ((below, low), (~(below | above), mid), (above, high)):
-            if mask.any():
-                out[mask] = piece(x[mask])
-        return _plain(out)
+        mp, cp, (l, x0, a, al, be, b) = self.market, self.costs, self.anchor
+        t0, t_a, _, t_be = to_centered(np.array([x0, a, al, be]))
+        above = x > b
+        mid = ~((x < a) | above)
+        out, y, z, up = np.empty((3,) + x.shape), x[mid], x[~mid], above[~mid]
+        t = _logit(y)
+        cost = _log_cost(cp, np.concatenate([z, [a]]),
+                         np.concatenate([np.where(up, be, al), [al]]))
+        pieces = _pieces(_power(mp), t0, x0, t_a, np.concatenate([t, [t_be]]))
+        integral = _g_integral(mp, pieces, l)
+        g = _g(mp, y, t, x0, t0, l)
+        buying, selling = edge_slopes(cp.gamma, cp.delta, z, z)
+        slope = np.where(up, selling, buying)
+        out[:, mid] = cost[-1] + integral[:-1], g, _slope_dx(mp, y, g, l)[0]
+        u_out = np.where(up, cost[-1] + integral[-1] + cost[:-1], cost[:-1])
+        out[:, ~mid] = u_out, slope, -slope ** 2
+        return out
 
     def u(self, x):
-        mp, cp, (l, x0, a, al, be, _) = self.market, self.costs, self.anchor
-        t0, t_a, _, t_be = to_centered(np.array([x0, a, al, be]))
-
-        def integral(t):  # of g from a to the point of logit t
-            return _g_integral(mp, _pieces(_power(mp), t0, x0, t_a, t), l)
-
-        u_a = _log_cost(cp, a, al)
-        u_beta = u_a + integral(t_be)
-        return self._piecewise(x, lambda y: _log_cost(cp, y, al),
-                               lambda y: u_a + integral(_logit(y)),
-                               lambda y: u_beta + _log_cost(cp, y, be))
-
-    def _cost_slopes(self, y):
-        """The trade cost's x-slopes at y on the buying and the selling branch."""
-        return edge_slopes(self.costs.gamma, self.costs.delta, y, y)
+        return _plain(self._curves(x)[0])
 
     def du(self, x):
-        l, x0 = self.anchor[:2]
-        t0 = to_centered(x0)
-        return self._piecewise(x, lambda y: self._cost_slopes(y)[0],
-                               lambda y: _g(self.market, y, _logit(y), x0, t0, l),
-                               lambda y: self._cost_slopes(y)[1])
+        return _plain(self._curves(x)[1])
 
     def ddu(self, x):
-        return self._ddu(x, self.du(x))
-
-    def _ddu(self, x, du):
-        """u'' from u' = du at x: -du^2 outside [a, b], g' by the continuation ODE inside."""
-        l, _, a, _, _, b = self.anchor
-        x, du = np.asarray(x, dtype=float), np.asarray(du, dtype=float)
-        out, mid = np.array(-du ** 2), ~((x < a) | (x > b))
-        out[mid] = _slope_dx(self.market, x[mid], du[mid], l)[0]
-        return _plain(out)
+        return _plain(self._curves(x)[2])
 
 
 def _pasting_rows(mp: MarketParams, cp: CostParams, l, x0, a, alpha, beta, b):
@@ -382,15 +381,16 @@ def _intervention(cp: CostParams, x, targets, u_targets):
     then computed as a full search computes them, so Mu agrees with it to
     rounding; a tie goes to the selling target, the smaller one."""
     above = np.searchsorted(targets, x, side="right")  # first target > x
-    _, (den_sell, den_buy) = cost_terms(cp, targets, targets, np.array([[-1.0], [1.0]]))
-    sell = _best_so_far(u_targets - np.log(den_sell))[above - 1]
-    buy_from = targets.size - 1 - _best_so_far((u_targets - np.log(den_buy))[::-1])[::-1]
+    # u(y) - log den(y) on the selling and the buying branch
+    sell_gain, buy_gain = u_targets - np.log(cost_terms(cp, targets, targets,
+                                                        np.array([[-1.0], [1.0]]))[1])
+    sell = _best_so_far(sell_gain)[above - 1]
+    buy_from = targets.size - 1 - _best_so_far(buy_gain[::-1])[::-1]
     # no target above x: its buying gain repeats selling
-    buy = np.append(buy_from, -1)[above]
-    buy = np.where(buy < 0, sell, buy)
-    gain_buy = u_targets[buy] + trade_cost_gamma(cp, x, targets[buy])
-    gain_sell = u_targets[sell] + trade_cost_gamma(cp, x, targets[sell])
-    return np.maximum(gain_buy, gain_sell), targets[np.where(gain_buy > gain_sell, buy, sell)]
+    buy = np.concatenate([buy_from, [-1]])[above]
+    pick = np.stack([np.where(buy < 0, sell, buy), sell])
+    gain_buy, gain_sell = u_targets[pick] + trade_cost_gamma(cp, x, targets[pick])
+    return np.maximum(gain_buy, gain_sell), targets[np.where(gain_buy > gain_sell, *pick)]
 
 
 def verify_qvi(mp: MarketParams, cp: CostParams, vf: ValueFunction,
@@ -419,14 +419,20 @@ def verify_qvi(mp: MarketParams, cp: CostParams, vf: ValueFunction,
                                   "beta <= b < 1, a < b, 0 < x0 < 1: (x0, a, alpha, beta, b) = "
                                   f"{x0, a, alpha, beta, b}", False)
 
-    def hjb(x):  # the claim check puts the grid and the band's midpoint in [0, 1]
-        du = vf.du(x)
+    def curves(x):  # u and Du + f - l; the claim check puts x in [0, 1]
+        u, du, ddu = vf._curves(x)
         drift, half = generator_coefficients(mp, x)
-        return drift * du + half * vf._ddu(x, du) + _growth(mp, x) - l
+        return u, drift * du + half * ddu + _growth(mp, x) - l
 
     grid = np.linspace(EPS, 1.0 - EPS, grid_n)
     spacing = float(grid[1] - grid[0])
-    resid = hjb(grid)
+    # One curve call: at the grid with a, alpha, beta and b, sorted and without
+    # repeats (np.unique's sort and drop, without the numpy.ma import it costs)
+    points = np.sort(np.concatenate([grid, [a, alpha, beta, b]]))
+    points = points[np.concatenate([[True], points[1:] != points[:-1]])]
+    at = np.searchsorted(points, np.concatenate([grid, [alpha, beta, a, b]]))
+    u, resid = curves(points)
+    resid = resid[at[:-4]]
     interior = (grid >= a) & (grid <= b)
     inside = np.where(interior, np.abs(resid), -np.inf)
     outside = np.where(interior, -np.inf, resid)
@@ -436,16 +442,12 @@ def verify_qvi(mp: MarketParams, cp: CostParams, vf: ValueFunction,
     unresolved = ""
     if not interior.any():
         interior_x = 0.5 * (a + b)
-        max_interior = abs(float(hjb(interior_x)))
+        max_interior = abs(float(curves(interior_x)[1]))
         unresolved = (f"unresolved band [{a:.6f}, {b:.6f}] holds no grid point "
                       f"(spacing {spacing:.3e})")
 
-    # One u call: the targets are the grid with alpha, beta; the queries the grid with a, b.
-    # np.unique's sort and drop of repeats, without the numpy.ma import it costs
-    points = np.sort(np.append(grid, [a, alpha, beta, b]))
-    points = points[np.append(True, points[1:] != points[:-1])]
-    u, at = vf.u(points), np.searchsorted(points, np.append(grid, [alpha, beta, a, b]))
-    is_target, at_query = np.zeros(points.size, dtype=bool), np.delete(at, [-4, -3])
+    # the targets are the grid with alpha, beta; the queries the grid with a, b
+    is_target, at_query = np.zeros(points.size, dtype=bool), np.concatenate([at[:-4], at[-2:]])
     is_target[at[:-2]] = True
     mu, target = _intervention(cp, points[at_query], points[is_target], u[is_target])
     excess = mu - u[at_query]

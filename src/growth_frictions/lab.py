@@ -149,8 +149,12 @@ def _renewal_batch(mp: MarketParams, cp: CostParams, a, al, be, b) -> np.ndarray
     valid = (lo < y_low) & (y_low <= y_high) & (y_high < hi)
     c = mp.mu - mp.r - 0.5 * mp.sigma * mp.sigma
     fbar = lambda z: _growth(mp, from_centered(z))
-    m_low, w_low, p_low = _exit_problems(fbar, c, mp.sigma, lo, hi, y_low)
-    m_high, w_high, p_high = _exit_problems(fbar, c, mp.sigma, lo, hi, y_high)
+    if y_low.shape == y_high.shape:  # one exit pass from both restart points
+        (m_low, m_high), (w_low, w_high), (p_low, p_high) = _exit_problems(
+            fbar, c, mp.sigma, lo, hi, np.stack([y_low, y_high]))
+    else:
+        (m_low, w_low, p_low), (m_high, w_high, p_high) = (
+            _exit_problems(fbar, c, mp.sigma, lo, hi, y) for y in (y_low, y_high))
     bad = valid & ((p_low <= 1e-12) | (p_low >= 1.0 - 1e-12)
                    | (p_high <= 1e-12) | (p_high >= 1.0 - 1e-12))
     if bad.any():

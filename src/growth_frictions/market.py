@@ -102,9 +102,9 @@ def _within(error: str, *values, open_: bool = False):
     [0, 1], or outside (0, 1) with open_.  A NaN fails every comparison and
     so passes."""
     out = [np.asarray(v, dtype=float) for v in values]
-    for v in out:
-        if ((v <= 0.0) | (v >= 1.0) if open_ else (v < 0.0) | (v > 1.0)).any():
-            raise ValueError(error)
+    v = np.concatenate([v.ravel() for v in out]) if len(out) > 1 else out[0]
+    if ((v <= 0.0) | (v >= 1.0) if open_ else (v < 0.0) | (v > 1.0)).any():
+        raise ValueError(error)
     return out if len(out) > 1 else out[0]
 
 
