@@ -31,7 +31,12 @@ max{Du + f - l, Mu - u} = 0, which at delta = 0 is the reflecting limit's
 HJB equation.  The check is O(n) in time and memory: the trade cost is
 separable, log num(x) - log den(y) (``market.cost_terms``) with the branch
 set by y > x, so the intervention operator Mu and its argmax target are a
-suffix and a prefix scan over the sorted trade targets.
+suffix and a prefix scan over the sorted trade targets.  It takes u, u' and
+u'' from one value-function call on the grid with the policy's four points,
+which partitions them once at a and b.  ``policy_value`` prices all its rows
+from one logit and one trade-cost call and divides its matrix a block of
+rows at a time, so that a seed's matrix leaves no second temporary of its
+size for the allocator to return and fault in again.
 
 Public primitives check their inputs with the one domain rule
 ``market._within`` and then call their one kernel (``_g``, ``_pieces``,
@@ -85,7 +90,7 @@ def _e2(z):
     z = np.asarray(z, dtype=float)
     small = np.abs(z) < 1e-3
     out = np.divide(np.expm1(z) - z, z * z, out=np.empty(z.shape), where=~small)
-    if small.any():
+    if np.count_nonzero(small):
         s = z[small]
         out[small] = 0.5 + s * (1.0 / 6.0 + s * (1.0 / 24.0 + s * (1.0 / 120.0 + s / 720.0)))
     return out
@@ -109,7 +114,7 @@ def slope_g(mp: MarketParams, x, x0: float, l: float):
     """
     error = "slope_g requires x and x0 strictly inside (0, 1)"
     x, x0 = _within(error, x, x0, open_=True)
-    if np.isnan(x0).any():  # the anchor, unlike x, may not be NaN
+    if np.count_nonzero(np.isnan(x0)):  # the anchor, unlike x, may not be NaN
         raise ValueError(error)
     return _plain(_g(mp, x, _logit(x), x0, _logit(x0), l))
 
@@ -267,7 +272,9 @@ class ValueFunction:
     below a, u(a) plus the integral of g from a on [a, b], and u(beta) plus
     the trade cost to beta above b, so u is continuous.  The reflecting
     limit is the case delta = 0, a = alpha = A, beta = b = B, where u(A) = 0
-    and the curve is C2.
+    and the curve is C2.  u, du and ddu are rows of one evaluation
+    (``_curves``), so each point's value does not depend on the points it
+    is evaluated with.
 
     Evaluation is anchored to the parameters captured at build time (the
     spec of the candidate the function was built from); mutating or

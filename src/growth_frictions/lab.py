@@ -16,10 +16,13 @@ Chaining the two restart states through their stationary law turns
 
 A batch is priced on the axes of its candidate arrays, each one-sided Green
 integral once per pair of its ends, so a box of four independent axes
-costs 4 k^2 one-sided integrals.  The quadrature is the oracle's own: the
-solvers never call it (they price policies by the closed form
-``_slope.policy_value``), and the brute-force search scans (a, alpha, beta,
-b) boxes with it, a noise-free check of the solver's output.
+costs 4 k^2 one-sided integrals.  Restart points whose arrays share a shape,
+as a single candidate's or a flat batch's do, go through one exit pass, whose
+two Green-side calls integrate the rows from alpha and from beta together.
+The quadrature is the oracle's own: the solvers never call it (they price
+policies by the closed form ``_slope.policy_value``), and the brute-force
+search scans (a, alpha, beta, b) boxes with it, a noise-free check of the
+solver's output.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from numpy.polynomial.legendre import leggauss
 from . import limit as _limit
 from . import qvi as _qvi
 from ._slope import NonConvergence
-from .market import (CostParams, MarketParams, _growth, _logit, _plain, _wealth, _within,
-                     check_deltas, from_centered)
+from .market import (CostParams, MarketParams, _growth, _logistic, _logit, _plain, _wealth,
+                     _within, check_deltas, from_centered)
 
 __all__ = [
     "DegenerateChain", "SweepRow", "SweepTable", "BruteForceResult",
@@ -148,7 +151,7 @@ def _renewal_batch(mp: MarketParams, cp: CostParams, a, al, be, b) -> np.ndarray
     lo, y_low, y_high, hi = (_logit(v) for v in (a, al, be, b))
     valid = (lo < y_low) & (y_low <= y_high) & (y_high < hi)
     c = mp.mu - mp.r - 0.5 * mp.sigma * mp.sigma
-    fbar = lambda z: _growth(mp, from_centered(z))
+    fbar = lambda z: _growth(mp, _logistic(z))  # the nodes lie between finite logits
     if y_low.shape == y_high.shape:  # one exit pass from both restart points
         (m_low, m_high), (w_low, w_high), (p_low, p_high) = _exit_problems(
             fbar, c, mp.sigma, lo, hi, np.stack([y_low, y_high]))
@@ -157,7 +160,7 @@ def _renewal_batch(mp: MarketParams, cp: CostParams, a, al, be, b) -> np.ndarray
             _exit_problems(fbar, c, mp.sigma, lo, hi, y) for y in (y_low, y_high))
     bad = valid & ((p_low <= 1e-12) | (p_low >= 1.0 - 1e-12)
                    | (p_high <= 1e-12) | (p_high >= 1.0 - 1e-12))
-    if bad.any():
+    if np.count_nonzero(bad):
         k = np.unravel_index(np.argmax(bad), bad.shape)
         raise DegenerateChain(
             "restart chain numerically absorbing: exit probabilities "

@@ -57,8 +57,9 @@ class LimitCandidate(NewtonUnknowns):
     B: float
 
     def ordering_ok(self) -> bool:
-        return bool(np.all((0.0 < self.A) & (self.A < self.B) & (self.B < 1.0)
-                           & (0.0 < self.x0) & (self.x0 < 1.0)))
+        ok = ((0.0 < self.A) & (self.A < self.B) & (self.B < 1.0)
+              & (0.0 < self.x0) & (self.x0 < 1.0))
+        return np.count_nonzero(ok) == np.size(ok)
 
     def policy(self) -> tuple:
         """The reflecting policy read as the impulse one: (l0, x0, A, A, B, B)."""
@@ -82,7 +83,7 @@ def residual_system_limit(mp: MarketParams, gamma: float, cand: LimitCandidate) 
     cost's slope there, or their (4, k) block at a stack of k candidates."""
     if not cand.ordering_ok():
         raise ParameterDegeneracy("candidate ordering 0 < A < B < 1 violated")
-    if np.isnan(cand.l0).any():
+    if np.count_nonzero(np.isnan(cand.l0)):
         raise ParameterDegeneracy("candidate growth rate l0 is NaN")
     # unchecked kernels, as the ordering puts the edges and x0 inside (0, 1)
     edges, s = np.array([cand.A, cand.B]), edge_slopes(gamma, 0.0, cand.A, cand.B)

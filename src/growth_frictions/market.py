@@ -103,7 +103,7 @@ def _within(error: str, *values, open_: bool = False):
     so passes."""
     out = [np.asarray(v, dtype=float) for v in values]
     v = np.concatenate([v.ravel() for v in out]) if len(out) > 1 else out[0]
-    if ((v <= 0.0) | (v >= 1.0) if open_ else (v < 0.0) | (v > 1.0)).any():
+    if np.count_nonzero((v <= 0.0) | (v >= 1.0) if open_ else (v < 0.0) | (v > 1.0)):
         raise ValueError(error)
     return out if len(out) > 1 else out[0]
 
@@ -163,10 +163,15 @@ def from_centered(y):
     y = np.asarray(y, dtype=float)
     if not np.isfinite(y).all():
         raise ValueError("from_centered requires finite y")
+    return _plain(_logistic(y))
+
+
+def _logistic(y):
+    """from_centered's formula at a finite float array y."""
     # exp(-|y|) never overflows; the quotient is 1/(1 + exp(-y)) for y >= 0
     # and exp(y)/(1 + exp(y)) below, bit for bit
     e = np.exp(-np.abs(y))
-    return _plain(np.where(y >= 0.0, 1.0, e) / (1.0 + e))
+    return np.where(y >= 0.0, 1.0, e) / (1.0 + e)
 
 
 def growth_integrand_transformed(mp: MarketParams, y):

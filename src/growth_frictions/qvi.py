@@ -63,9 +63,9 @@ class BoundaryCandidate(NewtonUnknowns):
     b: float
 
     def ordering_ok(self) -> bool:
-        return bool(np.all((0.0 < self.a) & (self.a < self.alpha) & (self.alpha <= self.beta)
-                           & (self.beta < self.b) & (self.b < 1.0)
-                           & (0.0 < self.x0) & (self.x0 < 1.0)))
+        ok = ((0.0 < self.a) & (self.a < self.alpha) & (self.alpha <= self.beta)
+              & (self.beta < self.b) & (self.b < 1.0) & (0.0 < self.x0) & (self.x0 < 1.0))
+        return np.count_nonzero(ok) == np.size(ok)
 
     def policy(self) -> tuple:
         """(l, x0, a, alpha, beta, b), the claim verify_qvi checks."""
@@ -97,7 +97,7 @@ def residual_system(mp: MarketParams, cp: CostParams, cand: BoundaryCandidate) -
     """
     if not cand.ordering_ok():
         raise ParameterDegeneracy("candidate ordering a < alpha <= beta < b violated")
-    if np.isnan(cand.l).any():
+    if np.count_nonzero(np.isnan(cand.l)):
         raise ParameterDegeneracy("candidate growth rate l is NaN")
     # unchecked kernels, as the ordering puts every point inside (0, 1); x: alpha, beta, a, b
     l, x0, a, al, be, b = cand.policy()
