@@ -102,7 +102,7 @@ def _within(error: str, *values, open_: bool = False):
     [0, 1], or outside (0, 1) with open_.  A NaN fails every comparison and
     so passes."""
     out = [np.asarray(v, dtype=float) for v in values]
-    v = np.concatenate([v.ravel() for v in out]) if len(out) > 1 else out[0]
+    v = np.concatenate([w.ravel() for w in out]) if len(out) > 1 else out[0]
     if np.count_nonzero((v <= 0.0) | (v >= 1.0) if open_ else (v < 0.0) | (v > 1.0)):
         raise ValueError(error)
     return out if len(out) > 1 else out[0]
