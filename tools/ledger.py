@@ -145,9 +145,10 @@ def _key(line):
 
 
 def moved(old, new):
-    """The records that differ between two ledgers (their lines): per moved
-    record in new's order, then those only old holds, ``- `` and old's line,
-    then ``+ `` and new's; a record one side lacks has one line."""
+    """The lines of the records that moved between two ledgers (lists of
+    lines, a record named by ``_key``): for each record whose line differs
+    or that one side lacks, in new's order and then old's, ``- `` and old's
+    line, then ``+ `` and new's line, each where that side holds it."""
     before, after = ({_key(line): line for line in lines} for lines in (old, new))
     for key in dict.fromkeys([*after, *before]):
         if before.get(key) != after.get(key):
