@@ -15,7 +15,11 @@ expression covers both; the integral branch is its exact limit.  The same
 rearrangement yields closed forms for the antiderivative, so no quadrature
 is needed in the solvers: ``best_band`` and ``policy_value`` price a band or
 a policy by a 2x2 linear system, and the renewal quadrature stays the
-oracle's own (``lab``).
+oracle's own (``lab``).  g (``_g``) and its integrals share their terms:
+``_spans`` forms u e1(p u) and e^{p u} of the logit differences u = t0 - t
+once, for g at its points and for each integral that ends at one of them,
+and one expm1 gives e1 at every u and e1 and e2 at every span's p dt, so an
+impulse residual and a value curve form them once per call.
 
 Derivatives of g are evaluated through the continuation ODE rearranged,
 g'(x) = (l - f(x) - x(1-x)(mu - r - sigma^2 x) g(x)) / (sigma^2 x^2 (1-x)^2 / 2),
@@ -39,22 +43,24 @@ rows at a time, so that a seed's matrix leaves no second temporary of its
 size for the allocator to return and fault in again.
 
 Public primitives check their inputs with the one domain rule
-``market._within`` and then call their one kernel (``_g``, ``_pieces``,
+``market._within`` and then call their one kernel (``_g``, ``_spans``,
 ``market._logit``, ...); the residuals and the seed call the kernels below a
 check that implies the kernels' own: an ordering inside (0, 1), under which
 ``CostParams``' invariants keep every cost term positive.  So do the value
 function, below its check of x in [0, 1], ``policy_value``, below its one
-check of the four fractions, and ``verify_qvi``, below its claim check.
+check of the four fractions, ``verify_qvi``, below its claim check (its HJB
+and pasting rows), and ``best_band``, whose logits are finite by
+construction (``market._logistic``).
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .market import (EPS, CostParams, MarketParams, _growth, _log_cost, _logit, _plain, _wealth,
-                     _within, cost_terms, edge_slopes, from_centered, generator_coefficients,
+from .market import (EPS, CostParams, MarketParams, _growth, _log_cost, _logistic, _logit, _plain,
+                     _wealth, _within, cost_terms, edge_slopes, generator_coefficients,
                      merton_fraction, no_trade_floor, to_centered, trade_cost_gamma)
 
 
@@ -77,19 +83,20 @@ class NonConvergence(RuntimeError):
     """Newton did not reach a valid root."""
 
 
-def _e1(z):
-    """expm1(z)/z with the removable singularity filled in."""
+def _e1(z, em=None):
+    """expm1(z)/z with the removable singularity filled in; em is expm1(z) when known."""
     z = np.asarray(z, dtype=float)
     out = np.empty(z.shape)
     out.fill(1.0)
-    return np.divide(np.expm1(z), z, out=out, where=z != 0.0)
+    return np.divide(np.expm1(z) if em is None else em, z, out=out, where=z != 0.0)
 
 
-def _e2(z):
-    """(expm1(z) - z)/z^2 -> 1/2; series below 1e-3 to dodge cancellation."""
+def _e2(z, em=None):
+    """(expm1(z) - z)/z^2 -> 1/2; series below 1e-3 to dodge cancellation; em as in _e1."""
     z = np.asarray(z, dtype=float)
     small = np.abs(z) < 1e-3
-    out = np.divide(np.expm1(z) - z, z * z, out=np.empty(z.shape), where=~small)
+    out = np.divide((np.expm1(z) if em is None else em) - z, z * z, out=np.empty(z.shape),
+                    where=~small)
     if np.count_nonzero(small):
         s = z[small]
         out[small] = 0.5 + s * (1.0 / 6.0 + s * (1.0 / 24.0 + s * (1.0 / 120.0 + s / 720.0)))
@@ -119,12 +126,16 @@ def slope_g(mp: MarketParams, x, x0: float, l: float):
     return _plain(_g(mp, x, _logit(x), x0, _logit(x0), l))
 
 
-def _g(mp: MarketParams, x, t, x0, t0, l):
-    """slope_g's formula at x and x0 inside (0, 1), with logits t and t0."""
-    d = t0 - t
-    p_d, w = _power(mp) * d, x * (1.0 - x)
-    return (-(2.0 / (mp.sigma * mp.sigma)) * (l - x * _growth(mp, 1.0)) * (d * _e1(p_d)) / w
-            + (x0 - x) * np.exp(p_d) / w)
+def _g(mp: MarketParams, x, t, x0, t0, l, terms=None):
+    """slope_g's formula at x and x0 inside (0, 1), with logits t and t0; terms,
+    when given, are its u e1(p u) and e^{p u} at u = t0 - t (``_spans``)."""
+    if terms is None:
+        d = t0 - t
+        p_d = _power(mp) * d
+        terms = d * _e1(p_d), np.exp(p_d)
+    (d_e, grow), w = terms, x * (1.0 - x)
+    return (-(2.0 / (mp.sigma * mp.sigma)) * (l - x * _growth(mp, 1.0)) * d_e / w
+            + (x0 - x) * grow / w)
 
 
 def slope_g_dx(mp: MarketParams, x, x0: float, l: float):
@@ -150,22 +161,33 @@ def slope_g_integral(mp: MarketParams, x_from, x_to, x0: float, l: float):
     """
     x_from, x_to = _within("slope_g_integral requires endpoints strictly inside (0, 1)",
                            x_from, x_to, open_=True)
-    pieces = _pieces(_power(mp), to_centered(x0), x0, _logit(x_from), _logit(x_to))
-    return _plain(_g_integral(mp, pieces, l))
+    x = np.stack(np.broadcast_arrays(x_to, x_from, x0)[:2])  # one end per row
+    _, pieces = _spans(mp, x[:1], _logit(x), x0, to_centered(x0), l, slice(1, 2))
+    return _plain(_g_integral(mp, pieces, l)[0])
 
 
-def _pieces(p, t0, x0, t1, t2):
-    """(A, B, C, H) over [t1, t2] in logit: the integral of slope_g is -(2l/sigma^2)
-    A + B - C (``_g_integral``), and H is that of the homogeneous factor e^{p(t0 - t)}."""
-    dt, u2 = t2 - t1, t0 - t2
-    p_dt, p_u2 = p * dt, p * u2
-    e_dt, grow = _e1(p_dt), np.exp(p_u2)
-    return (dt * (dt * _e2(p_dt) + u2 * _e1(p_u2) * e_dt), x0 * grow * dt * e_dt,
-            _softplus(t2) - _softplus(t1), dt * grow * e_dt)
+def _spans(mp: MarketParams, x, t, x0, t0, l, lo, hi=slice(None), homogeneous=False):
+    """g at the n points x (``_g``) and the pieces (A, B, C) of the integrals of
+    g from logit t[lo] to t[:n][hi] (``_g_integral``), where t holds the logits
+    of x and then of any other lower ends; with homogeneous also H, the
+    integral of e^{p(t0 - t)}.  One expm1 over p u (u = t0 - t at x) and p dt
+    gives e1 of both and e2 of p dt, and each integral's u2 = t0 - t2, e^{p u2}
+    and u2 e1(p u2) are rows of g's terms."""
+    n, sp = len(x), _softplus(t)
+    d = t0 - t[:n]
+    dt = t[:n][hi] - t[lo]
+    z = _power(mp) * np.concatenate([d, dt])
+    em = np.expm1(z)
+    e = _e1(z, em)
+    d_e, grow, e_dt = d * e[:n], np.exp(z[:n]), e[n:]
+    d_e2, grow2 = d_e[hi], grow[hi]
+    pieces = (dt * (dt * _e2(z[n:], em[n:]) + d_e2 * e_dt), x0 * grow2 * dt * e_dt,
+              sp[:n][hi] - sp[lo]) + ((dt * grow2 * e_dt,) if homogeneous else ())
+    return _g(mp, x, t[:n], x0, t0, l, (d_e, grow)), pieces
 
 
 def _g_integral(mp: MarketParams, pieces, l):
-    a, b, c, _ = pieces
+    a, b, c = pieces[:3]
     return -(2.0 * l / (mp.sigma * mp.sigma)) * a + b - c
 
 
@@ -198,15 +220,15 @@ def best_band(mp: MarketParams, gamma: float) -> tuple:
     rows over e are priced on each edge's own axis.  ParameterDegeneracy
     when no band beats the floor max{f(0), f(1)}."""
     hhat, p, u = merton_fraction(mp), _power(mp), _BAND_OFFSETS
-    x = from_centered(_logit(hhat) - u)
+    x = _logistic(_logit(hhat) - u)  # finite offsets; lo and hi drop the saturated edges
     slope = edge_slopes(gamma, 0.0, *x)
     p_u = -p * u
     z = -(2.0 / (mp.sigma * mp.sigma)) * u * _e1(p_u)  # z/e < 0 at A, > 0 at B
     c = (slope * x * (1.0 - x) + x) * np.exp(p_u)  # (slope + 1/(1-x))/e
     lo, hi = x[0] > EPS, x[1] < 1.0 - EPS
     l = (c[0, lo, None] - c[1, hi]) / (z[0, lo, None] - z[1, hi])
-    interior_optimum(mp, np.max(l, initial=-np.inf), "band")
-    i, j = np.unravel_index(np.argmax(l), l.shape)
+    i, j = divmod(int(np.argmax(l)), l.shape[1]) if l.size else (0, 0)
+    interior_optimum(mp, l[i, j] if l.size else -np.inf, "band")
     return float(l[i, j]), hhat, float(x[0, lo][i]), float(x[1, hi][j])
 
 
@@ -217,21 +239,22 @@ def policy_value(mp: MarketParams, cp: CostParams, a, al, be, b):
     w' = slope_g(x; hhat, l) + C e^{p(t_hhat - t)}/(x(1-x)), so value matching
     across both jumps is a 2x2 system in (l, C), each row priced on the shape
     of its own two ends: pass a grid's axes, not broadcast views."""
-    hhat, p = merton_fraction(mp), _power(mp)
+    hhat = merton_fraction(mp)
     a, al, be, b = _within("policy_value requires fractions strictly inside (0, 1)",
                            a, al, be, b, open_=True)
     (a, al), (be, b) = np.broadcast_arrays(a, al), np.broadcast_arrays(be, b)
     n, (shape_low, shape_high) = a.size, (a.shape, b.shape)
-    # one logit call: t1 of every low row (a to alpha) and high row (beta to b),
-    # then their t2, then hhat's; one cost call: a to alpha, then b to beta
-    t = _logit(np.concatenate([v.ravel() for v in (a, be, al, b)] + [[hhat]]))
+    # one logit call: t2 of every low row (a to alpha) and high row (beta to b),
+    # then their t1, then hhat's; one cost call: a to alpha, then b to beta
+    x = np.concatenate([v.ravel() for v in (al, b, a, be)] + [[hhat]])
+    t = _logit(x)
     m = t.size // 2
     cost = np.log(_wealth(cp, np.concatenate([a.ravel(), b.ravel()]),
                           np.concatenate([al.ravel(), be.ravel()])))
     np.negative(cost[n:], out=cost[n:])
     with np.errstate(divide="ignore", invalid="ignore"):
         # the rows k l + C + r = 0 of int_x1^x2 w' + cost = 0
-        pieces = _pieces(p, t[-1], hhat, t[:m], t[m:-1])
+        _, pieces = _spans(mp, x[:m], t, hhat, t[-1], 0.0, slice(m, -1), homogeneous=True)
         base = _g_integral(mp, pieces, 0.0)
         k, r = (_g_integral(mp, pieces, 1.0) - base) / pieces[3], (base + cost) / pieces[3]
         l = np.asarray(r[n:].reshape(shape_high) - r[:n].reshape(shape_low))
@@ -242,8 +265,8 @@ def policy_value(mp: MarketParams, cp: CostParams, a, al, be, b):
             l[rows] /= k_low[rows] - k_high[rows]
     l += mp.r
     # a < alpha <= beta < b in one pass: a restart point off its side goes to +-inf
-    lo, y_low, y_high, hi = (t[:n].reshape(shape_low), t[m:m + n].reshape(shape_low),
-                             t[n:m].reshape(shape_high), t[m + n:-1].reshape(shape_high))
+    lo, y_low, y_high, hi = (t[m:m + n].reshape(shape_low), t[:n].reshape(shape_low),
+                             t[m + n:-1].reshape(shape_high), t[n:m].reshape(shape_high))
     np.copyto(l, -np.inf, where=np.where(lo < y_low, y_low, np.inf)
               > np.where(y_high < hi, y_high, -np.inf))
     return l
@@ -256,7 +279,7 @@ class NewtonUnknowns:
     then holds if it holds for each."""
 
     def as_vector(self) -> np.ndarray:
-        return np.array(astuple(self))
+        return np.array([*vars(self).values()])
 
     @classmethod
     def from_vector(cls, v):
@@ -293,20 +316,20 @@ class ValueFunction:
         partition of x at a and b: below a the trade cost to alpha, above b
         u(beta) plus the cost to beta, both with u'' = -u'^2; on [a, b] u(a)
         plus the integral of g from a, g, and g' by the continuation ODE.
-        One cost call prices the trades and u(a), one integral call the
-        integrals and u(beta)."""
+        One cost call prices the trades and u(a), one slope call (``_spans``)
+        g and the integrals, u(beta)'s too."""
         x = _within("value function is defined on [0, 1]", x)
         mp, cp, (l, x0, a, al, be, b) = self.market, self.costs, self.anchor
         t0, t_a, _, t_be = to_centered(np.array([x0, a, al, be]))
         above = x > b
         mid = ~((x < a) | above)
         out, y, z, up = np.empty((3,) + x.shape), x[mid], x[~mid], above[~mid]
-        t = _logit(y)
         cost = _log_cost(cp, np.concatenate([z, [a]]),
                          np.concatenate([np.where(up, be, al), [al]]))
-        pieces = _pieces(_power(mp), t0, x0, t_a, np.concatenate([t, [t_be]]))
-        integral = _g_integral(mp, pieces, l)
-        g = _g(mp, y, t, x0, t0, l)
+        # g at y and beta, the integrals from a to each
+        g, pieces = _spans(mp, np.concatenate([y, [be]]),
+                           np.concatenate([_logit(y), [t_be, t_a]]), x0, t0, l, -1)
+        integral, g = _g_integral(mp, pieces, l), g[:-1]
         buying, selling = edge_slopes(cp.gamma, cp.delta, z, z)
         slope = np.where(up, selling, buying)
         out[:, mid] = cost[-1] + integral[:-1], g, _slope_dx(mp, y, g, l)[0]
@@ -463,7 +486,11 @@ def verify_qvi(mp: MarketParams, cp: CostParams, vf: ValueFunction,
     gap_low, gap_high = np.abs(excess[-2:]).tolist()
     target_low, target_high = target[-2:].tolist()
 
-    pasting = float(np.max(np.abs(_pasting_rows(mp, cp, l, x0, a, alpha, beta, b))))
+    # the pasting rows' kernel, as the claim check puts the four points and x0 inside (0, 1)
+    x = np.array([alpha, beta, a, b, x0])
+    t = _logit(x)
+    g = _g(mp, x[:4], t[:4], x0, t[4], l)
+    pasting = float(np.max(np.abs(_slope_gaps(cp, g, a, alpha, beta, b))))
     passed = bool(
         not unresolved
         and max_interior <= tol
@@ -491,7 +518,8 @@ def _priced(residual, v):
     bit for bit that of n calls.  A ValueError of the block propagates: a
     point whose difference columns leave the domain is not priced."""
     h = _FD_STEP * np.fmax(1.0, np.abs(v))
-    block = np.where(np.eye(v.size, v.size + 1, 1, dtype=bool), (v + h)[:, None], v[:, None])
+    block = np.repeat(v, v.size + 1).reshape(v.size, -1)
+    block.reshape(-1)[1::v.size + 2] = v + h  # the superdiagonal (j, j + 1)
     out = np.asarray(residual(block), dtype=float)
     return out[:, 0], (out[:, 1:] - out[:, :1]) / h
 

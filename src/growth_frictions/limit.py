@@ -34,7 +34,7 @@ import numpy as np
 
 from ._slope import (NewtonUnknowns, NonConvergence, ParameterDegeneracy, ValueFunction,
                      VerificationReport, _g, _slope_dx, best_band, newton_from_starts,
-                     slope_g_dx, verify_qvi, warm_then_cold)
+                     verify_qvi, warm_then_cold)
 from .market import (CostParams, MarketParams, ParameterError, _logit, check_growth_excess,
                      edge_slopes)
 
@@ -85,11 +85,17 @@ def residual_system_limit(mp: MarketParams, gamma: float, cand: LimitCandidate) 
         raise ParameterDegeneracy("candidate ordering 0 < A < B < 1 violated")
     if np.count_nonzero(np.isnan(cand.l0)):
         raise ParameterDegeneracy("candidate growth rate l0 is NaN")
-    # unchecked kernels, as the ordering puts the edges and x0 inside (0, 1)
-    edges, s = np.array([cand.A, cand.B]), edge_slopes(gamma, 0.0, cand.A, cand.B)
-    g = _g(mp, edges, _logit(edges), cand.x0, _logit(cand.x0), cand.l0)
-    dg, half = _slope_dx(mp, edges, g, cand.l0)
+    g, dg, half, s = _edge_terms(mp, gamma, cand)
     return np.concatenate([g - s, half * (dg + s * s)])
+
+
+def _edge_terms(mp: MarketParams, gamma: float, cand: LimitCandidate) -> tuple:
+    """g, g' and half(x) at the edges (A, B) and the trade cost's slope s there:
+    unchecked kernels, below a check that puts the edges and x0 inside (0, 1)."""
+    x = np.array([cand.A, cand.B, cand.x0])
+    t = _logit(x)
+    g = _g(mp, x[:2], t[:2], cand.x0, t[2], cand.l0)
+    return (g, *_slope_dx(mp, x[:2], g, cand.l0), edge_slopes(gamma, 0.0, cand.A, cand.B))
 
 
 def solve_limit(mp: MarketParams, gamma: float,
@@ -145,8 +151,7 @@ def verify_hjb_limit(mp: MarketParams, gamma: float, sol: LimitSolution,
     vf = replace(build_limit_value(mp, gamma, sol), candidate=sol.candidate)
     report = verify_qvi(mp, CostParams(0.0, gamma), vf, grid_n, tol)
     c = sol.candidate
-    s = edge_slopes(gamma, 0.0, c.A, c.B)
-    mism = (float(np.max(np.abs(slope_g_dx(mp, np.array([c.A, c.B]), c.x0, c.l0) + s * s)))
-            if c.ordering_ok() else np.nan)  # no C2 row then
+    _, dg, _, s = _edge_terms(mp, gamma, c) if c.ordering_ok() else (np.nan,) * 4
+    mism = float(np.max(np.abs(dg + s * s)))  # nan, no C2 row, off the ordering
     return HJBReport(**{**vars(report), "passed": report.passed and mism <= SECOND_ORDER_TOL},
                      second_deriv_mismatch=mism)

@@ -31,12 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._slope import (PASTING_TOL, RESIDUAL_TOL, NewtonUnknowns, NonConvergence,
-                     ParameterDegeneracy, ValueFunction, VerificationReport, _g, _g_integral,
-                     _pasting_rows, _pieces, _power, _slope_gaps, best_band, interior_optimum,
+                     ParameterDegeneracy, ValueFunction, VerificationReport, _g_integral,
+                     _pasting_rows, _slope_gaps, _spans, best_band, interior_optimum,
                      newton_from_starts, policy_value, slope_g, slope_g_dx, slope_g_integral,
                      verify_qvi, warm_then_cold)
-from .market import (EPS, CostParams, MarketParams, ParameterError, _log_cost, _logit, buys,
-                     check_growth_excess, from_centered)
+from .market import (EPS, CostParams, MarketParams, ParameterError, _log_cost, _logistic, _logit,
+                     buys, check_growth_excess, from_centered)
 
 __all__ = [
     "BoundaryCandidate", "BoundarySolution", "ValueFunction", "VerificationReport",
@@ -99,14 +99,15 @@ def residual_system(mp: MarketParams, cp: CostParams, cand: BoundaryCandidate) -
         raise ParameterDegeneracy("candidate ordering a < alpha <= beta < b violated")
     if np.count_nonzero(np.isnan(cand.l)):
         raise ParameterDegeneracy("candidate growth rate l is NaN")
-    # unchecked kernels, as the ordering puts every point inside (0, 1); x: alpha, beta, a, b
+    # unchecked kernels, as the ordering puts every point inside (0, 1); x: alpha,
+    # beta, a, b, x0; g at the first four, integrals from a and beta to alpha and b
     l, x0, a, al, be, b = cand.policy()
-    x, t0 = np.array([al, be, a, b]), _logit(x0)
+    x = np.array([al, be, a, b, x0])
     t = _logit(x)
-    integral = _g_integral(mp, _pieces(_power(mp), t0, x0, t[2:0:-1], t[::3]), l)
-    cost = _log_cost(cp, x[2:], x[:2])  # a -> alpha, b -> beta
-    return np.concatenate([_slope_gaps(cp, _g(mp, x, t, x0, t0, l), a, al, be, b),
-                           [integral[0] + cost[0], integral[1] - cost[1]]])
+    g, pieces = _spans(mp, x[:4], t, x0, t[4], l, slice(2, 0, -1), slice(None, None, 3))
+    cost = _log_cost(cp, x[2:4], x[:2])  # a -> alpha, b -> beta, the latter then negated
+    np.negative(cost[1:], out=cost[1:])
+    return np.concatenate([_slope_gaps(cp, g, a, al, be, b), _g_integral(mp, pieces, l) + cost])
 
 
 _WIDEN, _INSET, _REFINE = (np.geomspace(5e-3, 4.0, 14), np.geomspace(2e-3, 2.0, 12),
@@ -133,11 +134,14 @@ def _oracle_seed(mp, cp, A, B):
     a_lim, b_lim = _logit(A), _logit(B)
     u1, u2, v1, v2 = _WIDEN, _WIDEN, _INSET, _INSET
     for _ in range(2):
-        a_y, b_y = a_lim - u1[:, None], b_lim + u2[:, None]
-        # (4, widenings, insets) logits in one from_centered call, then one row
-        # per low trade and one column per high trade inside (EPS, 1 - EPS)
-        a, al, b, be = from_centered(np.stack(np.broadcast_arrays(
-            a_y, a_y + v1, b_y, b_y - v2))).reshape(4, -1)
+        # (4, widenings, insets) finite logits (a, alpha, b, beta) in one logistic
+        # call, then one row per low trade and one column per high trade inside
+        # (EPS, 1 - EPS)
+        y = np.empty((4, u1.size, v1.size))
+        y[:2], y[2:] = (a_lim - u1)[:, None], (b_lim + u2)[:, None]
+        y[1] += v1
+        y[3] -= v2
+        a, al, b, be = _logistic(y).reshape(4, -1)
         lo, hi = a > EPS, b < 1.0 - EPS
         a, al, b, be = a[lo], al[lo], b[hi], be[hi]
         values = policy_value(mp, cp, a[:, None], al[:, None], be, b)

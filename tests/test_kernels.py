@@ -125,6 +125,51 @@ def test_value_derivatives_are_the_checked_forms(mp, cp, vf, lim):
                 _same(new(v), old(curve, v))
 
 
+# the knife edge hhat = 1/2 exactly, where p = 0: every e1 is its fill and every e2 its series
+KNIFE = gf.MarketParams(r=0.0, mu=0.125, sigma=0.5)
+# (l, x0, a, alpha, beta, b) that no anchor solve visits: a plain band, alpha = beta,
+# x0 at alpha and at b (p u = 0, e1's fill) and |p dt| < 1e-3 (e2's series)
+OFF_PATH = [(0.02, 0.5, 0.3, 0.4, 0.6, 0.7), (0.02, 0.5, 0.3, 0.5, 0.5, 0.7),
+            (0.01, 0.4, 0.3, 0.4, 0.6, 0.7), (0.01, 0.7, 0.3, 0.4, 0.6, 0.7),
+            (0.02, 0.5, 0.4, 0.4 + 1e-5, 0.6 - 1e-5, 0.6)]
+
+
+def _off_path_stacks(width):
+    """The OFF_PATH rows as float candidates, then seeded stacks of 1 to 8 of
+    them as (width, k) blocks, for a candidate of width fields."""
+    rows = np.array(OFF_PATH).T
+    rows = rows if width == 6 else rows[[0, 1, 3, 5]]  # the limit's (l0, x0, A, B)
+    rng = np.random.default_rng(46)
+    return [rows[:, j].tolist() for j in range(rows.shape[1])] + [
+        rows[:, rng.integers(rows.shape[1], size=k)] for k in range(1, 9)]
+
+
+@pytest.mark.parametrize("mp", [KNIFE, MARKETS[2]], ids=["knife_edge", "mu0.096"])
+def test_residuals_are_the_checked_forms_off_the_solver_path(mp, cp):
+    for v in _off_path_stacks(6):
+        cand = gf.BoundaryCandidate.from_vector(v)
+        _same(qvi.residual_system(mp, cp, cand), residual_system(mp, cp, cand))
+        _same(_slope.policy_value(mp, cp, cand.a, cand.alpha, cand.beta, cand.b),
+              policy_value(mp, cp, cand.a, cand.alpha, cand.beta, cand.b))
+    for v in _off_path_stacks(4):
+        cand = gf.LimitCandidate.from_vector(v)
+        _same(limit.residual_system_limit(mp, cp.gamma, cand),
+              residual_system_limit(mp, cp.gamma, cand))
+
+
+@pytest.mark.parametrize("case", OFF_PATH)
+def test_a_knife_edge_value_curve_is_the_checked_form(cp, case):
+    cand = gf.BoundaryCandidate(*case)
+    curves = [_slope.ValueFunction(KNIFE, cp, cand, case),
+              _slope.ValueFunction(KNIFE, gf.CostParams(0.0, cp.gamma), cand,
+                                   (case[0], case[1], case[2], case[2], case[5], case[5]))]
+    x = np.linspace(0.0, 1.0, 2001)
+    for curve in curves:
+        for new, old in ((curve.u, u), (curve.du, du), (curve.ddu, ddu)):
+            _same(new(x), old(curve, x))
+            _same(new(case[3]), old(curve, case[3]))
+
+
 FIELDS = [f.name for f in dataclasses.fields(gf.BoundaryCandidate)]
 LIMIT_FIELDS = [f.name for f in dataclasses.fields(gf.LimitCandidate)]
 

@@ -5,7 +5,8 @@ core below them only the market, solvers that price in closed form only
 both solvers, whose cold start is built only when no warm start converges,
 one Newton run and no limit solve in a cold impulse solve, one residual call
 per damped Newton step, one grid verifier for both models, one kernel call
-of each kind per limit residual, the quadrature rule built on first use,
+of each kind per limit residual, one formation of the slope's terms per
+impulse residual and value curve, the quadrature rule built on first use,
 no numpy.ma import in a verify, a singular Jacobian that ends its run at the
 start, one domain check and then kernels when a policy is priced, and
 kernels below the band search's, the grid check's, the cold seed's, the
@@ -251,6 +252,36 @@ def test_a_limit_residual_is_one_slope_and_one_slope_derivative_call(mp, lim):
             patch.setattr(limit, name, counting(name))
         gf.residual_system_limit(mp, GAMMA, lim.candidate)
     assert calls == ["_g", "_slope_dx"]
+
+
+def _counting_numpy(calls):
+    """numpy with each exp and expm1 call counted into calls."""
+    counted = types.SimpleNamespace(**vars(np))
+    for name in ("exp", "expm1"):
+        setattr(counted, name, lambda *args, name=name, **kwargs:
+                calls.update([name]) or getattr(np, name)(*args, **kwargs))
+    return counted
+
+
+def test_a_residual_and_a_value_curve_form_the_slope_terms_once(mp, cp, sol, vf):
+    # g's e1 and e^{p u} at the logit differences u = t0 - t are the integrals'
+    # too, and one expm1 serves e1 and e2: one _e1, _e2 and expm1 call, and
+    # exp twice, once for the slope's terms and once in the one softplus call
+    v = sol.candidate.as_vector()
+    block = gf.BoundaryCandidate.from_vector(np.repeat(v[:, None], 7, axis=1))
+    evaluations = [lambda: qvi.residual_system(mp, cp, sol.candidate),
+                   lambda: qvi.residual_system(mp, cp, block),
+                   lambda: vf._curves(np.linspace(0.0, 1.0, 2001))]
+    for evaluate in evaluations:
+        calls = Counter()
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("_e1", "_e2", "_softplus"):
+                original = getattr(_slope, name)
+                patch.setattr(_slope, name, lambda *args, name=name, original=original:
+                              calls.update([name]) or original(*args))
+            patch.setattr(_slope, "np", _counting_numpy(calls))
+            evaluate()
+        assert calls == {"_e1": 1, "_e2": 1, "_softplus": 1, "expm1": 1, "exp": 2}
 
 
 @dataclass(frozen=True)
@@ -578,6 +609,10 @@ def test_the_ledger_prints_only_the_moved_records():
         "+ cli\t0\tsolve\tstdout\tdef",
         "- grid\t3\timpulse\tNonConvergence\tno start converged"]
     assert list(ledger.moved(old, old)) == [] == list(ledger.moved(new, new))
+    # --against's closing stderr line counts the moved records among either side's
+    assert ledger.tally(old, new) == "moved: 4 of 6 records"
+    assert ledger.tally(old, old) == "moved: 0 of 5 records"
+    assert ledger.tally([], new) == "moved: 5 of 5 records"
 
 
 def test_the_ledgers_cli_section_is_the_same_in_two_directories(tmp_path_factory):

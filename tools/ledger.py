@@ -37,8 +37,10 @@ artifact's sha256, or the exit code.
 its own tree's script (REV checked out with ``git worktree add --detach`` in
 a temporary directory, removed on every exit), and prints only the moved
 records: a ``-`` line with REV's record and a ``+`` line with this tree's,
-per record whose line differs or that one side lacks.  ``--against HEAD``
-on a clean tree prints nothing.
+per record whose line differs or that one side lacks.  It ends with one
+stderr line, ``moved: N of M records``, M counting the records of either
+side, so ``--against HEAD`` on a clean tree prints no record and
+``moved: 0 of M records``.
 """
 
 import contextlib
@@ -156,6 +158,13 @@ def moved(old, new):
             yield from ([f"+ {after[key]}"] if key in after else [])
 
 
+def tally(old, new):
+    """The closing line of ``--against``: how many records ``moved`` prints,
+    of all the records named on either side."""
+    n = len({_key(line[2:]) for line in moved(old, new)})
+    return f"moved: {n} of {len({_key(line) for line in [*old, *new]})} records"
+
+
 def _ledger(script):
     """The lines of one tree's ledger, written by that tree's script."""
     run = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
@@ -183,8 +192,10 @@ def against(rev):
 
 def main(argv) -> None:
     if argv[1:2] == ["--against"]:
-        for line in moved(*against(argv[2])):
+        old, new = against(argv[2])
+        for line in moved(old, new):
             print(line)
+        print(tally(old, new), file=sys.stderr)
         return
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent
     sys.path[:0] = [str(root / "src"), str(root / "tests")]
