@@ -162,19 +162,18 @@ def slope_g_integral(mp: MarketParams, x_from, x_to, x0: float, l: float):
     x_from, x_to = _within("slope_g_integral requires endpoints strictly inside (0, 1)",
                            x_from, x_to, open_=True)
     x = np.stack(np.broadcast_arrays(x_to, x_from, x0)[:2])  # one end per row
-    _, pieces = _spans(mp, x[:1], _logit(x), x0, to_centered(x0), l, slice(1, 2))
+    _, pieces = _spans(mp, 1, _logit(x), x0, to_centered(x0), slice(1, 2))
     return _plain(_g_integral(mp, pieces, l)[0])
 
 
-def _spans(mp: MarketParams, x, t, x0, t0, l, lo, hi=slice(None), homogeneous=False):
-    """g at the n points x (``_g``) and the pieces (A, B, C) of the integrals of
-    g from logit t[lo] to t[:n][hi] (``_g_integral``), where t holds the logits
-    of x and then of any other lower ends; with homogeneous also H, the
-    integral of e^{p(t0 - t)}.  One expm1 over p u (u = t0 - t at x) and p dt
-    gives e1 of both and e2 of p dt, and each integral's u2 = t0 - t2, e^{p u2}
-    and u2 e1(p u2) are rows of g's terms."""
-    n, sp = len(x), _softplus(t)
-    d = t0 - t[:n]
+def _spans(mp: MarketParams, n, t, x0, t0, lo, hi=slice(None), homogeneous=False):
+    """The terms u e1(p u) and e^{p u} that ``_g`` takes at the first n logits
+    of t (u = t0 - t), and the pieces (A, B, C) of the integrals of g from
+    logit t[lo] to t[:n][hi] (``_g_integral``); with homogeneous also H, the
+    integral of e^{p(t0 - t)}.  One expm1 over p u and p dt gives e1 of both
+    and e2 of p dt, and each integral's u2 = t0 - t2, e^{p u2} and u2 e1(p u2)
+    are rows of g's terms."""
+    sp, d = _softplus(t), t0 - t[:n]
     dt = t[:n][hi] - t[lo]
     z = _power(mp) * np.concatenate([d, dt])
     em = np.expm1(z)
@@ -183,7 +182,7 @@ def _spans(mp: MarketParams, x, t, x0, t0, l, lo, hi=slice(None), homogeneous=Fa
     d_e2, grow2 = d_e[hi], grow[hi]
     pieces = (dt * (dt * _e2(z[n:], em[n:]) + d_e2 * e_dt), x0 * grow2 * dt * e_dt,
               sp[:n][hi] - sp[lo]) + ((dt * grow2 * e_dt,) if homogeneous else ())
-    return _g(mp, x, t[:n], x0, t0, l, (d_e, grow)), pieces
+    return (d_e, grow), pieces
 
 
 def _g_integral(mp: MarketParams, pieces, l):
@@ -246,15 +245,14 @@ def policy_value(mp: MarketParams, cp: CostParams, a, al, be, b):
     n, (shape_low, shape_high) = a.size, (a.shape, b.shape)
     # one logit call: t2 of every low row (a to alpha) and high row (beta to b),
     # then their t1, then hhat's; one cost call: a to alpha, then b to beta
-    x = np.concatenate([v.ravel() for v in (al, b, a, be)] + [[hhat]])
-    t = _logit(x)
+    t = _logit(np.concatenate([v.ravel() for v in (al, b, a, be)] + [[hhat]]))
     m = t.size // 2
     cost = np.log(_wealth(cp, np.concatenate([a.ravel(), b.ravel()]),
                           np.concatenate([al.ravel(), be.ravel()])))
     np.negative(cost[n:], out=cost[n:])
     with np.errstate(divide="ignore", invalid="ignore"):
         # the rows k l + C + r = 0 of int_x1^x2 w' + cost = 0
-        _, pieces = _spans(mp, x[:m], t, hhat, t[-1], 0.0, slice(m, -1), homogeneous=True)
+        _, pieces = _spans(mp, m, t, hhat, t[-1], slice(m, -1), homogeneous=True)
         base = _g_integral(mp, pieces, 0.0)
         k, r = (_g_integral(mp, pieces, 1.0) - base) / pieces[3], (base + cost) / pieces[3]
         l = np.asarray(r[n:].reshape(shape_high) - r[:n].reshape(shape_low))
@@ -316,8 +314,8 @@ class ValueFunction:
         partition of x at a and b: below a the trade cost to alpha, above b
         u(beta) plus the cost to beta, both with u'' = -u'^2; on [a, b] u(a)
         plus the integral of g from a, g, and g' by the continuation ODE.
-        One cost call prices the trades and u(a), one slope call (``_spans``)
-        g and the integrals, u(beta)'s too."""
+        One cost call prices the trades and u(a), one ``_spans`` call g's
+        terms and the integrals, u(beta)'s too."""
         x = _within("value function is defined on [0, 1]", x)
         mp, cp, (l, x0, a, al, be, b) = self.market, self.costs, self.anchor
         t0, t_a, _, t_be = to_centered(np.array([x0, a, al, be]))
@@ -326,10 +324,11 @@ class ValueFunction:
         out, y, z, up = np.empty((3,) + x.shape), x[mid], x[~mid], above[~mid]
         cost = _log_cost(cp, np.concatenate([z, [a]]),
                          np.concatenate([np.where(up, be, al), [al]]))
-        # g at y and beta, the integrals from a to each
-        g, pieces = _spans(mp, np.concatenate([y, [be]]),
-                           np.concatenate([_logit(y), [t_be, t_a]]), x0, t0, l, -1)
-        integral, g = _g_integral(mp, pieces, l), g[:-1]
+        # g's terms at y and beta, the integrals from a to each
+        t = np.concatenate([_logit(y), [t_be, t_a]])
+        terms, pieces = _spans(mp, y.size + 1, t, x0, t0, -1)
+        integral = _g_integral(mp, pieces, l)
+        g = _g(mp, y, t[:-2], x0, t0, l, [v[:-1] for v in terms])
         buying, selling = edge_slopes(cp.gamma, cp.delta, z, z)
         slope = np.where(up, selling, buying)
         out[:, mid] = cost[-1] + integral[:-1], g, _slope_dx(mp, y, g, l)[0]

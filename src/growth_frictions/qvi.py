@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._slope import (PASTING_TOL, RESIDUAL_TOL, NewtonUnknowns, NonConvergence,
-                     ParameterDegeneracy, ValueFunction, VerificationReport, _g_integral,
+                     ParameterDegeneracy, ValueFunction, VerificationReport, _g, _g_integral,
                      _pasting_rows, _slope_gaps, _spans, best_band, interior_optimum,
                      newton_from_starts, policy_value, slope_g, slope_g_dx, slope_g_integral,
                      verify_qvi, warm_then_cold)
@@ -104,7 +104,8 @@ def residual_system(mp: MarketParams, cp: CostParams, cand: BoundaryCandidate) -
     l, x0, a, al, be, b = cand.policy()
     x = np.array([al, be, a, b, x0])
     t = _logit(x)
-    g, pieces = _spans(mp, x[:4], t, x0, t[4], l, slice(2, 0, -1), slice(None, None, 3))
+    terms, pieces = _spans(mp, 4, t, x0, t[4], slice(2, 0, -1), slice(None, None, 3))
+    g = _g(mp, x[:4], t[:4], x0, t[4], l, terms)
     cost = _log_cost(cp, x[2:4], x[:2])  # a -> alpha, b -> beta, the latter then negated
     np.negative(cost[1:], out=cost[1:])
     return np.concatenate([_slope_gaps(cp, g, a, al, be, b), _g_integral(mp, pieces, l) + cost])

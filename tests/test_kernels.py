@@ -170,6 +170,14 @@ def test_a_knife_edge_value_curve_is_the_checked_form(cp, case):
             _same(new(case[3]), old(curve, case[3]))
 
 
+def test_the_closed_forms_form_no_slope_at_their_ends(cp):
+    # at hhat 0.97 g itself overflows at alpha = 1e-250, where the integrals
+    # end: policy_value and slope_g_integral form the integrals' terms, not g
+    mp, ends = MARKETS[3], (1e-300, 1e-250)
+    _same(_slope.policy_value(mp, cp, *ends, 0.5, 0.6), policy_value(mp, cp, *ends, 0.5, 0.6))
+    _same(_slope.slope_g_integral(mp, *ends, 0.5, 0.01), slope_g_integral(mp, *ends, 0.5, 0.01))
+
+
 FIELDS = [f.name for f in dataclasses.fields(gf.BoundaryCandidate)]
 LIMIT_FIELDS = [f.name for f in dataclasses.fields(gf.LimitCandidate)]
 
