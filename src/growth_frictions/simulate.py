@@ -21,18 +21,21 @@ samples within-step crossings for the impulse simulator from a separate
 uniform stream, so the normal sequence is unchanged.
 
 Randomness is counter-based: path i of a run seeded s reads an independent
-Philox stream keyed (s, i), so any subset of paths can be simulated
-concurrently or in blocks with identical results, and every output is a
-pure function of (inputs, base_seed, path_index).  The walker uses this to
-take the paths in fixed chunks and the steps in blocks that fill a fixed
-byte tile: its buffers hold one block of steps for one chunk of paths,
-whatever n_paths, n_steps or the number of rows is, and only the per-path
-results (about 40 bytes a path and row) outlive a chunk.
+Philox stream keyed (s, i), so every output is a pure function of (inputs,
+base_seed, path_index) and the paths may be walked apart.  The walker splits
+them into one contiguous part per CPU, each but the first walked at the same
+time in a forked child, and a part into fixed chunks whose steps it takes in
+blocks that fill a fixed byte tile: its buffers hold one block of steps for
+one chunk, whatever n_paths, n_steps or the number of rows is, and only the
+per-path results (about 40 bytes a path and row) outlive a chunk.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +59,7 @@ __all__ = [
 _TILE = 4 << 20
 _CHUNK = 2048  # paths walked at once; fig2's default 1,000 paths are one chunk
 _BRIDGE_STREAM_SALT = 0x9E3779B97F4A7C15  # golden-ratio word, keys the uniform stream
+_PART_PATHS, _PART_STEPS = 128, 1 << 20  # the least work a forked part pays for
 
 
 class NumericalBlowup(RuntimeError):
@@ -165,6 +169,21 @@ def path_generator(base_seed: int, path_index: int, stream: int = 0) -> np.rando
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _parts(n_paths: int, n_steps: int) -> int:
+    """How many parts _Band.run walks: one per CPU of the affinity mask, at
+    most one per _PART_PATHS paths (narrower parts gained nothing on two
+    CPUs) and per _PART_STEPS path-steps (some ten times a fork's cost), and
+    one where os.fork is missing or would warn."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    try:  # from CPython 3.12 on, a fork warns while other threads run
+        threads = len(os.listdir("/proc/self/task")) if sys.version_info >= (3, 12) else 1
+    except OSError:  # no thread count to go by
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if threads == 1 else 1
+    return max(1, min(cpus, n_paths // _PART_PATHS, n_paths * n_steps // _PART_STEPS))
+
+
 def _start(mp, cfg, lo, hi, closed, region="no-trade region"):
     """h0, which must lie in (lo, hi), or [lo, hi] when closed; h0 = None
     picks the Merton fraction clipped just inside."""
@@ -183,11 +202,14 @@ class _Band:
     total, and the first path is recorded; without cp, the last row is the
     reference of a coupling and sup |y - y_last| of the others is tracked.
 
-    paths is a range or list of path indices.  They are walked _CHUNK at a
-    time, and the steps as many at a time as fill _TILE bytes (at least one,
-    at most n_steps), so the buffers are a fixed size whatever the numbers
-    of paths, steps and rows; only the per-path results (y and trade count,
-    with cp bond and trade log, without it sup) are kept for every path."""
+    paths is a range or list of path indices, split by run into _parts
+    contiguous parts: this process walks part 0, which holds the first path,
+    and a forked child each other part, which pipes back its columns of the
+    per-path results (y and trade count, with cp bond and trade log, without
+    it sup); a part whose child fails is walked again here.  A part is
+    walked _CHUNK paths at a time, and the steps as many at a time as fill
+    _TILE bytes (at least one, at most n_steps), so the buffers are a fixed
+    size whatever the numbers of paths, steps and rows."""
 
     def __init__(self, mp, cfg, paths, rows, y0, cp=None):
         self.mp, self.cfg, self.paths, self.cp = mp, cfg, paths, cp
@@ -206,19 +228,58 @@ class _Band:
             self.trace_trades = []
 
     def run(self, bridge: bool = False) -> _Band:
-        for start in range(0, len(self.paths), _CHUNK):
-            self._run_chunk(slice(start, start + _CHUNK), bridge)
+        k = _parts(n := len(self.paths), self.cfg.n_steps)
+        parts = [slice(-(-n * p // k), -(-n * (p + 1) // k)) for p in range(k)]  # part 0 has path 0
+        results = [self.y, self.trades] + (
+            [self.sup] if self.cp is None else [self.bond, self.trade_log])
+        children = []  # (pid, part, read end of its pipe) until reaped
+        try:
+            for cols in parts[1:]:
+                get, put = os.pipe()
+                if not (pid := os.fork()):  # leaves by os._exit: no frame or buffer runs twice
+                    try:
+                        self._run_part(cols, bridge)
+                        with open(put, "wb") as pipe:  # streamed, so it holds no second copy
+                            pickle.dump([v[:, cols] for v in results], pipe, protocol=5)
+                        os._exit(0)
+                    finally:  # only if the part raised
+                        os._exit(1)
+                os.close(put)
+                children.append((pid, cols, open(get, "rb")))
+            self._run_part(parts[0], bridge)
+            for pid, cols, pipe in list(children):  # in order, so any error is the serial walk's
+                with pipe:
+                    try:
+                        sent = pickle.load(pipe)
+                    except (EOFError, pickle.UnpicklingError):  # the child sent nothing or part
+                        sent = None
+                status = os.waitpid(pid, 0)[1]
+                del children[0]
+                if status or sent is None:  # the child failed: walk its part here
+                    self._run_part(cols, bridge)
+                else:
+                    for v, part in zip(results, sent):
+                        v[:, cols] = part
+        finally:  # only if this process raised: stop and reap the children left
+            for pid, _, pipe in children:
+                pipe.close()
+                os.kill(pid, 9)  # SIGKILL
+                os.waitpid(pid, 0)
         return self
+
+    def _run_part(self, cols: slice, bridge: bool) -> None:
+        for start in range(cols.start, cols.stop, _CHUNK):
+            self._run_chunk(slice(start, min(start + _CHUNK, cols.stop)), bridge)
 
     def _run_chunk(self, cols: slice, bridge: bool) -> None:
         """Walk the paths in cols through every block of steps."""
         mp, cfg = self.mp, self.cfg
-        y = self.y[:, cols]
+        y = np.ascontiguousarray(self.y[:, cols])  # a part's strided rows cost a loop each
         # the band rows at the chunk's (k, n) shape, so that no step broadcasts them
         lo, lo_to, hi_to, hi = (np.repeat(v, y.shape[1], axis=1)
                                 for v in (self.lo, self.lo_to, self.hi_to, self.hi))
         held = (y,) if self.cp is None else (y, self.bond[:, cols])
-        sup = None if self.sup is None else self.sup[:, cols]
+        sup = None if self.sup is None else np.ascontiguousarray(self.sup[:, cols])
         c, sq = (mp.mu - mp.r - 0.5 * mp.sigma * mp.sigma) * cfg.dt, mp.sigma * math.sqrt(cfg.dt)
         paths = self.paths[cols]
         gens = [path_generator(cfg.base_seed, i) for i in paths]
@@ -264,6 +325,9 @@ class _Band:
             self._settle(cols, done, None if pre is None else pre[:nb], low[:nb], high[:nb])
             if not all(np.isfinite(v).all() for v in held):
                 raise NumericalBlowup("wealth left the positive cone")
+        self.y[:, cols] = y
+        if sup is not None:
+            self.sup[:, cols] = sup
 
     def _settle(self, cols: slice, done: int, pre, low, high) -> None:
         """Count the trades of the block after step done (in high) and, with

@@ -1,5 +1,10 @@
 import dataclasses
 import math
+import os
+import threading
+import time
+import types
+import warnings
 
 import mpmath
 import numpy as np
@@ -657,3 +662,188 @@ def test_coupled_random_rows_stay_within_the_largest_edge_gap(mp):
         bounds_y = np.hstack([a_al, be_b])
         sup, _ = gf.couple_at_boundaries(mp, bounds_y, (lo, hi), cfg, 0.5 * (lo + hi))
         _assert_within_the_edge_gap(sup, bounds_y, lo, hi)
+
+
+_AFFINITY = pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU mask")
+
+
+def _force_parts(monkeypatch, k):
+    monkeypatch.setattr(simulate, "_parts", lambda n_paths, n_steps: k)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+SPLIT_PATHS = 23
+
+
+def _split_walk(rule, mp, cp, sol, lim):
+    """The walk of rule's SPLIT_PATHS paths over 5 years at dt = 1e-2: the
+    band of an impulse, bridged impulse or reflected walk, or the
+    CouplingRows of three deltas."""
+    n_paths = SPLIT_PATHS
+    cfg = gf.SimConfig(horizon=5.0, dt=1e-2, n_paths=n_paths, base_seed=17,
+                       bridge_correction=rule == "bridge")
+    c, A, B = sol.candidate, lim.candidate.A, lim.candidate.B
+    if rule == "coupling":
+        return gf.couple_paths(mp, GAMMA, [1e-2, 1e-3, 1e-4], cfg)
+    if rule == "reflected":
+        return simulate._walk(mp, gf.CostParams(0.0, GAMMA), (A, A, B, B), cfg, range(n_paths))
+    return simulate._walk(mp, cp, (c.a, c.alpha, c.beta, c.b), cfg, range(n_paths))
+
+
+def _assert_same_walk(rule, split, whole):
+    if rule == "coupling":
+        assert sum(row.trade_counts.sum() for row in whole) > 0
+        for r1, r2 in zip(split, whole, strict=True):
+            assert _records_equal(r1, r2)
+        return
+    assert whole.trades.sum() > 0 and len(whole.first().trade_events) > 0
+    for name in ("y", "trades", "bond", "trade_log"):
+        assert np.array_equal(getattr(split, name), getattr(whole, name)), name
+    assert dataclasses.astuple(split.estimate())[:-1] == dataclasses.astuple(whole.estimate())[:-1]
+    assert _records_equal(split.first(), whole.first())
+    assert _events_equal(split.first().trade_events, whole.first().trade_events)
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("rule", ["impulse", "bridge", "reflected", "coupling"])
+def test_a_walk_split_in_forked_parts_equals_the_whole_walk_bit_for_bit(
+        rule, parts, mp, cp, sol, lim, monkeypatch):
+    # 23 paths in parts of 12 and 11 or of 8, 8 and 7, each walked in chunks
+    # of 5 paths with a ragged last one; the first path stays in this process
+    monkeypatch.setattr(simulate, "_CHUNK", 5)
+    _force_parts(monkeypatch, 1)
+    whole = _split_walk(rule, mp, cp, sol, lim)
+    _force_parts(monkeypatch, parts)
+    split = _split_walk(rule, mp, cp, sol, lim)
+    _no_child_left()
+    _assert_same_walk(rule, split, whole)
+
+
+def test_a_part_whose_child_fails_is_walked_again_in_process(mp, cp, sol, lim, monkeypatch):
+    parent, run_chunk = os.getpid(), simulate._Band._run_chunk
+
+    def fail_in_a_child(band, cols, bridge):
+        if os.getpid() != parent:
+            raise MemoryError("injected into a child")
+        run_chunk(band, cols, bridge)
+
+    _force_parts(monkeypatch, 1)
+    whole = _split_walk("impulse", mp, cp, sol, lim)
+    monkeypatch.setattr(simulate._Band, "_run_chunk", fail_in_a_child)
+    _force_parts(monkeypatch, 3)
+    split = _split_walk("impulse", mp, cp, sol, lim)
+    _no_child_left()
+    _assert_same_walk("impulse", split, whole)
+
+
+def test_a_walk_that_raises_here_stops_its_children(mp, cp, sol, lim, monkeypatch):
+    # the children would walk for a minute, but part 0 raises at once
+    parent, run_chunk = os.getpid(), simulate._Band._run_chunk
+
+    def stall_in_a_child(band, cols, bridge):
+        if os.getpid() != parent:
+            time.sleep(60.0)
+        elif cols.start == 0:
+            raise KeyboardInterrupt
+        run_chunk(band, cols, bridge)
+
+    monkeypatch.setattr(simulate._Band, "_run_chunk", stall_in_a_child)
+    _force_parts(monkeypatch, 3)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        _split_walk("impulse", mp, cp, sol, lim)
+    _no_child_left()
+    assert time.monotonic() - start < 30.0
+
+
+class _BlowingGenerator:
+    """A path's normals, all NaN: its y leaves the reals at the first step."""
+
+    def standard_normal(self, n):
+        return np.full(n, np.nan)
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3])
+@pytest.mark.parametrize("blowing", ["first path", "last path", "every path"])
+def test_a_split_walk_that_blows_up_raises_the_serial_error(blowing, parts, mp, cp, sol, lim,
+                                                            monkeypatch):
+    # a blow-up in part 0 stops the children; one in a child's part only is
+    # walked again here and raised as the serial walk raises it
+    generator, last = simulate.path_generator, SPLIT_PATHS - 1
+    blown = {"first path": {0}, "last path": {last}, "every path": set(range(last + 1))}[blowing]
+    monkeypatch.setattr(simulate, "path_generator", lambda seed, i, stream=0: (
+        _BlowingGenerator() if i in blown else generator(seed, i, stream)))
+    _force_parts(monkeypatch, parts)
+    with pytest.raises(gf.NumericalBlowup) as raised:
+        _split_walk("impulse", mp, cp, sol, lim)
+    _no_child_left()
+    assert str(raised.value) == "wealth left the positive cone"
+
+
+def test_text_written_before_a_split_walk_is_written_once(mp, cp, sol, lim, capfd,
+                                                         monkeypatch):
+    # a child leaves by os._exit, so it flushes no buffer it copied
+    _force_parts(monkeypatch, 3)
+    print("printed before the walk", end="")
+    with os.fdopen(os.dup(1), "w") as buffered:
+        buffered.write("buffered before the walk")
+        _split_walk("reflected", mp, cp, sol, lim)
+    _no_child_left()
+    out = capfd.readouterr().out
+    assert out.count("printed before the walk") == 1
+    assert out.count("buffered before the walk") == 1
+
+
+@_AFFINITY
+def test_the_walk_is_split_by_cpu_and_work(monkeypatch):
+    # fig2's 1,000 paths of 10,000 steps fill seven parts' path floors and
+    # nine parts' path-step floors; a part per CPU of the mask, never more,
+    # and one for a short walk or a narrow one
+    cpus = len(os.sched_getaffinity(0))
+    assert simulate._parts(1000, 10_000) == min(cpus, 7)
+    assert simulate._parts(10**6, 10**6) == cpus
+    assert simulate._parts(1000, simulate._PART_STEPS // 1000) == 1
+    assert simulate._parts(2 * simulate._PART_PATHS - 1, 10**6) == 1
+    with monkeypatch.context() as patched:
+        patched.delattr(os, "sched_getaffinity")
+        assert simulate._parts(1000, 10_000) == 1
+    monkeypatch.delattr(os, "fork")
+    assert simulate._parts(1000, 10_000) == 1
+
+
+def test_the_walk_is_not_split_where_a_fork_would_warn(monkeypatch):
+    # from CPython 3.12 on, os.fork warns while the process runs other threads
+    monkeypatch.setattr(simulate, "sys", types.SimpleNamespace(version_info=(3, 12, 0)))
+    done = threading.Event()
+    waiter = threading.Thread(target=done.wait)
+    waiter.start()
+    try:
+        assert simulate._parts(1000, 10_000) == 1
+    finally:
+        done.set()
+        waiter.join(timeout=10.0)
+    assert not waiter.is_alive()
+
+    def no_thread_count(path):
+        raise OSError("no /proc")
+
+    monkeypatch.setattr(os, "listdir", no_thread_count)
+    assert simulate._parts(1000, 10_000) == 1
+
+
+@_AFFINITY
+def test_a_walk_split_by_cpu_warns_nothing(mp, cp, sol, monkeypatch):
+    # 1,000 paths of 2,200 steps: two parts wherever two CPUs are free, and
+    # the serial walk's estimate
+    cfg = gf.SimConfig(horizon=2.2, dt=1e-3, n_paths=1000, base_seed=5)
+    assert simulate._parts(1000, cfg.n_steps) == min(len(os.sched_getaffinity(0)), 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = gf.estimate_growth_impulse(mp, cp, sol.candidate, cfg)
+    _no_child_left()
+    _force_parts(monkeypatch, 1)
+    assert est == gf.estimate_growth_impulse(mp, cp, sol.candidate, cfg)
